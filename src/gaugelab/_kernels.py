@@ -1,50 +1,25 @@
-"""Hot sampling loops with a jitted backend and a pure-numpy fallback.
+"""Hot sampling loops, vectorised with numpy.
 
-Set GAUGELAB_NO_NUMBA=1 to force the numpy path.  Both backends are written
-to produce bit-identical outputs: the jitted loops replicate numpy's
-searchsorted(side="right") convention and all reductions are integer counts,
-so backend choice can never change a reported number.
+Every lookup follows searchsorted(side="right"), so cells are right-open, and
+every reduction is an integer count, so the verdicts built on these float
+samples stay exact rationals.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("GAUGELAB_NO_NUMBA", "").strip() not in ("", "0")
-
-try:  # pragma: no cover - exercised via the backend flag tests
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by GAUGELAB_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# numpy is the only backend; the flag stays for readers that report it
+USING_NUMBA = False
 
 
-USING_NUMBA = HAS_NUMBA
-
-
-# -- numpy reference implementations ----------------------------------------
-
-
-def piece_counts_numpy(samples: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+def piece_counts(samples: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Histogram of samples over cells cut by `cuts` (right-open cells)."""
     idx = np.searchsorted(cuts, samples, side="right")
     return np.bincount(idx, minlength=len(cuts) + 1).astype(np.int64)
 
 
-def map_unit_to_region_numpy(unit: np.ndarray, cum: np.ndarray, los: np.ndarray) -> np.ndarray:
+def map_unit_to_region(unit: np.ndarray, cum: np.ndarray, los: np.ndarray) -> np.ndarray:
     """Inverse-CDF map of uniforms in [0,1) onto a region given part offsets."""
     total = cum[-1]
     t = unit * total
@@ -54,7 +29,7 @@ def map_unit_to_region_numpy(unit: np.ndarray, cum: np.ndarray, los: np.ndarray)
     return los[idx] + (t - before)
 
 
-def step_family_hits_numpy(
+def step_family_hits(
     t_pts: np.ndarray,
     u_pts: np.ndarray,
     cuts_flat: np.ndarray,
@@ -64,6 +39,9 @@ def step_family_hits_numpy(
     alpha: float,
     beta: float,
 ) -> int:
+    """Tuples for which some step member is <= alpha on every t and >= beta
+    on every u; member m owns cuts_flat[cuts_off[m]:cuts_off[m+1]] and the
+    matching slice of vals_flat."""
     n_members = len(cuts_off) - 1
     hit = np.zeros(t_pts.shape[0], dtype=bool)
     for m in range(n_members):
@@ -76,9 +54,11 @@ def step_family_hits_numpy(
     return int(np.count_nonzero(hit))
 
 
-def pairsum_family_hits_numpy(
+def pairsum_family_hits(
     t_pts: np.ndarray, u_pts: np.ndarray, h_lo: np.ndarray, h_hi: np.ndarray
 ) -> int:
+    """Tuples whose distinct u pairs never sum into H = union [h_lo, h_hi]
+    and whose t's never equal a u."""
     s, n = u_pts.shape
     ok = np.ones(s, dtype=bool)
     for i in range(n):
@@ -96,108 +76,3 @@ def pairsum_family_hits_numpy(
             clash |= t_pts[:, i] == u_pts[:, j]
         ok &= ~clash
     return int(np.count_nonzero(ok))
-
-
-# -- jitted implementations ---------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _searchsorted_right(arr, x):
-        lo, hi = 0, arr.shape[0]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if x < arr[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    @njit(cache=True)
-    def piece_counts_numba(samples, cuts):
-        out = np.zeros(cuts.shape[0] + 1, dtype=np.int64)
-        for i in range(samples.shape[0]):
-            out[_searchsorted_right(cuts, samples[i])] += 1
-        return out
-
-    @njit(cache=True)
-    def map_unit_to_region_numba(unit, cum, los):
-        total = cum[cum.shape[0] - 1]
-        out = np.empty(unit.shape[0], dtype=np.float64)
-        for i in range(unit.shape[0]):
-            t = unit[i] * total
-            idx = _searchsorted_right(cum, t)
-            if idx > cum.shape[0] - 1:
-                idx = cum.shape[0] - 1
-            before = 0.0 if idx == 0 else cum[idx - 1]
-            out[i] = los[idx] + (t - before)
-        return out
-
-    @njit(cache=True)
-    def step_family_hits_numba(
-        t_pts, u_pts, cuts_flat, cuts_off, vals_flat, vals_off, alpha, beta
-    ):
-        hits = 0
-        n_members = cuts_off.shape[0] - 1
-        for s in range(t_pts.shape[0]):
-            found = False
-            for m in range(n_members):
-                c0, c1 = cuts_off[m], cuts_off[m + 1]
-                v0 = vals_off[m]
-                ok = True
-                for i in range(t_pts.shape[1]):
-                    idx = _searchsorted_right(cuts_flat[c0:c1], t_pts[s, i])
-                    if not (vals_flat[v0 + idx] <= alpha):
-                        ok = False
-                        break
-                if ok:
-                    for j in range(u_pts.shape[1]):
-                        idx = _searchsorted_right(cuts_flat[c0:c1], u_pts[s, j])
-                        if not (vals_flat[v0 + idx] >= beta):
-                            ok = False
-                            break
-                if ok:
-                    found = True
-                    break
-            if found:
-                hits += 1
-        return hits
-
-    @njit(cache=True)
-    def pairsum_family_hits_numba(t_pts, u_pts, h_lo, h_hi):
-        hits = 0
-        s_count, n = u_pts.shape
-        for s in range(s_count):
-            ok = True
-            for i in range(n):
-                if not ok:
-                    break
-                for j in range(i + 1, n):
-                    if u_pts[s, i] == u_pts[s, j]:
-                        continue
-                    total = u_pts[s, i] + u_pts[s, j]
-                    k = _searchsorted_right(h_lo, total) - 1
-                    if k >= 0 and total <= h_hi[k]:
-                        ok = False
-                        break
-            if ok:
-                for i in range(t_pts.shape[1]):
-                    for j in range(n):
-                        if t_pts[s, i] == u_pts[s, j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                hits += 1
-        return hits
-
-    piece_counts = piece_counts_numba
-    map_unit_to_region = map_unit_to_region_numba
-    step_family_hits = step_family_hits_numba
-    pairsum_family_hits = pairsum_family_hits_numba
-else:
-    piece_counts = piece_counts_numpy
-    map_unit_to_region = map_unit_to_region_numpy
-    step_family_hits = step_family_hits_numpy
-    pairsum_family_hits = pairsum_family_hits_numpy

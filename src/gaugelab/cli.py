@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .errors import GaugeLabError, SearchExhausted
 from .exact import Dyadic, Region, parse_fraction, parse_region
-from .gallery import (build_A_family, build_fat_set, example_3e, example_3f,
-                      example_3g, harmonic_half, oscillation_witness_3e,
-                      truncation_cover, truncation_sequence)
+from .gallery import (build_A_family, build_fat_set, example_3f, example_3g,
+                      harmonic_half, oscillation_witness_3e, truncation_cover,
+                      truncation_sequence)
 from .gauges import Gauge, cousin_partition
 from .integrands import (IntegrandFn, exact_vector_integral, identity_integrand,
                          poly_integrand)
@@ -45,8 +45,12 @@ def arg_fraction(text) -> Fraction:
 
 def arg_fraction_list(text) -> list[Fraction]:
     if isinstance(text, (list, tuple)):
-        return [arg_fraction(t) for t in text]
-    return [arg_fraction(tok) for tok in str(text).split(",") if tok.strip()]
+        out = [arg_fraction(t) for t in text]
+    else:
+        out = [arg_fraction(tok) for tok in str(text).split(",") if tok.strip()]
+    if not out:
+        raise ValueError(f"expected at least one value, got {text!r}")
+    return out
 
 
 def arg_gauge(text) -> Gauge:
@@ -77,6 +81,8 @@ def build_integrand(args) -> dict:
             [parse_fraction(c) for c in group.split(",") if c.strip()]
             for group in spec[5:].split(";")
         ]
+        if not all(coeff_lists):
+            raise ValueError(f"every coordinate of {spec!r} needs a coefficient")
         phi = poly_integrand(coeff_lists)
         return {"integrand": phi, "exact_integral": exact_vector_integral(phi)}
     raise ValueError(f"unknown integrand spec {spec!r}")
@@ -238,15 +244,14 @@ def cmd_bochner(args):
 
 def cmd_stability(args):
     if args.family == "pairsum":
-        fam = FunctionFamily.pairsum(parse_region(args.h))
+        fam = FunctionFamily.pairsum(args.h)
     else:
         built = build_integrand(args)
         phi = built["integrand"]
         fs = default_functionals(phi.space, 4, seed=args.seed)
         fam = family_from_integrand(phi, fs)
-    E = parse_region(args.E)
     if args.scan:
-        out = stability_scan(fam, [E], [(args.alpha, args.beta)],
+        out = stability_scan(fam, [args.E], [(args.alpha, args.beta)],
                              mn_max=args.mn_max, samples=args.samples,
                              seed=args.seed, margin=args.margin)
         cells = [
@@ -254,7 +259,7 @@ def cmd_stability(args):
             for row in out["rows"] for cell in row["cells"]
         ]
         return 0, out, cells
-    q = ZQuery(E, args.m, args.n, args.alpha, args.beta)
+    q = ZQuery(args.E, args.m, args.n, args.alpha, args.beta)
     out = z_measure_mc(fam, q, samples=args.samples, seed=args.seed)
     code = 1 if out["comparison"] == "above-threshold" else 0
     return code, dict(out, family=fam.describe()), None
@@ -326,9 +331,8 @@ def cmd_gallery(args):
     # 3e
     fat = build_fat_set(args.L, args.r)
     fam = build_A_family(fat, args.L, jump_grid_depth=args.jump_depth, cap=args.R)
-    gauge = arg_gauge(args.gauge)
     try:
-        w = oscillation_witness_3e(fat, fam, args.R, gauge, seed=args.seed,
+        w = oscillation_witness_3e(fat, fam, args.R, args.gauge, seed=args.seed,
                                    proxy_depth=args.proxy_depth,
                                    max_attempts=args.max_attempts)
     except SearchExhausted as exc:
@@ -393,6 +397,14 @@ _CONVERTERS = {
     "etas": arg_fraction_list,
 }
 
+# dest -> parser run once the config is echoed, so the report keeps the text
+# given and a malformed value is a usage error before any check runs
+_PARSED = {"E": parse_region, "h": parse_region, "gauge": arg_gauge}
+
+# counts below 1 would leave a check with nothing to check
+_COUNTS = ("n", "batches", "n_max", "blocks", "functionals", "regions",
+           "regions_per_eta", "mn_max", "max_levels")
+
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=None,
@@ -403,8 +415,6 @@ def _add_common(sp):
     sp.add_argument("--config", default=None, help="JSON config file; flags override")
     sp.add_argument("--deterministic", action="store_true", default=None,
                     help="omit timestamps so reruns are byte-identical")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="cap worker threads (results unchanged)")
 
 
 # final fallbacks applied after the config file; parser defaults stay None so
@@ -576,20 +586,18 @@ def resolve_args(args: argparse.Namespace) -> dict:
     for dest, conv in _CONVERTERS.items():
         if hasattr(args, dest) and getattr(args, dest) is not None:
             setattr(args, dest, conv(getattr(args, dest)))
-    if args.threads:
-        try:
-            import numba
-
-            # clamp to what the host allows; results do not depend on this
-            cap = getattr(numba.config, "NUMBA_NUM_THREADS", 1)
-            numba.set_num_threads(min(max(1, args.threads), cap))
-        except ImportError:
-            pass
-    resolved = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("out", "csv", "config"):
-            continue
-        resolved[key] = value
+    if args.tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
+    for dest in _COUNTS:
+        value = getattr(args, dest, None)
+        if value is not None and not (isinstance(value, int) and value >= 1):
+            raise ValueError(f"--{dest.replace('_', '-')} must be an integer >= 1, "
+                             f"got {value!r}")
+    resolved = {key: value for key, value in sorted(vars(args).items())
+                if key not in ("out", "csv", "config")}
+    for dest, parse in _PARSED.items():
+        if getattr(args, dest, None) is not None:
+            setattr(args, dest, parse(getattr(args, dest)))
     return resolved
 
 
@@ -598,7 +606,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         config = resolve_args(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, GaugeLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handler = _HANDLERS[args.command]

@@ -12,8 +12,9 @@ here.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import MalformedInterval
 
@@ -72,7 +73,7 @@ class Dyadic:
             return cls(int(m.group(1)), int(m.group(2) or 0))
         m = _PLAIN_FRAC_RE.match(text)
         if m:
-            return cls.from_fraction(Fraction(int(m.group(1)), int(m.group(2))))
+            return cls.from_fraction(parse_fraction(text))
         raise ValueError(f"not a dyadic literal: {text!r}")
 
     # -- representation --------------------------------------------------
@@ -136,10 +137,6 @@ class Dyadic:
     def half(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
 
-    def scale_pow2(self, k: int) -> "Dyadic":
-        """Multiply by 2**k (k may be negative)."""
-        return Dyadic(self.num, self.exp - k)
-
     # -- comparisons ------------------------------------------------------
 
     def _cmp(self, other) -> int:
@@ -176,7 +173,6 @@ class Dyadic:
 
 D0 = Dyadic(0)
 D1 = Dyadic(1)
-D2 = Dyadic(2)
 
 
 def dyadic_min(*vals: Dyadic) -> Dyadic:
@@ -235,9 +231,6 @@ class Interval:
     def translate(self, t: Dyadic) -> "Interval":
         return Interval(self.lo + t, self.hi + t)
 
-    def minkowski_sum(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
     def __eq__(self, other):
         return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
 
@@ -290,18 +283,11 @@ class Region:
         return total
 
     def contains(self, x: Rational) -> bool:
-        # binary search over sorted parts
-        lo, hi = 0, len(self.parts) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            part = self.parts[mid]
-            if x < part.lo:
-                hi = mid - 1
-            elif x > part.hi:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        # parts are sorted and disjoint: only the last part starting at or
+        # before x can hold it
+        xq = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+        i = bisect_right(self.parts, xq, key=_lo_fraction)
+        return i > 0 and self.parts[i - 1].hi >= xq
 
     def translate(self, t: Dyadic) -> "Region":
         return Region(iv.translate(t) for iv in self.parts)
@@ -338,6 +324,10 @@ class Region:
     def __repr__(self):
         inner = ", ".join(f"[{iv.lo}, {iv.hi}]" for iv in self.parts)
         return f"Region({inner})"
+
+
+def _lo_fraction(part: Interval) -> Fraction:
+    return part.lo.as_fraction()
 
 
 def region_normalize(intervals: Iterable[Interval]) -> Region:
@@ -442,5 +432,7 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(int(m.group(1)), 1 << int(m.group(2) or 0))
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ResolutionExceeded, SearchExhausted
-from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION,
-                    region_intersect, region_subtract)
+from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, dyadic_max,
+                    dyadic_min, region_intersect, region_subtract)
 from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
 from .integrands import IntegrandFn, exact_vector_integral, restrict_integrand
@@ -199,14 +199,6 @@ def inductive_tag_sequences(
         index=last_fail,
         trace=trace[-10:],
     )
-
-
-def dyadic_min(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a if a <= b else b
-
-
-def dyadic_max(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a if a >= b else b
 
 
 # -- jump-function family ------------------------------------------------------

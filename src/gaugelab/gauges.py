@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -72,15 +73,7 @@ class Gauge:
         cuts = [b.as_fraction() for b in breaks[1:-1]]
 
         def ev(t, _cuts=cuts, _vals=vals):
-            tq = _as_fraction(t)
-            lo, hi = 0, len(_cuts)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if tq < _cuts[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return _vals[lo]
+            return _vals[bisect_right(_cuts, _as_fraction(t))]
 
         desc = {
             "kind": "piecewise",
@@ -105,8 +98,6 @@ class Gauge:
         ordered_floors = [floorq[j] for j in order]
 
         def ev(t, _keys=keys, _floors=ordered_floors, _cap=capq):
-            from bisect import bisect_left
-
             tq = _as_fraction(t)
             i = bisect_left(_keys, tq)
             if i < len(_keys) and _keys[i] == tq:

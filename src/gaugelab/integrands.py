@@ -15,6 +15,7 @@ tagged on it contribute at most 2^-level in total.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -68,6 +69,8 @@ class IntegrandFn:
                 raise ValueError("polynomial coordinates need a coordinate space")
             if len(self.polys) != len(self.breaks) - 1:
                 raise ValueError("one polynomial tuple per cell")
+        if self.breaks is not None:
+            self._cuts = [b.as_fraction() for b in self.breaks[1:-1]]
 
     # -- construction --------------------------------------------------------
 
@@ -87,14 +90,7 @@ class IntegrandFn:
     # -- evaluation ------------------------------------------------------------
 
     def _cell_index(self, tq: Fraction) -> int:
-        lo, hi = 0, len(self.breaks) - 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tq < self.breaks[mid + 1].as_fraction():
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect_right(self._cuts, tq)
 
     def eval(self, t) -> VectorValue:
         tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
@@ -187,6 +183,20 @@ def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
     return IntegrandFn.poly(phi.space, breaks, polys, label=label, metadata=phi.metadata)
 
 
+def paired_polys(f: DualFunctional, phi: IntegrandFn) -> list[list[Fraction]]:
+    """Per cell of a polynomial integrand, the coefficients of f(phi(t)): the
+    functional's weights on the basis applied to the coordinate polynomials."""
+    weights = [f(VectorValue.basis(phi.space, c)) for c in range(phi.space.dim)]
+    out = []
+    for cell in phi.polys:
+        coeffs = [Fraction(0)] * max(len(c) for c in cell)
+        for w, c in zip(weights, cell):
+            for k, ck in enumerate(c):
+                coeffs[k] += w * ck
+        out.append(coeffs)
+    return out
+
+
 def scalar_integral(f: DualFunctional, phi: IntegrandFn, region: Region = UNIT_REGION) -> Fraction:
     """Exact integral of f(phi(t)) over the region, closed form per cell."""
     if phi.klass == EVALUATOR:
@@ -203,13 +213,7 @@ def scalar_integral(f: DualFunctional, phi: IntegrandFn, region: Region = UNIT_R
                         paired = f(val)
                     total += paired * (b - a).as_fraction()
         return total
-    weights = [f(VectorValue.basis(phi.space, c)) for c in range(phi.space.dim)]
-    for lo, hi, cell in zip(phi.breaks, phi.breaks[1:], phi.polys):
-        # f(phi(t)) is the weight-combination of coordinate polynomials
-        coeffs = [Fraction(0)] * max(len(c) for c in cell)
-        for w, c in zip(weights, cell):
-            for k, ck in enumerate(c):
-                coeffs[k] += w * ck
+    for lo, hi, coeffs in zip(phi.breaks, phi.breaks[1:], paired_polys(f, phi)):
         for part in region.parts:
             a = lo.as_fraction() if lo > part.lo else part.lo.as_fraction()
             b = hi.as_fraction() if hi < part.hi else part.hi.as_fraction()

@@ -11,6 +11,7 @@ that grid.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -264,14 +265,7 @@ class VectorValue:
         """Level of a step value at point t (half-open cells, last closed)."""
         breaks, levels = self.data
         tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
-        lo, hi = 0, len(levels) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tq < breaks[mid + 1].as_fraction():
-                hi = mid
-            else:
-                lo = mid + 1
-        return levels[lo]
+        return levels[bisect_right(breaks, tq, 1, len(levels), key=Dyadic.as_fraction) - 1]
 
     def __eq__(self, other):
         return (

@@ -11,12 +11,13 @@ margin of the threshold rather than resolving boundary cases.
 
 Everything the samples feed is float64, but every verdict is computed from the
 integer hit count with exact rational arithmetic, so reports are reproducible
-bit for bit across backends.
+bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import _kernels
 from .exact import Dyadic, Interval, Region, UNIT_REGION, format_region, region_intersect
-from .integrands import EVALUATOR, POLY, STEP, IntegrandFn
+from .integrands import POLY, STEP, IntegrandFn, paired_polys
 from .rng import stream
-from .spaces import DualFunctional, VectorValue, sqrt_enclosure
+from .spaces import DualFunctional, sqrt_enclosure
 
 # 95% two-sided normal quantile, as the rational the reports use
 _Z95 = Fraction(196, 100)
@@ -44,14 +45,8 @@ class Member:
     def eval(self, t) -> Fraction:
         if self.kind == "step":
             tq = Fraction(t) if not hasattr(t, "as_fraction") else t.as_fraction()
-            lo, hi = 0, len(self.levels) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if tq < self.breaks[mid + 1].as_fraction():
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return self.levels[lo]
+            i = bisect_right(self.breaks, tq, 1, len(self.levels), key=Dyadic.as_fraction)
+            return self.levels[i - 1]
         return Fraction(self.fn(t))
 
 
@@ -59,7 +54,7 @@ class FunctionFamily:
     """Finite family of evaluable maps [0,1] -> R, or the pair-sum class.
 
     klass "piecewise-step" members evaluate by breakpoint lookup and feed the
-    jitted sampling kernel; "evaluator" members carry an exact callable plus a
+    step sampling kernel; "evaluator" members carry an exact callable plus a
     vectorized float twin.  klass "pairsum" is not a finite list: it stands for
     every {0,1}-valued function subject to the constraint that no two distinct
     points summing into the region H may both take the value 1.  Its
@@ -99,30 +94,6 @@ class FunctionFamily:
         return cls("evaluator", members, label=label)
 
     @classmethod
-    def from_point_sets(cls, point_sets: Sequence[Sequence[Fraction]],
-                        label: str = "atoms") -> "FunctionFamily":
-        """Indicators of finite point sets (each member is 1 exactly there)."""
-        members = []
-        for i, pts in enumerate(point_sets):
-            pts = tuple(Fraction(p) if not hasattr(p, "as_fraction") else p.as_fraction()
-                        for p in pts)
-
-            def fn(t, _pts=pts):
-                tq = Fraction(t) if not hasattr(t, "as_fraction") else t.as_fraction()
-                return Fraction(1) if tq in _pts else Fraction(0)
-
-            def fn_np(xs, _pts=pts):
-                out = np.zeros_like(xs)
-                for p in _pts:
-                    out[xs == float(p)] = 1.0
-                return out
-
-            members.append(Member("eval", f"{label}[{i}]", fn=fn, fn_np=fn_np))
-        fam = cls("evaluator", members, label=label)
-        fam.metadata["point_sets"] = [tuple(str(p) for p in pts) for pts in point_sets]
-        return fam
-
-    @classmethod
     def pairsum(cls, h: Region, label: str = "pairsum") -> "FunctionFamily":
         return cls("pairsum", h=h, label=label)
 
@@ -157,14 +128,7 @@ def family_from_integrand(phi: IntegrandFn, functionals: Sequence[DualFunctional
             return _f(_phi.eval(t))
 
         if phi.klass == POLY:
-            weights = [f(VectorValue.basis(phi.space, c)) for c in range(phi.space.dim)]
-            cells = []
-            for cell in phi.polys:
-                coeffs = [Fraction(0)] * max(len(c) for c in cell)
-                for w, c in zip(weights, cell):
-                    for k, ck in enumerate(c):
-                        coeffs[k] += w * ck
-                cells.append([float(c) for c in coeffs])
+            cells = [[float(c) for c in coeffs] for coeffs in paired_polys(f, phi)]
             cuts = np.array([float(b) for b in phi.breaks[1:-1]])
 
             def fn_np(xs, _cuts=cuts, _cells=cells):

@@ -189,19 +189,29 @@ def test_report_digest_roundtrip(tmp_path):
     assert proc.returncode == 1
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
-    base = run_json(tmp_path, "th1", "integrate", "--fn", "identity",
-                    "--deterministic")
-    threaded = run_json(tmp_path, "th2", "integrate", "--fn", "identity",
-                        "--deterministic", "--threads", "4")
-    base["config"].pop("threads")
-    threaded["config"].pop("threads")
-    assert base == threaded
 
-
-def test_numpy_fallback_parity(tmp_path):
-    a = run_json(tmp_path, "np1", "integrate", "--fn", "3g", "--R", "6",
-                 "--deterministic")
-    b = run_json(tmp_path, "np2", "integrate", "--fn", "3g", "--R", "6",
-                 "--deterministic", env_extra={"GAUGELAB_NO_NUMBA": "1"})
-    assert a == b
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--fn", "identity", "--tol", "1/0"),
+    ("integrate", "--fn", "identity", "--tol", "0"),
+    ("integrate", "--fn", "identity", "--tol", "-1"),
+    ("integrate", "--fn", "identity", "--max-levels", "0"),
+    ("lln", "--fn", "identity", "--batches", "0"),
+    ("lln", "--fn", "identity", "--n", "0"),
+    ("vitali", "--n-max", "0"),
+    ("stability", "--E", "1:0"),
+    ("stability", "--E", "1/0:1"),
+    ("gallery", "3e", "--gauge", "const:0"),
+    # each of these would run no check at all and pass vacuously
+    ("series", "--fn", "3g", "--blocks", "0"),
+    ("pettis", "--fn", "identity", "--functionals", "0"),
+    ("pettis", "--fn", "identity", "--regions", "0"),
+    ("abscont", "--fn", "identity", "--etas", ","),
+    ("abscont", "--fn", "identity", "--regions-per-eta", "0"),
+    ("stability", "--scan", "--mn-max", "0"),
+    ("integrate", "--fn", "poly:"),
+], ids=" ".join)
+def test_bad_input_is_usage_error(argv):
+    proc = run(*argv)
+    assert proc.returncode == 2, proc.stderr or proc.stdout
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -1,27 +1,15 @@
-"""Backend equivalence for the sampling kernels.
+"""The sampling kernels against plain-python oracles.
 
-Every kernel has a plain-python oracle here; the numpy fallback and (when
-available) the jitted build must both match it exactly, hit for hit, so the
-backend flag can never change a reported number.
+Every kernel has an oracle here, written as a linear scan; the numpy kernel
+must match it exactly, hit for hit.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab import _kernels
 from gaugelab.rng import stream
-
-BACKENDS = [("numpy", _kernels.piece_counts_numpy, _kernels.map_unit_to_region_numpy,
-             _kernels.step_family_hits_numpy, _kernels.pairsum_family_hits_numpy)]
-if _kernels.HAS_NUMBA:
-    BACKENDS.append(("active", _kernels.piece_counts, _kernels.map_unit_to_region,
-                     _kernels.step_family_hits, _kernels.pairsum_family_hits))
 
 
 def py_piece_counts(samples, cuts):
@@ -97,11 +85,9 @@ def py_pairsum_hits(t_pts, u_pts, h_lo, h_hi):
 def test_piece_counts_matches_oracle(seed, pieces):
     xs = stream(seed).random(400)
     cuts = np.sort(stream(seed, 1).random(pieces - 1)) if pieces > 1 else np.zeros(0)
-    expect = py_piece_counts(xs, cuts)
-    for name, pc, *_ in BACKENDS:
-        got = pc(xs, cuts)
-        assert list(got) == expect, name
-        assert int(np.sum(got)) == 400
+    got = _kernels.piece_counts(xs, cuts)
+    assert list(got) == py_piece_counts(xs, cuts)
+    assert int(np.sum(got)) == 400
 
 
 @settings(max_examples=25, deadline=None)
@@ -111,15 +97,13 @@ def test_map_unit_to_region_matches_oracle(seed, parts):
     los = np.cumsum(np.concatenate([[0.0], lengths[:-1] + 0.05]))
     cum = np.cumsum(lengths)
     unit = stream(seed, 3).random(300)
-    expect = np.array(py_map_unit(unit, cum, los))
-    for name, _, mp, *_ in BACKENDS:
-        got = mp(unit, cum, los)
-        assert np.array_equal(got, expect), name
-        # every mapped point lies inside some part
-        inside = np.zeros(len(got), dtype=bool)
-        for lo, ln in zip(los, lengths):
-            inside |= (got >= lo) & (got <= lo + ln)
-        assert inside.all()
+    got = _kernels.map_unit_to_region(unit, cum, los)
+    assert np.array_equal(got, np.array(py_map_unit(unit, cum, los)))
+    # every mapped point lies inside some part
+    inside = np.zeros(len(got), dtype=bool)
+    for lo, ln in zip(los, lengths):
+        inside |= (got >= lo) & (got <= lo + ln)
+    assert inside.all()
 
 
 @settings(max_examples=15, deadline=None)
@@ -139,9 +123,9 @@ def test_step_family_hits_matches_oracle(seed, m, n, fam_size):
     vals_off = np.cumsum([0] + [len(v) for _, v in members]).astype(np.int64)
     cuts_flat = np.concatenate([c for c, _ in members])
     vals_flat = np.concatenate([v for _, v in members])
-    for name, _, _, sh, _ in BACKENDS:
-        got = sh(t_pts, u_pts, cuts_flat, cuts_off, vals_flat, vals_off, alpha, beta)
-        assert got == expect, name
+    got = _kernels.step_family_hits(t_pts, u_pts, cuts_flat, cuts_off, vals_flat,
+                                    vals_off, alpha, beta)
+    assert got == expect
 
 
 @settings(max_examples=15, deadline=None)
@@ -153,24 +137,8 @@ def test_pairsum_hits_matches_oracle(seed, m, n):
     u_pts = np.ascontiguousarray(np.floor(rng.random((300, n)) * 8) / 8)
     h_lo = np.array([0.5])
     h_hi = np.array([0.75])
-    expect = py_pairsum_hits(t_pts, u_pts, h_lo, h_hi)
-    for name, *_, ph in BACKENDS:
-        got = ph(t_pts, u_pts, h_lo, h_hi)
-        assert got == expect, name
-
-
-def test_backend_flag_forces_numpy():
-    code = (
-        "import gaugelab._kernels as k; "
-        "assert not k.USING_NUMBA; "
-        "assert k.piece_counts is k.piece_counts_numpy; "
-        "print('numpy-backend-ok')"
-    )
-    env = dict(os.environ, GAUGELAB_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert "numpy-backend-ok" in out.stdout
+    got = _kernels.pairsum_family_hits(t_pts, u_pts, h_lo, h_hi)
+    assert got == py_pairsum_hits(t_pts, u_pts, h_lo, h_hi)
 
 
 def test_philox_stream_reproducible():

@@ -1,0 +1,68 @@
+"""The breakpoint cell lookups and Region.contains against linear scans.
+
+Four objects find the cell of a point among dyadic breakpoints: piecewise
+gauges, piecewise integrands, step values and step family members.  All four
+use half-open cells [b_i, b_{i+1}) with the last cell closed, so t = 1 falls
+in the last cell.  Region.contains looks a point up among sorted parts.  The
+queries always include every breakpoint and endpoint, 0 and 1, where an
+off-by-one in a search would show.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaugelab.exact import Dyadic, Interval, Region
+from gaugelab.gauges import Gauge
+from gaugelab.integrands import IntegrandFn
+from gaugelab.spaces import ValueSpace, VectorValue
+from gaugelab.stability import Member
+
+DEPTH = 5
+
+
+def scan_cell(breaks, tq):
+    cell = 0
+    for i, b in enumerate(breaks[1:-1], start=1):
+        if b.as_fraction() <= tq:
+            cell = i
+    return cell
+
+
+@st.composite
+def lookup_cases(draw):
+    n = 1 << DEPTH
+    interior = sorted(draw(st.sets(st.integers(1, n - 1), max_size=8)))
+    breaks = [Dyadic(k, DEPTH) for k in [0] + interior + [n]]
+    ends = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=5))
+    parts = [Interval(Dyadic(min(a, b), DEPTH), Dyadic(max(a, b), DEPTH)) for a, b in ends]
+    # queries on the grid one level finer, so midpoints of cells come up too
+    extra = draw(st.lists(st.integers(0, 2 * n), max_size=12))
+    points = ({Fraction(k, 2 * n) for k in extra} | {Fraction(0), Fraction(1)}
+              | {b.as_fraction() for b in breaks}
+              | {e.as_fraction() for p in parts for e in (p.lo, p.hi)})
+    return breaks, parts, sorted(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lookup_cases())
+def test_cell_lookups_and_region_contains_match_linear_scan(case):
+    breaks, parts, points = case
+    cells = range(len(breaks) - 1)
+    gauge = Gauge.piecewise(breaks, [Fraction(c + 1) for c in cells])
+    line = ValueSpace.findim(1)
+    phi = IntegrandFn.step(line, breaks, [VectorValue.coords(line, [c]) for c in cells])
+    step = VectorValue.step(ValueSpace.step_linf(DEPTH), breaks, list(cells))
+    member = Member("step", "m", breaks=tuple(breaks), levels=tuple(Fraction(c) for c in cells))
+    region = Region(parts)
+    for tq in points:
+        expect = scan_cell(breaks, tq)
+        for t in (tq, Dyadic.from_fraction(tq)):
+            assert gauge(t) == expect + 1
+            assert phi.eval(t).data == (expect,)
+            assert step.step_eval(t) == expect
+            assert member.eval(t) == expect
+        inside = any(p.lo.as_fraction() <= tq <= p.hi.as_fraction() for p in parts)
+        assert region.contains(tq) == inside
+        assert region.contains(Dyadic.from_fraction(tq)) == inside
