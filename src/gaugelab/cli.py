@@ -557,7 +557,13 @@ _HANDLERS = {
 }
 
 
-def resolve_args(args: argparse.Namespace) -> dict:
+def _option_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> the type argparse applies to that flag of the subcommand."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.type for a in sub.choices[command]._actions if a.type is not None}
+
+
+def resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Fold in the config file (flags override), env seed, defaults, and
     convert fraction-typed options.  Returns the resolved config dict that
     the report embeds."""
@@ -566,12 +572,22 @@ def resolve_args(args: argparse.Namespace) -> dict:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
+        types = _option_types(parser, args.command)
         for key, value in overrides.items():
             dest = key.replace("-", "_")
             if not hasattr(args, dest):
                 raise ValueError(f"config key {key!r} is not a known option")
-            if getattr(args, dest) is None:
-                setattr(args, dest, value)
+            if getattr(args, dest) is not None:
+                continue
+            # a typed flag's value goes through its type as text, as it
+            # would on the command line: "8" and 8 give 8, [8] and 8.5 fail
+            if dest in types:
+                try:
+                    value = types[dest](str(value))
+                except (ValueError, argparse.ArgumentTypeError):
+                    raise ValueError(f"config key {key!r}: invalid "
+                                     f"{types[dest].__name__} value {value!r}") from None
+            setattr(args, dest, value)
     for dest, value in _DEFAULTS.get(args.command, {}).items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, value)
@@ -605,7 +621,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        config = resolve_args(args)
+        config = resolve_args(args, ap)
     except (OSError, ValueError, GaugeLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,22 +245,41 @@ class Region:
     """Normalized finite union of closed intervals.
 
     Parts are sorted, and parts that overlap or merely touch are merged, so two
-    regions describing the same point set compare equal.  Degenerate parts are
-    kept by the constructor (a caller may care about isolated points) but are
-    never produced by the binary combinators, which work modulo null sets.
+    regions describing the same point set compare equal.  The constructor
+    orders and merges the parts on integer keys: every endpoint scaled to the
+    parts' largest exponent.  Degenerate parts are kept by the constructor (a
+    caller may care about isolated points) but are never produced by the binary
+    combinators, which work modulo null sets.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[Interval] = ()):
+        parts = list(parts)
+        e = _common_exp(parts)
+        keyed = sorted(
+            ((iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp), iv)
+             for iv in parts),
+            key=lambda k: (k[0], k[1]),
+        )
         merged: list[Interval] = []
-        for iv in sorted(parts, key=lambda p: (p.lo.as_fraction(), p.hi.as_fraction())):
-            if merged and iv.lo <= merged[-1].hi:
-                if iv.hi > merged[-1].hi:
+        top = None
+        for lo, hi, iv in keyed:
+            if merged and lo <= top:
+                if hi > top:
                     merged[-1] = Interval(merged[-1].lo, iv.hi)
+                    top = hi
             else:
                 merged.append(iv)
+                top = hi
         object.__setattr__(self, "parts", tuple(merged))
+
+    @classmethod
+    def _normalized(cls, parts: tuple[Interval, ...]) -> "Region":
+        """Wrap parts that are already sorted, disjoint and non-touching."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "parts", parts)
+        return region
 
     def __setattr__(self, name, value):
         raise AttributeError("Region is immutable")
@@ -290,11 +309,13 @@ class Region:
         return i > 0 and self.parts[i - 1].hi >= xq
 
     def translate(self, t: Dyadic) -> "Region":
-        return Region(iv.translate(t) for iv in self.parts)
+        # a translate of a normalized region is normalized
+        return Region._normalized(tuple(iv.translate(t) for iv in self.parts))
 
     def scale_half(self) -> "Region":
         """Image under x -> x/2 (used for self-sum exclusions)."""
-        return Region(Interval(iv.lo.half(), iv.hi.half()) for iv in self.parts)
+        return Region._normalized(
+            tuple(Interval(iv.lo.half(), iv.hi.half()) for iv in self.parts))
 
     def bounding(self) -> Interval | None:
         if not self.parts:
@@ -302,17 +323,22 @@ class Region:
         return Interval(self.parts[0].lo, self.parts[-1].hi)
 
     def distance_to_point(self, x: Rational) -> Fraction:
-        """Exact distance from x to the region (0 if inside); inf for empty -> raises."""
+        """Exact distance from x to the region (0 if inside); raises for an empty region."""
         if not self.parts:
             raise ValueError("distance to empty region")
         xq = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+        # the nearest part is the last one starting at or before x, or the next
+        i = bisect_right(self.parts, xq, key=_lo_fraction)
         best = None
-        for iv in self.parts:
-            if iv.contains(xq):
+        if i > 0:
+            before = xq - self.parts[i - 1].hi.as_fraction()
+            if before <= 0:
                 return Fraction(0)
-            d = iv.lo.as_fraction() - xq if xq < iv.lo else xq - iv.hi.as_fraction()
-            if best is None or d < best:
-                best = d
+            best = before
+        if i < len(self.parts):
+            after = self.parts[i].lo.as_fraction() - xq
+            if best is None or after < best:
+                best = after
         return best
 
     def __eq__(self, other):
@@ -330,12 +356,28 @@ def _lo_fraction(part: Interval) -> Fraction:
     return part.lo.as_fraction()
 
 
+def _common_exp(parts) -> int:
+    """Largest endpoint exponent: every endpoint is an int at this scale."""
+    e = 0
+    for iv in parts:
+        if iv.lo.exp > e:
+            e = iv.lo.exp
+        if iv.hi.exp > e:
+            e = iv.hi.exp
+    return e
+
+
 def region_normalize(intervals: Iterable[Interval]) -> Region:
     return Region(intervals)
 
 
-def _positive_parts(region: Region) -> list[Interval]:
-    return [iv for iv in region.parts if iv.lo < iv.hi]
+# keep rule per op, indexed by 2 * in_a + in_b
+_KEEP = {
+    "union": (False, True, True, True),
+    "intersect": (False, False, False, True),
+    "subtract": (False, False, True, False),
+    "symmdiff": (False, True, True, False),
+}
 
 
 def region_combine(a: Region, b: Region, op: str) -> Region:
@@ -344,30 +386,58 @@ def region_combine(a: Region, b: Region, op: str) -> Region:
     op is one of union | intersect | subtract | symmdiff.  The result carries
     no degenerate parts: endpoint-only overlaps count as disjoint, matching the
     non-overlapping convention used for tagged partitions.
+
+    One linear sweep: every endpoint is scaled to a common exponent e as an
+    int, degenerate parts are dropped, and the gaps between consecutive
+    distinct endpoints are visited in order with one cursor into each region's
+    parts.  A gap lies in a region iff the cursor's part starts at or before
+    the gap's left end; kept gaps that touch are merged as they come.
     """
-    if op not in ("union", "intersect", "subtract", "symmdiff"):
+    keep = _KEEP.get(op)
+    if keep is None:
         raise ValueError(f"unknown op {op!r}")
+    e = _common_exp(a.parts + b.parts)
     # membership is decided against positive-length parts only: the combinators
     # work modulo null sets, so isolated points neither add nor remove anything
-    pa, pb = Region(_positive_parts(a)), Region(_positive_parts(b))
-    cuts = sorted(
-        {iv.lo.as_fraction() for iv in pa.parts + pb.parts}
-        | {iv.hi.as_fraction() for iv in pa.parts + pb.parts}
-    )
+    pa = _scaled_positive_parts(a, e)
+    pb = _scaled_positive_parts(b, e)
+    cuts = sorted({x for part in pa + pb for x in part})
+    if not cuts:
+        return Region._normalized(())
+    # a sentinel part past every cut ends both cursors' walks
+    sentinel = (cuts[-1] + 1, cuts[-1] + 1)
+    pa.append(sentinel)
+    pb.append(sentinel)
     out: list[Interval] = []
-    for lo_q, hi_q in zip(cuts, cuts[1:]):
-        mid = (lo_q + hi_q) / 2
-        in_a = pa.contains(mid)
-        in_b = pb.contains(mid)
-        keep = {
-            "union": in_a or in_b,
-            "intersect": in_a and in_b,
-            "subtract": in_a and not in_b,
-            "symmdiff": in_a != in_b,
-        }[op]
-        if keep:
-            out.append(Interval(Dyadic.from_fraction(lo_q), Dyadic.from_fraction(hi_q)))
-    return Region(out)
+    ia = ib = 0
+    run_lo = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        while pa[ia][1] <= lo:
+            ia += 1
+        while pb[ib][1] <= lo:
+            ib += 1
+        if keep[2 * (pa[ia][0] <= lo) + (pb[ib][0] <= lo)]:
+            if run_lo is None:
+                run_lo = lo
+            run_hi = hi
+        elif run_lo is not None:
+            out.append(Interval(Dyadic(run_lo, e), Dyadic(run_hi, e)))
+            run_lo = None
+    if run_lo is not None:
+        out.append(Interval(Dyadic(run_lo, e), Dyadic(run_hi, e)))
+    # runs are separated by at least one dropped gap, so out is normalized
+    return Region._normalized(tuple(out))
+
+
+def _scaled_positive_parts(region: Region, e: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the region's positive-length parts, scaled to exponent e."""
+    out = []
+    for iv in region.parts:
+        lo = iv.lo.num << (e - iv.lo.exp)
+        hi = iv.hi.num << (e - iv.hi.exp)
+        if lo < hi:
+            out.append((lo, hi))
+    return out
 
 
 def region_union(a: Region, b: Region) -> Region:

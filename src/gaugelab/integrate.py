@@ -227,7 +227,13 @@ def interval_series_check(
 
     Unconditional-convergence probe: the blocks may come in any order, and the
     check passes iff max over window_start <= j < k <= N of |S_k - S_j| <= tol.
+    The window must hold at least one pair, so 0 <= window_start < N.
     """
+    n = len(blocks)
+    lo = n // 2 if window_start is None else window_start
+    if not 0 <= lo < n:
+        raise ValueError(f"window start {lo} leaves no partial sums to compare "
+                         f"among {n} blocks (need 0 <= start < {n})")
     partials = [VectorValue.zero(phi.space)]
     acc = partials[0]
     block_norms = []
@@ -236,8 +242,6 @@ def interval_series_check(
         acc = acc + est.value
         partials.append(acc)
         block_norms.append(est.value.norm().hi)
-    n = len(blocks)
-    lo = n // 2 if window_start is None else window_start
     tail_max = Fraction(0)
     for j in range(lo, n + 1):
         for k in range(j + 1, n + 1):
@@ -522,6 +526,14 @@ def bochner_integrate(phi: IntegrandFn, eps: Fraction, max_pieces: int = 64):
         # dominating bound: |phi(t) - phi(mid)| <= lip * h/2 on each cell
         while lip * Fraction(1, 1 << (depth + 1)) > eps and depth < 30:
             depth += 1
+        # count the pieces before building any cut: eps = 0 climbs to depth 30
+        off_grid = {b for b in phi.breaks if b.exp > depth}
+        pieces = (1 << depth) + len(off_grid)
+        if pieces > max_pieces:
+            raise UnsupportedExactIntegration(
+                f"a dominated certificate within eps {eps} needs {pieces} pieces "
+                f"(depth {depth}); the piece budget is {max_pieces}"
+            )
         cuts = sorted(
             {Fraction(i, 1 << depth) for i in range((1 << depth) + 1)}
             | {b.as_fraction() for b in phi.breaks}

@@ -92,6 +92,10 @@ def test_config_file_fills_and_flags_override(tmp_path):
     doc = run_json(tmp_path, "cfg2", "integrate", "--config", str(cfg),
                    "--R", "4", "--seed", "9")
     assert (doc["config"]["fn"], doc["config"]["R"], doc["config"]["seed"]) == ("3g", 4, 9)
+    # string values take the flag's type, as they would on the command line
+    cfg.write_text(json.dumps({"fn": "3g", "R": "6", "seed": "3"}))
+    doc = run_json(tmp_path, "cfg3", "integrate", "--config", str(cfg))
+    assert (doc["config"]["fn"], doc["config"]["R"], doc["config"]["seed"]) == ("3g", 6, 3)
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
@@ -190,6 +194,10 @@ def test_report_digest_roundtrip(tmp_path):
 
 
 
+# config files named in the argv below, written to a scratch directory
+CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
+
+
 @pytest.mark.parametrize("argv", [
     ("integrate", "--fn", "identity", "--tol", "1/0"),
     ("integrate", "--fn", "identity", "--tol", "0"),
@@ -209,8 +217,15 @@ def test_report_digest_roundtrip(tmp_path):
     ("abscont", "--fn", "identity", "--regions-per-eta", "0"),
     ("stability", "--scan", "--mn-max", "0"),
     ("integrate", "--fn", "poly:"),
+    ("series", "--fn", "3g", "--window-start", "99"),
+    ("series", "--fn", "3g", "--window-start", "-1"),
+    ("vitali", "--config", "R-not-an-int.json"),
+    ("vitali", "--config", "R-a-list.json"),
 ], ids=" ".join)
-def test_bad_input_is_usage_error(argv):
+def test_bad_input_is_usage_error(argv, tmp_path):
+    argv = [str(tmp_path / a) if a in CONFIGS else a for a in argv]
+    for name, config in CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
     proc = run(*argv)
     assert proc.returncode == 2, proc.stderr or proc.stdout
     assert proc.stderr.strip().splitlines()[-1].startswith("error: ")

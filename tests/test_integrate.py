@@ -1,5 +1,7 @@
 """Gauge-limit, pairing, empirical-mean and simple-function integrators."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -131,6 +133,15 @@ def test_interval_series_check_geometric_blocks():
     assert abs(last.data[0] - Fraction(1, 2)) < Fraction(1, 100)
 
 
+@pytest.mark.parametrize("window_start", [-1, 3, 99])
+def test_interval_series_check_rejects_empty_window(window_start):
+    blocks = [Region((Interval(Dyadic(1, i + 1), Dyadic(1, i)),)) for i in range(3)]
+    with pytest.raises(ValueError, match="window start"):
+        interval_series_check(identity_integrand(), blocks, window_start=window_start)
+    with pytest.raises(ValueError, match="window start"):
+        interval_series_check(identity_integrand(), [])
+
+
 def test_absolute_continuity_monotone_and_linear():
     phi = identity_integrand()
     etas = [Fraction(1, 16), Fraction(1, 4), Fraction(1)]
@@ -188,6 +199,30 @@ def test_bochner_poly_certificate_dominated():
     cert = bochner_integrate(phi, eps)
     assert cert.dominator_integral <= eps
     assert abs(cert.value.data[0] - Fraction(1, 2)) <= cert.dominator_integral
+
+
+def test_bochner_poly_refuses_over_budget_before_allocating():
+    # eps = 0 needs depth 30, i.e. 2^30 pieces; the refusal must come before
+    # any cut is built, so the child runs under an address-space cap
+    code = (
+        "import resource, tracemalloc\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from gaugelab.errors import UnsupportedExactIntegration\n"
+        "from gaugelab.integrands import identity_integrand\n"
+        "from gaugelab.integrate import bochner_integrate\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    bochner_integrate(identity_integrand(), 0, max_pieces=64)\n"
+        "except UnsupportedExactIntegration as exc:\n"
+        "    print(exc)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    message, peak = proc.stdout.strip().splitlines()
+    assert f"needs {1 << 30} pieces" in message and "budget is 64" in message
+    assert int(peak) < 1 << 20
 
 
 def test_bochner_refuses_separated_values():
