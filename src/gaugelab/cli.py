@@ -121,7 +121,7 @@ def cmd_integrate(args):
         result["exact_integral"] = exact
         result["error_vs_exact"] = err
         result["within_tol"] = bool(err.hi <= args.tol + est.oscillation)
-    code = 0 if est.status in ("converged", "oscillation-floor") else 1
+    code = 0 if est.converged else 1
     return code, result, est.trace
 
 
@@ -629,8 +629,10 @@ def main(argv=None) -> int:
     try:
         code, result, rows = handler(args)
     except GaugeLabError as exc:
+        # a failed check still leaves its report
         print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        code, rows = 1, None
+        result = {"pass": False, "error": type(exc).__name__, "message": str(exc)}
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -615,7 +615,7 @@ def example_3f(depth: int = 12) -> dict:
     Values are pairwise at sup distance 1 (each grid cell owns its own value),
     which is what defeats simple-function approximation; the exact integral is
     the discretized down-ramp 1 - (j+1)/2^depth on cell j, returned in closed
-    form because accumulating 2^depth step merges is quadratic.
+    form as an oracle independent of the Riemann-sum accumulator.
     """
     if depth < 1 or depth > 16:
         raise ValueError("depth must be in 1..16")

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .errors import UnsupportedExactIntegration
 from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION
 from .gauges import Gauge
-from .spaces import DualFunctional, ValueSpace, VectorValue
+from .spaces import DualFunctional, ValueSpace, VectorValue, linear_combination
 
 STEP, POLY, EVALUATOR = "step", "poly", "evaluator"
 
@@ -229,14 +229,14 @@ def exact_vector_integral(phi: IntegrandFn, region: Region = UNIT_REGION) -> Vec
     sum(len * value); polynomial cells integrate coordinate-wise.
     """
     if phi.klass == STEP:
-        acc = VectorValue.zero(phi.space)
+        terms = []
         for lo, hi, val in zip(phi.breaks, phi.breaks[1:], phi.values):
             for part in region.parts:
                 a = lo if lo > part.lo else part.lo
                 b = hi if hi < part.hi else part.hi
                 if a < b:
-                    acc = acc + val * (b - a).as_fraction()
-        return acc
+                    terms.append(((b - a).as_fraction(), val))
+        return linear_combination(phi.space, terms)
     if phi.klass == POLY:
         coords = [Fraction(0)] * phi.space.dim
         for lo, hi, cell in zip(phi.breaks, phi.breaks[1:], phi.polys):

@@ -30,7 +30,7 @@ from .integrands import (
     scalar_integral,
 )
 from .rng import stream
-from .spaces import DualFunctional, ValueSpace, VectorValue, distance
+from .spaces import DualFunctional, ValueSpace, VectorValue, distance, linear_combination
 
 DEFAULT_TOL = Fraction(1, 1 << 10)
 
@@ -40,12 +40,8 @@ DEFAULT_TOL = Fraction(1, 1 << 10)
 
 def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
     """Sum of |interval| * phi(tag); exact in the integrand's value space."""
-    acc = VectorValue.zero(phi.space)
-    for it in p.items:
-        length = it.interval.length.as_fraction()
-        if length:
-            acc = acc + phi.eval(it.tag) * length
-    return acc
+    weighted = ((it.interval.length.as_fraction(), it.tag) for it in p.items)
+    return linear_combination(phi.space, ((w, phi.eval(t)) for w, t in weighted if w))
 
 
 def generalized_sum(phi: IntegrandFn, items: Sequence[tuple[Region, Dyadic]]) -> VectorValue:
@@ -57,12 +53,8 @@ def generalized_sum(phi: IntegrandFn, items: Sequence[tuple[Region, Dyadic]]) ->
     union = Region(part for region, _ in items for part in region.parts)
     if union.measure() != total:
         raise OverlappingItems("tagged regions overlap in positive measure")
-    acc = VectorValue.zero(phi.space)
-    for region, tag in items:
-        mu = region.measure().as_fraction()
-        if mu:
-            acc = acc + phi.eval(tag) * mu
-    return acc
+    weighted = ((region.measure().as_fraction(), tag) for region, tag in items)
+    return linear_combination(phi.space, ((mu, phi.eval(t)) for mu, t in weighted if mu))
 
 
 # -- gauge-limit integration ---------------------------------------------------
@@ -147,8 +139,10 @@ def mcshane_integrate(
         if osc <= tol:
             return IntegralEstimate(last, osc, "converged", trace)
         osc_history.append(osc)
-    # floor: the last level barely improved on the one before it
-    floored = len(osc_history) >= 2 and 2 * osc_history[-1] >= osc_history[-2]
+    # floor: each of the last two levels kept at least 3/4 of the oscillation
+    # before it; steady convergence at rate 1/2 is not a floor
+    floored = len(osc_history) >= 3 and all(
+        4 * b >= 3 * a for a, b in zip(osc_history[-3:], osc_history[-2:]))
     return IntegralEstimate(last, osc, "oscillation-floor" if floored else "max-level", trace)
 
 
@@ -393,21 +387,18 @@ def talagrand_integrate(
             u = stream(seed, b + 1).random(n)
             counts = _kernels.piece_counts(u, cuts)
             pooled_counts += counts
-            mean = VectorValue.zero(phi.space)
-            for c, val in zip(counts.tolist(), phi.values):
-                if c:
-                    mean = mean + val * Fraction(c, n)
+            mean = linear_combination(phi.space, (
+                (Fraction(c, n), val) for c, val in zip(counts.tolist(), phi.values) if c))
             means.append(mean)
             var = Fraction(0)
             for c, val in zip(counts.tolist(), phi.values):
                 if c:
                     var += Fraction(c) * distance(val, mean).hi ** 2
             variances.append(var / (n - 1) if n > 1 else Fraction(0))
-        pooled = VectorValue.zero(phi.space)
         total = n * batches
-        for c, val in zip(pooled_counts.tolist(), phi.values):
-            if c:
-                pooled = pooled + val * Fraction(int(c), total)
+        pooled = linear_combination(phi.space, (
+            (Fraction(int(c), total), val)
+            for c, val in zip(pooled_counts.tolist(), phi.values) if c))
         exact = True
     else:
         means = []
@@ -539,19 +530,18 @@ def bochner_integrate(phi: IntegrandFn, eps: Fraction, max_pieces: int = 64):
             | {b.as_fraction() for b in phi.breaks}
         )
         parts = []
-        value = VectorValue.zero(phi.space)
+        terms = []
         dom = Fraction(0)
         for a, b in zip(cuts, cuts[1:]):
-            mid = (a + b) / 2
-            x = phi.eval(mid)
+            x = phi.eval((a + b) / 2)
             parts.append((Interval(Dyadic.from_fraction(a), Dyadic.from_fraction(b)), x))
-            value = value + x * (b - a)
+            terms.append((b - a, x))
             dom += (b - a) * lip * (b - a) / 2
         if dom > eps:
             raise UnsupportedExactIntegration(
                 f"refinement floor {dom} > eps; raise eps or depth cap"
             )
-        return BochnerCertificate(parts, dom, value, eps)
+        return BochnerCertificate(parts, dom, linear_combination(phi.space, terms), eps)
     raise UnsupportedExactIntegration("simple-function certificates need piecewise structure")
 
 

@@ -214,31 +214,14 @@ class VectorValue:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "VectorValue"):
-        if self.space != other.space:
-            raise SpaceMismatch(f"{self.space} vs {other.space}")
-
     def __add__(self, other: "VectorValue") -> "VectorValue":
-        self._check(other)
-        if self.space.is_step:
-            ab, al = self.data
-            bb, bl = other.data
-            runs = [(lo, hi, la + lb) for lo, hi, la, lb in _merge_steps(ab, al, bb, bl)]
-            breaks, levels = _canonical_steps(runs)
-            return VectorValue(self.space, (breaks, levels))
-        return VectorValue(self.space, tuple(a + b for a, b in zip(self.data, other.data)))
+        return linear_combination(self.space, ((1, self), (1, other)))
 
     def __sub__(self, other: "VectorValue") -> "VectorValue":
-        return self + (other * Fraction(-1))
+        return linear_combination(self.space, ((1, self), (-1, other)))
 
     def __mul__(self, scalar) -> "VectorValue":
-        c = Fraction(scalar) if not isinstance(scalar, Fraction) else scalar
-        if self.space.is_step:
-            breaks, levels = self.data
-            runs = list(zip(breaks, breaks[1:], (c * l for l in levels)))
-            b2, l2 = _canonical_steps(runs)
-            return VectorValue(self.space, (b2, l2))
-        return VectorValue(self.space, tuple(c * v for v in self.data))
+        return linear_combination(self.space, ((scalar, self),))
 
     __rmul__ = __mul__
 
@@ -276,6 +259,72 @@ class VectorValue:
 
     def __repr__(self):
         return f"VectorValue({self.space!r}, {self.data!r})"
+
+
+def _coefficient(space: ValueSpace, c, v: VectorValue):
+    """c as an exact rational, once v is known to live in space."""
+    if v.space is not space and v.space != space:
+        raise SpaceMismatch(f"{space} vs {v.space}")
+    return c if isinstance(c, (Fraction, int)) else Fraction(c)
+
+
+def linear_combination(space: ValueSpace, terms) -> VectorValue:
+    """Sum of c * v over an iterable of (c, v) pairs, in one pass.
+
+    Every v must live in `space` (else SpaceMismatch); each c is an exact
+    rational.  The result is the left fold of `+` over the scaled terms, with
+    the same canonical data.  Coordinate values sum into one list in place.
+    A step value adds c * (level change) at each of its breakpoints into a
+    dict keyed by integer grid position, so a term costs O(breaks of v) however
+    many cells the sum already has; one sorted prefix sum at the end emits a
+    breakpoint only where the level changes, which is the canonical form.
+    """
+    if space.is_step:
+        return _step_combination(space, terms)
+    acc = None
+    for c, v in terms:
+        c = _coefficient(space, c, v)
+        if not c:
+            continue
+        if acc is None:
+            acc = list(v.data) if c == 1 else [c * x for x in v.data]
+        elif c == 1:
+            for i, x in enumerate(v.data):
+                acc[i] += x
+        elif c == -1:
+            for i, x in enumerate(v.data):
+                acc[i] -= x
+        else:
+            for i, x in enumerate(v.data):
+                acc[i] += c * x
+    return VectorValue(space, tuple(acc) if acc is not None else (Fraction(0),) * space.dim)
+
+
+def _step_combination(space: ValueSpace, terms) -> VectorValue:
+    g = space.grid_depth
+    jumps: dict[int, Fraction] = {}
+    for c, v in terms:
+        c = _coefficient(space, c, v)
+        if not c:
+            continue
+        breaks, levels = v.data
+        prev = 0
+        for b, level in zip(breaks, levels):  # each cell's left end
+            pos = b.num << (g - b.exp)
+            jumps[pos] = jumps.get(pos, 0) + c * (level - prev)
+            prev = level
+    out_breaks, out_levels = [D0], []
+    level = Fraction(0)
+    for pos in sorted(jumps):
+        jump = jumps[pos]
+        if jump:
+            if pos:
+                out_breaks.append(Dyadic(pos, g))
+                out_levels.append(level)
+            level += jump
+    out_breaks.append(D1)
+    out_levels.append(level)
+    return VectorValue(space, (tuple(out_breaks), tuple(out_levels)))
 
 
 def distance(u: VectorValue, v: VectorValue, bits: int = 64) -> Enclosure:

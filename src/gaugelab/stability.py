@@ -42,11 +42,14 @@ class Member:
     fn: Callable | None = None  # eval: exact rational evaluation
     fn_np: Callable | None = None  # eval: vectorized float evaluation
 
+    def __post_init__(self):
+        # interior cuts as Fractions, built once; a probe bisects on them directly
+        self._cuts = [b.as_fraction() for b in self.breaks[1:-1]]
+
     def eval(self, t) -> Fraction:
         if self.kind == "step":
-            tq = Fraction(t) if not hasattr(t, "as_fraction") else t.as_fraction()
-            i = bisect_right(self.breaks, tq, 1, len(self.levels), key=Dyadic.as_fraction)
-            return self.levels[i - 1]
+            tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
+            return self.levels[bisect_right(self._cuts, tq)]
         return Fraction(self.fn(t))
 
 

@@ -194,6 +194,25 @@ def test_report_digest_roundtrip(tmp_path):
 
 
 
+def test_integrate_exit_follows_tol(tmp_path):
+    # steady rate-1/2 convergence that stops short of tol is max-level, exit 1
+    doc = run_json(tmp_path, "tight", "integrate", "--fn", "identity",
+                   "--tol", "2^-20", "--deterministic", expect=1)
+    assert doc["result"]["status"] == "max-level"
+
+
+def test_failed_check_still_writes_report(tmp_path):
+    out = tmp_path / "f.json"
+    proc = run("bochner", "--fn", "poly:0,0,0,5", "--eps", "0", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith("check failed: ")
+    doc = json.loads(out.read_text())
+    assert doc["command"] == "bochner"
+    assert doc["result"]["pass"] is False
+    assert doc["result"]["error"] == "UnsupportedExactIntegration"
+    assert "the piece budget is 64" in doc["result"]["message"]
+
+
 # config files named in the argv below, written to a scratch directory
 CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
 

@@ -98,6 +98,22 @@ def test_mcshane_explicit_gauge_schedule():
     assert abs(est.value.data[0] - Fraction(1, 2)) < Fraction(1, 8)
 
 
+def test_mcshane_floor_needs_two_flat_ratios():
+    # oscillation 1 at every level: no level improves, a genuine floor
+    flat = mcshane_integrate(dyadic_indicator(6), schedule=[Gauge.const(Fraction(1, 4))] * 4,
+                             tol=DEFAULT_TOL)
+    assert [row["oscillation"] for row in flat.trace] == ["1"] * 4
+    assert flat.status == "oscillation-floor"
+    # about halving at every level is steady convergence that ran out of
+    # levels, even where one level keeps just over half (the last one here)
+    steady = mcshane_integrate(identity_integrand(), schedule="adapted",
+                               tol=Fraction(1, 1 << 20), max_levels=8, seed=1)
+    oscs = [Fraction(row["oscillation"]) for row in steady.trace]
+    assert all(4 * b < 3 * a for a, b in zip(oscs, oscs[1:]))
+    assert 2 * oscs[-1] >= oscs[-2]
+    assert steady.status == "max-level"
+
+
 def test_indefinite_integral_additive():
     phi = identity_integrand()
     left = Region((Interval(D0, HALF),))

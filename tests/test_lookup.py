@@ -17,7 +17,7 @@ from gaugelab.exact import Dyadic, Interval, Region
 from gaugelab.gauges import Gauge
 from gaugelab.integrands import IntegrandFn
 from gaugelab.spaces import ValueSpace, VectorValue
-from gaugelab.stability import Member
+from gaugelab.stability import FunctionFamily, Member
 
 DEPTH = 5
 
@@ -66,3 +66,28 @@ def test_cell_lookups_and_region_contains_match_linear_scan(case):
         inside = any(p.lo.as_fraction() <= tq <= p.hi.as_fraction() for p in parts)
         assert region.contains(tq) == inside
         assert region.contains(Dyadic.from_fraction(tq)) == inside
+
+
+@st.composite
+def member_cases(draw):
+    depth = draw(st.integers(0, 7))
+    n = 1 << depth
+    interior = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=12))) if n > 1 else []
+    breaks = tuple(Dyadic(k, depth) for k in [0] + interior + [n])
+    levels = draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                           min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    extra = draw(st.lists(st.integers(0, 4 * n), max_size=16))
+    points = ({Fraction(k, 4 * n) for k in extra} | {Fraction(0), Fraction(1)}
+              | {b.as_fraction() for b in breaks})
+    return breaks, levels, sorted(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(member_cases())
+def test_member_eval_matches_linear_scan(case):
+    breaks, levels, points = case
+    (member,) = FunctionFamily.from_steps([(breaks, levels)]).members
+    for tq in points:
+        expect = levels[scan_cell(breaks, tq)]
+        assert member.eval(tq) == expect
+        assert member.eval(Dyadic.from_fraction(tq)) == expect
