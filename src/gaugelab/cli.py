@@ -2,9 +2,9 @@
 JSON/CSV reports.
 
 Exit codes: 0 all asserted checks passed, 1 a check failed (the report is
-still written), 2 usage or configuration error.  Every report embeds the
-resolved config; rerunning with the same config and seed is byte-identical
-under --deterministic.
+still written), 2 usage or configuration error; 1 and 2 end stderr with a
+one-line reason.  Every report embeds the resolved config; rerunning with
+the same config and seed is byte-identical under --deterministic.
 """
 
 from __future__ import annotations
@@ -617,6 +617,14 @@ def resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> d
     return resolved
 
 
+def _failure_reason(command: str, result: dict) -> str:
+    """One line saying why a check that ran to its end did not pass."""
+    for key in ("status", "kind", "comparison"):
+        if key in result:
+            return f"{command}: {key} {result[key]}"
+    return f"{command}: the check did not pass; its report holds the details"
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -626,16 +634,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handler = _HANDLERS[args.command]
+    reason = None
     try:
         code, result, rows = handler(args)
     except GaugeLabError as exc:
         # a failed check still leaves its report
-        print(f"check failed: {exc}", file=sys.stderr)
-        code, rows = 1, None
-        result = {"pass": False, "error": type(exc).__name__, "message": str(exc)}
+        code, rows, reason = 1, None, str(exc)
+        result = {"pass": False, "error": type(exc).__name__, "message": reason}
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if code == 1:
+        print(f"check failed: {reason or _failure_reason(args.command, result)}",
+              file=sys.stderr)
     doc = build_report(args.command, config, result,
                        deterministic=args.deterministic)
     text = write_report(doc, args.out)

@@ -5,21 +5,27 @@ finite list of non-overlapping closed dyadic intervals covering [0,1], each
 carrying a tag.  The partition is subordinate to the gauge when every interval
 sits inside [tag - delta(tag), tag + delta(tag)].  Free-tag flavor allows tags
 anywhere in [0,1]; pinned-tag flavor ("henstock") requires the tag to lie in
-its own interval.  All subordination checks are exact rational comparisons
-(evaluator gauges may return floats, which are still compared exactly as the
-rationals they are).
+its own interval.
+
+Subordination is decided by one fit test per gauge, `Gauge.fits`, in integer
+arithmetic: the tag and the interval's half-width about it are ints at a
+common exponent, and the gauge's own data (breakpoints scaled to their largest
+exponent, rational widths cross-multiplied) is compared against them without
+building a Fraction.  Evaluator gauges are still compared exactly, as the
+rationals their values are (a float value included).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
-from .exact import D0, D1, Dyadic, Interval, Region, UNIT, region_subtract
+from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT, _common_exp,
+                    region_subtract)
 
 SCHEMA = "gauge-lab/1"
 
@@ -42,20 +48,35 @@ class Gauge:
       proximity  min(cap, distance to a breakpoint set), with a positive floor
                  at each breakpoint; the classical witness gauge for step maps
       evaluator  arbitrary callable; positivity is checked at each probe
+
+    The first three kinds build an integer fit test from their data at
+    construction; it replaces the `fits` method on the instance.
     """
 
-    def __init__(self, kind: str, eval_fn: Callable, descriptor: dict, floor=None):
+    def __init__(self, kind: str, eval_fn: Callable, descriptor: dict, floor=None,
+                 fits: Callable[[int, int, int], bool] | None = None):
         self.kind = kind
         self._eval = eval_fn
         self.descriptor = descriptor
         self.floor = floor
+        if fits is not None:
+            self.fits = fits
+
+    def fits(self, t: int, d: int, e: int) -> bool:
+        """Is d/2^e <= delta(t/2^e)?  The one subordination test: an interval
+        whose points all lie within d/2^e of the tag t/2^e fits the gauge ball
+        at that tag.  This exact fallback evaluates the gauge, so a
+        non-positive evaluator value still raises GaugeNotPositive."""
+        return Fraction(d, 1 << e) <= self(Dyadic(t, e))
 
     @classmethod
     def const(cls, value) -> "Gauge":
         v = _as_fraction(value)
         if v <= 0:
             raise GaugeNotPositive(f"constant gauge {v} <= 0")
-        return cls("const", lambda t: v, {"kind": "const", "value": str(v)}, floor=v)
+        p, q = v.numerator, v.denominator
+        return cls("const", lambda t: v, {"kind": "const", "value": str(v)}, floor=v,
+                   fits=lambda t, d, e: d * q <= p << e)
 
     @classmethod
     def piecewise(cls, breaks: Sequence[Dyadic], values: Sequence) -> "Gauge":
@@ -70,17 +91,21 @@ class Gauge:
             raise ValueError("breakpoints must increase")
         if any(v <= 0 for v in vals):
             raise GaugeNotPositive("piecewise gauge has a non-positive cell")
-        cuts = [b.as_fraction() for b in breaks[1:-1]]
+        cells = DyadicCuts(breaks[1:-1])
 
-        def ev(t, _cuts=cuts, _vals=vals):
-            return _vals[bisect_right(_cuts, _as_fraction(t))]
+        def ev(t):
+            return vals[cells.cell(t)]
+
+        def fits(t, d, e):
+            v = vals[cells.cell_at(t, e)]
+            return d * v.denominator <= v.numerator << e
 
         desc = {
             "kind": "piecewise",
             "breaks": [str(b) for b in breaks],
             "values": [str(v) for v in vals],
         }
-        return cls("piecewise", ev, desc, floor=min(vals))
+        return cls("piecewise", ev, desc, floor=min(vals), fits=fits)
 
     @classmethod
     def proximity(cls, breakpoints: Sequence[Dyadic], cap, floors: Sequence) -> "Gauge":
@@ -93,28 +118,53 @@ class Gauge:
             raise GaugeNotPositive("proximity gauge needs positive cap and floors")
         if len(floorq) != len(bps):
             raise ValueError("need one floor per breakpoint")
-        order = sorted(range(len(bps)), key=lambda j: bps[j].as_fraction())
-        keys = [bps[j].as_fraction() for j in order]
+        order = sorted(range(len(bps)), key=lambda j: bps[j])
+        cuts = DyadicCuts(bps[j] for j in order)
+        keys, e0, n = cuts.keys, cuts.exp, len(order)
         ordered_floors = [floorq[j] for j in order]
+        cap_p, cap_q = capq.numerator, capq.denominator
 
-        def ev(t, _keys=keys, _floors=ordered_floors, _cap=capq):
+        def ev(t):
+            # t = a/b, so t * 2^e0 = x/b; the first key >= that is at ceil(x/b)
             tq = _as_fraction(t)
-            i = bisect_left(_keys, tq)
-            if i < len(_keys) and _keys[i] == tq:
-                return _floors[i]
-            best = _cap
-            if i < len(_keys) and _keys[i] - tq < best:
-                best = _keys[i] - tq
-            if i > 0 and tq - _keys[i - 1] < best:
-                best = tq - _keys[i - 1]
+            a, b = tq.numerator, tq.denominator
+            x = a << e0
+            i = bisect_left(keys, -(-x // b))
+            if i < n and keys[i] * b == x:
+                return ordered_floors[i]
+            best = capq
+            if i < n:
+                best = min(best, Fraction(keys[i] * b - x, b << e0))
+            if i > 0:
+                best = min(best, Fraction(x - keys[i - 1] * b, b << e0))
             return best
+
+        def fits(t, d, e):
+            if e < e0:
+                t <<= e0 - e
+                d <<= e0 - e
+                e = e0
+            # keys are at exponent e0 <= e: the first key >= t/2^(e-e0) is at
+            # its ceiling, and a neighbour shifted by s is at exponent e
+            s = e - e0
+            i = bisect_left(keys, -(-t >> s))
+            if i < n:
+                right = keys[i] << s
+                if right == t:
+                    f = ordered_floors[i]
+                    return d * f.denominator <= f.numerator << e
+                if d > right - t:
+                    return False
+            if i > 0 and d > t - (keys[i - 1] << s):
+                return False
+            return d * cap_q <= cap_p << e
 
         desc = {
             "kind": "proximity",
             "breakpoints": [str(b) for b in bps],
             "cap": str(capq),
         }
-        return cls("proximity", ev, desc, floor=None)
+        return cls("proximity", ev, desc, floor=None, fits=fits)
 
     @classmethod
     def evaluator(cls, fn: Callable, label: str = "evaluator", floor=None) -> "Gauge":
@@ -154,9 +204,12 @@ class TaggedPartition:
     def __init__(self, items: Iterable[TaggedInterval], flavor: str = MCSHANE):
         if flavor not in (MCSHANE, HENSTOCK):
             raise ValueError(f"unknown flavor {flavor!r}")
-        self.items = tuple(
-            sorted(items, key=lambda it: (it.interval.lo.as_fraction(), it.interval.hi.as_fraction()))
-        )
+        items = list(items)
+        # order by (lo, hi), both as ints at the items' largest endpoint exponent
+        e = _common_exp(it.interval for it in items)
+        self.items = tuple(sorted(items, key=lambda it: (
+            it.interval.lo.num << (e - it.interval.lo.exp),
+            it.interval.hi.num << (e - it.interval.hi.exp))))
         self.flavor = flavor
 
     def __iter__(self):
@@ -191,20 +244,18 @@ def has_flavor(p: TaggedPartition) -> bool:
     return True
 
 
+def _tag_and_half_width(tag: Dyadic, iv: Interval) -> tuple[int, int, int]:
+    """(t, d, e) for the fit test: the tag and max(tag - lo, hi - tag), the
+    half-width of the smallest ball about the tag holding iv, as ints at one
+    exponent e."""
+    e = max(tag.exp, iv.lo.exp, iv.hi.exp)
+    t = tag.num << (e - tag.exp)
+    d = max(t - (iv.lo.num << (e - iv.lo.exp)), (iv.hi.num << (e - iv.hi.exp)) - t)
+    return t, d, e
+
+
 def is_subordinate(p: TaggedPartition, g: Gauge) -> bool:
-    for it in p.items:
-        delta = g(it.tag)
-        tq = it.tag.as_fraction()
-        if not (tq - delta <= it.interval.lo.as_fraction()
-                and it.interval.hi.as_fraction() <= tq + delta):
-            return False
-    return True
-
-
-def _fits(iv: Interval, tag: Dyadic, g: Gauge) -> bool:
-    delta = g(tag)
-    tq = tag.as_fraction()
-    return tq - delta <= iv.lo.as_fraction() and iv.hi.as_fraction() <= tq + delta
+    return all(g.fits(*_tag_and_half_width(it.tag, it.interval)) for it in p.items)
 
 
 def _sample_dyadic_in(iv: Interval, rng: random.Random, extra_depth: int = 10) -> Dyadic:
@@ -236,32 +287,40 @@ def cousin_partition(
     """
     if tag_strategy not in ("mid", "left", "sampled"):
         raise ValueError(f"unknown tag strategy {tag_strategy!r}")
+    fits = g.fits
     items: list[TaggedInterval] = []
-
-    def strategy_tag(iv: Interval) -> Dyadic:
-        if tag_strategy == "left":
-            return iv.lo
-        if tag_strategy == "sampled" and iv.lo < iv.hi:
-            rng = random.Random(f"{seed}|{iv.lo}|{iv.hi}")
-            return _sample_dyadic_in(iv, rng)
-        return iv.midpoint()
-
-    def visit(iv: Interval, depth: int):
-        tag = strategy_tag(iv)
-        tag_ok = D0 <= tag <= D1 and (flavor != HENSTOCK or iv.contains(tag))
-        if tag_ok and _fits(iv, tag, g):
-            items.append(TaggedInterval(iv, tag))
-            return
+    # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
+    # ints at exponent e0 + depth.  Dyadics are built only for kept items, for
+    # the sampled strategy's seed, and for the error.  Every strategy tags a
+    # point of its own interval, so both flavors bisect alike.
+    e0 = max(base.lo.exp, base.hi.exp)
+    stack = [(base.lo.num << (e0 - base.lo.exp), base.hi.num << (e0 - base.hi.exp), 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        e = e0 + depth
+        iv = tag = None
+        if tag_strategy == "sampled" and lo < hi:
+            iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
+            tag = _sample_dyadic_in(iv, random.Random(f"{seed}|{iv.lo}|{iv.hi}"))
+            t, d, te = _tag_and_half_width(tag, iv)
+        elif tag_strategy == "left":
+            t, d, te = lo, hi - lo, e
+        else:
+            t, d, te = lo + hi, hi - lo, e + 1
+        if 0 <= t <= 1 << te and fits(t, d, te):
+            if iv is None:
+                iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
+            items.append(TaggedInterval(iv, tag if tag is not None else Dyadic(t, te)))
+            continue
         if depth >= max_depth:
+            iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
             raise MaxDepthExceeded(
                 f"no fitting tag for [{iv.lo}, {iv.hi}] within depth {max_depth}",
                 interval=iv,
             )
-        mid = iv.midpoint()
-        visit(Interval(iv.lo, mid), depth + 1)
-        visit(Interval(mid, iv.hi), depth + 1)
-
-    visit(base, 0)
+        mid = lo + hi
+        stack.append((mid, hi << 1, depth + 1))
+        stack.append((lo << 1, mid, depth + 1))
     return TaggedPartition(items, flavor)
 
 

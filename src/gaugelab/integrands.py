@@ -15,12 +15,11 @@ tagged on it contribute at most 2^-level in total.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import UnsupportedExactIntegration
-from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION
+from .exact import D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION
 from .gauges import Gauge
 from .spaces import DualFunctional, ValueSpace, VectorValue, linear_combination
 
@@ -70,7 +69,8 @@ class IntegrandFn:
             if len(self.polys) != len(self.breaks) - 1:
                 raise ValueError("one polynomial tuple per cell")
         if self.breaks is not None:
-            self._cuts = [b.as_fraction() for b in self.breaks[1:-1]]
+            self._cells = DyadicCuts(self.breaks[1:-1])
+        self._sup_norm = None
 
     # -- construction --------------------------------------------------------
 
@@ -89,17 +89,14 @@ class IntegrandFn:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _cell_index(self, tq: Fraction) -> int:
-        return bisect_right(self._cuts, tq)
-
     def eval(self, t) -> VectorValue:
         tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
         if not 0 <= tq <= 1:
             raise ValueError(f"t={tq} outside [0,1]")
         if self.klass == STEP:
-            return self.values[self._cell_index(tq)]
+            return self.values[self._cells.cell(t)]
         if self.klass == POLY:
-            cell = self.polys[self._cell_index(tq)]
+            cell = self.polys[self._cells.cell(t)]
             return VectorValue.coords(self.space, [poly_eval(c, tq) for c in cell])
         return self.fn(tq)
 
@@ -108,19 +105,22 @@ class IntegrandFn:
     # -- bounds -------------------------------------------------------------
 
     def sup_norm_bound(self) -> Fraction | None:
-        """Certified upper bound for sup‖phi‖, None for evaluator class."""
+        """Certified upper bound for sup‖phi‖, None for evaluator class;
+        worked out on the first call and kept."""
+        if self._sup_norm is not None or self.klass == EVALUATOR:
+            return self._sup_norm
         if self.klass == STEP:
-            return max((v.norm().hi for v in self.values), default=Fraction(0))
-        if self.klass == POLY:
-            best = Fraction(0)
-            for cell in self.polys:
-                bound = sum(
-                    (sum((abs(c) for c in coeffs), Fraction(0)) for coeffs in cell),
-                    Fraction(0),
-                )
-                best = max(best, bound)
-            return best
-        return None
+            self._sup_norm = max((v.norm().hi for v in self.values), default=Fraction(0))
+            return self._sup_norm
+        best = Fraction(0)
+        for cell in self.polys:
+            bound = sum(
+                (sum((abs(c) for c in coeffs), Fraction(0)) for coeffs in cell),
+                Fraction(0),
+            )
+            best = max(best, bound)
+        self._sup_norm = best
+        return best
 
     def lipschitz_bound(self) -> Fraction:
         """Upper bound for the within-piece variation rate (0 for step)."""
@@ -143,7 +143,7 @@ class IntegrandFn:
         (the interval must not straddle a breakpoint); sampled surrogate for
         evaluator class (an upper bound of the inf, documented)."""
         if self.klass == STEP:
-            return self.values[self._cell_index(iv.midpoint().as_fraction())].norm().lo
+            return self.values[self._cells.cell(iv.midpoint())].norm().lo
         if self.klass == POLY:
             pts = [iv.lo, iv.midpoint(), iv.hi]
             vals = [self.eval(p).norm().lo for p in pts]
@@ -173,13 +173,13 @@ def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
         vals = []
         for lo, hi in zip(breaks, breaks[1:]):
             mid = (lo.as_fraction() + hi.as_fraction()) / 2
-            vals.append(phi.values[phi._cell_index(mid)] if region.contains(mid) else zero)
+            vals.append(phi.values[phi._cells.cell(mid)] if region.contains(mid) else zero)
         return IntegrandFn.step(phi.space, breaks, vals, label=label, metadata=phi.metadata)
     zero_cell = tuple((Fraction(0),) for _ in range(phi.space.dim))
     polys = []
     for lo, hi in zip(breaks, breaks[1:]):
         mid = (lo.as_fraction() + hi.as_fraction()) / 2
-        polys.append(phi.polys[phi._cell_index(mid)] if region.contains(mid) else zero_cell)
+        polys.append(phi.polys[phi._cells.cell(mid)] if region.contains(mid) else zero_cell)
     return IntegrandFn.poly(phi.space, breaks, polys, label=label, metadata=phi.metadata)
 
 
@@ -258,6 +258,12 @@ def adapted_gauge(phi: IntegrandFn, level: int) -> Gauge:
     2^-level / (4 * n_breaks * ceil(1+M)) with M a sup-norm bound, so all
     breakpoint-tagged intervals together contribute < 2^-level and bisection
     depth stays within level + log2(n_breaks * M) + constant.
+
+    It is a proximity gauge, so Cousin bisection tests it in integers against
+    the breakpoints scaled to their largest exponent.  M is the integrand's
+    cached sup_norm_bound, so the levels of one schedule share it; the
+    "adapted" schedule of mcshane_integrate builds each level's gauge only
+    when the run reaches that level.
     """
     if phi.klass == EVALUATOR:
         raise UnsupportedExactIntegration("adapted gauges need piecewise structure")

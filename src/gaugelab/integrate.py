@@ -76,6 +76,8 @@ _STRATEGIES = ("mid", "left", "sampled")
 
 
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
+    """The schedule's gauges in level order.  Adapted gauges come from a
+    generator, so a run that converges early never builds the later levels."""
     if isinstance(schedule, str):
         if schedule == "auto":
             return [Gauge.const(Fraction(1, 1 << k)) for k in range(max_levels)]
@@ -84,7 +86,7 @@ def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
                 raise UnsupportedExactIntegration(
                     "adapted schedule needs piecewise structure; use auto"
                 )
-            return [adapted_gauge(phi, k) for k in range(2, 2 + max_levels)]
+            return (adapted_gauge(phi, k) for k in range(2, 2 + max_levels))
         raise ValueError(f"unknown schedule {schedule!r}")
     return list(schedule)
 

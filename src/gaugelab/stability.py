@@ -16,7 +16,6 @@ bit for bit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .exact import Dyadic, Interval, Region, UNIT_REGION, format_region, region_intersect
+from .exact import Dyadic, DyadicCuts, Interval, Region, UNIT_REGION, format_region, region_intersect
 from .integrands import POLY, STEP, IntegrandFn, paired_polys
 from .rng import stream
 from .spaces import DualFunctional, sqrt_enclosure
@@ -43,13 +42,11 @@ class Member:
     fn_np: Callable | None = None  # eval: vectorized float evaluation
 
     def __post_init__(self):
-        # interior cuts as Fractions, built once; a probe bisects on them directly
-        self._cuts = [b.as_fraction() for b in self.breaks[1:-1]]
+        self._cells = DyadicCuts(self.breaks[1:-1])
 
     def eval(self, t) -> Fraction:
         if self.kind == "step":
-            tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
-            return self.levels[bisect_right(self._cuts, tq)]
+            return self.levels[self._cells.cell(t)]
         return Fraction(self.fn(t))
 
 

@@ -1,0 +1,297 @@
+"""The integer fit test and the integer bisection against Fraction references.
+
+Every gauge answers `fits(t, d, e)`: is d/2^e <= delta(t/2^e)?  It is checked
+here against delta worked out in Fractions straight from each kind's
+definition, with non-dyadic widths (1/5, 1/12), tags on and next to
+breakpoints, tag exponents below and above the breakpoints' own, and tags
+outside [0,1].  `cousin_partition` is checked against the Fraction-route
+bisection it replaced, copied in below as the oracle, and the lazy adapted
+schedule against the eager list of `adapted_gauge` calls.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaugelab import integrate
+from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded, UnsupportedExactIntegration
+from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
+from gaugelab.gallery import example_3f
+from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
+                             _sample_dyadic_in, cousin_partition, is_subordinate,
+                             partition_to_json)
+from gaugelab.integrands import (adapted_gauge, dyadic_indicator, poly_integrand,
+                                 restrict_integrand)
+
+WIDTHS = [Fraction(1, 5), Fraction(1, 12), Fraction(1, 4), Fraction(3, 16), Fraction(1, 3),
+          Fraction(1), Fraction(1, 1024), Fraction(5, 2)]
+widths = st.sampled_from(WIDTHS)
+# exponents 0..6 with numerators reaching past both ends of [0,1]
+dyadics = st.builds(Dyadic, st.integers(-40, 100), st.integers(0, 6))
+
+
+# -- gauges and their widths in Fractions ----------------------------------------
+
+
+@st.composite
+def gauge_specs(draw):
+    kind = draw(st.sampled_from(["const", "piecewise", "proximity", "evaluator"]))
+    if kind == "const":
+        return kind, draw(widths)
+    if kind == "piecewise":
+        depth = draw(st.integers(0, 6))
+        n = 1 << depth
+        interior = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=6))) if n > 1 else []
+        breaks = [Dyadic(k, depth) for k in [0] + interior + [n]]
+        return kind, (breaks, draw(st.lists(widths, min_size=len(breaks) - 1,
+                                            max_size=len(breaks) - 1)))
+    if kind == "proximity":
+        bps = draw(st.lists(dyadics, max_size=6))
+        floors = draw(st.lists(widths, min_size=len(bps), max_size=len(bps)))
+        return kind, (bps, draw(widths), floors)
+    # a threshold evaluator: a float width is compared as the rational it is,
+    # and a zero width raises when it is probed
+    cut = Fraction(draw(st.integers(0, 16)), 16)
+    below, above = draw(widths), draw(st.sampled_from(WIDTHS + [0.25, 0.2, 0]))
+    return kind, (cut, below, above)
+
+
+def make_gauge(spec) -> Gauge:
+    kind, params = spec
+    if kind == "const":
+        return Gauge.const(params)
+    if kind == "piecewise":
+        return Gauge.piecewise(*params)
+    if kind == "proximity":
+        return Gauge.proximity(*params)
+    cut, below, above = params
+    return Gauge.evaluator(lambda t: below if t < cut else above)
+
+
+def delta_of(spec, tq: Fraction) -> Fraction:
+    """The gauge's width at tq, by its definition, in Fractions."""
+    kind, params = spec
+    if kind == "const":
+        return params
+    if kind == "piecewise":
+        breaks, values = params
+        return values[sum(1 for b in breaks[1:-1] if b.as_fraction() <= tq)]
+    if kind == "proximity":
+        bps, cap, floors = params
+        for b, f in zip(bps, floors):
+            if b.as_fraction() == tq:
+                return f
+        return min([cap] + [abs(tq - b.as_fraction()) for b in bps])
+    cut, below, above = params
+    return Fraction(below if tq < cut else above)
+
+
+def breakpoints_of(spec) -> list:
+    kind, params = spec
+    if kind in ("piecewise", "proximity"):
+        return [D0, D1] + list(params[0])
+    if kind == "evaluator":
+        return [D0, D1, Dyadic.from_fraction(params[0])]
+    return [D0, D1]
+
+
+@st.composite
+def probes(draw, spec):
+    """(t, d, e) with t/2^e often on or next to a breakpoint and d/2^e often
+    within one step of the width there."""
+    e = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        b = draw(st.sampled_from(breakpoints_of(spec)))
+        s = e - b.exp
+        t = (b.num << s if s >= 0 else b.num >> -s) + draw(st.integers(-2, 2))
+    else:
+        t = draw(st.integers(-(1 << e), 2 << e))
+    if draw(st.booleans()):
+        scaled = delta_of(spec, Fraction(t, 1 << e)) * (1 << e)
+        d = max(0, scaled.numerator // scaled.denominator + draw(st.integers(-1, 1)))
+    else:
+        d = draw(st.integers(0, 1 << e))
+    return t, d, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fit_test_matches_fraction_widths(data):
+    spec = data.draw(gauge_specs())
+    g = make_gauge(spec)
+    for _ in range(12):
+        t, d, e = data.draw(probes(spec))
+        tq = Fraction(t, 1 << e)
+        delta = delta_of(spec, tq)
+        if delta == 0:
+            with pytest.raises(GaugeNotPositive):
+                g.fits(t, d, e)
+            continue
+        assert g(tq) == delta
+        assert g(Dyadic(t, e)) == delta
+        assert g.fits(t, d, e) == (Fraction(d, 1 << e) <= delta), (spec, t, d, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_subordinate_matches_fraction_walls(data):
+    spec = data.draw(gauge_specs())
+    g = make_gauge(spec)
+    for _ in range(8):
+        t, d, e = data.draw(probes(spec))
+        tag = Dyadic(min(max(t, 0), 1 << e), e)  # tags of partitions lie in [0,1]
+        tq = tag.as_fraction()
+        delta = delta_of(spec, tq)
+        if delta == 0:
+            continue
+        # the interval may hold the tag or lie to either side of it
+        lo = tag + Dyadic(data.draw(st.integers(-d - 1, d + 1)), e)
+        hi = lo + Dyadic(data.draw(st.integers(0, 2 * d + 2)), e + data.draw(st.integers(0, 2)))
+        expect = tq - delta <= lo.as_fraction() and hi.as_fraction() <= tq + delta
+        p = TaggedPartition([TaggedInterval(Interval(lo, hi), tag)])
+        assert is_subordinate(p, g) == expect
+
+
+# -- the Fraction-route bisection, as it was before the integer walk --------------
+
+
+def oracle_fits(iv: Interval, tag: Dyadic, g: Gauge) -> bool:
+    delta = g(tag)
+    tq = tag.as_fraction()
+    return tq - delta <= iv.lo.as_fraction() and iv.hi.as_fraction() <= tq + delta
+
+
+def oracle_cousin(g, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT):
+    items = []
+
+    def strategy_tag(iv):
+        if tag_strategy == "left":
+            return iv.lo
+        if tag_strategy == "sampled" and iv.lo < iv.hi:
+            rng = random.Random(f"{seed}|{iv.lo}|{iv.hi}")
+            return _sample_dyadic_in(iv, rng)
+        return iv.midpoint()
+
+    def visit(iv, depth):
+        tag = strategy_tag(iv)
+        tag_ok = D0 <= tag <= D1 and (flavor != HENSTOCK or iv.contains(tag))
+        if tag_ok and oracle_fits(iv, tag, g):
+            items.append(TaggedInterval(iv, tag))
+            return
+        if depth >= max_depth:
+            raise MaxDepthExceeded(
+                f"no fitting tag for [{iv.lo}, {iv.hi}] within depth {max_depth}",
+                interval=iv,
+            )
+        mid = iv.midpoint()
+        visit(Interval(iv.lo, mid), depth + 1)
+        visit(Interval(mid, iv.hi), depth + 1)
+
+    visit(base, 0)
+    items.sort(key=lambda it: (it.interval.lo.as_fraction(), it.interval.hi.as_fraction()))
+    return TaggedPartition(items, flavor)
+
+
+def outcome(build):
+    """The partition as JSON plus its subordination, or the error it raised."""
+    try:
+        p = build()
+    except (MaxDepthExceeded, GaugeNotPositive) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "interval", None)
+    return partition_to_json(p), p
+
+
+BASES = [UNIT, Interval(Dyadic(1, 2), Dyadic(3, 2)), Interval(Dyadic(3, 3), D1),
+         Interval(Dyadic(1, 1), Dyadic(1, 1)), Interval(D1, D1),
+         Interval(Dyadic(-1, 1), Dyadic(1, 1)), Interval(D1, Dyadic(3, 1)),
+         Interval(Dyadic(3, 1), Dyadic(3, 1)), Interval(Dyadic(5, 4), Dyadic(13, 4))]
+
+
+@settings(max_examples=250, deadline=None)
+@given(spec=gauge_specs(), strategy=st.sampled_from(["mid", "left", "sampled"]),
+       flavor=st.sampled_from([MCSHANE, HENSTOCK]), base=st.sampled_from(BASES),
+       seed=st.integers(0, 5), max_depth=st.integers(0, 9))
+def test_cousin_partition_matches_fraction_bisection(spec, strategy, flavor, base, seed,
+                                                    max_depth):
+    g = make_gauge(spec)
+    kw = dict(flavor=flavor, tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base)
+    got = outcome(lambda: cousin_partition(g, **kw))
+    want = outcome(lambda: oracle_cousin(g, **kw))
+    assert got[0] == want[0]
+    if isinstance(got[1], TaggedPartition):
+        p, ref = got[1], want[1]
+        assert [(it.interval, it.tag) for it in p] == [(it.interval, it.tag) for it in ref]
+        assert is_subordinate(p, g) == all(oracle_fits(it.interval, it.tag, g) for it in p)
+    else:
+        assert got[1:] == want[1:]
+
+
+def test_cousin_partition_reports_the_first_failing_interval():
+    # left tags on the base [-1/2, 1/2] lie outside [0,1] until depth 1 reaches 0
+    with pytest.raises(MaxDepthExceeded) as exc:
+        cousin_partition(Gauge.const(Fraction(1, 5)), tag_strategy="left", max_depth=0,
+                         base=Interval(Dyadic(-1, 1), Dyadic(1, 1)))
+    assert exc.value.interval == Interval(Dyadic(-1, 1), Dyadic(1, 1))
+    assert str(exc.value) == "no fitting tag for [-1/2^1, 1/2^1] within depth 0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(dyadics, dyadics, st.integers(0, 1)), max_size=12))
+def test_partition_order_matches_fraction_keys(triples):
+    items = []
+    for a, b, on_hi in triples:
+        lo, hi = (a, b) if a <= b else (b, a)
+        lo, hi = (lo, hi) if D0 <= lo and hi <= D1 else (D0, D1)
+        items.append(TaggedInterval(Interval(lo, hi), hi if on_hi else lo))
+    # equal lo with different hi, and exact duplicates, keep a stable order
+    expect = sorted(items, key=lambda it: (it.interval.lo.as_fraction(),
+                                           it.interval.hi.as_fraction()))
+    assert [id(it) for it in TaggedPartition(items).items] == [id(it) for it in expect]
+
+
+# -- the lazy adapted schedule ------------------------------------------------------
+
+
+def adapted_cases():
+    ramp = example_3f(4)["integrand"]
+    poly = poly_integrand([[1, -2, 1], [0, 1]])
+    region = Region.make((Fraction(1, 8), Fraction(5, 8)))
+    return [ramp, poly, restrict_integrand(ramp, region), restrict_integrand(poly, region)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_lazy_adapted_schedule_matches_eager_list(case, monkeypatch):
+    phi = adapted_cases()[case]
+    eager = [adapted_gauge(phi, k) for k in range(2, 8)]
+    built = []
+
+    def counted(phi, level):
+        built.append(level)
+        return adapted_gauge(phi, level)
+    monkeypatch.setattr(integrate, "adapted_gauge", counted)
+    lazy = integrate._schedule_gauges(phi, "adapted", 6)
+    assert built == []
+    gauges = list(lazy)
+    assert built == list(range(2, 8))
+    probes = [Fraction(k, 64) for k in range(65)] + [b.as_fraction() for b in phi.breaks]
+    for got, want in zip(gauges, eager, strict=True):
+        assert got.descriptor == want.descriptor
+        assert [got(t) for t in probes] == [want(t) for t in probes]
+    # a run builds only the levels it reaches
+    built.clear()
+    est = integrate.mcshane_integrate(phi, schedule="adapted", tol=Fraction(1, 16), max_levels=6)
+    assert built == list(range(2, 2 + len(est.trace)))
+
+
+def test_adapted_schedule_refuses_evaluator_before_any_partition(monkeypatch):
+    calls = []
+    monkeypatch.setattr(integrate, "cousin_partition", lambda *a, **k: calls.append(a))
+    phi = dyadic_indicator(3)
+    with pytest.raises(UnsupportedExactIntegration):
+        integrate._schedule_gauges(phi, "adapted", 12)
+    with pytest.raises(UnsupportedExactIntegration):
+        integrate.mcshane_integrate(phi, schedule="adapted")
+    assert calls == []
