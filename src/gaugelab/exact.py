@@ -38,9 +38,16 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        elif exp and not num & 1:
+            if num:
+                # strip the trailing zero bits, at most exp of them, in one shift
+                z = (num & -num).bit_length() - 1
+                if z > exp:
+                    z = exp
+                num >>= z
+                exp -= z
+            else:
+                exp = 0
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -245,6 +252,14 @@ class Interval:
     @classmethod
     def make(cls, lo, hi) -> "Interval":
         return cls(Dyadic.from_fraction(lo), Dyadic.from_fraction(hi))
+
+    @classmethod
+    def _ordered(cls, lo: Dyadic, hi: Dyadic) -> "Interval":
+        """Wrap Dyadic endpoints already known to satisfy lo <= hi."""
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "lo", lo)
+        object.__setattr__(iv, "hi", hi)
+        return iv
 
     @property
     def length(self) -> Dyadic:

@@ -187,6 +187,14 @@ class TaggedInterval:
         self.interval = interval
         self.tag = tag
 
+    @classmethod
+    def _settled(cls, interval: Interval, tag: Dyadic) -> "TaggedInterval":
+        """Wrap an item whose tag is already known to lie in [0,1]."""
+        item = object.__new__(cls)
+        item.interval = interval
+        item.tag = tag
+        return item
+
     def __eq__(self, other):
         return (
             isinstance(other, TaggedInterval)
@@ -292,7 +300,8 @@ def cousin_partition(
     # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
     # ints at exponent e0 + depth.  Dyadics are built only for kept items, for
     # the sampled strategy's seed, and for the error.  Every strategy tags a
-    # point of its own interval, so both flavors bisect alike.
+    # point of its own interval, so both flavors bisect alike.  The walk has
+    # settled lo <= hi and 0 <= tag <= 1, so kept items skip those checks.
     e0 = max(base.lo.exp, base.hi.exp)
     stack = [(base.lo.num << (e0 - base.lo.exp), base.hi.num << (e0 - base.hi.exp), 0)]
     while stack:
@@ -300,7 +309,7 @@ def cousin_partition(
         e = e0 + depth
         iv = tag = None
         if tag_strategy == "sampled" and lo < hi:
-            iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
+            iv = Interval._ordered(Dyadic(lo, e), Dyadic(hi, e))
             tag = _sample_dyadic_in(iv, random.Random(f"{seed}|{iv.lo}|{iv.hi}"))
             t, d, te = _tag_and_half_width(tag, iv)
         elif tag_strategy == "left":
@@ -309,8 +318,8 @@ def cousin_partition(
             t, d, te = lo + hi, hi - lo, e + 1
         if 0 <= t <= 1 << te and fits(t, d, te):
             if iv is None:
-                iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
-            items.append(TaggedInterval(iv, tag if tag is not None else Dyadic(t, te)))
+                iv = Interval._ordered(Dyadic(lo, e), Dyadic(hi, e))
+            items.append(TaggedInterval._settled(iv, tag if tag is not None else Dyadic(t, te)))
             continue
         if depth >= max_depth:
             iv = Interval(Dyadic(lo, e), Dyadic(hi, e))

@@ -97,6 +97,29 @@ def test_dyadic_canonical_is_odd_or_integer(num, exp):
     assert d.as_fraction() == Fraction(num, 1 << exp)
 
 
+def loop_canonical(num: int, exp: int) -> tuple[int, int]:
+    """The one-factor-of-two-per-pass canonicalisation the constructor used to run."""
+    if exp < 0:
+        num <<= -exp
+        exp = 0
+    while exp > 0 and num % 2 == 0:
+        num //= 2
+        exp -= 1
+    return num, exp
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.just(0), st.integers(-2**80, 2**80),
+                 st.builds(lambda odd, z: odd << z,
+                           st.integers(-999, 999).map(lambda k: 2 * k + 1),
+                           st.integers(0, 80))),
+       st.integers(-5, 64))
+def test_dyadic_shift_canonical_matches_loop(num, exp):
+    d = Dyadic(num, exp)
+    assert (d.num, d.exp) == loop_canonical(num, exp)
+    assert type(d.num) is int and type(d.exp) is int
+
+
 def test_parse_fraction_forms():
     assert parse_fraction("1/5") == Fraction(1, 5)
     assert parse_fraction("2^-3") == Fraction(1, 8)

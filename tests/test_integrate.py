@@ -65,6 +65,12 @@ def test_generalized_sum_and_overlap_guard():
     assert s.data == (Fraction(1, 2), Fraction(3, 2))
     with pytest.raises(OverlappingItems):
         generalized_sum(phi, [(left, D0), (Region((Interval(D0, Dyadic(1, 2)),)), D0)])
+    # the overlap check comes before any tag is evaluated: the tag 5/2 would raise ValueError
+    with pytest.raises(OverlappingItems):
+        generalized_sum(phi, [(left, D0), (Region((Interval(D0, D1),)), Dyadic(5, 1))])
+    # a null region's tag is never evaluated, so it may lie outside [0,1]
+    null = Region((Interval(D1, D1),))
+    assert generalized_sum(phi, [(left, D0), (null, Dyadic(5, 1))]).data == (Fraction(1, 2), 0)
 
 
 def test_mcshane_converges_honestly_on_square():

@@ -1,0 +1,199 @@
+"""Riemann sums grouped by integrand cell against the per-item sums they replaced.
+
+`riemann_sum` adds up integer weights (step integrands) or integer power
+moments (polynomial integrands) per integrand cell, and only then touches
+rationals.  The oracle is the per-item route, copied in below: one
+`length * phi(tag)` term per item through `linear_combination`, with phi(tag)
+looked up by a linear scan in Fractions rather than through the integer cell
+lookup both routes would otherwise share.  Results must be structurally equal
+(`repr`): the same canonical breakpoints and the same Fraction levels or
+coordinates.
+
+Integrands: step values in `step_linf` and in every coordinate space kind,
+polynomial cells with ragged coefficient tuples and all-zero (restricted)
+cells, and evaluators, `dyadic_indicator` among them.  Partitions: Cousin
+bisection under all three tag strategies and both flavors, completions of
+partial items by `extend_to_partition` (non-unit bases, degenerate items,
+tags on the integrand's breakpoints), free-tag items and the empty partition.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaugelab.exact import D0, D1, Dyadic, Interval, Region
+from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
+                             cousin_partition, extend_to_partition)
+from gaugelab.integrands import (EVALUATOR, STEP, IntegrandFn, adapted_gauge,
+                                 dyadic_indicator, poly_eval, restrict_integrand)
+from gaugelab.integrate import riemann_sum
+from gaugelab.spaces import ValueSpace, VectorValue, linear_combination
+
+# -- the per-item oracle -----------------------------------------------------------
+
+
+def reference_eval(phi, t):
+    """phi(t) with the cell found by a linear scan over the breakpoints in
+    Fractions, so the oracle shares no cell lookup with the code under test."""
+    tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
+    if not 0 <= tq <= 1:
+        raise ValueError(f"t={tq} outside [0,1]")
+    if phi.klass == EVALUATOR:
+        return phi.fn(tq)
+    cell = sum(1 for b in phi.breaks[1:-1] if b.as_fraction() <= tq)
+    if phi.klass == STEP:
+        return phi.values[cell]
+    return VectorValue.coords(phi.space, [poly_eval(c, tq) for c in phi.polys[cell]])
+
+
+def oracle_riemann_sum(phi, p):
+    weighted = ((it.interval.length.as_fraction(), it.tag) for it in p.items)
+    return linear_combination(phi.space, ((w, reference_eval(phi, t)) for w, t in weighted if w))
+
+
+# -- integrands ------------------------------------------------------------------------
+
+RATIONALS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+                             Fraction(-5, 7), Fraction(3, 2), Fraction(1, 1024), Fraction(2)])
+COORD_SPACES = [ValueSpace.findim(1, "l2"), ValueSpace.findim(2, "l1"),
+                ValueSpace.findim(3, "linf"), ValueSpace.seq_l2(2), ValueSpace.seq_sup(3)]
+
+
+@st.composite
+def breakpoints(draw):
+    """0 = b_0 < ... < b_m = 1; the interior points are on the depth-6 grid,
+    so their canonical exponents run from 1 to 6."""
+    interior = draw(st.sets(st.integers(1, 63), max_size=6))
+    return [D0] + [Dyadic(k, 6) for k in sorted(interior)] + [D1]
+
+
+@st.composite
+def step_values(draw, space):
+    if not space.is_step:
+        return VectorValue.coords(space, draw(st.lists(RATIONALS, min_size=space.dim,
+                                                       max_size=space.dim)))
+    n = 1 << space.grid_depth
+    inner = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    breaks = [Dyadic(k, space.grid_depth) for k in [0] + inner + [n]]
+    levels = draw(st.lists(RATIONALS, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return VectorValue.step(space, breaks, levels)
+
+
+@st.composite
+def step_integrands(draw):
+    space = draw(st.sampled_from(COORD_SPACES + [ValueSpace.step_linf(d) for d in (0, 2, 4)]))
+    breaks = draw(breakpoints())
+    values = [draw(step_values(space)) for _ in breaks[1:]]
+    return IntegrandFn.step(space, breaks, values, label="step")
+
+
+@st.composite
+def poly_integrands(draw):
+    space = draw(st.sampled_from(COORD_SPACES))
+    breaks = draw(breakpoints())
+    cells = []
+    for _ in breaks[1:]:
+        if draw(st.integers(0, 3)) == 0:
+            # an all-zero cell, as restrict_integrand makes them
+            cells.append(tuple((Fraction(0),) for _ in range(space.dim)))
+        else:
+            # coefficient tuples of different lengths per coordinate
+            cells.append(tuple(tuple(draw(st.lists(RATIONALS, min_size=1, max_size=4)))
+                               for _ in range(space.dim)))
+    return IntegrandFn.poly(space, breaks, cells, label="poly")
+
+
+def _scaled_poly(tq):
+    return VectorValue.coords(ValueSpace.findim(2, "l1"), [tq * tq - tq, Fraction(1, 3) + tq])
+
+
+EVALUATORS = [dyadic_indicator(3), dyadic_indicator(6),
+              IntegrandFn.evaluator(ValueSpace.findim(2, "l1"), _scaled_poly, label="quad")]
+
+
+@st.composite
+def integrands(draw):
+    kind = draw(st.sampled_from(["step", "poly", "evaluator", "restricted"]))
+    if kind == "step":
+        return draw(step_integrands())
+    if kind == "poly":
+        return draw(poly_integrands())
+    if kind == "evaluator":
+        return draw(st.sampled_from(EVALUATORS))
+    phi = draw(st.one_of(step_integrands(), poly_integrands()))
+    return restrict_integrand(phi, draw(regions()))
+
+
+@st.composite
+def regions(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2)))
+        parts.append(Interval(Dyadic(a, 4), Dyadic(b, 4)))
+    return Region(parts)
+
+
+# -- partitions ------------------------------------------------------------------------
+
+
+def gauges_for(phi, draw, adapted):
+    options = [Gauge.const(Fraction(1, 1 << draw(st.integers(0, 5)))),
+               Gauge.const(Fraction(1, 5)),
+               Gauge.piecewise([D0, Dyadic(1, 2), Dyadic(3, 2), D1],
+                               [Fraction(1, 8), Fraction(1, 3), Fraction(1, 16)])]
+    if adapted and phi.breaks is not None:
+        options.append(adapted_gauge(phi, draw(st.integers(1, 4))))
+    return draw(st.sampled_from(options))
+
+
+def tags_for(phi):
+    """Tags on the integrand's breakpoints, the ends of [0,1] and elsewhere."""
+    on_breaks = list(phi.breaks) if phi.breaks is not None else []
+    return st.one_of(st.sampled_from(on_breaks + [D0, D1, Dyadic(1, 1)]),
+                     st.builds(Dyadic, st.integers(0, 128), st.just(7)))
+
+
+@st.composite
+def partitions(draw, phi):
+    flavor = draw(st.sampled_from([MCSHANE, HENSTOCK]))
+    strategy = draw(st.sampled_from(["mid", "left", "sampled"]))
+    seed = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["cousin", "extended", "free", "empty"]))
+    if kind == "empty":
+        return TaggedPartition([], flavor)
+    if kind == "free":
+        # free tags, overlapping and degenerate intervals: the sum does not care
+        items = []
+        for _ in range(draw(st.integers(1, 8))):
+            a, b = sorted(draw(st.lists(st.integers(0, 32), min_size=2, max_size=2)))
+            items.append(TaggedInterval(Interval(Dyadic(a, 5), Dyadic(b, 5)),
+                                        draw(tags_for(phi))))
+        return TaggedPartition(items, flavor)
+    if kind == "cousin":
+        g = gauges_for(phi, draw, adapted=True)
+        return cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=seed)
+    # the proximity (adapted) gauge needs bisection to land on each breakpoint,
+    # which a gap whose width is not a power of two may never do, so it is
+    # drawn only for the unit base
+    g = gauges_for(phi, draw, adapted=False)
+    # partial items on a coarse grid, some degenerate and some tagged on the
+    # integrand's breakpoints; cousin_partition fills the gaps as non-unit bases
+    cuts = sorted(draw(st.sets(st.integers(0, 16), min_size=2, max_size=8)))
+    partial = []
+    for a, b in zip(cuts[::2], cuts[1::2]):
+        lo, hi = Dyadic(a, 4), Dyadic(b, 4)
+        partial.append(TaggedInterval(Interval(lo, hi), draw(tags_for(phi))))
+        partial.append(TaggedInterval(Interval(hi, hi), draw(tags_for(phi))))
+    return extend_to_partition(partial, g, flavor=flavor, tag_strategy=strategy, seed=seed)
+
+
+# -- the tests ----------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_riemann_sum_matches_per_item_sum(data):
+    phi = data.draw(integrands())
+    p = data.draw(partitions(phi))
+    assert repr(riemann_sum(phi, p)) == repr(oracle_riemann_sum(phi, p))
