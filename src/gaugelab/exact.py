@@ -253,14 +253,6 @@ class Interval:
     def make(cls, lo, hi) -> "Interval":
         return cls(Dyadic.from_fraction(lo), Dyadic.from_fraction(hi))
 
-    @classmethod
-    def _ordered(cls, lo: Dyadic, hi: Dyadic) -> "Interval":
-        """Wrap Dyadic endpoints already known to satisfy lo <= hi."""
-        iv = object.__new__(cls)
-        object.__setattr__(iv, "lo", lo)
-        object.__setattr__(iv, "hi", hi)
-        return iv
-
     @property
     def length(self) -> Dyadic:
         return self.hi - self.lo
@@ -410,10 +402,6 @@ def _common_exp(parts) -> int:
     return e
 
 
-def region_normalize(intervals: Iterable[Interval]) -> Region:
-    return Region(intervals)
-
-
 # keep rule per op, indexed by 2 * in_a + in_b
 _KEEP = {
     "union": (False, True, True, True),
@@ -497,21 +485,6 @@ def region_subtract(a: Region, b: Region) -> Region:
 
 def region_complement(a: Region, ambient: Interval) -> Region:
     return region_subtract(Region((ambient,)), a)
-
-
-def region_distance(a: Region, b: Region) -> Fraction:
-    """Exact distance between two nonempty regions (0 if they meet)."""
-    if a.is_empty() or b.is_empty():
-        raise ValueError("distance to empty region")
-    best = None
-    for ia in a.parts:
-        for ib in b.parts:
-            if ia.lo <= ib.hi and ib.lo <= ia.hi:
-                return Fraction(0)
-            d = (ib.lo - ia.hi).as_fraction() if ia.hi < ib.lo else (ia.lo - ib.hi).as_fraction()
-            if best is None or d < best:
-                best = d
-    return best
 
 
 UNIT = Interval(D0, D1)

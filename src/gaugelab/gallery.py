@@ -575,7 +575,9 @@ def oscillation_witness_3e(
     t_items = [TaggedInterval(cell, t) for (cell, _), t in zip(cells, tags_out)]
     u_items = [TaggedInterval(cell, u) for (cell, _), u in zip(cells, tags_in)]
     p1 = extend_to_partition(t_items, delta, flavor=MCSHANE, seed=seed + 7)
-    completion = list(p1.items[len(t_items):])
+    # the fillers, wherever their gaps lie among the cells
+    tagged = {cell for cell, _ in cells}
+    completion = [it for it in p1.items if it.interval not in tagged]
     p2 = TaggedPartition(tuple(u_items + completion), MCSHANE)
     for p in (p1, p2):
         if not is_partition(p):

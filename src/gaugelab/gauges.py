@@ -13,6 +13,10 @@ common exponent, and the gauge's own data (breakpoints scaled to their largest
 exponent, rational widths cross-multiplied) is compared against them without
 building a Fraction.  Evaluator gauges are still compared exactly, as the
 rationals their values are (a float value included).
+
+A partition holds its items as int columns at one exponent: bisection fills
+them, the tests above and the JSON form read them, and TaggedInterval objects
+are made only when a caller reads `items`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
-from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT, _common_exp,
-                    region_subtract)
+from .exact import D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT, region_subtract
 
 SCHEMA = "gauge-lab/1"
 
@@ -187,14 +190,6 @@ class TaggedInterval:
         self.interval = interval
         self.tag = tag
 
-    @classmethod
-    def _settled(cls, interval: Interval, tag: Dyadic) -> "TaggedInterval":
-        """Wrap an item whose tag is already known to lie in [0,1]."""
-        item = object.__new__(cls)
-        item.interval = interval
-        item.tag = tag
-        return item
-
     def __eq__(self, other):
         return (
             isinstance(other, TaggedInterval)
@@ -207,71 +202,99 @@ class TaggedInterval:
 
 
 class TaggedPartition:
-    """Finite list of tagged non-overlapping intervals, sorted by left endpoint."""
+    """Finite list of tagged non-overlapping intervals, sorted by left endpoint.
+
+    Held as three int columns `lo`, `hi` and `tag` at one exponent `exp` (item
+    i is [lo[i], hi[i]] / 2^exp, tagged tag[i] / 2^exp), sorted by (lo, hi)
+    with ties in input order.  The constructor converts TaggedInterval items
+    and keeps them as `items`; `cousin_partition` fills the columns directly,
+    and its `items` are built, through the checked constructors, when first read.
+    """
+
+    __slots__ = ("flavor", "exp", "lo", "hi", "tag", "_items")
 
     def __init__(self, items: Iterable[TaggedInterval], flavor: str = MCSHANE):
         if flavor not in (MCSHANE, HENSTOCK):
             raise ValueError(f"unknown flavor {flavor!r}")
         items = list(items)
-        # order by (lo, hi), both as ints at the items' largest endpoint exponent
-        e = _common_exp(it.interval for it in items)
-        self.items = tuple(sorted(items, key=lambda it: (
-            it.interval.lo.num << (e - it.interval.lo.exp),
-            it.interval.hi.num << (e - it.interval.hi.exp))))
-        self.flavor = flavor
+        e = max((max(it.interval.lo.exp, it.interval.hi.exp, it.tag.exp) for it in items),
+                default=0)
+        keyed = sorted(((it.interval.lo.num << (e - it.interval.lo.exp),
+                         it.interval.hi.num << (e - it.interval.hi.exp),
+                         it.tag.num << (e - it.tag.exp), it) for it in items),
+                       key=lambda k: (k[0], k[1]))
+        self.flavor, self.exp = flavor, e
+        self.lo, self.hi, self.tag, self._items = tuple(zip(*keyed)) or ((),) * 4
+
+    @classmethod
+    def _columns(cls, exp: int, lo: tuple, hi: tuple, tag: tuple,
+                 flavor: str) -> "TaggedPartition":
+        """Wrap columns already sorted by (lo, hi), with lo <= hi and every
+        tag in [0,1]; the items are built when first read."""
+        p = object.__new__(cls)
+        p.flavor, p.exp, p.lo, p.hi, p.tag, p._items = flavor, exp, lo, hi, tag, None
+        return p
+
+    @property
+    def items(self) -> tuple[TaggedInterval, ...]:
+        if self._items is None:
+            e = self.exp
+            self._items = tuple(
+                TaggedInterval(Interval(Dyadic(a, e), Dyadic(b, e)), Dyadic(t, e))
+                for a, b, t in zip(self.lo, self.hi, self.tag))
+        return self._items
 
     def __iter__(self):
         return iter(self.items)
 
     def __len__(self):
-        return len(self.items)
-
-    def intervals_region(self) -> Region:
-        return Region(it.interval for it in self.items)
+        return len(self.lo)
 
 
 def is_partition(p: TaggedPartition, base: Interval = UNIT) -> bool:
     """True iff the intervals have disjoint interiors and cover base exactly."""
-    if not p.items:
+    if not len(p):
         return False
-    prev_hi = None
-    for it in p.items:
-        if prev_hi is None:
-            if it.interval.lo != base.lo:
-                return False
-        else:
-            if it.interval.lo != prev_hi:
-                return False  # gap or interior overlap
-        prev_hi = it.interval.hi
-    return prev_hi == base.hi
+    e = max(p.exp, base.lo.exp, base.hi.exp)
+    s = e - p.exp
+    # each item starts where the one before it ends: no gap, no overlap
+    return (p.lo[1:] == p.hi[:-1] and p.lo[0] << s == base.lo.num << (e - base.lo.exp)
+            and p.hi[-1] << s == base.hi.num << (e - base.hi.exp))
 
 
 def has_flavor(p: TaggedPartition) -> bool:
     if p.flavor == HENSTOCK:
-        return all(it.interval.contains(it.tag) for it in p.items)
+        return all(a <= t <= b for a, b, t in zip(p.lo, p.hi, p.tag))
     return True
 
 
-def _tag_and_half_width(tag: Dyadic, iv: Interval) -> tuple[int, int, int]:
-    """(t, d, e) for the fit test: the tag and max(tag - lo, hi - tag), the
-    half-width of the smallest ball about the tag holding iv, as ints at one
-    exponent e."""
-    e = max(tag.exp, iv.lo.exp, iv.hi.exp)
-    t = tag.num << (e - tag.exp)
-    d = max(t - (iv.lo.num << (e - iv.lo.exp)), (iv.hi.num << (e - iv.hi.exp)) - t)
-    return t, d, e
-
-
 def is_subordinate(p: TaggedPartition, g: Gauge) -> bool:
-    return all(g.fits(*_tag_and_half_width(it.tag, it.interval)) for it in p.items)
+    """Every item fits the gauge ball at its tag: the half-width
+    max(tag - lo, hi - tag) is at most delta(tag)."""
+    fits, e = g.fits, p.exp
+    return all(fits(t, max(t - a, b - t), e) for a, b, t in zip(p.lo, p.hi, p.tag))
 
 
-def _sample_dyadic_in(iv: Interval, rng: random.Random, extra_depth: int = 10) -> Dyadic:
-    """A dyadic point strictly inside iv (iv must have positive length)."""
-    depth = max(iv.lo.exp, iv.hi.exp, iv.length.exp) + extra_depth
-    lo_n = iv.lo.num << (depth - iv.lo.exp)
-    hi_n = iv.hi.num << (depth - iv.hi.exp)
-    return Dyadic(rng.randint(lo_n + 1, hi_n - 1), depth)
+def _canonical_exp(n: int, e: int) -> int:
+    """The exponent of n / 2^e in canonical form."""
+    if not n:
+        return 0
+    z = (n & -n).bit_length() - 1
+    return e - z if z < e else 0
+
+
+def _sampled_tag(rng: random.Random, seed: int, lo: int, hi: int, e: int):
+    """The sampled strategy's fit-test triple (t, d, te) for [lo, hi] / 2^e
+    with lo < hi: a draw t strictly inside at exponent te, ten bits finer than
+    the finest of lo, hi and the length in canonical form.  The draw is seeded
+    by the canonical endpoint strings, so it depends on the interval alone."""
+    el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
+    te = max(el, eh, _canonical_exp(hi - lo, e)) + 10
+    lo, hi = lo >> (e - el), hi >> (e - eh)
+    rng.seed(f"{seed}|{lo}/2^{el}|{hi}/2^{eh}")
+    lo, hi = lo << (te - el), hi << (te - eh)
+    t = rng.randint(lo + 1, hi - 1)
+    return t, max(t - lo, hi - t), te
 
 
 def cousin_partition(
@@ -292,34 +315,44 @@ def cousin_partition(
     strategies an honest convergence signal.  Raises MaxDepthExceeded with the
     offending subinterval once the depth cap is hit, which bounds the damage a
     pathological gauge can do.
+
+    A base whose width is not a power of two is split into pieces of
+    power-of-two width, largest first, each bisected with its own depth count,
+    so that bisection points reach every dyadic point (a proximity gauge's
+    breakpoints among them).
     """
     if tag_strategy not in ("mid", "left", "sampled"):
         raise ValueError(f"unknown tag strategy {tag_strategy!r}")
+    if flavor not in (MCSHANE, HENSTOCK):
+        raise ValueError(f"unknown flavor {flavor!r}")
     fits = g.fits
-    items: list[TaggedInterval] = []
+    sampled = tag_strategy == "sampled"
+    rng = random.Random(seed) if sampled else None
     # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
-    # ints at exponent e0 + depth.  Dyadics are built only for kept items, for
-    # the sampled strategy's seed, and for the error.  Every strategy tags a
-    # point of its own interval, so both flavors bisect alike.  The walk has
-    # settled lo <= hi and 0 <= tag <= 1, so kept items skip those checks.
+    # ints at exponent e0 + depth, so kept items come out sorted.  Each kept
+    # item is (lo, hi, e, t, te): its endpoints at e and its tag at te.  Every
+    # strategy tags a point of its own interval, so both flavors bisect alike.
     e0 = max(base.lo.exp, base.hi.exp)
-    stack = [(base.lo.num << (e0 - base.lo.exp), base.hi.num << (e0 - base.hi.exp), 0)]
+    lo0, hi0 = base.lo.num << (e0 - base.lo.exp), base.hi.num << (e0 - base.hi.exp)
+    # peel power-of-two pieces off the right end, smallest first, until the
+    # rest has power-of-two (or zero) width: the stack pops the largest first
+    stack, kept, width = [], [], hi0 - lo0
+    while width & (width - 1):
+        low = width & -width
+        stack.append((hi0 - low, hi0, 0))
+        hi0, width = hi0 - low, width - low
+    stack.append((lo0, hi0, 0))
     while stack:
         lo, hi, depth = stack.pop()
         e = e0 + depth
-        iv = tag = None
-        if tag_strategy == "sampled" and lo < hi:
-            iv = Interval._ordered(Dyadic(lo, e), Dyadic(hi, e))
-            tag = _sample_dyadic_in(iv, random.Random(f"{seed}|{iv.lo}|{iv.hi}"))
-            t, d, te = _tag_and_half_width(tag, iv)
+        if sampled and lo < hi:
+            t, d, te = _sampled_tag(rng, seed, lo, hi, e)
         elif tag_strategy == "left":
             t, d, te = lo, hi - lo, e
         else:
             t, d, te = lo + hi, hi - lo, e + 1
         if 0 <= t <= 1 << te and fits(t, d, te):
-            if iv is None:
-                iv = Interval._ordered(Dyadic(lo, e), Dyadic(hi, e))
-            items.append(TaggedInterval._settled(iv, tag if tag is not None else Dyadic(t, te)))
+            kept.append((lo, hi, e, t, te))
             continue
         if depth >= max_depth:
             iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
@@ -330,19 +363,9 @@ def cousin_partition(
         mid = lo + hi
         stack.append((mid, hi << 1, depth + 1))
         stack.append((lo << 1, mid, depth + 1))
-    return TaggedPartition(items, flavor)
-
-
-def restrict_partition(p: TaggedPartition, r: Region) -> TaggedPartition:
-    """Clip every interval to r, keeping tags; subordination is preserved."""
-    out = []
-    for it in p.items:
-        for part in r.parts:
-            lo = it.interval.lo if it.interval.lo > part.lo else part.lo
-            hi = it.interval.hi if it.interval.hi < part.hi else part.hi
-            if lo < hi:
-                out.append(TaggedInterval(Interval(lo, hi), it.tag))
-    return TaggedPartition(out, p.flavor)
+    top = max(max(e, te) for _, _, e, _, te in kept)
+    lo, hi, tag = zip(*[(a << top - e, b << top - e, t << top - te) for a, b, e, t, te in kept])
+    return TaggedPartition._columns(top, lo, hi, tag, flavor)
 
 
 def extend_to_partition(
@@ -372,12 +395,13 @@ def extend_to_partition(
 
 
 def partition_to_json(p: TaggedPartition) -> str:
+    e = p.exp
     payload = {
         "schema": SCHEMA,
         "flavor": p.flavor,
         "items": [
-            {"lo": str(it.interval.lo), "hi": str(it.interval.hi), "tag": str(it.tag)}
-            for it in p.items
+            {"lo": str(Dyadic(a, e)), "hi": str(Dyadic(b, e)), "tag": str(Dyadic(t, e))}
+            for a, b, t in zip(p.lo, p.hi, p.tag)
         ],
     }
     return json.dumps(payload, sort_keys=True)

@@ -168,19 +168,16 @@ def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
         | {iv.hi.as_fraction() for iv in region.parts if D0 <= iv.hi <= D1}
     )
     breaks = [Dyadic.from_fraction(c) for c in cuts]
-    zero = VectorValue.zero(phi.space)
     if phi.klass == STEP:
-        vals = []
-        for lo, hi in zip(breaks, breaks[1:]):
-            mid = (lo.as_fraction() + hi.as_fraction()) / 2
-            vals.append(phi.values[phi._cells.cell(mid)] if region.contains(mid) else zero)
-        return IntegrandFn.step(phi.space, breaks, vals, label=label, metadata=phi.metadata)
-    zero_cell = tuple((Fraction(0),) for _ in range(phi.space.dim))
-    polys = []
+        cells, zero, make = phi.values, VectorValue.zero(phi.space), IntegrandFn.step
+    else:
+        cells, make = phi.polys, IntegrandFn.poly
+        zero = tuple((Fraction(0),) for _ in range(phi.space.dim))
+    kept = []
     for lo, hi in zip(breaks, breaks[1:]):
         mid = (lo.as_fraction() + hi.as_fraction()) / 2
-        polys.append(phi.polys[phi._cells.cell(mid)] if region.contains(mid) else zero_cell)
-    return IntegrandFn.poly(phi.space, breaks, polys, label=label, metadata=phi.metadata)
+        kept.append(cells[phi._cells.cell(mid)] if region.contains(mid) else zero)
+    return make(phi.space, breaks, kept, label=label, metadata=phi.metadata)
 
 
 def paired_polys(f: DualFunctional, phi: IntegrandFn) -> list[list[Fraction]]:
@@ -197,55 +194,68 @@ def paired_polys(f: DualFunctional, phi: IntegrandFn) -> list[list[Fraction]]:
     return out
 
 
+def _region_pieces(phi: IntegrandFn, region: Region) -> tuple[int, list]:
+    """(2^e, pieces): each piece (cell, a, b) is a positive-length overlap
+    [a, b] / 2^e of a cell of phi with a part of the region.  One integer
+    sweep: a part, clipped to [0,1], finds its first cell by bisection and
+    walks the cells until it ends."""
+    cells = phi._cells
+    keys, n = cells.keys, len(cells.keys)
+    e = max([cells.exp] + [max(part.lo.exp, part.hi.exp) for part in region.parts])
+    s, one = e - cells.exp, 1 << e
+    pieces = []
+    for part in region.parts:
+        a = max(part.lo.num << (e - part.lo.exp), 0)
+        b = min(part.hi.num << (e - part.hi.exp), one)
+        c = cells.cell_at(a, e)
+        while a < b:
+            top = keys[c] << s if c < n else one
+            hi = top if top < b else b
+            pieces.append((c, a, hi))
+            a, c = hi, c + 1
+    return one, pieces
+
+
+def _cell_weights(phi: IntegrandFn, region: Region) -> tuple[dict[int, int], int]:
+    """({cell: w}, 2^e) for the cells meeting the region, w / 2^e the overlap."""
+    den, pieces = _region_pieces(phi, region)
+    weights: dict[int, int] = {}
+    for c, a, b in pieces:
+        weights[c] = weights.get(c, 0) + b - a
+    return weights, den
+
+
 def scalar_integral(f: DualFunctional, phi: IntegrandFn, region: Region = UNIT_REGION) -> Fraction:
-    """Exact integral of f(phi(t)) over the region, closed form per cell."""
+    """Exact integral of f(phi(t)) over the region, closed form per cell: f
+    meets each step value once, weighted by its cell's overlap with the region."""
     if phi.klass == EVALUATOR:
         raise UnsupportedExactIntegration(f"{phi.label} has no closed form")
-    total = Fraction(0)
     if phi.klass == STEP:
-        for lo, hi, val in zip(phi.breaks, phi.breaks[1:], phi.values):
-            paired = None
-            for part in region.parts:
-                a = lo if lo > part.lo else part.lo
-                b = hi if hi < part.hi else part.hi
-                if a < b:
-                    if paired is None:
-                        paired = f(val)
-                    total += paired * (b - a).as_fraction()
-        return total
-    for lo, hi, coeffs in zip(phi.breaks, phi.breaks[1:], paired_polys(f, phi)):
-        for part in region.parts:
-            a = lo.as_fraction() if lo > part.lo else part.lo.as_fraction()
-            b = hi.as_fraction() if hi < part.hi else part.hi.as_fraction()
-            if a < b:
-                total += poly_integral(coeffs, a, b)
-    return total
+        weights, den = _cell_weights(phi, region)
+        return sum((f(phi.values[c]) * w for c, w in weights.items()), Fraction(0)) / den
+    den, pieces = _region_pieces(phi, region)
+    coeffs = paired_polys(f, phi)
+    return sum((poly_integral(coeffs[c], Fraction(a, den), Fraction(b, den))
+                for c, a, b in pieces), Fraction(0))
 
 
 def exact_vector_integral(phi: IntegrandFn, region: Region = UNIT_REGION) -> VectorValue:
     """Coordinate-wise closed form; the independent oracle for gauge sums.
 
     Supported for piecewise classes only.  Step values integrate to
-    sum(len * value); polynomial cells integrate coordinate-wise.
+    sum(overlap * value) over the cells; polynomial cells integrate
+    coordinate-wise over each overlap piece.
     """
     if phi.klass == STEP:
-        terms = []
-        for lo, hi, val in zip(phi.breaks, phi.breaks[1:], phi.values):
-            for part in region.parts:
-                a = lo if lo > part.lo else part.lo
-                b = hi if hi < part.hi else part.hi
-                if a < b:
-                    terms.append(((b - a).as_fraction(), val))
-        return linear_combination(phi.space, terms)
+        weights, den = _cell_weights(phi, region)
+        return linear_combination(phi.space, (
+            (Fraction(w, den), phi.values[c]) for c, w in weights.items()))
     if phi.klass == POLY:
+        den, pieces = _region_pieces(phi, region)
         coords = [Fraction(0)] * phi.space.dim
-        for lo, hi, cell in zip(phi.breaks, phi.breaks[1:], phi.polys):
-            for part in region.parts:
-                a = lo.as_fraction() if lo > part.lo else part.lo.as_fraction()
-                b = hi.as_fraction() if hi < part.hi else part.hi.as_fraction()
-                if a < b:
-                    for c, coeffs in enumerate(cell):
-                        coords[c] += poly_integral(coeffs, a, b)
+        for c, a, b in pieces:
+            for j, coeffs in enumerate(phi.polys[c]):
+                coords[j] += poly_integral(coeffs, Fraction(a, den), Fraction(b, den))
         return VectorValue.coords(phi.space, coords)
     raise UnsupportedExactIntegration(f"{phi.label} has no closed form")
 

@@ -6,13 +6,10 @@ empirical means) always state the finite protocol that produced them: a
 convergence status is relative to the gauge schedule that was run, never a
 claim about all gauges.
 
-Riemann sums over a dyadic partition are regrouped by integrand cell.  Every
-item's length and tag are ints at the partition's largest exponent E, and one
-integer pass finds each tag's cell and adds up per-cell weights: the lengths
-for a step integrand, the power moments S_k = sum L * a^k (tag a / 2^E) for a
-polynomial one.  Rationals enter once per cell, not once per item, and the
-result is the same exact value as the per-item sum.  Evaluator integrands
-have no cells, so they keep the per-item path: one evaluation per tag.
+Riemann sums over a dyadic partition are regrouped by integrand cell: one
+integer pass over the partition's columns adds up per-cell lengths or power
+moments, so rationals enter once per cell, not once per item, and the result
+is the same exact value as the per-item sum.
 """
 
 from __future__ import annotations
@@ -49,55 +46,36 @@ DEFAULT_TOL = Fraction(1, 1 << 10)
 def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
     """Sum of |interval| * phi(tag); exact in the integrand's value space.
 
-    For step and polynomial integrands every length and tag is an int at the
-    partition's largest exponent E.  One pass looks up each tag's cell and
-    adds up that cell's integer weights (step) or integer moments
-    sum L * a^k (polynomial, tag a / 2^E); rational arithmetic then runs
-    once per cell, not once per item.  Zero-length items add nothing.
-    Evaluator integrands keep the per-item path: each tag is evaluated and
-    scaled by its interval's length.
+    The partition's columns give each item's length L = w / 2^e and tag
+    a / 2^e as the ints w and a.  A step integrand adds up the w of each
+    cell, then makes one linear combination over the cells in cell order,
+    each value weighted by W_c / 2^e.  A polynomial integrand adds up the int
+    moments S_k = sum w * a^k of each cell; coordinate j is then sum over
+    cells and k of c_jk * S_k / 2^(e(k+1)).  Cells whose coefficients are all
+    zero keep no moments, and zero-length items add nothing.  Evaluator
+    integrands keep the per-item path: each tag is evaluated and scaled by
+    its interval's length.
     """
+    e = p.exp
     if phi.klass == EVALUATOR:
-        weighted = ((it.interval.length.as_fraction(), it.tag) for it in p.items)
-        return linear_combination(phi.space, ((w, phi.eval(t)) for w, t in weighted if w))
-    e = 0
-    for it in p.items:
-        iv = it.interval
-        e = max(e, iv.lo.exp, iv.hi.exp, it.tag.exp)
-    return _cell_sum(phi, p.items, e)
-
-
-def _cell_sum(phi: IntegrandFn, items, e: int) -> VectorValue:
-    """riemann_sum of a piecewise integrand over items whose endpoints and
-    tags all have exponent <= e.
-
-    Each item of positive length contributes its length L = w / 2^e and its
-    tag t = a / 2^e as the ints w and a.  A step integrand adds up the w of
-    each cell, then makes one linear combination over the cells in cell
-    order, each value weighted by W_c / 2^e.  A polynomial integrand adds up
-    the int moments S_k = sum w * a^k of each cell; coordinate j is then
-    sum over cells and k of c_jk * S_k / 2^(e(k+1)).  Cells whose
-    coefficients are all zero keep no moments.
-    """
+        return linear_combination(phi.space, (
+            (Fraction(b - a, 1 << e), phi.eval(Fraction(t, 1 << e)))
+            for a, b, t in zip(p.lo, p.hi, p.tag) if b != a))
     cell_at = phi._cells.cell_at
     if phi.klass == STEP:
         weights = [0] * len(phi.values)
-        for it in items:
-            lo, hi, t = it.interval.lo, it.interval.hi, it.tag
-            weights[cell_at(t.num, t.exp)] += (hi.num << (e - hi.exp)) - (lo.num << (e - lo.exp))
-        den = 1 << e
+        for lo, hi, t in zip(p.lo, p.hi, p.tag):
+            weights[cell_at(t, e)] += hi - lo
         return linear_combination(phi.space, (
-            (Fraction(w, den), v) for w, v in zip(weights, phi.values) if w))
+            (Fraction(w, 1 << e), v) for w, v in zip(weights, phi.values) if w))
     # moments per cell up to its highest nonzero coefficient, over all coordinates
     orders = [max((k + 1 for coeffs in cell for k, c in enumerate(coeffs) if c), default=0)
               for cell in phi.polys]
     moments = [[0] * order for order in orders]
-    for it in items:
-        lo, hi, t = it.interval.lo, it.interval.hi, it.tag
-        w = (hi.num << (e - hi.exp)) - (lo.num << (e - lo.exp))
-        s = moments[cell_at(t.num, t.exp)]
+    for lo, hi, a in zip(p.lo, p.hi, p.tag):
+        w = hi - lo
+        s = moments[cell_at(a, e)]
         if w and s:
-            a = t.num << (e - t.exp)
             for k in range(len(s)):
                 s[k] += w
                 w *= a

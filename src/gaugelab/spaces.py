@@ -130,7 +130,8 @@ class ValueSpace:
 
 
 def _merge_steps(a_breaks, a_levels, b_breaks, b_levels):
-    """Common refinement of two step functions; yields (lo, hi, la, lb) runs."""
+    """Common refinement of two step functions; returns (lo, hi, la, lb) runs.
+    The breaks are int keys on one grid."""
     out = []
     ia = ib = 0
     cur = a_breaks[0]
@@ -245,10 +246,13 @@ class VectorValue:
         return sum((v * v for v in self.data), Fraction(0))
 
     def step_eval(self, t) -> Fraction:
-        """Level of a step value at point t (half-open cells, last closed)."""
+        """Level of a step value at point t (half-open cells, last closed).
+        Breaks lie on the grid 2^-g, and k / 2^g <= t iff k <= floor(t * 2^g)."""
         breaks, levels = self.data
+        g = self.space.grid_depth
         tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
-        return levels[bisect_right(breaks, tq, 1, len(levels), key=Dyadic.as_fraction) - 1]
+        return levels[bisect_right(breaks, (tq.numerator << g) // tq.denominator, 1, len(levels),
+                                   key=lambda b: b.num << (g - b.exp)) - 1]
 
     def __eq__(self, other):
         return (
@@ -392,12 +396,16 @@ class DualFunctional:
             return v.data[self.params]
         if self.kind == "combination":
             return sum((c * x for c, x in zip(self.params, v.data)), Fraction(0))
+        # both step functions on the grid 2^-g, their breaks as int keys
+        g = self.space.grid_depth
         db, dl = self.params.data
         vb, vl = v.data
         total = Fraction(0)
-        for lo, hi, ld, lv in _merge_steps(db, dl, vb, vl):
-            total += ld * lv * (hi - lo).as_fraction()
-        return total
+        for lo, hi, ld, lv in _merge_steps([b.num << (g - b.exp) for b in db], dl,
+                                           [b.num << (g - b.exp) for b in vb], vl):
+            if ld and lv:
+                total += ld * lv * (hi - lo)
+        return total / (1 << g)
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "norm_bound": str(self.norm_bound)}

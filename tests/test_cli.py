@@ -166,6 +166,16 @@ def test_gallery_3e_contract_invocation(tmp_path):
     assert len(r["partitions"]) == 2
 
 
+def test_gallery_3e_piecewise_gauge_with_leading_filler(tmp_path):
+    # the gauge's level set starts at 1/8, so the filler comes before the cells
+    doc = run_json(tmp_path, "g3e-pw", "gallery", "3e", "--L", "4", "--R", "64",
+                   "--gauge", "piecewise:0,1/8,1;1/100,1/2", "--seed", "1")
+    r = doc["result"]
+    assert r["pass"] is True
+    assert (r["k"], r["m"]) == (8, 7)
+    assert len(r["partitions"]) == 2
+
+
 def test_stability_single_query(tmp_path):
     doc = run_json(tmp_path, "st", "stability", "--family", "pairsum",
                    "--h", "1/4:1/2", "--m", "1", "--n", "2",

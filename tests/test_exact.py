@@ -24,8 +24,6 @@ from gaugelab.exact import (
     parse_region,
     region_combine,
     region_complement,
-    region_distance,
-    region_normalize,
 )
 from gaugelab.errors import MalformedInterval
 
@@ -136,7 +134,7 @@ def test_malformed_interval_rejected():
 
 
 def test_normalize_examples():
-    assert region_normalize([]) == Region.empty()
+    assert Region([]) == Region.empty()
     r = Region.make((Dyadic(0), Dyadic(1, 1)), (Dyadic(1, 2), Dyadic(3, 2)))
     assert r == Region.make((Dyadic(0), Dyadic(3, 2)))
     assert r.measure() == Dyadic(3, 2)
@@ -214,9 +212,6 @@ def test_complement_and_distance():
     a = Region.make((Dyadic(1, 2), Dyadic(1, 1)))
     comp = region_complement(a, UNIT)
     assert comp == Region.make((Dyadic(0), Dyadic(1, 2)), (Dyadic(1, 1), Dyadic(1)))
-    far = Region.make((Dyadic(7, 3), Dyadic(1)))
-    assert region_distance(a, far) == Fraction(3, 8)
-    assert region_distance(a, comp) == 0
     assert a.distance_to_point(Dyadic(3, 3)) == 0
     assert a.distance_to_point(Dyadic(3, 2)) == Fraction(1, 4)
     assert a.distance_to_point(Dyadic(0)) == Fraction(1, 4)

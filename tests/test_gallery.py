@@ -236,6 +236,24 @@ def test_witness_piecewise_gauge_drops_starved_cells():
         assert is_partition(p) and is_subordinate(p, delta)
 
 
+def test_witness_filler_before_the_cells():
+    # the level set is [1/8, 1], so the one filler gap [0, 1/8] sorts before
+    # every tagged cell; both partitions must still share that completion
+    fat = build_fat_set(4, 3)
+    fam = build_A_family(fat, 4, cap=64)
+    delta = Gauge.piecewise((D0, Dyadic(1, 3), D1), (Fraction(1, 100), Fraction(1, 2)))
+    w = oscillation_witness_3e(fat, fam, 64, delta, seed=1)
+    assert w["k"] == 8 and w["m"] == 7
+    assert w["gap"] >= w["bound"] == Fraction(6, 8)
+    p1, p2 = w["partitions"]
+    for p in (p1, p2):
+        assert is_partition(p) and is_subordinate(p, delta)
+    cells = {Interval(Dyadic.parse(lo), Dyadic.parse(hi)) for lo, hi in w["cells"]}
+    fillers = [[it for it in p.items if it.interval not in cells] for p in (p1, p2)]
+    assert fillers[0] == fillers[1] and fillers[0]
+    assert all(it.interval.hi <= Dyadic(1, 3) for it in fillers[0])
+
+
 def test_witness_evaluator_gauge_uses_proxy():
     fat = build_fat_set(4, 3)
     fam = build_A_family(fat, 4, cap=16)

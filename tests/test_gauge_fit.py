@@ -5,8 +5,9 @@ here against delta worked out in Fractions straight from each kind's
 definition, with non-dyadic widths (1/5, 1/12), tags on and next to
 breakpoints, tag exponents below and above the breakpoints' own, and tags
 outside [0,1].  `cousin_partition` is checked against the Fraction-route
-bisection it replaced, copied in below as the oracle, and the lazy adapted
-schedule against the eager list of `adapted_gauge` calls.
+bisection it replaced, copied in below as the oracle (with a base whose width
+is not a power of two split into power-of-two pieces first), and the lazy
+adapted schedule against the eager list of `adapted_gauge` calls.
 """
 
 import random
@@ -21,8 +22,7 @@ from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded, UnsupportedExact
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
 from gaugelab.gallery import example_3f
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
-                             _sample_dyadic_in, cousin_partition, is_subordinate,
-                             partition_to_json)
+                             cousin_partition, is_subordinate, partition_to_json)
 from gaugelab.integrands import (adapted_gauge, dyadic_indicator, poly_integrand,
                                  restrict_integrand)
 
@@ -164,6 +164,33 @@ def oracle_fits(iv: Interval, tag: Dyadic, g: Gauge) -> bool:
     return tq - delta <= iv.lo.as_fraction() and iv.hi.as_fraction() <= tq + delta
 
 
+def _sample_dyadic_in(iv: Interval, rng: random.Random, extra_depth: int = 10) -> Dyadic:
+    """A dyadic point strictly inside iv (iv must have positive length)."""
+    depth = max(iv.lo.exp, iv.hi.exp, iv.length.exp) + extra_depth
+    lo_n = iv.lo.num << (depth - iv.lo.exp)
+    hi_n = iv.hi.num << (depth - iv.hi.exp)
+    return Dyadic(rng.randint(lo_n + 1, hi_n - 1), depth)
+
+
+def oracle_pieces(base: Interval) -> list:
+    """base split into consecutive pieces of power-of-two width, largest
+    first, in Fractions; a base of power-of-two or zero width is one piece."""
+    rest = base.length.as_fraction()
+    if rest == 0:
+        return [base]
+    pieces, lo = [], base.lo
+    while rest:
+        p = Fraction(1)
+        while p > rest:
+            p /= 2
+        while 2 * p <= rest:
+            p *= 2
+        hi = lo + Dyadic.from_fraction(p)
+        pieces.append(Interval(lo, hi))
+        lo, rest = hi, rest - p
+    return pieces
+
+
 def oracle_cousin(g, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT):
     items = []
 
@@ -190,7 +217,8 @@ def oracle_cousin(g, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, b
         visit(Interval(iv.lo, mid), depth + 1)
         visit(Interval(mid, iv.hi), depth + 1)
 
-    visit(base, 0)
+    for piece in oracle_pieces(base):
+        visit(piece, 0)
     items.sort(key=lambda it: (it.interval.lo.as_fraction(), it.interval.hi.as_fraction()))
     return TaggedPartition(items, flavor)
 

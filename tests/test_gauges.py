@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
-from gaugelab.exact import D0, D1, Dyadic, Interval, Region
+from gaugelab.exact import D0, D1, Dyadic, Interval
 from gaugelab.gauges import (
     Gauge,
     HENSTOCK,
@@ -20,8 +20,9 @@ from gaugelab.gauges import (
     is_subordinate,
     partition_from_json,
     partition_to_json,
-    restrict_partition,
 )
+from gaugelab.integrands import IntegrandFn, adapted_gauge
+from gaugelab.spaces import ValueSpace, VectorValue
 
 
 def ti(lo, hi, tag):
@@ -125,17 +126,6 @@ def test_cousin_deterministic_given_seed():
     assert partition_to_json(p1) != partition_to_json(p3)
 
 
-def test_restrict_partition_clips_and_keeps_tags():
-    p = cousin_partition(Gauge.const(Fraction(1, 4)))
-    r = Region.make((Dyadic(1, 3), Dyadic(5, 3)))
-    clipped = restrict_partition(p, r)
-    assert clipped.intervals_region() == r
-    g = Gauge.const(Fraction(1, 4))
-    assert is_subordinate(clipped, g)
-    tags_before = {str(it.tag) for it in p}
-    assert {str(it.tag) for it in clipped} <= tags_before
-
-
 def test_extend_to_partition():
     g = Gauge.const(Fraction(1, 8))
     partial = [ti("1/2^2", "3/2^3", "5/2^4")]
@@ -145,6 +135,25 @@ def test_extend_to_partition():
     assert is_subordinate(full, Gauge.const(Fraction(1, 4)))  # coarser gauge ok
     with pytest.raises(OverlappingItems):
         extend_to_partition([ti("0", "1/2^1", "0"), ti("1/2^2", "1/2^0", "1")], g)
+
+
+def test_extend_to_partition_gap_of_odd_width_under_proximity_gauge():
+    # the gap [1/16, 1] has width 15/16; bisected whole, its points never reach
+    # the integrand's break at 5/64, where the adapted gauge needs a tag
+    space = ValueSpace.findim(1, "l2")
+    phi = IntegrandFn.step(space, [D0, Dyadic(5, 6), D1],
+                           [VectorValue.coords(space, [1]), VectorValue.coords(space, [2])])
+    g = adapted_gauge(phi, 2)
+    for flavor in (MCSHANE, HENSTOCK):
+        full = extend_to_partition([ti("0", "1/2^4", "1/2^5")], g, flavor=flavor)
+        assert is_partition(full) and is_subordinate(full, g) and has_flavor(full)
+        # the gap splits into pieces of width 1/2, 1/4, 1/8 and 1/16
+        ends = {it.interval.hi for it in full}
+        assert {Dyadic(1, 3), Dyadic(9, 4), Dyadic(13, 4), Dyadic(15, 4)} <= ends
+    # a gap of power-of-two width bisects whole, as the unit interval does
+    whole = cousin_partition(g, base=Interval(Dyadic(1, 1), D1))
+    assert partition_to_json(whole) == partition_to_json(
+        TaggedPartition([it for it in cousin_partition(g) if it.interval.lo >= Dyadic(1, 1)]))
 
 
 def test_partition_json_roundtrip_bit_exact():
