@@ -1,8 +1,8 @@
 """Hot sampling loops, vectorised with numpy.
 
-Every lookup follows searchsorted(side="right"), so cells are right-open, and
-every reduction is an integer count, so the verdicts built on these float
-samples stay exact rationals.
+Every lookup follows searchsorted(side="right"), so cells are right-open.  The
+four sampling kernels reduce to integer counts, so the verdicts built on them
+stay exact rationals; `piecewise_poly` returns the float values themselves.
 """
 
 from __future__ import annotations
@@ -76,3 +76,22 @@ def pairsum_family_hits(
             clash |= t_pts[:, i] == u_pts[:, j]
         ok &= ~clash
     return int(np.count_nonzero(ok))
+
+
+def piecewise_poly(xs: np.ndarray, cuts: np.ndarray, cells) -> np.ndarray:
+    """Values at xs of a piecewise polynomial map, one row per x: cells[c][j]
+    holds coordinate j's float coefficients on cell c, lowest degree first,
+    and each is evaluated by Horner's rule from a zero accumulator."""
+    idx = np.searchsorted(cuts, xs, side="right")
+    out = np.zeros((len(xs), len(cells[0])))
+    for c, coords in enumerate(cells):
+        mask = idx == c
+        if not mask.any():
+            continue
+        ts = xs[mask]
+        for j, coeffs in enumerate(coords):
+            acc = np.zeros_like(ts)
+            for ck in reversed(coeffs):
+                acc = acc * ts + ck
+            out[mask, j] = acc
+    return out

@@ -99,13 +99,8 @@ def geometric_blocks(count: int) -> list[Region]:
 def cmd_integrate(args):
     built = build_integrand(args)
     phi = built["integrand"]
-    schedule = args.schedule
-    if schedule is None:
-        # piecewise integrands converge under their own breakpoint structure;
-        # a uniform schedule stalls once cells outpace max_levels
-        schedule = "auto" if phi.klass == "evaluator" else "adapted"
     est = mcshane_integrate(
-        phi, schedule=schedule, tol=args.tol, trials_per_level=args.trials,
+        phi, schedule=args.schedule, tol=args.tol, trials_per_level=args.trials,
         max_levels=args.max_levels, seed=args.seed, flavor=args.flavor,
     )
     result = {

@@ -3,10 +3,13 @@
 Everything in this module is integer arithmetic underneath: a dyadic rational
 is numerator/2**exponent with a canonical form (odd numerator, or exponent 0),
 an interval is a closed [lo, hi] with dyadic endpoints, and a region is a
-normalized finite union of closed intervals.  Set operations on regions are
-computed exactly and work modulo null sets: touching endpoints merge, and the
-binary combinators never emit degenerate parts.  No floats enter any code path
-here.
+normalized finite union of closed intervals.  A region holds its parts as two
+sorted int columns, lo and hi, at one exponent, the smallest its endpoints
+allow; set operations, point lookups and translates work on the columns, and
+the parts as Interval objects are built only when a caller reads `parts`.
+Set operations on regions are computed exactly and work modulo null sets:
+touching endpoints merge, and the binary combinators never emit degenerate
+parts.  No floats enter any code path here.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import MalformedInterval
 
@@ -182,22 +185,6 @@ D0 = Dyadic(0)
 D1 = Dyadic(1)
 
 
-def dyadic_min(*vals: Dyadic) -> Dyadic:
-    out = vals[0]
-    for v in vals[1:]:
-        if v < out:
-            out = v
-    return out
-
-
-def dyadic_max(*vals: Dyadic) -> Dyadic:
-    out = vals[0]
-    for v in vals[1:]:
-        if v > out:
-            out = v
-    return out
-
-
 def floor_to_depth(x: Rational, depth: int) -> Dyadic:
     """Largest dyadic of exponent <= depth that is <= x."""
     q = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
@@ -277,47 +264,67 @@ class Interval:
 
 
 class Region:
-    """Normalized finite union of closed intervals.
+    """Normalized finite union of closed intervals, held as int columns.
 
-    Parts are sorted, and parts that overlap or merely touch are merged, so two
-    regions describing the same point set compare equal.  The constructor
-    orders and merges the parts on integer keys: every endpoint scaled to the
-    parts' largest exponent.  Degenerate parts are kept by the constructor (a
-    caller may care about isolated points) but are never produced by the binary
-    combinators, which work modulo null sets.
+    Part i is [lo[i], hi[i]] / 2^exp.  The parts are sorted, and parts that
+    overlap or merely touch are merged, so `hi` increases along with `lo`.
+    exp is the smallest exponent (>= 0) at which every endpoint is an int, so
+    two regions describing the same point set have equal columns.  Degenerate
+    parts are kept by the constructor (a caller may care about isolated
+    points) but are never produced by the binary combinators, which work
+    modulo null sets.  `parts`, the same union as Interval objects, is built
+    when first read.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("exp", "lo", "hi", "_parts")
 
     def __init__(self, parts: Iterable[Interval] = ()):
         parts = list(parts)
-        e = _common_exp(parts)
-        keyed = sorted(
-            ((iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp), iv)
-             for iv in parts),
-            key=lambda k: (k[0], k[1]),
-        )
-        merged: list[Interval] = []
-        top = None
-        for lo, hi, iv in keyed:
-            if merged and lo <= top:
-                if hi > top:
-                    merged[-1] = Interval(merged[-1].lo, iv.hi)
-                    top = hi
+        e = max((max(iv.lo.exp, iv.hi.exp) for iv in parts), default=0)
+        lo: list[int] = []
+        hi: list[int] = []
+        for a, b in sorted((iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp))
+                           for iv in parts):
+            if hi and a <= hi[-1]:
+                if b > hi[-1]:
+                    hi[-1] = b
             else:
-                merged.append(iv)
-                top = hi
-        object.__setattr__(self, "parts", tuple(merged))
+                lo.append(a)
+                hi.append(b)
+        self._store(e, lo, hi)
 
     @classmethod
-    def _normalized(cls, parts: tuple[Interval, ...]) -> "Region":
-        """Wrap parts that are already sorted, disjoint and non-touching."""
+    def _columns(cls, exp: int, lo: Sequence[int], hi: Sequence[int]) -> "Region":
+        """Wrap columns at exponent exp that are already sorted, disjoint and
+        non-touching."""
         region = object.__new__(cls)
-        object.__setattr__(region, "parts", parts)
+        region._store(exp, lo, hi)
         return region
+
+    def _store(self, exp: int, lo: Sequence[int], hi: Sequence[int]) -> None:
+        # drop the trailing zero bits that every endpoint shares, at most exp
+        bits = 0
+        for x in (*lo, *hi):
+            bits |= x
+        z = min((bits & -bits).bit_length() - 1, exp) if bits else exp
+        if z:
+            lo = [x >> z for x in lo]
+            hi = [x >> z for x in hi]
+        object.__setattr__(self, "exp", exp - z)
+        object.__setattr__(self, "lo", tuple(lo))
+        object.__setattr__(self, "hi", tuple(hi))
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Region is immutable")
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        if self._parts is None:
+            e = self.exp
+            object.__setattr__(self, "_parts", tuple(
+                Interval(Dyadic(a, e), Dyadic(b, e)) for a, b in zip(self.lo, self.hi)))
+        return self._parts
 
     @classmethod
     def make(cls, *pairs) -> "Region":
@@ -328,78 +335,71 @@ class Region:
         return cls(())
 
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.lo
 
     def measure(self) -> Dyadic:
-        total = D0
-        for iv in self.parts:
-            total = total + iv.length
-        return total
+        return Dyadic(sum(self.hi) - sum(self.lo), self.exp)
+
+    def _probe(self, x: Rational) -> tuple[int, int, int]:
+        """(i, X, b) for x = X / (b * 2^exp): i counts the parts starting at
+        or before x, found by bisecting lo on floor(x * 2^exp)."""
+        if isinstance(x, Dyadic):
+            a, b = x.num, 1 << x.exp
+        else:
+            q = Fraction(x)
+            a, b = q.numerator, q.denominator
+        X = a << self.exp
+        return bisect_right(self.lo, X // b), X, b
 
     def contains(self, x: Rational) -> bool:
         # parts are sorted and disjoint: only the last part starting at or
         # before x can hold it
-        xq = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
-        i = bisect_right(self.parts, xq, key=_lo_fraction)
-        return i > 0 and self.parts[i - 1].hi >= xq
+        i, X, b = self._probe(x)
+        return i > 0 and self.hi[i - 1] * b >= X
 
     def translate(self, t: Dyadic) -> "Region":
         # a translate of a normalized region is normalized
-        return Region._normalized(tuple(iv.translate(t) for iv in self.parts))
+        e = max(self.exp, t.exp)
+        s, k = e - self.exp, t.num << (e - t.exp)
+        lo = [(x << s) + k for x in self.lo]
+        return Region._columns(e, lo, [(x << s) + k for x in self.hi])
 
     def scale_half(self) -> "Region":
         """Image under x -> x/2 (used for self-sum exclusions)."""
-        return Region._normalized(
-            tuple(Interval(iv.lo.half(), iv.hi.half()) for iv in self.parts))
+        return Region._columns(self.exp + 1, self.lo, self.hi)
 
     def bounding(self) -> Interval | None:
-        if not self.parts:
+        if not self.lo:
             return None
-        return Interval(self.parts[0].lo, self.parts[-1].hi)
+        return Interval(Dyadic(self.lo[0], self.exp), Dyadic(self.hi[-1], self.exp))
 
     def distance_to_point(self, x: Rational) -> Fraction:
         """Exact distance from x to the region (0 if inside); raises for an empty region."""
-        if not self.parts:
+        if not self.lo:
             raise ValueError("distance to empty region")
-        xq = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
-        # the nearest part is the last one starting at or before x, or the next
-        i = bisect_right(self.parts, xq, key=_lo_fraction)
+        # the nearest part is the last one starting at or before x, or the next;
+        # both distances are over the denominator b * 2^exp
+        i, X, b = self._probe(x)
         best = None
         if i > 0:
-            before = xq - self.parts[i - 1].hi.as_fraction()
-            if before <= 0:
+            best = X - self.hi[i - 1] * b
+            if best <= 0:
                 return Fraction(0)
-            best = before
-        if i < len(self.parts):
-            after = self.parts[i].lo.as_fraction() - xq
+        if i < len(self.lo):
+            after = self.lo[i] * b - X
             if best is None or after < best:
                 best = after
-        return best
+        return Fraction(best, b << self.exp)
 
     def __eq__(self, other):
-        return isinstance(other, Region) and self.parts == other.parts
+        return (isinstance(other, Region) and self.exp == other.exp
+                and self.lo == other.lo and self.hi == other.hi)
 
     def __hash__(self):
-        return hash(self.parts)
+        return hash((self.exp, self.lo, self.hi))
 
     def __repr__(self):
-        inner = ", ".join(f"[{iv.lo}, {iv.hi}]" for iv in self.parts)
-        return f"Region({inner})"
-
-
-def _lo_fraction(part: Interval) -> Fraction:
-    return part.lo.as_fraction()
-
-
-def _common_exp(parts) -> int:
-    """Largest endpoint exponent: every endpoint is an int at this scale."""
-    e = 0
-    for iv in parts:
-        if iv.lo.exp > e:
-            e = iv.lo.exp
-        if iv.hi.exp > e:
-            e = iv.hi.exp
-    return e
+        return f"Region({', '.join(f'[{lo}, {hi}]' for lo, hi in format_region(self))})"
 
 
 # keep rule per op, indexed by 2 * in_a + in_b
@@ -427,48 +427,36 @@ def region_combine(a: Region, b: Region, op: str) -> Region:
     keep = _KEEP.get(op)
     if keep is None:
         raise ValueError(f"unknown op {op!r}")
-    e = _common_exp(a.parts + b.parts)
+    e = max(a.exp, b.exp)
+    sa, sb = e - a.exp, e - b.exp
     # membership is decided against positive-length parts only: the combinators
     # work modulo null sets, so isolated points neither add nor remove anything
-    pa = _scaled_positive_parts(a, e)
-    pb = _scaled_positive_parts(b, e)
+    pa = [(x << sa, y << sa) for x, y in zip(a.lo, a.hi) if x < y]
+    pb = [(x << sb, y << sb) for x, y in zip(b.lo, b.hi) if x < y]
     cuts = sorted({x for part in pa + pb for x in part})
     if not cuts:
-        return Region._normalized(())
+        return Region.empty()
     # a sentinel part past every cut ends both cursors' walks
     sentinel = (cuts[-1] + 1, cuts[-1] + 1)
     pa.append(sentinel)
     pb.append(sentinel)
-    out: list[Interval] = []
+    lo: list[int] = []
+    hi: list[int] = []
     ia = ib = 0
-    run_lo = None
-    for lo, hi in zip(cuts, cuts[1:]):
-        while pa[ia][1] <= lo:
+    for x, y in zip(cuts, cuts[1:]):
+        while pa[ia][1] <= x:
             ia += 1
-        while pb[ib][1] <= lo:
+        while pb[ib][1] <= x:
             ib += 1
-        if keep[2 * (pa[ia][0] <= lo) + (pb[ib][0] <= lo)]:
-            if run_lo is None:
-                run_lo = lo
-            run_hi = hi
-        elif run_lo is not None:
-            out.append(Interval(Dyadic(run_lo, e), Dyadic(run_hi, e)))
-            run_lo = None
-    if run_lo is not None:
-        out.append(Interval(Dyadic(run_lo, e), Dyadic(run_hi, e)))
-    # runs are separated by at least one dropped gap, so out is normalized
-    return Region._normalized(tuple(out))
-
-
-def _scaled_positive_parts(region: Region, e: int) -> list[tuple[int, int]]:
-    """(lo, hi) of the region's positive-length parts, scaled to exponent e."""
-    out = []
-    for iv in region.parts:
-        lo = iv.lo.num << (e - iv.lo.exp)
-        hi = iv.hi.num << (e - iv.hi.exp)
-        if lo < hi:
-            out.append((lo, hi))
-    return out
+        if keep[2 * (pa[ia][0] <= x) + (pb[ib][0] <= x)]:
+            # a kept gap that touches the run before it extends that run
+            if hi and hi[-1] == x:
+                hi[-1] = y
+            else:
+                lo.append(x)
+                hi.append(y)
+    # runs are separated by at least one dropped gap, so the columns are normalized
+    return Region._columns(e, lo, hi)
 
 
 def region_union(a: Region, b: Region) -> Region:
@@ -503,7 +491,8 @@ def parse_region(text: str) -> Region:
 
 
 def format_region(region: Region) -> list[list[str]]:
-    return [[str(iv.lo), str(iv.hi)] for iv in region.parts]
+    e = region.exp
+    return [[str(Dyadic(a, e)), str(Dyadic(b, e))] for a, b in zip(region.lo, region.hi)]
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ResolutionExceeded, SearchExhausted
-from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, dyadic_max,
-                    dyadic_min, region_intersect, region_subtract)
+from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, region_intersect,
+                    region_subtract)
 from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
 from .integrands import IntegrandFn, exact_vector_integral, restrict_integrand
@@ -91,7 +91,7 @@ def build_fat_set(L: int, r: int = 3, seed: int = 0) -> FatSet:
         "L": L,
         "r": r,
         "measure": str(top.measure()),
-        "parts": len(top.parts),
+        "parts": len(top.lo),
     }
     return FatSet(stages=stages, resolution=r, diagnostics=diag)
 
@@ -108,20 +108,19 @@ def check_fat_invariant(H: Region, r: int):
     return None
 
 
-def _erode(region: Region, num: int = 1, exp: int = 2) -> Region:
-    """Shrink each part by num/2^exp of its length per side (default 1/4).
+def _erode(region: Region) -> Region:
+    """Shrink each part by a quarter of its length per side.
 
     Points of the eroded set sit at interior depth >= len/4 of their part, so
-    exact membership afterwards is robust to endpoint coincidences.
+    exact membership afterwards is robust to endpoint coincidences.  Part
+    [a, b] / 2^e becomes [3a + b, a + 3b] / 2^(e+2); degenerate parts vanish.
     """
-    factor = Dyadic(num, exp)
-    parts = []
-    for iv in region.parts:
-        margin = iv.length * factor
-        lo, hi = iv.lo + margin, iv.hi - margin
-        if lo < hi:
-            parts.append(Interval(lo, hi))
-    return Region(parts)
+    lo, hi = [], []
+    for a, b in zip(region.lo, region.hi):
+        if a < b:
+            lo.append(3 * a + b)
+            hi.append(a + 3 * b)
+    return Region._columns(region.exp + 2, lo, hi)
 
 
 # -- inductive tag searches ---------------------------------------------------
@@ -153,9 +152,9 @@ def inductive_tag_sequences(
         base = list(windows)
     else:
         hull = Interval(D0, Dyadic(2, 0))
-        if H.parts:
-            b = H.bounding()
-            hull = Interval(dyadic_min(D0, b.lo), dyadic_max(Dyadic(2, 0), b.hi))
+        b = H.bounding()
+        if b is not None:
+            hull = Interval(min(D0, b.lo), max(hull.hi, b.hi))
         core = _erode(region_subtract(Region((hull,)), H))
         # self-sum exclusion: 2t must land in the eroded complement as well
         half_core = core.scale_half()
@@ -168,14 +167,15 @@ def inductive_tag_sequences(
         tags: list[Dyadic] = []
         failed = False
         for j in range(len(current)):
-            parts = current[j].parts
-            if not parts:
+            window = current[j]
+            if window.is_empty():
                 trace.append({"attempt": attempt, "index": j,
                               "windows": [str(w.measure()) for w in current]})
                 last_fail = j
                 failed = True
                 break
-            t = parts[rng.randrange(len(parts))].midpoint()
+            i = rng.randrange(len(window.lo))
+            t = Dyadic(window.lo[i] + window.hi[i], window.exp + 1)
             tags.append(t)
             shifted = core.translate(-t)
             for j2 in range(j + 1, len(current)):
@@ -186,8 +186,7 @@ def inductive_tag_sequences(
         for i in range(len(tags)):
             lo_pair = i + 1 if mode == "sums-in" else i
             for j in range(lo_pair, len(tags)):
-                s = (tags[i] + tags[j]).as_fraction()
-                inside = H.contains(s)
+                inside = H.contains(tags[i] + tags[j])
                 if mode == "sums-in" and not inside:
                     ok = False
                 if mode == "sums-out" and inside:
@@ -204,40 +203,36 @@ def inductive_tag_sequences(
 # -- jump-function family ------------------------------------------------------
 
 
-def _overlap_tables(H: Region):
-    los = [p.lo.as_fraction() for p in H.parts]
-    prefmax = []
-    best = None
-    for p in H.parts:
-        hi = p.hi.as_fraction()
-        best = hi if best is None or hi > best else best
-        prefmax.append(best)
-    return los, prefmax
+# H's columns are sorted and its hi column increases, so among the parts that
+# start left of a point the last one reaches furthest right.  A rational p/q
+# is compared with the columns as p * 2^exp against q times an endpoint.
 
 
-def _hits_closed(los, prefmax, lo: Fraction, hi: Fraction) -> bool:
+def _hits_closed(H: Region, lo: Fraction, hi: Fraction) -> bool:
     """Does any H part meet [lo, hi]?"""
-    idx = bisect_right(los, hi) - 1
-    return idx >= 0 and prefmax[idx] >= lo
+    e = H.exp
+    idx = bisect_right(H.lo, (hi.numerator << e) // hi.denominator) - 1
+    return idx >= 0 and H.hi[idx] * lo.denominator >= lo.numerator << e
 
 
-def _hits_open(los, prefmax, lo: Fraction, hi: Fraction) -> bool:
+def _hits_open(H: Region, lo: Fraction, hi: Fraction) -> bool:
     """Does any H part meet the open interval (lo, hi)?  H parts are
     non-degenerate, so this is equivalent to positive-measure overlap."""
     if lo >= hi:
         return False
-    idx = bisect_left(los, hi) - 1
-    return idx >= 0 and prefmax[idx] > lo
+    e = H.exp
+    idx = bisect_left(H.lo, -((-hi.numerator << e) // hi.denominator)) - 1
+    return idx >= 0 and H.hi[idx] * lo.denominator > lo.numerator << e
 
 
-def _pair_violation(los, prefmax, parts: Sequence[tuple], new: tuple) -> bool:
+def _pair_violation(H: Region, parts: Sequence[tuple], new: tuple) -> bool:
     """Exact pair-constraint check of a new support part against itself and
     all earlier parts: some s < t in the support with s + t in H."""
     a, b = new
-    if _hits_open(los, prefmax, 2 * a, 2 * b):
+    if _hits_open(H, 2 * a, 2 * b):
         return True
     for c, d in parts:
-        if _hits_closed(los, prefmax, a + c, b + d):
+        if _hits_closed(H, a + c, b + d):
             return True
     return False
 
@@ -258,7 +253,6 @@ def _enumerate_jump_members(H: Region, depth: int, vmax: int, budget: int,
     """
     if budget <= 0:
         return
-    los, prefmax = _overlap_tables(H)
     grid = 1 << depth
     checks = 0
     yielded = 0
@@ -270,7 +264,7 @@ def _enumerate_jump_members(H: Region, depth: int, vmax: int, budget: int,
     # fat set (some doubled subinterval lands in H) and is checked honestly
     for const in (0, 1):
         parts = [(Fraction(0), Fraction(1))] if const else []
-        if not parts or not _pair_violation(los, prefmax, [], parts[0]):
+        if not parts or not _pair_violation(H, [], parts[0]):
             yield (Fraction(0), Fraction(1)), (const,), 0
             yielded += 1
             if yielded >= budget:
@@ -291,7 +285,7 @@ def _enumerate_jump_members(H: Region, depth: int, vmax: int, budget: int,
                         run_lo = to_break(jumps[-1]) if jumps else Fraction(0)
                         new = (run_lo, Fraction(1))
                         checks += 1
-                        if _pair_violation(los, prefmax, final, new):
+                        if _pair_violation(H, final, new):
                             return
                         final.append(new)
                     breaks = (Fraction(0), *map(to_break, jumps), Fraction(1))
@@ -308,7 +302,7 @@ def _enumerate_jump_members(H: Region, depth: int, vmax: int, budget: int,
                         run_lo = to_break(jumps[-1]) if jumps else Fraction(0)
                         new = (run_lo, to_break(g))
                         checks += 1
-                        if _pair_violation(los, prefmax, completed, new):
+                        if _pair_violation(H, completed, new):
                             return  # larger g only widens the run: prune
                         dfs(jumps + [g], completed + [new])
                     else:
@@ -393,7 +387,6 @@ def build_A_family(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     H = fat.stage(l)
-    los, prefmax = _overlap_tables(H)
     steps = []
     variations = []
     failures = []
@@ -407,7 +400,7 @@ def build_A_family(
         bad = False
         done: list = []
         for part in support:
-            if _pair_violation(los, prefmax, done, part):
+            if _pair_violation(H, done, part):
                 bad = True
                 break
             done.append(part)
@@ -496,8 +489,8 @@ def _gauge_level_set(delta: Gauge, threshold: Fraction, proxy_depth: int):
         out = UNIT_REGION
         for b in desc["breakpoints"]:
             bp = Dyadic.parse(b)
-            lo = dyadic_max(D0, bp - radius)
-            hi = dyadic_min(D1, bp + radius)
+            lo = max(D0, bp - radius)
+            hi = min(D1, bp + radius)
             out = region_subtract(out, Region((Interval(lo, hi),)))
         return out, False
     n = 1 << proxy_depth

@@ -162,10 +162,10 @@ def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
             return _phi.eval(t) if _r.contains(t) else VectorValue.zero(_phi.space)
         return IntegrandFn.evaluator(phi.space, fn, label=label, metadata=phi.metadata)
 
+    one = 1 << region.exp
     cuts = sorted(
         {b.as_fraction() for b in phi.breaks}
-        | {iv.lo.as_fraction() for iv in region.parts if D0 <= iv.lo <= D1}
-        | {iv.hi.as_fraction() for iv in region.parts if D0 <= iv.hi <= D1}
+        | {Fraction(x, one) for x in region.lo + region.hi if 0 <= x <= one}
     )
     breaks = [Dyadic.from_fraction(c) for c in cuts]
     if phi.klass == STEP:
@@ -201,12 +201,12 @@ def _region_pieces(phi: IntegrandFn, region: Region) -> tuple[int, list]:
     walks the cells until it ends."""
     cells = phi._cells
     keys, n = cells.keys, len(cells.keys)
-    e = max([cells.exp] + [max(part.lo.exp, part.hi.exp) for part in region.parts])
-    s, one = e - cells.exp, 1 << e
+    e = max(cells.exp, region.exp)
+    s, r, one = e - cells.exp, e - region.exp, 1 << e
     pieces = []
-    for part in region.parts:
-        a = max(part.lo.num << (e - part.lo.exp), 0)
-        b = min(part.hi.num << (e - part.hi.exp), one)
+    for lo, hi in zip(region.lo, region.hi):
+        a = max(lo << r, 0)
+        b = min(hi << r, one)
         c = cells.cell_at(a, e)
         while a < b:
             top = keys[c] << s if c < n else one

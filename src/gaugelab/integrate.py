@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import OverlappingItems, UnsupportedExactIntegration
-from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION, floor_to_depth
+from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION, floor_to_depth, format_region
 from .gauges import Gauge, MCSHANE, TaggedPartition, cousin_partition
 from .integrands import (
     EVALUATOR,
@@ -122,9 +122,25 @@ class IntegralEstimate:
 _STRATEGIES = ("mid", "left", "sampled")
 
 
+def _max_distance(values: Sequence[VectorValue]) -> Fraction:
+    """Largest pairwise distance (enclosure upper end) among the values."""
+    out = Fraction(0)
+    for i, u in enumerate(values):
+        for v in values[i + 1:]:
+            d = distance(u, v).hi
+            if d > out:
+                out = d
+    return out
+
+
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
     """The schedule's gauges in level order.  Adapted gauges come from a
-    generator, so a run that converges early never builds the later levels."""
+    generator, so a run that converges early never builds the later levels.
+    No schedule means "auto" for evaluators and "adapted" for piecewise
+    integrands: they converge under their own breakpoint structure, where a
+    uniform schedule stalls once cells outpace max_levels."""
+    if schedule is None:
+        schedule = "auto" if phi.klass == EVALUATOR else "adapted"
     if isinstance(schedule, str):
         if schedule == "auto":
             return [Gauge.const(Fraction(1, 1 << k)) for k in range(max_levels)]
@@ -140,7 +156,7 @@ def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
 
 def mcshane_integrate(
     phi: IntegrandFn,
-    schedule="auto",
+    schedule=None,
     tol: Fraction = DEFAULT_TOL,
     trials_per_level: int = 3,
     max_levels: int = 12,
@@ -155,7 +171,8 @@ def mcshane_integrate(
     the oscillation fell below tol for the schedule that was run — a
     schedule-relative statement, deterministic given the seed.  "auto" is the
     constant schedule delta_k = 2^-k; "adapted" follows the integrand's
-    piecewise structure and is what the closed-form-aware callers use.
+    piecewise structure and is what the closed-form-aware callers use.  With
+    no schedule, piecewise integrands take "adapted" and evaluators "auto".
     """
     if trials_per_level < 2:
         raise ValueError("need at least two trials per level to measure oscillation")
@@ -175,12 +192,7 @@ def mcshane_integrate(
                 seed=seed * 100003 + level * 97 + i,
             )
             sums.append(riemann_sum(phi, p))
-        osc = Fraction(0)
-        for i in range(len(sums)):
-            for j in range(i + 1, len(sums)):
-                d = distance(sums[i], sums[j]).hi
-                if d > osc:
-                    osc = d
+        osc = _max_distance(sums)
         last = sums[-1]
         trace.append(
             {"level": level, "gauge": g.descriptor["kind"], "oscillation": str(osc)}
@@ -203,11 +215,8 @@ def indefinite_integral(
     max_levels: int = 12,
 ) -> IntegralEstimate:
     """Gauge integral of phi restricted to the region (the set map E -> nu(E))."""
-    restricted = restrict_integrand(phi, region)
-    schedule = "auto" if phi.klass == EVALUATOR else "adapted"
-    return mcshane_integrate(
-        restricted, schedule=schedule, tol=tol, seed=seed, max_levels=max_levels
-    )
+    return mcshane_integrate(restrict_integrand(phi, region), tol=tol, seed=seed,
+                             max_levels=max_levels)
 
 
 # -- dual-route checks ---------------------------------------------------------
@@ -243,7 +252,7 @@ def pettis_check(
                 max_residual = residual
             entries.append(
                 {
-                    "region": [[str(p.lo), str(p.hi)] for p in region.parts],
+                    "region": format_region(region),
                     "functional": fi,
                     "residual": str(residual),
                     "converged": est.converged,
@@ -285,12 +294,7 @@ def interval_series_check(
         acc = acc + est.value
         partials.append(acc)
         block_norms.append(est.value.norm().hi)
-    tail_max = Fraction(0)
-    for j in range(lo, n + 1):
-        for k in range(j + 1, n + 1):
-            d = distance(partials[k], partials[j]).hi
-            if d > tail_max:
-                tail_max = d
+    tail_max = _max_distance(partials[lo:])
     return {
         "n_blocks": n,
         "window_start": lo,
@@ -323,6 +327,9 @@ def sample_regions(
     count: int, seed: int, max_measure: Fraction = Fraction(1), depth: int = 8, max_parts: int = 3
 ) -> list[Region]:
     """Deterministic pool of dyadic regions with measure <= max_measure."""
+    if max_measure <= 0:
+        # every draw would be trimmed to the empty region
+        raise ValueError(f"regions need a positive measure bound, got {max_measure}")
     rng = stream(seed, 0)
     out = []
     target = min(Fraction(1), max_measure)
@@ -378,7 +385,7 @@ def absolute_continuity(
             {
                 "eta": eta,
                 "modulus": best,
-                "witness": [[str(p.lo), str(p.hi)] for p in witness.parts] if witness else [],
+                "witness": format_region(witness) if witness is not None else [],
             }
         )
     return {"rows": rows, "pool_size": len(pool)}
@@ -386,7 +393,10 @@ def absolute_continuity(
 
 def lower_norm_integral(phi: IntegrandFn, grid_depth: int = 8) -> Fraction:
     """Lower Darboux sum of ||phi|| over the dyadic grid refined by the
-    integrand's own breakpoints (per-cell certified infimum lower bounds)."""
+    integrand's own breakpoints (per-cell certified infimum lower bounds).
+    The grid has 2^grid_depth cells, so the depth is held to 0..16."""
+    if not 0 <= grid_depth <= 16:
+        raise ValueError(f"norm grid depth must be in 0..16, got {grid_depth}")
     cuts = {Fraction(i, 1 << grid_depth) for i in range((1 << grid_depth) + 1)}
     if phi.klass in (STEP, POLY):
         cuts |= {b.as_fraction() for b in phi.breaks}
@@ -468,31 +478,14 @@ def talagrand_integrate(
             phi.space, [Fraction(float(x / batches)) for x in acc]
         )
         exact = False
-    spread = Fraction(0)
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            d = distance(means[i], means[j]).hi
-            if d > spread:
-                spread = d
-    return TalagrandReport(means, variances, pooled, spread, n, batches, seed, exact)
+    return TalagrandReport(means, variances, pooled, _max_distance(means), n, batches, seed,
+                           exact)
 
 
 def _eval_float_matrix(phi: IntegrandFn, samples: np.ndarray) -> np.ndarray:
     if phi.klass == POLY:
-        cuts = _float_breaks(phi)
-        idx = np.searchsorted(cuts, samples, side="right")
-        out = np.zeros((len(samples), phi.space.dim))
-        for cell in range(len(phi.polys)):
-            mask = idx == cell
-            if not mask.any():
-                continue
-            ts = samples[mask]
-            for c, coeffs in enumerate(phi.polys[cell]):
-                acc = np.zeros_like(ts)
-                for ck in reversed(coeffs):
-                    acc = acc * ts + float(ck)
-                out[mask, c] = acc
-        return out
+        cells = [[[float(c) for c in coeffs] for coeffs in cell] for cell in phi.polys]
+        return _kernels.piecewise_poly(samples, _float_breaks(phi), cells)
     if phi.space.is_step:
         raise UnsupportedExactIntegration("float path needs coordinate values")
     rows = [
@@ -620,7 +613,7 @@ def uniform_integrability(
                     if v > best:
                         best = v
                         witness = {"phi": pi, "functional": fi,
-                                   "region": [[str(p.lo), str(p.hi)] for p in region.parts]}
+                                   "region": format_region(region)}
         rows.append({"eta": eta, "modulus": best, "witness": witness})
     return {"rows": rows}
 
@@ -683,12 +676,7 @@ def vitali_limit(
         "n_max": n_max,
         "tol": tol,
     }
-    limit_est = mcshane_integrate(
-        phi_limit,
-        schedule="auto" if phi_limit.klass == EVALUATOR else "adapted",
-        tol=tol,
-        seed=seed,
-    )
+    limit_est = mcshane_integrate(phi_limit, tol=tol, seed=seed)
     gap = distance(limit_est.value, exact_vector_integral(phi_last)).hi
     if h1_pass and h2_pass:
         verdict["c"] = {"pass": gap <= 3 * tol, "gap": gap, "limit_status": limit_est.status}

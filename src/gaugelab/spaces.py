@@ -239,12 +239,6 @@ class VectorValue:
         square = sum((v * v for v in self.data), Fraction(0))
         return sqrt_enclosure(square, bits=bits)
 
-    def norm_squared(self) -> Fraction:
-        """Exact squared Euclidean norm (coordinate spaces only)."""
-        if self.space.is_step or self.space.norm != L2:
-            raise ValueError("norm_squared applies to Euclidean coordinate values")
-        return sum((v * v for v in self.data), Fraction(0))
-
     def step_eval(self, t) -> Fraction:
         """Level of a step value at point t (half-open cells, last closed).
         Breaks lie on the grid 2^-g, and k / 2^g <= t iff k <= floor(t * 2^g)."""

@@ -128,21 +128,11 @@ def family_from_integrand(phi: IntegrandFn, functionals: Sequence[DualFunctional
             return _f(_phi.eval(t))
 
         if phi.klass == POLY:
-            cells = [[float(c) for c in coeffs] for coeffs in paired_polys(f, phi)]
+            cells = [[[float(c) for c in coeffs]] for coeffs in paired_polys(f, phi)]
             cuts = np.array([float(b) for b in phi.breaks[1:-1]])
 
             def fn_np(xs, _cuts=cuts, _cells=cells):
-                idx = np.searchsorted(_cuts, xs, side="right")
-                out = np.zeros_like(xs)
-                for ci, coeffs in enumerate(_cells):
-                    mask = idx == ci
-                    if not mask.any():
-                        continue
-                    acc = np.zeros(int(mask.sum()))
-                    for ck in reversed(coeffs):
-                        acc = acc * xs[mask] + ck
-                    out[mask] = acc
-                return out
+                return _kernels.piecewise_poly(xs, _cuts, _cells)[:, 0]
         else:
             def fn_np(xs, _fn=fn):
                 return np.array([float(_fn(Fraction(float(x)))) for x in xs])
@@ -199,11 +189,15 @@ def z_member(A: FunctionFamily, ts: Sequence, us: Sequence,
     return False
 
 
+def _floats(xs: Sequence[int], exp: int) -> np.ndarray:
+    """xs / 2^exp, each correctly rounded, as float(Dyadic(x, exp)) is."""
+    one = 1 << exp
+    return np.array([x / one for x in xs], dtype=np.float64)
+
+
 def _region_arrays(region: Region):
-    lengths = np.array([float(p.length) for p in region.parts])
-    cum = np.cumsum(lengths)
-    los = np.array([float(p.lo) for p in region.parts])
-    return cum, los
+    lengths = _floats([b - a for a, b in zip(region.lo, region.hi)], region.exp)
+    return np.cumsum(lengths), _floats(region.lo, region.exp)
 
 
 def _draw_points(region: Region, samples: int, cols: int, seed: int) -> np.ndarray:
@@ -215,9 +209,9 @@ def _draw_points(region: Region, samples: int, cols: int, seed: int) -> np.ndarr
 def _count_hits(A: FunctionFamily, t_pts: np.ndarray, u_pts: np.ndarray,
                 alpha: Fraction, beta: Fraction) -> int:
     if A.klass == "pairsum":
-        h_lo = np.array([float(p.lo) for p in A.h.parts])
-        h_hi = np.array([float(p.hi) for p in A.h.parts])
-        return _kernels.pairsum_family_hits(t_pts, u_pts, h_lo, h_hi)
+        h = A.h
+        return _kernels.pairsum_family_hits(t_pts, u_pts, _floats(h.lo, h.exp),
+                                            _floats(h.hi, h.exp))
     if not A.members:
         return 0
     if A.klass == "piecewise-step":

@@ -244,6 +244,13 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
     ("pettis", "--fn", "identity", "--regions", "0"),
     ("abscont", "--fn", "identity", "--etas", ","),
     ("abscont", "--fn", "identity", "--regions-per-eta", "0"),
+    # no region has measure <= 0, so these would sample forever
+    ("abscont", "--fn", "3f", "--etas", "0"),
+    ("abscont", "--fn", "3f", "--etas=-1/4"),
+    ("abscont", "--fn", "3f", "--etas", "1/4,0"),
+    # a 2^17-cell norm grid of Fraction cuts
+    ("gallery", "3g", "--norm-depth", "17"),
+    ("gallery", "3g", "--norm-depth", "40"),
     ("stability", "--scan", "--mn-max", "0"),
     ("integrate", "--fn", "poly:"),
     ("series", "--fn", "3g", "--window-start", "99"),

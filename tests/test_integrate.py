@@ -186,6 +186,12 @@ def test_lower_norm_integral_identity_closed_form():
     assert lower_norm_integral(phi2, grid_depth=4) == Fraction(1, 2) * 1 + Fraction(1, 2) * 3
 
 
+@pytest.mark.parametrize("depth", [-1, 17, 40])
+def test_lower_norm_integral_rejects_depth_outside_grid_range(depth):
+    with pytest.raises(ValueError, match="0..16"):
+        lower_norm_integral(identity_integrand(), grid_depth=depth)
+
+
 def test_talagrand_exact_counting_path():
     phi = two_cell_step()
     rep = talagrand_integrate(phi, seed=11, n=4000, batches=10)
@@ -302,6 +308,12 @@ def test_sample_regions_respects_cap():
         mu = r.measure().as_fraction()
         assert 0 < mu <= cap
         assert r.bounding().lo >= D0 and r.bounding().hi <= D1
+
+
+@pytest.mark.parametrize("cap", [Fraction(0), Fraction(-1, 4)])
+def test_sample_regions_rejects_bound_no_region_meets(cap):
+    with pytest.raises(ValueError, match="positive measure bound"):
+        sample_regions(4, seed=0, max_measure=cap)
 
 
 def test_uniform_integrability_rows():

@@ -1,7 +1,7 @@
 """The sampling kernels against plain-python oracles.
 
 Every kernel has an oracle here, written as a linear scan; the numpy kernel
-must match it exactly, hit for hit.
+must match it exactly, hit for hit, and the piecewise polynomial bit for bit.
 """
 
 import numpy as np
@@ -139,6 +139,29 @@ def test_pairsum_hits_matches_oracle(seed, m, n):
     h_hi = np.array([0.75])
     got = _kernels.pairsum_family_hits(t_pts, u_pts, h_lo, h_hi)
     assert got == py_pairsum_hits(t_pts, u_pts, h_lo, h_hi)
+
+
+def py_piecewise_poly(x, cuts, cells):
+    cell = cells[sum(1 for c in cuts if x >= c)]
+    row = []
+    for coeffs in cell:
+        acc = 0.0
+        for ck in reversed(coeffs):
+            acc = acc * x + ck
+        row.append(acc)
+    return row
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4))
+def test_piecewise_poly_matches_oracle_bit_for_bit(seed, pieces, dim, degree):
+    xs = stream(seed, 10).random(300)
+    cuts = np.sort(stream(seed, 11).random(pieces - 1))
+    coeffs = stream(seed, 12).random((pieces, dim, degree)) * 4 - 2
+    cells = [[list(map(float, c)) for c in cell] for cell in coeffs]
+    got = _kernels.piecewise_poly(xs, cuts, cells)
+    expect = np.array([py_piecewise_poly(x, cuts, cells) for x in xs])
+    assert got.shape == (300, dim) and got.tobytes() == expect.tobytes()
 
 
 def test_philox_stream_reproducible():
