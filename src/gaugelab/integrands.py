@@ -1,10 +1,11 @@
 """Integrand functions [0,1] -> ValueSpace and their exact closed forms.
 
 Three classes are supported.  Piecewise-step and piecewise-polynomial
-integrands know their dyadic breakpoints and admit exact scalar integrals
-(pairing against a dual functional) by antiderivative evaluation; the
-evaluator class is an opaque callable and only the sampling-based operations
-apply to it.  Piece cells are half-open [b_i, b_{i+1}) with the last cell
+integrands know their dyadic breakpoints and admit an exact closed-form
+vector integral over any region; a scalar integral (pairing against a dual
+functional) is f of that vector integral, once per region.  The evaluator
+class is an opaque callable and only the sampling-based operations apply to
+it.  Piece cells are half-open [b_i, b_{i+1}) with the last cell
 closed, matching step values and piecewise gauges.
 
 The proximity ("adapted") gauge built here is the classical witness gauge for
@@ -216,48 +217,34 @@ def _region_pieces(phi: IntegrandFn, region: Region) -> tuple[int, list]:
     return one, pieces
 
 
-def _cell_weights(phi: IntegrandFn, region: Region) -> tuple[dict[int, int], int]:
-    """({cell: w}, 2^e) for the cells meeting the region, w / 2^e the overlap."""
-    den, pieces = _region_pieces(phi, region)
-    weights: dict[int, int] = {}
-    for c, a, b in pieces:
-        weights[c] = weights.get(c, 0) + b - a
-    return weights, den
-
-
 def scalar_integral(f: DualFunctional, phi: IntegrandFn, region: Region = UNIT_REGION) -> Fraction:
-    """Exact integral of f(phi(t)) over the region, closed form per cell: f
-    meets each step value once, weighted by its cell's overlap with the region."""
-    if phi.klass == EVALUATOR:
-        raise UnsupportedExactIntegration(f"{phi.label} has no closed form")
-    if phi.klass == STEP:
-        weights, den = _cell_weights(phi, region)
-        return sum((f(phi.values[c]) * w for c, w in weights.items()), Fraction(0)) / den
-    den, pieces = _region_pieces(phi, region)
-    coeffs = paired_polys(f, phi)
-    return sum((poly_integral(coeffs[c], Fraction(a, den), Fraction(b, den))
-                for c, a, b in pieces), Fraction(0))
+    """Exact integral of f(phi(t)) over the region: f of the closed-form
+    vector integral, since f is linear and the closed form is exact."""
+    return f(exact_vector_integral(phi, region))
 
 
 def exact_vector_integral(phi: IntegrandFn, region: Region = UNIT_REGION) -> VectorValue:
     """Coordinate-wise closed form; the independent oracle for gauge sums.
 
     Supported for piecewise classes only.  Step values integrate to
-    sum(overlap * value) over the cells; polynomial cells integrate
-    coordinate-wise over each overlap piece.
+    sum(overlap * value), one term per cell weighted by its total overlap
+    with the region; polynomial cells integrate coordinate-wise over each
+    overlap piece.
     """
+    if phi.klass == EVALUATOR:
+        raise UnsupportedExactIntegration(f"{phi.label} has no closed form")
+    den, pieces = _region_pieces(phi, region)
     if phi.klass == STEP:
-        weights, den = _cell_weights(phi, region)
+        weights: dict[int, int] = {}
+        for c, a, b in pieces:
+            weights[c] = weights.get(c, 0) + b - a
         return linear_combination(phi.space, (
             (Fraction(w, den), phi.values[c]) for c, w in weights.items()))
-    if phi.klass == POLY:
-        den, pieces = _region_pieces(phi, region)
-        coords = [Fraction(0)] * phi.space.dim
-        for c, a, b in pieces:
-            for j, coeffs in enumerate(phi.polys[c]):
-                coords[j] += poly_integral(coeffs, Fraction(a, den), Fraction(b, den))
-        return VectorValue.coords(phi.space, coords)
-    raise UnsupportedExactIntegration(f"{phi.label} has no closed form")
+    coords = [Fraction(0)] * phi.space.dim
+    for c, a, b in pieces:
+        for j, coeffs in enumerate(phi.polys[c]):
+            coords[j] += poly_integral(coeffs, Fraction(a, den), Fraction(b, den))
+    return VectorValue.coords(phi.space, coords)
 
 
 def adapted_gauge(phi: IntegrandFn, level: int) -> Gauge:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import OverlappingItems, UnsupportedExactIntegration
+from .errors import UnsupportedExactIntegration
 from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION, floor_to_depth, format_region
 from .gauges import Gauge, MCSHANE, TaggedPartition, cousin_partition
 from .integrands import (
@@ -32,7 +32,6 @@ from .integrands import (
     adapted_gauge,
     exact_vector_integral,
     restrict_integrand,
-    scalar_integral,
 )
 from .rng import stream
 from .spaces import DualFunctional, ValueSpace, VectorValue, distance, linear_combination
@@ -89,19 +88,6 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
                 coords[j] += c * m
     den = 1 << (e * top)
     return VectorValue(phi.space, tuple(x / den for x in coords))
-
-
-def generalized_sum(phi: IntegrandFn, items: Sequence[tuple[Region, Dyadic]]) -> VectorValue:
-    """Sum of mu(E_i) * phi(t_i) over tagged regions; regions must be
-    non-overlapping up to null sets."""
-    total = D0
-    for region, _ in items:
-        total = total + region.measure()
-    union = Region(part for region, _ in items for part in region.parts)
-    if union.measure() != total:
-        raise OverlappingItems("tagged regions overlap in positive measure")
-    weighted = ((region.measure().as_fraction(), tag) for region, tag in items)
-    return linear_combination(phi.space, ((mu, phi.eval(t)) for mu, t in weighted if mu))
 
 
 # -- gauge-limit integration ---------------------------------------------------
@@ -230,10 +216,11 @@ def pettis_check(
     seed: int = 0,
     inner_tol: Fraction | None = None,
 ) -> dict:
-    """Compare f(nu(E)) from gauge sums against the exact scalar closed form.
+    """Compare f(nu(E)) from gauge sums against f of the exact closed form.
 
     Two genuinely different routes: nu(E) comes from subordinate-partition
-    Riemann sums of the restricted integrand, the scalar side from per-cell
+    Riemann sums of the restricted integrand, the exact side is f of the
+    closed-form vector integral, worked out once per region from per-cell
     antiderivatives.  Functionals must carry norm_bound <= 1.
     """
     for f in functionals:
@@ -244,10 +231,9 @@ def pettis_check(
     max_residual = Fraction(0)
     for ei, region in enumerate(regions):
         est = indefinite_integral(phi, region, tol=inner, seed=seed + ei)
+        exact = exact_vector_integral(phi, region)
         for fi, f in enumerate(functionals):
-            gauge_side = f(est.value)
-            exact_side = scalar_integral(f, phi, region)
-            residual = abs(gauge_side - exact_side)
+            residual = abs(f(est.value) - f(exact))
             if residual > max_residual:
                 max_residual = residual
             entries.append(
@@ -306,6 +292,12 @@ def interval_series_check(
     }
 
 
+def _trim_depth(exp: int) -> int:
+    """Depth of the grid on which _trim_region_to_measure cuts a part whose
+    left end has exponent exp."""
+    return max(exp, 40) + 12
+
+
 def _trim_region_to_measure(region: Region, target: Fraction) -> Region:
     """Largest prefix of the region's parts with measure <= target (exact)."""
     kept = []
@@ -316,7 +308,7 @@ def _trim_region_to_measure(region: Region, target: Fraction) -> Region:
             kept.append(part)
             budget -= length
         elif budget > 0:
-            hi = floor_to_depth(part.lo.as_fraction() + budget, max(part.lo.exp, 40) + 12)
+            hi = floor_to_depth(part.lo.as_fraction() + budget, _trim_depth(part.lo.exp))
             if hi > part.lo:
                 kept.append(Interval(part.lo, hi))
             budget = Fraction(0)
@@ -327,9 +319,13 @@ def sample_regions(
     count: int, seed: int, max_measure: Fraction = Fraction(1), depth: int = 8, max_parts: int = 3
 ) -> list[Region]:
     """Deterministic pool of dyadic regions with measure <= max_measure."""
-    if max_measure <= 0:
+    # a drawn part starts at exponent <= depth, so a trimmed draw is empty
+    # unless the bound reaches one cell of the finest grid it may be cut on
+    floor = Fraction(1, 1 << _trim_depth(depth))
+    if max_measure < floor:
         # every draw would be trimmed to the empty region
-        raise ValueError(f"regions need a positive measure bound, got {max_measure}")
+        raise ValueError(f"regions need a positive measure bound of at least {floor}, "
+                         f"got {max_measure}")
     rng = stream(seed, 0)
     out = []
     target = min(Fraction(1), max_measure)
@@ -599,17 +595,18 @@ def uniform_integrability(
     pool: list[Region] = []
     for i, eta in enumerate(etas):
         pool.extend(sample_regions(regions_per_eta, seed + 57 * i, max_measure=eta))
+    measured = [(region, region.measure().as_fraction(),
+                 [exact_vector_integral(phi, region) for phi in phis]) for region in pool]
     rows = []
     for eta in etas:
         best = Fraction(0)
         witness = None
-        for region in pool:
-            mu = region.measure().as_fraction()
+        for region, mu, integrals in measured:
             if mu > eta:
                 continue
-            for pi, phi in enumerate(phis):
+            for pi, integral in enumerate(integrals):
                 for fi, f in enumerate(functionals):
-                    v = abs(scalar_integral(f, phi, region))
+                    v = abs(f(integral))
                     if v > best:
                         best = v
                         witness = {"phi": pi, "functional": fi,
@@ -635,9 +632,10 @@ def vitali_limit(
 
     H1: pointwise closeness of phi_{n_max} to the limit on a deterministic
     interior dyadic sample.
-    H2: late-window Cauchy check of the scalar integrals over each region.
+    H2: late-window Cauchy check of the scalar integrals f(int_E phi_n) over
+    each region, f applied to one closed-form vector integral per (n, region).
     C:  only claimed when H1 and H2 hold — the gauge integral of the limit
-    matches the last scalar-route vector integral within 3*tol.
+    matches the closed-form vector integral of phi_{n_max} within 3*tol.
     """
     n_pts = 1 << sample_depth
     sample = [Fraction(2 * i + 1, 2 * n_pts) for i in range(n_pts)]
@@ -662,8 +660,9 @@ def vitali_limit(
         return cache[n]
 
     for ri, region in enumerate(regions):
+        integrals = [exact_vector_integral(seq(n), region) for n in range(lo, n_max + 1)]
         for fi, f in enumerate(functionals):
-            vals = [scalar_integral(f, seq(n), region) for n in range(lo, n_max + 1)]
+            vals = [f(v) for v in integrals]
             gap = max(vals) - min(vals)
             if gap > h2_worst:
                 h2_worst = gap
@@ -698,23 +697,20 @@ def default_functionals(space: ValueSpace, count: int, seed: int = 0) -> list[Du
     rng = stream(seed, 3)
     out: list[DualFunctional] = []
     if space.is_step:
-        n_cells = 1 << space.grid_depth
+        g = space.grid_depth
+        n_cells = 1 << g
         for i in range(min(count, 8)):
             out.append(DualFunctional.coordinate(space, (i * max(1, n_cells // 8)) % n_cells))
         while len(out) < count:
-            # density = sign pattern on a random dyadic window, L1-normalized
+            # density = sign / width on a random window [a, b] / 2^g, 0 elsewhere:
+            # L1 norm 1; the empty cells before a = 0 or after b = 2^g are dropped
             a = int(rng.integers(0, n_cells))
             b = int(rng.integers(a + 1, n_cells + 1))
-            lo, hi = Dyadic(a, space.grid_depth), Dyadic(b, space.grid_depth)
-            width = (hi - lo).as_fraction()
             sign = 1 if int(rng.integers(0, 2)) else -1
-            breaks = [x for x in (D0, lo, hi, D1)]
-            breaks = sorted(set(breaks), key=lambda d: d.as_fraction())
-            levels = []
-            for c0, c1 in zip(breaks, breaks[1:]):
-                inside = lo.as_fraction() <= (c0.as_fraction() + c1.as_fraction()) / 2 < hi.as_fraction()
-                levels.append(Fraction(sign, 1) / width if inside else Fraction(0))
-            density = VectorValue.step(space, breaks, levels)
+            ends, levels = (0, a, b, n_cells), (0, Fraction(sign << g, b - a), 0)
+            cells = [(x, level) for x, y, level in zip(ends, ends[1:], levels) if x < y]
+            density = VectorValue.step(space, [Dyadic(x, g) for x, _ in cells] + [D1],
+                                       [level for _, level in cells])
             out.append(DualFunctional.step_pairing(space, density))
         return out[:count]
     for i in range(min(count, space.dim)):

@@ -248,6 +248,8 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
     ("abscont", "--fn", "3f", "--etas", "0"),
     ("abscont", "--fn", "3f", "--etas=-1/4"),
     ("abscont", "--fn", "3f", "--etas", "1/4,0"),
+    # nor does any sampled region have a positive measure below 2^-52
+    ("abscont", "--fn", "3f", "--etas", "2^-53"),
     # a 2^17-cell norm grid of Fraction cuts
     ("gallery", "3g", "--norm-depth", "17"),
     ("gallery", "3g", "--norm-depth", "40"),

@@ -1,12 +1,12 @@
 """The exact side of the dual pairing against the Fraction code it replaced.
 
-`scalar_integral` and `exact_vector_integral` find where the integrand's cells
-meet the region's parts in one integer sweep; a step integrand pairs f with
-each cell's value once, weighted by the cell's total overlap.  On the step
-space, `DualFunctional` reads int keys on the space's grid.  The oracles are
-the code as it was, copied in below: a Dyadic min/max per (cell, part) pair,
-and functionals that merge Dyadic breaks and locate a grid cell's middle in
-Fractions (here by a linear scan).  Results must be structurally equal:
+`exact_vector_integral` finds where the integrand's cells meet the region's
+parts in one integer sweep and weights each step value once, by its cell's
+total overlap; `scalar_integral` applies f to that vector integral.  On the
+step space, `DualFunctional` reads int keys on the space's grid.  The oracles
+are the code as it was, copied in below: a Dyadic min/max per (cell, part)
+pair, and functionals that merge Dyadic breaks and locate a grid cell's middle
+in Fractions (here by a linear scan).  Results must be structurally equal:
 the same Fraction, or the same `repr` for a vector.
 
 Regions have parts reaching outside [0,1], degenerate parts, and parts that

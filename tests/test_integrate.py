@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from gaugelab.errors import OverlappingItems, UnsupportedExactIntegration
+from gaugelab import integrate
+from gaugelab.errors import UnsupportedExactIntegration
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION
 from gaugelab.gauges import Gauge, TaggedInterval, TaggedPartition
 from gaugelab.integrands import (IntegrandFn, dyadic_indicator,
@@ -15,7 +16,7 @@ from gaugelab.integrands import (IntegrandFn, dyadic_indicator,
 from gaugelab.integrate import (DEFAULT_TOL, BochnerCertificate,
                                 NotApproximable, absolute_continuity,
                                 bochner_integrate, default_functionals,
-                                generalized_sum, indefinite_integral,
+                                indefinite_integral,
                                 interval_series_check, lower_norm_integral,
                                 mcshane_integrate, pettis_check, riemann_sum,
                                 sample_regions, talagrand_integrate,
@@ -55,22 +56,6 @@ def test_riemann_sum_free_tags():
     s = riemann_sum(phi, p)
     # both tags read the second cell's value (3/4 and 1/4 are >= 1/2... 1/4 is not)
     assert s.data == (Fraction(1, 2) * 0 + Fraction(1, 2) * 1, Fraction(1, 2) * 3)
-
-
-def test_generalized_sum_and_overlap_guard():
-    phi = two_cell_step()
-    left = Region((Interval(D0, HALF),))
-    right = Region((Interval(HALF, D1),))
-    s = generalized_sum(phi, [(left, Dyadic(1, 2)), (right, Dyadic(3, 2))])
-    assert s.data == (Fraction(1, 2), Fraction(3, 2))
-    with pytest.raises(OverlappingItems):
-        generalized_sum(phi, [(left, D0), (Region((Interval(D0, Dyadic(1, 2)),)), D0)])
-    # the overlap check comes before any tag is evaluated: the tag 5/2 would raise ValueError
-    with pytest.raises(OverlappingItems):
-        generalized_sum(phi, [(left, D0), (Region((Interval(D0, D1),)), Dyadic(5, 1))])
-    # a null region's tag is never evaluated, so it may lie outside [0,1]
-    null = Region((Interval(D1, D1),))
-    assert generalized_sum(phi, [(left, D0), (null, Dyadic(5, 1))]).data == (Fraction(1, 2), 0)
 
 
 def test_mcshane_converges_honestly_on_square():
@@ -141,6 +126,43 @@ def test_pettis_check_passes_and_guards_norm():
     big = DualFunctional.combination(phi.space, [Fraction(5), Fraction(0)])
     with pytest.raises(ValueError):
         pettis_check(phi, [big], regions)
+
+
+def test_pairing_checks_integrate_each_integrand_and_region_once(monkeypatch):
+    """pettis_check, vitali_limit and uniform_integrability work out one
+    closed-form vector integral per (integrand, region) and apply every
+    functional to it, never one integral per functional."""
+    calls = []
+
+    def counted(phi, region=UNIT_REGION):
+        calls.append((phi, region))
+        return exact_vector_integral(phi, region)
+
+    monkeypatch.setattr(integrate, "exact_vector_integral", counted)
+
+    def pairs():
+        # the integrands and regions stay alive in `calls`, so ids are unique
+        return {(id(phi), id(region)) for phi, region in calls}
+
+    phi = two_cell_step()
+    fs = [DualFunctional.coordinate(phi.space, 0), DualFunctional.coordinate(phi.space, 1),
+          DualFunctional.combination(phi.space, [Fraction(1, 2), Fraction(-1, 2)])]
+    regions = [UNIT_REGION, Region((Interval(D0, HALF),)), Region((Interval(Dyadic(1, 2), D1),))]
+    pettis_check(phi, fs, regions)
+    assert len(calls) == len(regions)
+
+    calls.clear()
+    line = ValueSpace.findim(1, "l2")
+    gs = [DualFunctional.coordinate(line, 0), DualFunctional.combination(line, [Fraction(-1, 2)])]
+    vitali_limit(spike, zero_integrand(), gs, regions, n_max=8)
+    # H2 over n = 4..8 for each region, then C's one integral of phi_8
+    assert len(calls) == len(pairs()) == len(regions) * 5 + 1
+
+    calls.clear()
+    out = uniform_integrability([phi, two_cell_step()], fs, [Fraction(1, 8), Fraction(1, 2)],
+                                regions_per_eta=4, seed=1)
+    assert len(calls) == len(pairs()) == 2 * 8
+    assert out["rows"][1]["modulus"] > 0
 
 
 def test_interval_series_check_geometric_blocks():
@@ -310,7 +332,14 @@ def test_sample_regions_respects_cap():
         assert r.bounding().lo >= D0 and r.bounding().hi <= D1
 
 
-@pytest.mark.parametrize("cap", [Fraction(0), Fraction(-1, 4)])
+def test_sample_regions_meets_the_smallest_bound():
+    # 2^-52 is one cell of the grid a drawn part is trimmed on
+    cap = Fraction(1, 1 << 52)
+    regions = sample_regions(6, seed=9, max_measure=cap)
+    assert [r.measure().as_fraction() for r in regions] == [cap] * 6
+
+
+@pytest.mark.parametrize("cap", [Fraction(0), Fraction(-1, 4), Fraction(1, 1 << 53)])
 def test_sample_regions_rejects_bound_no_region_meets(cap):
     with pytest.raises(ValueError, match="positive measure bound"):
         sample_regions(4, seed=0, max_measure=cap)
