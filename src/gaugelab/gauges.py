@@ -22,9 +22,10 @@ are made only when a caller reads `items`.
 from __future__ import annotations
 
 import json
-import random
+from _random import Random as _CRandom
 from bisect import bisect_left
 from fractions import Fraction
+from hashlib import sha512
 from typing import Callable, Iterable, Sequence
 
 from .errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
@@ -283,17 +284,28 @@ def _canonical_exp(n: int, e: int) -> int:
     return e - z if z < e else 0
 
 
-def _sampled_tag(rng: random.Random, seed: int, lo: int, hi: int, e: int):
+def _sampled_tag(rng: _CRandom, seed: int, lo: int, hi: int, e: int):
     """The sampled strategy's fit-test triple (t, d, te) for [lo, hi] / 2^e
     with lo < hi: a draw t strictly inside at exponent te, ten bits finer than
     the finest of lo, hi and the length in canonical form.  The draw is seeded
-    by the canonical endpoint strings, so it depends on the interval alone."""
+    by the canonical endpoint strings, so it depends on the interval alone.
+
+    It is the draw `random.Random(key).randint(lo + 1, hi - 1)` makes, done
+    the way that call does it on CPython, without its Python layers: a str
+    key seeds the C generator with the int of key + sha512(key) (version-2
+    seeding), and randint draws below the width by getrandbits rejection."""
     el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
     te = max(el, eh, _canonical_exp(hi - lo, e)) + 10
     lo, hi = lo >> (e - el), hi >> (e - eh)
-    rng.seed(f"{seed}|{lo}/2^{el}|{hi}/2^{eh}")
+    key = f"{seed}|{lo}/2^{el}|{hi}/2^{eh}".encode()
+    rng.seed(int.from_bytes(key + sha512(key).digest(), "big"))
     lo, hi = lo << (te - el), hi << (te - eh)
-    t = rng.randint(lo + 1, hi - 1)
+    width = hi - lo - 1  # at least 2^10 - 1: te is ten bits finer
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    t = lo + 1 + r
     return t, max(t - lo, hi - t), te
 
 
@@ -327,7 +339,7 @@ def cousin_partition(
         raise ValueError(f"unknown flavor {flavor!r}")
     fits = g.fits
     sampled = tag_strategy == "sampled"
-    rng = random.Random(seed) if sampled else None
+    rng = _CRandom(seed) if sampled else None
     # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
     # ints at exponent e0 + depth, so kept items come out sorted.  Each kept
     # item is (lo, hi, e, t, te): its endpoints at e and its tag at te.  Every

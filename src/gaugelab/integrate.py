@@ -48,12 +48,13 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
     The partition's columns give each item's length L = w / 2^e and tag
     a / 2^e as the ints w and a.  A step integrand adds up the w of each
     cell, then makes one linear combination over the cells in cell order,
-    each value weighted by W_c / 2^e.  A polynomial integrand adds up the int
-    moments S_k = sum w * a^k of each cell; coordinate j is then sum over
-    cells and k of c_jk * S_k / 2^(e(k+1)).  Cells whose coefficients are all
-    zero keep no moments, and zero-length items add nothing.  Evaluator
-    integrands keep the per-item path: each tag is evaluated and scaled by
-    its interval's length.
+    each value weighted by W_c / 2^e; in a step space that combination runs
+    in ints over the values' columns (see `linear_combination`).  A
+    polynomial integrand adds up the int moments S_k = sum w * a^k of each
+    cell; coordinate j is then sum over cells and k of c_jk * S_k /
+    2^(e(k+1)).  Cells whose coefficients are all zero keep no moments, and
+    zero-length items add nothing.  Evaluator integrands keep the per-item
+    path: each tag is evaluated and scaled by its interval's length.
     """
     e = p.exp
     if phi.klass == EVALUATOR:

@@ -1,19 +1,25 @@
 """Value spaces, exact vectors, certified norms, and dual functionals.
 
-Coordinates are arbitrary-precision rationals throughout.  Norms that are
-themselves rational (l1, sup, max-of-levels) come back exact; the Euclidean
-norm comes back as a certified enclosure [lo, hi] produced by an
-outward-rounded integer square root, never as a float.  Step-function values
-(the L-infinity-like space) are stored with their own merged breakpoints; the
-space's grid depth is the resolution contract and every breakpoint must sit on
-that grid.
+Norms that are themselves rational (l1, sup, max-of-levels) come back exact;
+the Euclidean norm comes back as a certified enclosure [lo, hi] produced by an
+outward-rounded integer square root, never as a float.
+
+Coordinate values are tuples of rationals.  Step-function values (the
+L-infinity-like space) are integer columns on the space's grid 2^-g: break
+keys k_0 = 0 < ... < k_m = 2^g, level numerators n_0..n_{m-1} and one
+positive denominator d, so cell [k_i, k_{i+1}) / 2^g has level n_i / d.  The
+grid depth is the resolution contract: every breakpoint must sit on that grid.
+The columns are canonical (no two adjacent levels equal, gcd(n, d) = 1), so
+equal functions have equal columns.  Sums, norms, distances, point values and
+pairings of step values work on the columns in ints and build one Fraction
+per result; the Dyadic/Fraction form `data` is built only when read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import SpaceMismatch
@@ -148,27 +154,68 @@ def _merge_steps(a_breaks, a_levels, b_breaks, b_levels):
     return out
 
 
-def _canonical_steps(runs):
-    """Merge adjacent runs with equal level; returns (breaks, levels)."""
-    breaks = [runs[0][0]]
-    levels = []
-    for lo, hi, level in runs:
-        if levels and level == levels[-1]:
-            breaks[-1] = hi
+def _step_columns(space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence):
+    """Canonical columns (keys, nums, den) of the step function with Dyadic
+    breaks on the space's grid and rational levels; ValueError if it is not one."""
+    breaks, levels = list(breaks), list(levels)
+    if len(levels) != len(breaks) - 1:
+        raise ValueError("need one level per cell")
+    if breaks[0] != D0 or breaks[-1] != D1:
+        raise ValueError("step value must span [0,1]")
+    g = space.grid_depth
+    if any(b.exp > g for b in breaks):
+        raise ValueError(f"breakpoint finer than grid depth {g}")
+    keys = [b.num << (g - b.exp) for b in breaks]
+    if any(k >= j for k, j in zip(keys, keys[1:])):
+        raise ValueError("breakpoints must increase")
+    levels = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in levels]
+    # the lcm of reduced denominators leaves gcd(nums, den) = 1
+    den = lcm(*(q.denominator for q in levels))
+    out_keys, out_nums = [0], []
+    for k, q in zip(keys[1:], levels):
+        n = q.numerator * (den // q.denominator)
+        if out_nums and n == out_nums[-1]:
+            out_keys[-1] = k
         else:
-            levels.append(level)
-            breaks.append(hi)
-    return tuple(breaks), tuple(levels)
+            out_nums.append(n)
+            out_keys.append(k)
+    return tuple(out_keys), tuple(out_nums), den
 
 
 class VectorValue:
-    """Element of a ValueSpace with exact rational data."""
+    """Element of a ValueSpace with exact rational data.
 
-    __slots__ = ("space", "data")
+    A coordinate value's `data` is its tuple of Fractions.  A step value keeps
+    the canonical int columns `keys`, `nums` and `den` (see the module
+    docstring); its `data`, (Dyadic breaks, Fraction levels), is built from
+    them on first read.  A step value made from `data` is converted to
+    columns at once.
+    """
+
+    __slots__ = ("space", "_data", "keys", "nums", "den")
 
     def __init__(self, space: ValueSpace, data):
         self.space = space
-        self.data = data
+        self._data = data
+        if space.is_step:
+            self.keys, self.nums, self.den = _step_columns(space, *data)
+        else:
+            self.keys = self.nums = self.den = None
+
+    @classmethod
+    def _columns(cls, space: ValueSpace, keys: tuple, nums: tuple, den: int) -> "VectorValue":
+        """A step value from columns that are already canonical."""
+        v = cls.__new__(cls)
+        v.space, v._data, v.keys, v.nums, v.den = space, None, keys, nums, den
+        return v
+
+    @property
+    def data(self):
+        if self._data is None:
+            g, den = self.space.grid_depth, self.den
+            self._data = (tuple(Dyadic(k, g) for k in self.keys),
+                          tuple(Fraction(n, den) for n in self.nums))
+        return self._data
 
     # -- constructors ------------------------------------------------------
 
@@ -185,33 +232,21 @@ class VectorValue:
     def step(cls, space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence) -> "VectorValue":
         if not space.is_step:
             raise ValueError("step data needs a step_linf space")
-        bl = list(breaks)
-        lv = [Fraction(v) for v in levels]
-        if len(lv) != len(bl) - 1:
-            raise ValueError("need one level per cell")
-        if bl[0] != D0 or bl[-1] != D1:
-            raise ValueError("step value must span [0,1]")
-        if any(b.exp > space.grid_depth for b in bl):
-            raise ValueError(f"breakpoint finer than grid depth {space.grid_depth}")
-        if any(b >= c for b, c in zip(bl, bl[1:])):
-            raise ValueError("breakpoints must increase")
-        runs = list(zip(bl, bl[1:], lv))
-        breaks_c, levels_c = _canonical_steps(runs)
-        return cls(space, (breaks_c, levels_c))
+        return cls._columns(space, *_step_columns(space, breaks, levels))
 
     @classmethod
     def zero(cls, space: ValueSpace) -> "VectorValue":
         if space.is_step:
-            return cls.step(space, [D0, D1], [0])
-        return cls.coords(space, [0] * space.dim)
+            return cls._columns(space, (0, 1 << space.grid_depth), (0,), 1)
+        return cls(space, (Fraction(0),) * space.dim)
 
     @classmethod
     def basis(cls, space: ValueSpace, n: int) -> "VectorValue":
         if space.is_step:
             raise ValueError("no canonical basis for step values; build explicitly")
-        vals = [0] * space.dim
-        vals[n] = 1
-        return cls.coords(space, vals)
+        vals = [Fraction(0)] * space.dim
+        vals[n] = Fraction(1)
+        return cls(space, tuple(vals))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -230,30 +265,36 @@ class VectorValue:
 
     def norm(self, bits: int = 64) -> Enclosure:
         if self.space.is_step:
-            _, levels = self.data
-            return Enclosure.exact(max((abs(l) for l in levels), default=Fraction(0)))
+            top = Fraction(max(map(abs, self.nums)), self.den)
+            return Enclosure(top, top)
         if self.space.norm == L1:
-            return Enclosure.exact(sum((abs(v) for v in self.data), Fraction(0)))
+            return Enclosure.exact(sum((abs(v) for v in self.data if v), Fraction(0)))
         if self.space.norm == LINF:
-            return Enclosure.exact(max((abs(v) for v in self.data), default=Fraction(0)))
-        square = sum((v * v for v in self.data), Fraction(0))
+            return Enclosure.exact(max((abs(v) for v in self.data if v), default=Fraction(0)))
+        square = sum((v * v for v in self.data if v), Fraction(0))
         return sqrt_enclosure(square, bits=bits)
+
+    def _level_at(self, key: int) -> Fraction:
+        """Level at the points [key, key + 1) / 2^g: the cell whose key is the
+        last one <= key (half-open cells, last closed; points outside [0,1]
+        get the level of the end cell next to them)."""
+        return Fraction(self.nums[bisect_right(self.keys, key, 1, len(self.nums)) - 1], self.den)
 
     def step_eval(self, t) -> Fraction:
         """Level of a step value at point t (half-open cells, last closed).
         Breaks lie on the grid 2^-g, and k / 2^g <= t iff k <= floor(t * 2^g)."""
-        breaks, levels = self.data
         g = self.space.grid_depth
-        tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
-        return levels[bisect_right(breaks, (tq.numerator << g) // tq.denominator, 1, len(levels),
-                                   key=lambda b: b.num << (g - b.exp)) - 1]
+        if isinstance(t, Dyadic):
+            return self._level_at((t.num << g) >> t.exp)
+        tq = t if isinstance(t, (int, Fraction)) else Fraction(t)
+        return self._level_at((tq.numerator << g) // tq.denominator)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VectorValue)
-            and self.space == other.space
-            and self.data == other.data
-        )
+        if not isinstance(other, VectorValue) or self.space != other.space:
+            return False
+        if self.space.is_step:
+            return (self.keys, self.nums, self.den) == (other.keys, other.nums, other.den)
+        return self.data == other.data
 
     def __repr__(self):
         return f"VectorValue({self.space!r}, {self.data!r})"
@@ -271,11 +312,14 @@ def linear_combination(space: ValueSpace, terms) -> VectorValue:
 
     Every v must live in `space` (else SpaceMismatch); each c is an exact
     rational.  The result is the left fold of `+` over the scaled terms, with
-    the same canonical data.  Coordinate values sum into one list in place.
-    A step value adds c * (level change) at each of its breakpoints into a
-    dict keyed by integer grid position, so a term costs O(breaks of v) however
-    many cells the sum already has; one sorted prefix sum at the end emits a
-    breakpoint only where the level changes, which is the canonical form.
+    the same canonical data.  Coordinate values sum into one list in place,
+    skipping zero coefficients and zero coordinates.  A step value adds the
+    int c * (level change) at each of its break keys into a dict, over one
+    common denominator D for all terms: a term whose denominator does not
+    divide D raises D to their lcm and rescales the jumps so far.  So a term
+    costs O(breaks of v) however many cells the sum already has.  One sorted
+    prefix sum at the end emits a break only where the level changes, and
+    dividing out gcd(levels, D) makes the columns canonical.
     """
     if space.is_step:
         return _step_combination(space, terms)
@@ -285,48 +329,69 @@ def linear_combination(space: ValueSpace, terms) -> VectorValue:
         if not c:
             continue
         if acc is None:
-            acc = list(v.data) if c == 1 else [c * x for x in v.data]
+            acc = list(v.data) if c == 1 else [c * x if x else x for x in v.data]
         elif c == 1:
             for i, x in enumerate(v.data):
-                acc[i] += x
+                if x:
+                    acc[i] += x
         elif c == -1:
             for i, x in enumerate(v.data):
-                acc[i] -= x
+                if x:
+                    acc[i] -= x
         else:
             for i, x in enumerate(v.data):
-                acc[i] += c * x
+                if x:
+                    acc[i] += c * x
     return VectorValue(space, tuple(acc) if acc is not None else (Fraction(0),) * space.dim)
 
 
 def _step_combination(space: ValueSpace, terms) -> VectorValue:
-    g = space.grid_depth
-    jumps: dict[int, Fraction] = {}
+    jumps: dict[int, int] = {}
+    den = 1
     for c, v in terms:
         c = _coefficient(space, c, v)
         if not c:
             continue
-        breaks, levels = v.data
+        q = c.denominator * v.den
+        if den % q:
+            grow = q // gcd(den, q)
+            den *= grow
+            for k in jumps:
+                jumps[k] *= grow
+        m = c.numerator * (den // q)
         prev = 0
-        for b, level in zip(breaks, levels):  # each cell's left end
-            pos = b.num << (g - b.exp)
-            jumps[pos] = jumps.get(pos, 0) + c * (level - prev)
-            prev = level
-    out_breaks, out_levels = [D0], []
-    level = Fraction(0)
-    for pos in sorted(jumps):
-        jump = jumps[pos]
+        for k, n in zip(v.keys, v.nums):  # each cell's left end
+            jumps[k] = jumps.get(k, 0) + m * (n - prev)
+            prev = n
+    keys, nums = [0], []
+    level = 0
+    for k in sorted(jumps):
+        jump = jumps[k]
         if jump:
-            if pos:
-                out_breaks.append(Dyadic(pos, g))
-                out_levels.append(level)
+            if k:
+                keys.append(k)
+                nums.append(level)
             level += jump
-    out_breaks.append(D1)
-    out_levels.append(level)
-    return VectorValue(space, (tuple(out_breaks), tuple(out_levels)))
+    keys.append(1 << space.grid_depth)
+    nums.append(level)
+    r = gcd(den, *nums)
+    if r != 1:
+        den //= r
+        nums = [n // r for n in nums]
+    return VectorValue._columns(space, tuple(keys), tuple(nums), den)
 
 
 def distance(u: VectorValue, v: VectorValue, bits: int = 64) -> Enclosure:
-    return (u - v).norm(bits=bits)
+    """The norm of u - v.  Two step values are compared run by run on their
+    common refinement, max |n_u d_v - n_v d_u| / (d_u d_v), in ints."""
+    if not u.space.is_step:
+        return (u - v).norm(bits=bits)
+    if v.space != u.space:
+        raise SpaceMismatch(f"{u.space} vs {v.space}")
+    worst = max(abs(a * v.den - b * u.den)
+                for _, _, a, b in _merge_steps(u.keys, u.nums, v.keys, v.nums))
+    top = Fraction(worst, u.den * v.den)
+    return Enclosure(top, top)
 
 
 class DualFunctional:
@@ -372,11 +437,9 @@ class DualFunctional:
     def step_pairing(cls, space: ValueSpace, density: VectorValue) -> "DualFunctional":
         if not space.is_step or density.space != space:
             raise ValueError("step pairing needs a density in the same step space")
-        breaks, levels = density.data
-        bound = sum(
-            (abs(l) * (hi - lo).as_fraction() for lo, hi, l in zip(breaks, breaks[1:], levels)),
-            Fraction(0),
-        )
+        keys, nums = density.keys, density.nums
+        bound = Fraction(sum(abs(n) * (hi - lo) for lo, hi, n in zip(keys, keys[1:], nums)),
+                         density.den << space.grid_depth)
         return cls(space, "step_pairing", density, bound, "pairing")
 
     def __call__(self, v: VectorValue) -> Fraction:
@@ -384,22 +447,16 @@ class DualFunctional:
             raise SpaceMismatch(f"{v.space} vs {self.space}")
         if self.kind == "coordinate":
             if self.space.is_step:
-                n = self.params
-                mid = Fraction(2 * n + 1, 1 << (self.space.grid_depth + 1))
-                return v.step_eval(mid)
+                # the middle of grid cell n is (2n + 1) / 2^(g+1): key n
+                return v._level_at(self.params)
             return v.data[self.params]
         if self.kind == "combination":
             return sum((c * x for c, x in zip(self.params, v.data)), Fraction(0))
-        # both step functions on the grid 2^-g, their breaks as int keys
-        g = self.space.grid_depth
-        db, dl = self.params.data
-        vb, vl = v.data
-        total = Fraction(0)
-        for lo, hi, ld, lv in _merge_steps([b.num << (g - b.exp) for b in db], dl,
-                                           [b.num << (g - b.exp) for b in vb], vl):
-            if ld and lv:
-                total += ld * lv * (hi - lo)
-        return total / (1 << g)
+        # both step functions on the grid 2^-g: the integral of their product
+        d = self.params
+        total = sum(ld * lv * (hi - lo)
+                    for lo, hi, ld, lv in _merge_steps(d.keys, d.nums, v.keys, v.nums) if ld and lv)
+        return Fraction(total, (d.den * v.den) << self.space.grid_depth)
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "norm_bound": str(self.norm_bound)}

@@ -7,9 +7,11 @@ breakpoints, tag exponents below and above the breakpoints' own, and tags
 outside [0,1].  `cousin_partition` is checked against the Fraction-route
 bisection it replaced, copied in below as the oracle (with a base whose width
 is not a power of two split into power-of-two pieces first), and the lazy
-adapted schedule against the eager list of `adapted_gauge` calls.
+adapted schedule against the eager list of `adapted_gauge` calls.  The sampled
+strategy's seeding and draw are pinned to `random.Random(key).randint`.
 """
 
+import _random
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded, UnsupportedExact
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
 from gaugelab.gallery import example_3f
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
-                             cousin_partition, is_subordinate, partition_to_json)
+                             _sampled_tag, cousin_partition, is_subordinate, partition_to_json)
 from gaugelab.integrands import (adapted_gauge, dyadic_indicator, poly_integrand,
                                  restrict_integrand)
 
@@ -323,3 +325,20 @@ def test_adapted_schedule_refuses_evaluator_before_any_partition(monkeypatch):
     with pytest.raises(UnsupportedExactIntegration):
         integrate.mcshane_integrate(phi, schedule="adapted")
     assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9), e=st.integers(0, 80), data=st.data())
+def test_sampled_tag_is_the_random_module_draw(seed, e, data):
+    """Each sampled tag is random.Random(key).randint(lo + 1, hi - 1) for the
+    key made of the seed and the canonical endpoints, at ten bits finer than
+    the finest of lo, hi and the length."""
+    lo = data.draw(st.integers(-(1 << (e + 1)), 1 << (e + 1)))
+    hi = lo + data.draw(st.one_of(st.integers(1, 8), st.integers(1, 1 << (e + 1))))
+    a, b, w = Dyadic(lo, e), Dyadic(hi, e), Dyadic(hi - lo, e)
+    te = max(a.exp, b.exp, w.exp) + 10
+    lo_t, hi_t = a.num << (te - a.exp), b.num << (te - b.exp)
+    want = random.Random(f"{seed}|{a}|{b}").randint(lo_t + 1, hi_t - 1)
+    rng = _random.Random(data.draw(st.integers(0, 99)))  # the generator cousin_partition uses
+    for _ in range(2):  # reseeded per call: the draw depends on the interval alone
+        assert _sampled_tag(rng, seed, lo, hi, e) == (want, max(want - lo_t, hi_t - want), te)
