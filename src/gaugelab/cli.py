@@ -289,6 +289,11 @@ def cmd_vitali(args):
 def cmd_gallery(args):
     if args.kind == "3f":
         built = example_3f(args.depth)
+        # below half a grid cell, delta at most halves the bound 2 delta + grid
+        # while the constant-gauge partition doubles with every halving
+        if args.delta is not None and args.delta < built["grid"] / 2:
+            raise ValueError(f"--delta must be at least 2^-(depth+1) = {built['grid'] / 2} "
+                             f"for --depth {args.depth}, got {args.delta}")
         phi = built["integrand"]
         refusal = bochner_integrate(phi, args.eps, max_pieces=args.max_pieces)
         result = {

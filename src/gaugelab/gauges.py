@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 from _random import Random as _CRandom
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from hashlib import sha512
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
@@ -43,6 +44,12 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _over_common_den(qs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, nums) with qs[i] == nums[i] / den, so a wall compares ints."""
+    den = lcm(*(q.denominator for q in qs))
+    return den, [q.numerator * (den // q.denominator) for q in qs]
+
+
 class Gauge:
     """Positive width function on [0,1].
 
@@ -54,17 +61,31 @@ class Gauge:
       evaluator  arbitrary callable; positivity is checked at each probe
 
     The first three kinds build an integer fit test from their data at
-    construction; it replaces the `fits` method on the instance.
+    construction; it replaces the `fits` method on the instance.  Next to it
+    they build a wall: `wall(lo, hi, e)` is true only if no tag strictly
+    inside [lo, hi] / 2^e fits that interval, so sampled bisection splits a
+    walled node without drawing a tag.  A wall may miss a node no tag fits,
+    never the reverse.  Each interior tag's half-width is at least half the
+    width w, so a wall is a bound of delta by w/2 over the node:
+      const      w/2 > delta
+      piecewise  w/2 > the largest value over the cells the node meets
+      proximity  w/2 > cap if no breakpoint lies strictly inside; otherwise
+                 w/2 > the largest floor of the interior breakpoints, since
+                 a tag t off them has delta(t) <= |t - b| < max(t - lo, hi - t)
+      evaluator  never walled
     """
 
     def __init__(self, kind: str, eval_fn: Callable, descriptor: dict, floor=None,
-                 fits: Callable[[int, int, int], bool] | None = None):
+                 fits: Callable[[int, int, int], bool] | None = None,
+                 wall: Callable[[int, int, int], bool] | None = None):
         self.kind = kind
         self._eval = eval_fn
         self.descriptor = descriptor
         self.floor = floor
         if fits is not None:
             self.fits = fits
+        if wall is not None:
+            self.wall = wall
 
     def fits(self, t: int, d: int, e: int) -> bool:
         """Is d/2^e <= delta(t/2^e)?  The one subordination test: an interval
@@ -73,6 +94,12 @@ class Gauge:
         non-positive evaluator value still raises GaugeNotPositive."""
         return Fraction(d, 1 << e) <= self(Dyadic(t, e))
 
+    def wall(self, lo: int, hi: int, e: int) -> bool:
+        """Does no tag strictly inside [lo, hi] / 2^e fit it?  Evaluator
+        gauges keep this default and are never walled: ruling a node out
+        would take delta at every tag inside it."""
+        return False
+
     @classmethod
     def const(cls, value) -> "Gauge":
         v = _as_fraction(value)
@@ -80,7 +107,8 @@ class Gauge:
             raise GaugeNotPositive(f"constant gauge {v} <= 0")
         p, q = v.numerator, v.denominator
         return cls("const", lambda t: v, {"kind": "const", "value": str(v)}, floor=v,
-                   fits=lambda t, d, e: d * q <= p << e)
+                   fits=lambda t, d, e: d * q <= p << e,
+                   wall=lambda lo, hi, e: (hi - lo) * q > p << (e + 1))
 
     @classmethod
     def piecewise(cls, breaks: Sequence[Dyadic], values: Sequence) -> "Gauge":
@@ -96,6 +124,8 @@ class Gauge:
         if any(v <= 0 for v in vals):
             raise GaugeNotPositive("piecewise gauge has a non-positive cell")
         cells = DyadicCuts(breaks[1:-1])
+        keys, ce = cells.keys, cells.exp
+        den, nums = _over_common_den(vals)
 
         def ev(t):
             return vals[cells.cell(t)]
@@ -104,12 +134,20 @@ class Gauge:
             v = vals[cells.cell_at(t, e)]
             return d * v.denominator <= v.numerator << e
 
+        def wall(lo, hi, e):
+            # an interior tag's cell lies between lo's and the last cell
+            # starting below hi: cuts <= lo, then cuts < hi (hi at its ceiling)
+            s = ce - e
+            i = cells.cell_at(lo, e)
+            j = bisect_left(keys, hi << s if s >= 0 else -(-hi >> -s))
+            return (hi - lo) * den > max(nums[i:j + 1]) << (e + 1)
+
         desc = {
             "kind": "piecewise",
             "breaks": [str(b) for b in breaks],
             "values": [str(v) for v in vals],
         }
-        return cls("piecewise", ev, desc, floor=min(vals), fits=fits)
+        return cls("piecewise", ev, desc, floor=min(vals), fits=fits, wall=wall)
 
     @classmethod
     def proximity(cls, breakpoints: Sequence[Dyadic], cap, floors: Sequence) -> "Gauge":
@@ -127,6 +165,7 @@ class Gauge:
         keys, e0, n = cuts.keys, cuts.exp, len(order)
         ordered_floors = [floorq[j] for j in order]
         cap_p, cap_q = capq.numerator, capq.denominator
+        floor_den, floor_nums = _over_common_den(ordered_floors)
 
         def ev(t):
             # t = a/b, so t * 2^e0 = x/b; the first key >= that is at ceil(x/b)
@@ -163,12 +202,26 @@ class Gauge:
                 return False
             return d * cap_q <= cap_p << e
 
+        def wall(lo, hi, e):
+            if e < e0:
+                lo <<= e0 - e
+                hi <<= e0 - e
+                e = e0
+            # keys[i] is the first breakpoint past lo; those strictly inside
+            # are keys[i:j], before every key at or above hi
+            s = e - e0
+            i = bisect_right(keys, lo >> s)
+            if i < n and keys[i] << s < hi:
+                j = bisect_left(keys, -(-hi >> s), i)
+                return (hi - lo) * floor_den > max(floor_nums[i:j]) << (e + 1)
+            return (hi - lo) * cap_q > cap_p << (e + 1)
+
         desc = {
             "kind": "proximity",
             "breakpoints": [str(b) for b in bps],
             "cap": str(capq),
         }
-        return cls("proximity", ev, desc, floor=None, fits=fits)
+        return cls("proximity", ev, desc, floor=None, fits=fits, wall=wall)
 
     @classmethod
     def evaluator(cls, fn: Callable, label: str = "evaluator", floor=None) -> "Gauge":
@@ -263,12 +316,6 @@ def is_partition(p: TaggedPartition, base: Interval = UNIT) -> bool:
             and p.hi[-1] << s == base.hi.num << (e - base.hi.exp))
 
 
-def has_flavor(p: TaggedPartition) -> bool:
-    if p.flavor == HENSTOCK:
-        return all(a <= t <= b for a, b, t in zip(p.lo, p.hi, p.tag))
-    return True
-
-
 def is_subordinate(p: TaggedPartition, g: Gauge) -> bool:
     """Every item fits the gauge ball at its tag: the half-width
     max(tag - lo, hi - tag) is at most delta(tag)."""
@@ -287,15 +334,17 @@ def _canonical_exp(n: int, e: int) -> int:
 def _sampled_tag(rng: _CRandom, seed: int, lo: int, hi: int, e: int):
     """The sampled strategy's fit-test triple (t, d, te) for [lo, hi] / 2^e
     with lo < hi: a draw t strictly inside at exponent te, ten bits finer than
-    the finest of lo, hi and the length in canonical form.  The draw is seeded
-    by the canonical endpoint strings, so it depends on the interval alone.
+    the finest of lo, hi and the length in canonical form.  The length is
+    never finer than both ends (a difference keeps every factor of two its
+    terms share), so only the ends are read.  The draw is seeded by the
+    canonical endpoint strings, so it depends on the interval alone.
 
     It is the draw `random.Random(key).randint(lo + 1, hi - 1)` makes, done
     the way that call does it on CPython, without its Python layers: a str
     key seeds the C generator with the int of key + sha512(key) (version-2
     seeding), and randint draws below the width by getrandbits rejection."""
     el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
-    te = max(el, eh, _canonical_exp(hi - lo, e)) + 10
+    te = max(el, eh) + 10
     lo, hi = lo >> (e - el), hi >> (e - eh)
     key = f"{seed}|{lo}/2^{el}|{hi}/2^{eh}".encode()
     rng.seed(int.from_bytes(key + sha512(key).digest(), "big"))
@@ -328,6 +377,12 @@ def cousin_partition(
     offending subinterval once the depth cap is hit, which bounds the damage a
     pathological gauge can do.
 
+    The sampled strategy first asks the gauge's wall (see `Gauge`) whether
+    any tag inside could fit.  A walled node is split without a draw, exactly
+    as a node whose drawn tag failed, at the same depth check; every draw is
+    seeded by its node alone, so the partition is the same as with a draw at
+    every node.
+
     A base whose width is not a power of two is split into pieces of
     power-of-two width, largest first, each bisected with its own depth count,
     so that bisection points reach every dyadic point (a proximity gauge's
@@ -337,7 +392,7 @@ def cousin_partition(
         raise ValueError(f"unknown tag strategy {tag_strategy!r}")
     if flavor not in (MCSHANE, HENSTOCK):
         raise ValueError(f"unknown flavor {flavor!r}")
-    fits = g.fits
+    fits, wall = g.fits, g.wall
     sampled = tag_strategy == "sampled"
     rng = _CRandom(seed) if sampled else None
     # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
@@ -358,12 +413,17 @@ def cousin_partition(
         lo, hi, depth = stack.pop()
         e = e0 + depth
         if sampled and lo < hi:
-            t, d, te = _sampled_tag(rng, seed, lo, hi, e)
-        elif tag_strategy == "left":
-            t, d, te = lo, hi - lo, e
+            # a walled node holds no tag that fits: it splits without a draw
+            tagged = not wall(lo, hi, e)
+            if tagged:
+                t, d, te = _sampled_tag(rng, seed, lo, hi, e)
         else:
-            t, d, te = lo + hi, hi - lo, e + 1
-        if 0 <= t <= 1 << te and fits(t, d, te):
+            tagged = True
+            if tag_strategy == "left":
+                t, d, te = lo, hi - lo, e
+            else:
+                t, d, te = lo + hi, hi - lo, e + 1
+        if tagged and 0 <= t <= 1 << te and fits(t, d, te):
             kept.append((lo, hi, e, t, te))
             continue
         if depth >= max_depth:

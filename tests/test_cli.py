@@ -154,6 +154,16 @@ def test_gallery_3f_refusal_is_the_pass(tmp_path):
     assert r["bochner_refused"] is True and r["pass"] is True
 
 
+def test_gallery_3f_delta_bound_is_half_a_grid_cell(tmp_path):
+    # 2^-(depth+1) itself is accepted, anything below it is a usage error
+    doc = run_json(tmp_path, "g3f", "gallery", "3f", "--depth", "8", "--delta", "2^-9")
+    assert doc["result"]["riemann_delta"] == "1/512" and doc["result"]["pass"] is True
+    proc = run("gallery", "3f", "--depth", "8", "--delta", "1/513")
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == ("error: --delta must be at least 2^-(depth+1) = 1/512 "
+                                   "for --depth 8, got 1/513")
+
+
 def test_gallery_3e_contract_invocation(tmp_path):
     doc = run_json(tmp_path, "g3e", "gallery", "3e", "--L", "2", "--R", "16",
                    "--gauge", "const:1/5", "--seed", "11")
@@ -254,6 +264,8 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
     ("gallery", "3g", "--norm-depth", "17"),
     ("gallery", "3g", "--norm-depth", "40"),
     ("stability", "--scan", "--mn-max", "0"),
+    # a constant-gauge partition of about 2^40 items
+    ("gallery", "3f", "--delta", "2^-40"),
     ("integrate", "--fn", "poly:"),
     ("series", "--fn", "3g", "--window-start", "99"),
     ("series", "--fn", "3g", "--window-start", "-1"),

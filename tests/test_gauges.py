@@ -15,7 +15,6 @@ from gaugelab.gauges import (
     TaggedPartition,
     cousin_partition,
     extend_to_partition,
-    has_flavor,
     is_partition,
     is_subordinate,
     partition_from_json,
@@ -27,6 +26,11 @@ from gaugelab.spaces import ValueSpace, VectorValue
 
 def ti(lo, hi, tag):
     return TaggedInterval(Interval(Dyadic.parse(lo), Dyadic.parse(hi)), Dyadic.parse(tag))
+
+
+def tags_as_flavor_asks(p):
+    """A Henstock partition tags each item inside it; a McShane one may not."""
+    return p.flavor != HENSTOCK or all(a <= t <= b for a, b, t in zip(p.lo, p.hi, p.tag))
 
 
 def test_is_partition_cases():
@@ -49,11 +53,11 @@ def test_is_subordinate_exact_boundary():
 
 def test_mcshane_tag_may_leave_interval_henstock_not():
     p_free = TaggedPartition([ti("0", "1/2^1", "3/2^2"), ti("1/2^1", "1", "3/2^2")])
-    assert has_flavor(p_free)
+    assert tags_as_flavor_asks(p_free)
     p_pinned = TaggedPartition(
         [ti("0", "1/2^1", "3/2^2"), ti("1/2^1", "1", "3/2^2")], flavor=HENSTOCK
     )
-    assert not has_flavor(p_pinned)
+    assert not tags_as_flavor_asks(p_pinned)
 
 
 def test_gauge_kinds_and_positivity():
@@ -99,7 +103,7 @@ def test_cousin_piecewise_and_henstock():
             p = cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=3)
             assert is_partition(p)
             assert is_subordinate(p, g)
-            assert has_flavor(p)
+            assert tags_as_flavor_asks(p)
 
 
 def test_cousin_fuzz_random_piecewise_gauges():
@@ -146,7 +150,7 @@ def test_extend_to_partition_gap_of_odd_width_under_proximity_gauge():
     g = adapted_gauge(phi, 2)
     for flavor in (MCSHANE, HENSTOCK):
         full = extend_to_partition([ti("0", "1/2^4", "1/2^5")], g, flavor=flavor)
-        assert is_partition(full) and is_subordinate(full, g) and has_flavor(full)
+        assert is_partition(full) and is_subordinate(full, g) and tags_as_flavor_asks(full)
         # the gap splits into pieces of width 1/2, 1/4, 1/8 and 1/16
         ends = {it.interval.hi for it in full}
         assert {Dyadic(1, 3), Dyadic(9, 4), Dyadic(13, 4), Dyadic(15, 4)} <= ends

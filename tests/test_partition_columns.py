@@ -1,12 +1,12 @@
 """Tagged partitions as int columns against the item-building code they replaced.
 
 `cousin_partition` fills a partition's `lo`, `hi` and `tag` columns straight
-from its integer walk, and the partition, flavor and subordination tests and
-the JSON form read those columns.  The oracles are the code as it was when
+from its integer walk, and the partition and subordination tests and the
+JSON form read those columns.  The oracles are the code as it was when
 every kept item was a Dyadic, Interval and TaggedInterval, copied in below:
 the walk that built those items (here through the public, checked
-constructors), and the item-based `is_subordinate`, `is_partition`,
-`has_flavor` and `partition_to_json`.  A base whose width is not a power of
+constructors), and the item-based `is_subordinate`, `is_partition` and
+`partition_to_json`.  A base whose width is not a power of
 two is split by the oracle, in Fractions, into pieces of power-of-two width,
 largest first, each walked in turn.
 
@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, UNIT
 from gaugelab.gauges import (HENSTOCK, MCSHANE, SCHEMA, Gauge, TaggedInterval,
-                             TaggedPartition, cousin_partition, has_flavor, is_partition,
-                             is_subordinate, partition_from_json, partition_to_json)
+                             TaggedPartition, cousin_partition, is_partition, is_subordinate,
+                             partition_from_json, partition_to_json)
 from gaugelab.integrands import IntegrandFn, adapted_gauge
 from gaugelab.spaces import ValueSpace, VectorValue
 
@@ -118,12 +118,6 @@ def oracle_is_partition(items, base=UNIT):
             return False
         prev_hi = it.interval.hi
     return prev_hi == base.hi
-
-
-def oracle_has_flavor(items, flavor):
-    if flavor == HENSTOCK:
-        return all(it.interval.contains(it.tag) for it in items)
-    return True
 
 
 def oracle_is_subordinate(items, g):
@@ -241,7 +235,6 @@ def test_cousin_columns_match_item_walk(g, other, strategy, flavor, base, probe_
         lambda: oracle_is_subordinate(items, other))
     for b in [base, probe_base, UNIT] + misread_bases(p):
         assert is_partition(p, b) == oracle_is_partition(items, b)
-    assert has_flavor(p) == oracle_has_flavor(items, flavor)
     # items made from the columns feed the constructor back to the same values,
     # at an exponent no larger than the walk's
     again = TaggedPartition(p.items, flavor)
@@ -289,4 +282,3 @@ def test_constructor_columns_match_items(items, g, flavor, base):
         lambda: oracle_is_subordinate(order, g))
     for b in [base, UNIT] + misread_bases(p):
         assert is_partition(p, b) == oracle_is_partition(order, b)
-    assert has_flavor(p) == oracle_has_flavor(order, flavor)
