@@ -28,7 +28,7 @@ from .integrate import (DEFAULT_TOL, NotApproximable, absolute_continuity,
                         interval_series_check, lower_norm_integral,
                         mcshane_integrate, pettis_check, riemann_sum,
                         sample_regions, talagrand_integrate, vitali_limit)
-from .report import build_report, digest_row, write_csv, write_report
+from .report import build_report, digest_row, jsonable, write_csv, write_report
 from .spaces import ValueSpace, VectorValue, distance, sqrt_enclosure
 from .stability import (FunctionFamily, ZQuery, family_from_integrand,
                         stability_scan, z_measure_mc)
@@ -168,14 +168,12 @@ def cmd_abscont(args):
     rows = out["rows"]
     monotone = all(a["modulus"] <= b["modulus"] for a, b in zip(rows, rows[1:]))
     result = dict(out, integrand=phi, monotone=monotone)
-    ok = monotone
     bound = phi.sup_norm_bound()
-    if bound is not None:
-        for row in rows:
-            row["bound"] = bound * row["eta"] + 2 * args.tol
-            row["within_bound"] = bool(row["modulus"] <= row["bound"])
-        ok = ok and all(r["within_bound"] for r in rows)
-        result["sup_norm_bound"] = bound
+    for row in rows:
+        row["bound"] = bound * row["eta"] + 2 * args.tol
+        row["within_bound"] = bool(row["modulus"] <= row["bound"])
+    ok = monotone and all(r["within_bound"] for r in rows)
+    result["sup_norm_bound"] = bound
     result["pass"] = ok
     return (0 if ok else 1), result, rows
 
@@ -601,7 +599,14 @@ def resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> d
         args.deterministic = False
     for dest, conv in _CONVERTERS.items():
         if hasattr(args, dest) and getattr(args, dest) is not None:
-            setattr(args, dest, conv(getattr(args, dest)))
+            value = conv(getattr(args, dest))
+            # the report echoes the value, so one it cannot print is refused
+            # here rather than after the check has run
+            try:
+                jsonable(value)
+            except ValueError:
+                raise ValueError(f"--{dest} has more digits than a report can print") from None
+            setattr(args, dest, value)
     if args.tol <= 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     for dest in _COUNTS:

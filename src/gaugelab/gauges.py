@@ -75,13 +75,12 @@ class Gauge:
       evaluator  never walled
     """
 
-    def __init__(self, kind: str, eval_fn: Callable, descriptor: dict, floor=None,
+    def __init__(self, kind: str, eval_fn: Callable, descriptor: dict,
                  fits: Callable[[int, int, int], bool] | None = None,
                  wall: Callable[[int, int, int], bool] | None = None):
         self.kind = kind
         self._eval = eval_fn
         self.descriptor = descriptor
-        self.floor = floor
         if fits is not None:
             self.fits = fits
         if wall is not None:
@@ -106,7 +105,7 @@ class Gauge:
         if v <= 0:
             raise GaugeNotPositive(f"constant gauge {v} <= 0")
         p, q = v.numerator, v.denominator
-        return cls("const", lambda t: v, {"kind": "const", "value": str(v)}, floor=v,
+        return cls("const", lambda t: v, {"kind": "const", "value": str(v)},
                    fits=lambda t, d, e: d * q <= p << e,
                    wall=lambda lo, hi, e: (hi - lo) * q > p << (e + 1))
 
@@ -147,7 +146,7 @@ class Gauge:
             "breaks": [str(b) for b in breaks],
             "values": [str(v) for v in vals],
         }
-        return cls("piecewise", ev, desc, floor=min(vals), fits=fits, wall=wall)
+        return cls("piecewise", ev, desc, fits=fits, wall=wall)
 
     @classmethod
     def proximity(cls, breakpoints: Sequence[Dyadic], cap, floors: Sequence) -> "Gauge":
@@ -221,11 +220,11 @@ class Gauge:
             "breakpoints": [str(b) for b in bps],
             "cap": str(capq),
         }
-        return cls("proximity", ev, desc, floor=None, fits=fits, wall=wall)
+        return cls("proximity", ev, desc, fits=fits, wall=wall)
 
     @classmethod
-    def evaluator(cls, fn: Callable, label: str = "evaluator", floor=None) -> "Gauge":
-        return cls("evaluator", fn, {"kind": "evaluator", "label": label}, floor=floor)
+    def evaluator(cls, fn: Callable, label: str = "evaluator") -> "Gauge":
+        return cls("evaluator", fn, {"kind": "evaluator", "label": label})
 
     def __call__(self, t) -> Fraction:
         v = self._eval(t)

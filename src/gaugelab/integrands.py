@@ -1,12 +1,11 @@
 """Integrand functions [0,1] -> ValueSpace and their exact closed forms.
 
-Three classes are supported.  Piecewise-step and piecewise-polynomial
-integrands know their dyadic breakpoints and admit an exact closed-form
-vector integral over any region; a scalar integral (pairing against a dual
-functional) is f of that vector integral, once per region.  The evaluator
-class is an opaque callable and only the sampling-based operations apply to
-it.  Piece cells are half-open [b_i, b_{i+1}) with the last cell
-closed, matching step values and piecewise gauges.
+Two classes are supported, piecewise-step and piecewise-polynomial.  Both
+know their dyadic breakpoints and admit an exact closed-form vector integral
+over any region; a scalar integral (pairing against a dual functional) is f
+of that vector integral, once per region.  Piece cells are half-open
+[b_i, b_{i+1}) with the last cell closed, matching step values and piecewise
+gauges.
 
 The proximity ("adapted") gauge built here is the classical witness gauge for
 a piecewise map: away from the breakpoints the gauge ball never crosses a
@@ -17,14 +16,13 @@ tagged on it contribute at most 2^-level in total.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import UnsupportedExactIntegration
 from .exact import D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION
 from .gauges import Gauge
 from .spaces import DualFunctional, ValueSpace, VectorValue, linear_combination
 
-STEP, POLY, EVALUATOR = "step", "poly", "evaluator"
+STEP, POLY = "step", "poly"
 
 
 def poly_eval(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
@@ -47,21 +45,19 @@ def poly_integral(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> Fract
 class IntegrandFn:
     """Vector-valued map on [0,1] with a declared class and value space."""
 
-    def __init__(self, space, klass, breaks=None, values=None, polys=None,
-                 fn=None, label="phi", metadata=None):
+    def __init__(self, space, klass, breaks, values=None, polys=None,
+                 label="phi", metadata=None):
         self.space = space
         self.klass = klass
-        self.breaks = tuple(breaks) if breaks is not None else None
+        self.breaks = tuple(breaks)
         self.values = tuple(values) if values is not None else None
         self.polys = tuple(polys) if polys is not None else None
-        self.fn = fn
         self.label = label
         self.metadata = dict(metadata or {})
-        if klass in (STEP, POLY):
-            if self.breaks is None or self.breaks[0] != D0 or self.breaks[-1] != D1:
-                raise ValueError("piecewise integrand must span [0,1]")
-            if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
-                raise ValueError("breakpoints must increase")
+        if not self.breaks or self.breaks[0] != D0 or self.breaks[-1] != D1:
+            raise ValueError("piecewise integrand must span [0,1]")
+        if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
+            raise ValueError("breakpoints must increase")
         if klass == STEP and len(self.values) != len(self.breaks) - 1:
             raise ValueError("one value per cell")
         if klass == POLY:
@@ -69,8 +65,7 @@ class IntegrandFn:
                 raise ValueError("polynomial coordinates need a coordinate space")
             if len(self.polys) != len(self.breaks) - 1:
                 raise ValueError("one polynomial tuple per cell")
-        if self.breaks is not None:
-            self._cells = DyadicCuts(self.breaks[1:-1])
+        self._cells = DyadicCuts(self.breaks[1:-1])
         self._sup_norm = None
 
     # -- construction --------------------------------------------------------
@@ -84,10 +79,6 @@ class IntegrandFn:
         polys = tuple(tuple(tuple(Fraction(c) for c in coeffs) for coeffs in cell) for cell in polys)
         return cls(space, POLY, breaks=breaks, polys=polys, label=label, metadata=metadata)
 
-    @classmethod
-    def evaluator(cls, space, fn: Callable, label="phi", metadata=None) -> "IntegrandFn":
-        return cls(space, EVALUATOR, fn=fn, label=label, metadata=metadata)
-
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, t) -> VectorValue:
@@ -96,19 +87,17 @@ class IntegrandFn:
             raise ValueError(f"t={tq} outside [0,1]")
         if self.klass == STEP:
             return self.values[self._cells.cell(t)]
-        if self.klass == POLY:
-            cell = self.polys[self._cells.cell(t)]
-            return VectorValue.coords(self.space, [poly_eval(c, tq) for c in cell])
-        return self.fn(tq)
+        cell = self.polys[self._cells.cell(t)]
+        return VectorValue.coords(self.space, [poly_eval(c, tq) for c in cell])
 
     __call__ = eval
 
     # -- bounds -------------------------------------------------------------
 
-    def sup_norm_bound(self) -> Fraction | None:
-        """Certified upper bound for sup‖phi‖, None for evaluator class;
-        worked out on the first call and kept."""
-        if self._sup_norm is not None or self.klass == EVALUATOR:
+    def sup_norm_bound(self) -> Fraction:
+        """Certified upper bound for sup‖phi‖, worked out on the first call
+        and kept."""
+        if self._sup_norm is not None:
             return self._sup_norm
         if self.klass == STEP:
             self._sup_norm = max((v.norm().hi for v in self.values), default=Fraction(0))
@@ -127,42 +116,30 @@ class IntegrandFn:
         """Upper bound for the within-piece variation rate (0 for step)."""
         if self.klass == STEP:
             return Fraction(0)
-        if self.klass == POLY:
-            best = Fraction(0)
-            for cell in self.polys:
-                bound = sum(
-                    (sum((Fraction(k) * abs(c) for k, c in enumerate(coeffs)), Fraction(0))
-                     for coeffs in cell),
-                    Fraction(0),
-                )
-                best = max(best, bound)
-            return best
-        raise UnsupportedExactIntegration("no variation bound for evaluator integrands")
+        best = Fraction(0)
+        for cell in self.polys:
+            bound = sum(
+                (sum((Fraction(k) * abs(c) for k, c in enumerate(coeffs)), Fraction(0))
+                 for coeffs in cell),
+                Fraction(0),
+            )
+            best = max(best, bound)
+        return best
 
-    def norm_lower_on(self, iv: Interval, samples: int = 3) -> Fraction:
-        """Certified lower bound of inf over iv of ‖phi‖ for piecewise classes
-        (the interval must not straddle a breakpoint); sampled surrogate for
-        evaluator class (an upper bound of the inf, documented)."""
+    def norm_lower_on(self, iv: Interval) -> Fraction:
+        """Certified lower bound of inf over iv of ‖phi‖ (the interval must
+        not straddle a breakpoint)."""
         if self.klass == STEP:
             return self.values[self._cells.cell(iv.midpoint())].norm().lo
-        if self.klass == POLY:
-            pts = [iv.lo, iv.midpoint(), iv.hi]
-            vals = [self.eval(p).norm().lo for p in pts]
-            slack = self.lipschitz_bound() * iv.length.as_fraction()
-            return max(Fraction(0), min(vals) - slack)
-        pts = [iv.lo.as_fraction() + Fraction(2 * i + 1, 2 * samples) * iv.length.as_fraction()
-               for i in range(samples)]
-        return min(self.eval(p).norm().lo for p in pts)
+        pts = [iv.lo, iv.midpoint(), iv.hi]
+        vals = [self.eval(p).norm().lo for p in pts]
+        slack = self.lipschitz_bound() * iv.length.as_fraction()
+        return max(Fraction(0), min(vals) - slack)
 
 
 def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
-    """phi * indicator(region), staying in the same class when piecewise."""
+    """phi * indicator(region), in the same class as phi."""
     label = f"{phi.label}|restricted"
-    if phi.klass == EVALUATOR:
-        def fn(t, _phi=phi, _r=region):
-            return _phi.eval(t) if _r.contains(t) else VectorValue.zero(_phi.space)
-        return IntegrandFn.evaluator(phi.space, fn, label=label, metadata=phi.metadata)
-
     one = 1 << region.exp
     cuts = sorted(
         {b.as_fraction() for b in phi.breaks}
@@ -226,13 +203,10 @@ def scalar_integral(f: DualFunctional, phi: IntegrandFn, region: Region = UNIT_R
 def exact_vector_integral(phi: IntegrandFn, region: Region = UNIT_REGION) -> VectorValue:
     """Coordinate-wise closed form; the independent oracle for gauge sums.
 
-    Supported for piecewise classes only.  Step values integrate to
-    sum(overlap * value), one term per cell weighted by its total overlap
-    with the region; polynomial cells integrate coordinate-wise over each
-    overlap piece.
+    Step values integrate to sum(overlap * value), one term per cell
+    weighted by its total overlap with the region; polynomial cells
+    integrate coordinate-wise over each overlap piece.
     """
-    if phi.klass == EVALUATOR:
-        raise UnsupportedExactIntegration(f"{phi.label} has no closed form")
     den, pieces = _region_pieces(phi, region)
     if phi.klass == STEP:
         weights: dict[int, int] = {}
@@ -248,7 +222,7 @@ def exact_vector_integral(phi: IntegrandFn, region: Region = UNIT_REGION) -> Vec
 
 
 def adapted_gauge(phi: IntegrandFn, level: int) -> Gauge:
-    """Witness gauge at a refinement level for a piecewise integrand.
+    """Witness gauge at a refinement level.
 
     delta(t) = min(2^-level, distance to the breakpoint set) off the
     breakpoints; every breakpoint gets the uniform floor
@@ -262,8 +236,6 @@ def adapted_gauge(phi: IntegrandFn, level: int) -> Gauge:
     "adapted" schedule of mcshane_integrate builds each level's gauge only
     when the run reaches that level.
     """
-    if phi.klass == EVALUATOR:
-        raise UnsupportedExactIntegration("adapted gauges need piecewise structure")
     m_bound = phi.sup_norm_bound()
     scale = int(m_bound) + 2  # >= ceil(1+M)
     cap = Fraction(1, 1 << level)
@@ -286,19 +258,3 @@ def poly_integrand(coeff_lists, norm="l2", label="poly") -> IntegrandFn:
     cell = tuple(tuple(Fraction(c) for c in coeffs) for coeffs in coeff_lists)
     return IntegrandFn.poly(space, [D0, D1], [cell], label=label)
 
-
-def dyadic_indicator(depth: int) -> IntegrandFn:
-    """1 on dyadic grid points of exponent <= depth, 0 elsewhere (evaluator).
-
-    Riemann sums over this map swing between 0 and 1 depending on whether tags
-    land on the grid, so constant-gauge schedules show oscillation 1 at level 0
-    that shrinks as the uniform cells outgrow the grid.
-    """
-    space = ValueSpace.findim(1, "l2")
-
-    def fn(tq: Fraction, _d=depth, _sp=space):
-        den = tq.denominator
-        on_grid = den & (den - 1) == 0 and den <= (1 << _d)
-        return VectorValue.coords(_sp, [1 if on_grid else 0])
-
-    return IntegrandFn.evaluator(space, fn, label=f"dyadic-indicator-{depth}")

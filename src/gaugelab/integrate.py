@@ -25,8 +25,6 @@ from .errors import UnsupportedExactIntegration
 from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION, floor_to_depth, format_region
 from .gauges import Gauge, MCSHANE, TaggedPartition, cousin_partition
 from .integrands import (
-    EVALUATOR,
-    POLY,
     STEP,
     IntegrandFn,
     adapted_gauge,
@@ -53,14 +51,9 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
     polynomial integrand adds up the int moments S_k = sum w * a^k of each
     cell; coordinate j is then sum over cells and k of c_jk * S_k /
     2^(e(k+1)).  Cells whose coefficients are all zero keep no moments, and
-    zero-length items add nothing.  Evaluator integrands keep the per-item
-    path: each tag is evaluated and scaled by its interval's length.
+    zero-length items add nothing.
     """
     e = p.exp
-    if phi.klass == EVALUATOR:
-        return linear_combination(phi.space, (
-            (Fraction(b - a, 1 << e), phi.eval(Fraction(t, 1 << e)))
-            for a, b, t in zip(p.lo, p.hi, p.tag) if b != a))
     cell_at = phi._cells.cell_at
     if phi.klass == STEP:
         weights = [0] * len(phi.values)
@@ -123,19 +116,15 @@ def _max_distance(values: Sequence[VectorValue]) -> Fraction:
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
     """The schedule's gauges in level order.  Adapted gauges come from a
     generator, so a run that converges early never builds the later levels.
-    No schedule means "auto" for evaluators and "adapted" for piecewise
-    integrands: they converge under their own breakpoint structure, where a
-    uniform schedule stalls once cells outpace max_levels."""
+    No schedule means "adapted": an integrand converges under its own
+    breakpoint structure, where a uniform schedule stalls once cells outpace
+    max_levels."""
     if schedule is None:
-        schedule = "auto" if phi.klass == EVALUATOR else "adapted"
+        schedule = "adapted"
     if isinstance(schedule, str):
         if schedule == "auto":
             return [Gauge.const(Fraction(1, 1 << k)) for k in range(max_levels)]
         if schedule == "adapted":
-            if phi.klass == EVALUATOR:
-                raise UnsupportedExactIntegration(
-                    "adapted schedule needs piecewise structure; use auto"
-                )
             return (adapted_gauge(phi, k) for k in range(2, 2 + max_levels))
         raise ValueError(f"unknown schedule {schedule!r}")
     return list(schedule)
@@ -158,8 +147,8 @@ def mcshane_integrate(
     the oscillation fell below tol for the schedule that was run — a
     schedule-relative statement, deterministic given the seed.  "auto" is the
     constant schedule delta_k = 2^-k; "adapted" follows the integrand's
-    piecewise structure and is what the closed-form-aware callers use.  With
-    no schedule, piecewise integrands take "adapted" and evaluators "auto".
+    piecewise structure, is what the closed-form-aware callers use, and is
+    the default.
     """
     if trials_per_level < 2:
         raise ValueError("need at least two trials per level to measure oscillation")
@@ -395,9 +384,7 @@ def lower_norm_integral(phi: IntegrandFn, grid_depth: int = 8) -> Fraction:
     if not 0 <= grid_depth <= 16:
         raise ValueError(f"norm grid depth must be in 0..16, got {grid_depth}")
     cuts = {Fraction(i, 1 << grid_depth) for i in range((1 << grid_depth) + 1)}
-    if phi.klass in (STEP, POLY):
-        cuts |= {b.as_fraction() for b in phi.breaks}
-    points = sorted(cuts)
+    points = sorted(cuts | {b.as_fraction() for b in phi.breaks})
     total = Fraction(0)
     for a, b in zip(points, points[1:]):
         iv = Interval(Dyadic.from_fraction(a), Dyadic.from_fraction(b))
@@ -431,11 +418,11 @@ def talagrand_integrate(
 
     Piecewise-step integrands take the exact path: batch b counts samples per
     piece (integer histogram, backend-invariant), so means and dispersions are
-    exact rationals.  Other classes evaluate in float64; the rounding noise is
-    ~n*2^-52, far below any tolerance used here.
+    exact rationals.  Polynomial integrands evaluate in float64; the rounding
+    noise is ~n*2^-52, far below any tolerance used here.
     """
+    cuts = _float_breaks(phi)
     if phi.klass == STEP:
-        cuts = _float_breaks(phi)
         means: list[VectorValue] = []
         variances: list[Fraction] = []
         pooled_counts = np.zeros(len(phi.values), dtype=np.int64)
@@ -460,9 +447,10 @@ def talagrand_integrate(
         means = []
         variances = []
         acc = None
+        cells = [[[float(c) for c in coeffs] for coeffs in cell] for cell in phi.polys]
         for b in range(batches):
             u = stream(seed, b + 1).random(n)
-            vals = _eval_float_matrix(phi, u)
+            vals = _kernels.piecewise_poly(u, cuts, cells)
             mean_vec = vals.mean(axis=0)
             err = vals - mean_vec
             sigma2 = float((err * err).sum(axis=1).mean()) * n / max(n - 1, 1)
@@ -477,18 +465,6 @@ def talagrand_integrate(
         exact = False
     return TalagrandReport(means, variances, pooled, _max_distance(means), n, batches, seed,
                            exact)
-
-
-def _eval_float_matrix(phi: IntegrandFn, samples: np.ndarray) -> np.ndarray:
-    if phi.klass == POLY:
-        cells = [[[float(c) for c in coeffs] for coeffs in cell] for cell in phi.polys]
-        return _kernels.piecewise_poly(samples, _float_breaks(phi), cells)
-    if phi.space.is_step:
-        raise UnsupportedExactIntegration("float path needs coordinate values")
-    rows = [
-        [float(x) for x in phi.eval(Fraction(float(s))).data] for s in samples
-    ]
-    return np.array(rows, dtype=np.float64)
 
 
 # -- simple-function integration ---------------------------------------------------
@@ -550,38 +526,36 @@ def bochner_integrate(phi: IntegrandFn, eps: Fraction, max_pieces: int = 64):
         ]
         value = exact_vector_integral(phi)
         return BochnerCertificate(parts, Fraction(0), value, eps)
-    if phi.klass == POLY:
-        lip = phi.lipschitz_bound()
-        depth = 1
-        # dominating bound: |phi(t) - phi(mid)| <= lip * h/2 on each cell
-        while lip * Fraction(1, 1 << (depth + 1)) > eps and depth < 30:
-            depth += 1
-        # count the pieces before building any cut: eps = 0 climbs to depth 30
-        off_grid = {b for b in phi.breaks if b.exp > depth}
-        pieces = (1 << depth) + len(off_grid)
-        if pieces > max_pieces:
-            raise UnsupportedExactIntegration(
-                f"a dominated certificate within eps {eps} needs {pieces} pieces "
-                f"(depth {depth}); the piece budget is {max_pieces}"
-            )
-        cuts = sorted(
-            {Fraction(i, 1 << depth) for i in range((1 << depth) + 1)}
-            | {b.as_fraction() for b in phi.breaks}
+    lip = phi.lipschitz_bound()
+    depth = 1
+    # dominating bound: |phi(t) - phi(mid)| <= lip * h/2 on each cell
+    while lip * Fraction(1, 1 << (depth + 1)) > eps and depth < 30:
+        depth += 1
+    # count the pieces before building any cut: eps = 0 climbs to depth 30
+    off_grid = {b for b in phi.breaks if b.exp > depth}
+    pieces = (1 << depth) + len(off_grid)
+    if pieces > max_pieces:
+        raise UnsupportedExactIntegration(
+            f"a dominated certificate within eps {eps} needs {pieces} pieces "
+            f"(depth {depth}); the piece budget is {max_pieces}"
         )
-        parts = []
-        terms = []
-        dom = Fraction(0)
-        for a, b in zip(cuts, cuts[1:]):
-            x = phi.eval((a + b) / 2)
-            parts.append((Interval(Dyadic.from_fraction(a), Dyadic.from_fraction(b)), x))
-            terms.append((b - a, x))
-            dom += (b - a) * lip * (b - a) / 2
-        if dom > eps:
-            raise UnsupportedExactIntegration(
-                f"refinement floor {dom} > eps; raise eps or depth cap"
-            )
-        return BochnerCertificate(parts, dom, linear_combination(phi.space, terms), eps)
-    raise UnsupportedExactIntegration("simple-function certificates need piecewise structure")
+    cuts = sorted(
+        {Fraction(i, 1 << depth) for i in range((1 << depth) + 1)}
+        | {b.as_fraction() for b in phi.breaks}
+    )
+    parts = []
+    terms = []
+    dom = Fraction(0)
+    for a, b in zip(cuts, cuts[1:]):
+        x = phi.eval((a + b) / 2)
+        parts.append((Interval(Dyadic.from_fraction(a), Dyadic.from_fraction(b)), x))
+        terms.append((b - a, x))
+        dom += (b - a) * lip * (b - a) / 2
+    if dom > eps:
+        raise UnsupportedExactIntegration(
+            f"refinement floor {dom} > eps; raise eps or depth cap"
+        )
+    return BochnerCertificate(parts, dom, linear_combination(phi.space, terms), eps)
 
 
 def uniform_integrability(

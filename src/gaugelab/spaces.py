@@ -10,9 +10,9 @@ keys k_0 = 0 < ... < k_m = 2^g, level numerators n_0..n_{m-1} and one
 positive denominator d, so cell [k_i, k_{i+1}) / 2^g has level n_i / d.  The
 grid depth is the resolution contract: every breakpoint must sit on that grid.
 The columns are canonical (no two adjacent levels equal, gcd(n, d) = 1), so
-equal functions have equal columns.  Sums, norms, distances, point values and
-pairings of step values work on the columns in ints and build one Fraction
-per result; the Dyadic/Fraction form `data` is built only when read.
+equal functions have equal columns.  Sums, norms, distances and pairings of
+step values work on the columns in ints and build one Fraction per result;
+the Dyadic/Fraction form `data` is built only when read.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class Enclosure:
     @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def __repr__(self):
         if self.is_exact:
@@ -275,19 +271,9 @@ class VectorValue:
         return sqrt_enclosure(square, bits=bits)
 
     def _level_at(self, key: int) -> Fraction:
-        """Level at the points [key, key + 1) / 2^g: the cell whose key is the
-        last one <= key (half-open cells, last closed; points outside [0,1]
-        get the level of the end cell next to them)."""
+        """Level at the points [key, key + 1) / 2^g, 0 <= key < 2^g: the cell
+        whose key is the last one <= key."""
         return Fraction(self.nums[bisect_right(self.keys, key, 1, len(self.nums)) - 1], self.den)
-
-    def step_eval(self, t) -> Fraction:
-        """Level of a step value at point t (half-open cells, last closed).
-        Breaks lie on the grid 2^-g, and k / 2^g <= t iff k <= floor(t * 2^g)."""
-        g = self.space.grid_depth
-        if isinstance(t, Dyadic):
-            return self._level_at((t.num << g) >> t.exp)
-        tq = t if isinstance(t, (int, Fraction)) else Fraction(t)
-        return self._level_at((tq.numerator << g) // tq.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, VectorValue) or self.space != other.space:
@@ -470,6 +456,3 @@ class DualFunctional:
             out["density_levels"] = [str(l) for l in levels]
         return out
 
-
-def apply(f: DualFunctional, v: VectorValue) -> Fraction:
-    return f(v)

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .exact import Dyadic, DyadicCuts, Interval, Region, UNIT_REGION, format_region, region_intersect
-from .integrands import POLY, STEP, IntegrandFn, paired_polys
+from .exact import DyadicCuts, Region, format_region
+from .integrands import STEP, IntegrandFn, paired_polys
 from .rng import stream
 from .spaces import DualFunctional, sqrt_enclosure
 
@@ -97,10 +97,6 @@ class FunctionFamily:
     def pairsum(cls, h: Region, label: str = "pairsum") -> "FunctionFamily":
         return cls("pairsum", h=h, label=label)
 
-    @classmethod
-    def empty(cls, label: str = "empty") -> "FunctionFamily":
-        return cls("piecewise-step", (), label=label)
-
     def __len__(self):
         return len(self.members)
 
@@ -115,27 +111,24 @@ def family_from_integrand(phi: IntegrandFn, functionals: Sequence[DualFunctional
                           label: str | None = None) -> FunctionFamily:
     """The scalar trace {f o phi : f in functionals} as a FunctionFamily.
 
-    Step integrands produce a piecewise-step family (kernel path); other
-    classes produce evaluator members with a vectorized float twin.
+    Step integrands produce a piecewise-step family (kernel path); polynomial
+    integrands produce evaluator members: the exact trace and, for sampling,
+    the paired coefficients evaluated in float64.
     """
     label = label or f"trace({phi.label})"
     if phi.klass == STEP:
         steps = [(phi.breaks, tuple(f(v) for v in phi.values)) for f in functionals]
         return FunctionFamily.from_steps(steps, label=label)
+    cuts = np.array([float(b) for b in phi.breaks[1:-1]])
     fns = []
     for f in functionals:
         def fn(t, _f=f, _phi=phi):
             return _f(_phi.eval(t))
 
-        if phi.klass == POLY:
-            cells = [[[float(c) for c in coeffs]] for coeffs in paired_polys(f, phi)]
-            cuts = np.array([float(b) for b in phi.breaks[1:-1]])
+        cells = [[[float(c) for c in coeffs]] for coeffs in paired_polys(f, phi)]
 
-            def fn_np(xs, _cuts=cuts, _cells=cells):
-                return _kernels.piecewise_poly(xs, _cuts, _cells)[:, 0]
-        else:
-            def fn_np(xs, _fn=fn):
-                return np.array([float(_fn(Fraction(float(x)))) for x in xs])
+        def fn_np(xs, _cells=cells):
+            return _kernels.piecewise_poly(xs, cuts, _cells)[:, 0]
 
         fns.append((fn, fn_np))
     return FunctionFamily.from_callables(fns, label=label)
@@ -162,31 +155,6 @@ class ZQuery:
     @property
     def threshold(self) -> Fraction:
         return self.region.measure().as_fraction() ** (self.m + self.n)
-
-
-def z_member(A: FunctionFamily, ts: Sequence, us: Sequence,
-             alpha, beta) -> bool:
-    """Exact membership: does some member of A separate the tuple?"""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if alpha >= beta:
-        raise ValueError("alpha must be < beta")
-    tq = [Fraction(t) if not hasattr(t, "as_fraction") else t.as_fraction() for t in ts]
-    uq = [Fraction(u) if not hasattr(u, "as_fraction") else u.as_fraction() for u in us]
-    if A.klass == "pairsum":
-        # feasible iff setting f=1 exactly on the u's breaks no constraint;
-        # needs 0 <= alpha < 1 <= ... i.e. thresholds that pin f to {0,1}
-        if not (0 <= alpha < 1 and 0 < beta <= 1):
-            raise ValueError("pairsum membership defined for 0 <= alpha < 1, 0 < beta <= 1")
-        for i in range(len(uq)):
-            for j in range(i + 1, len(uq)):
-                if uq[i] != uq[j] and A.h.contains(uq[i] + uq[j]):
-                    return False
-        return all(t not in uq for t in tq)
-    for member in A.members:
-        if all(member.eval(t) <= alpha for t in tq) and all(member.eval(u) >= beta for u in uq):
-            return True
-    return False
 
 
 def _floats(xs: Sequence[int], exp: int) -> np.ndarray:
@@ -324,58 +292,6 @@ def stability_scan(A: FunctionFamily, E_list: Sequence[Region],
     return {"family": A.describe(), "mn_max": mn_max, "margin": margin, "rows": rows}
 
 
-def exact_z_measure(A: FunctionFamily, E: Region, m: int, n: int,
-                    alpha, beta, max_members: int = 16) -> Fraction:
-    """Exact mu(Z) for finite families, by inclusion-exclusion over members.
-
-    Z is the union over members f of A_f^m x B_f^n with A_f = {t in E: f(t) <=
-    alpha} and B_f = {u in E: f(u) >= beta}; intersections of such products
-    factor coordinate-wise, so the alternating sum is exact.  Only feasible
-    for piecewise-step members and modest family sizes (2^size terms, pruned
-    when a partial intersection is already null).
-    """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if A.klass != "piecewise-step":
-        raise ValueError("exact measure needs piecewise-step members")
-    if len(A.members) > max_members:
-        raise ValueError(f"family too large for inclusion-exclusion ({len(A.members)})")
-    caps = []
-    for member in A.members:
-        a_parts, b_parts = [], []
-        for lo, hi, level in zip(member.breaks, member.breaks[1:], member.levels):
-            if level <= alpha:
-                a_parts.append(Interval(lo, hi))
-            if level >= beta:
-                b_parts.append(Interval(lo, hi))
-        caps.append((region_intersect(Region(a_parts), E),
-                     region_intersect(Region(b_parts), E)))
-
-    total = Fraction(0)
-
-    def rec(i: int, cur_a: Region | None, cur_b: Region | None, size: int):
-        nonlocal total
-        if i == len(caps):
-            if size:
-                mu_a = cur_a.measure().as_fraction()
-                mu_b = cur_b.measure().as_fraction()
-                sign = 1 if size % 2 else -1
-                total += sign * mu_a**m * mu_b**n
-            return
-        rec(i + 1, cur_a, cur_b, size)  # skip member i
-        a, b = caps[i]
-        na = a if cur_a is None else region_intersect(cur_a, a)
-        nb = b if cur_b is None else region_intersect(cur_b, b)
-        # a null factor zeroes this term and every deeper superset term
-        if (m >= 1 and na.measure().as_fraction() == 0) or (
-            n >= 1 and nb.measure().as_fraction() == 0
-        ):
-            return
-        rec(i + 1, na, nb, size + 1)
-
-    rec(0, None, None, 0)
-    return total
-
-
 def _corner(s: Fraction) -> Fraction:
     return s * s / 2 if s > 0 else Fraction(0)
 
@@ -406,39 +322,3 @@ def pairsum_z_bound(H: Region, E: Region) -> Fraction:
             for h in H.parts:
                 gamma += below(h.hi.as_fraction()) - below(h.lo.as_fraction())
     return gamma
-
-
-def pairsum_expected_z(H: Region, E: Region, m: int = 1) -> Fraction:
-    """Closed-form mu(Z) for the pair-sum class at (m, 2): mu E^m (mu E^2 - gamma)."""
-    mu = E.measure().as_fraction()
-    return mu**m * (mu * mu - pairsum_z_bound(H, E))
-
-
-def properly_measurable_probe(phi: IntegrandFn, functionals: Sequence[DualFunctional],
-                              E_list: Sequence[Region] | None = None,
-                              ab_list: Sequence[tuple] | None = None,
-                              mn_max: int = 2, samples: int = 20_000,
-                              seed: int = 0,
-                              margin: Fraction = Fraction(1, 100)) -> dict:
-    """Finite-sample smallness probe of the scalar trace {f o phi}.
-
-    Runs the witness scan on the composed family.  The verdict is explicitly a
-    probe over the supplied functionals and sampled cells, not a proof about
-    the full dual ball.
-    """
-    family = family_from_integrand(phi, functionals)
-    if E_list is None:
-        quarters = [
-            Region((Interval(Dyadic(i, 2), Dyadic(i + 1, 2)),)) for i in range(4)
-        ]
-        E_list = [UNIT_REGION] + quarters
-    if ab_list is None:
-        ab_list = [(Fraction(1, 4), Fraction(3, 4))]
-    scan = stability_scan(family, E_list, ab_list, mn_max=mn_max,
-                          samples=samples, seed=seed, margin=margin)
-    scan["probe"] = True
-    scan["note"] = (
-        "finite-sample probe over the supplied functionals and cells; "
-        "not a proof about the full dual ball"
-    )
-    return scan

@@ -280,3 +280,17 @@ def test_bad_input_is_usage_error(argv, tmp_path):
     assert proc.returncode == 2, proc.stderr or proc.stdout
     assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("bochner", "--fn", "3f", "--eps", "2^-99999"),
+    ("integrate", "--fn", "identity", "--tol", "2^-99999"),
+], ids=" ".join)
+def test_unprintable_fraction_is_usage_error(argv):
+    # the report would echo a value with more digits than Python prints, so
+    # the run stops before any check with one line that names the flag
+    proc = run(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        f"error: {argv[-2]} has more digits than a report can print"]

@@ -119,6 +119,7 @@ REASON = re.compile(r"^(gaugelab( \w+)?: )?error: \S|^check failed: \S")
 @example(["lln", "--fn", "identity", "--n", "2", "--batches", "1"])
 @example(["report", "missing.json"])
 @example(["integrate", "--fn", "identity", "--tol", "2^-20", "--max-levels", "2"])
+@example(["bochner", "--fn", "3f", "--eps", "2^-99999"])
 def test_any_argv_exits_cleanly(tmp_path_factory, argv):
     # runs in an empty directory, with the package importable from there
     cwd = tmp_path_factory.mktemp("argv")

@@ -258,8 +258,7 @@ def test_witness_evaluator_gauge_uses_proxy():
     fat = build_fat_set(4, 3)
     fam = build_A_family(fat, 4, cap=16)
     ev = Gauge.evaluator(
-        lambda t: Fraction(1, 5) if t.as_fraction() < Fraction(9, 10) else Fraction(1, 50),
-        floor=Fraction(1, 50))
+        lambda t: Fraction(1, 5) if t.as_fraction() < Fraction(9, 10) else Fraction(1, 50))
     w = oscillation_witness_3e(fat, fam, 16, ev, seed=5, proxy_depth=8)
     assert w["proxy"] is True
     assert w["gap"] >= w["bound"]

@@ -20,13 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab import integrate
-from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded, UnsupportedExactIntegration
+from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
 from gaugelab.gallery import example_3f
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
                              _sampled_tag, cousin_partition, is_subordinate, partition_to_json)
-from gaugelab.integrands import (adapted_gauge, dyadic_indicator, poly_integrand,
-                                 restrict_integrand)
+from gaugelab.integrands import adapted_gauge, poly_integrand, restrict_integrand
 
 WIDTHS = [Fraction(1, 5), Fraction(1, 12), Fraction(1, 4), Fraction(3, 16), Fraction(1, 3),
           Fraction(1), Fraction(1, 1024), Fraction(5, 2)]
@@ -314,17 +313,6 @@ def test_lazy_adapted_schedule_matches_eager_list(case, monkeypatch):
     built.clear()
     est = integrate.mcshane_integrate(phi, schedule="adapted", tol=Fraction(1, 16), max_levels=6)
     assert built == list(range(2, 2 + len(est.trace)))
-
-
-def test_adapted_schedule_refuses_evaluator_before_any_partition(monkeypatch):
-    calls = []
-    monkeypatch.setattr(integrate, "cousin_partition", lambda *a, **k: calls.append(a))
-    phi = dyadic_indicator(3)
-    with pytest.raises(UnsupportedExactIntegration):
-        integrate._schedule_gauges(phi, "adapted", 12)
-    with pytest.raises(UnsupportedExactIntegration):
-        integrate.mcshane_integrate(phi, schedule="adapted")
-    assert calls == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from gaugelab.exact import (D0, D1, Dyadic, Interval, Region, UNIT, UNIT_REGION,
                             region_complement, region_intersect)
 from gaugelab.gauges import MCSHANE, cousin_partition, is_subordinate
-from gaugelab.integrands import (IntegrandFn, adapted_gauge, dyadic_indicator,
-                                 exact_vector_integral, identity_integrand,
+from gaugelab.integrands import (IntegrandFn, adapted_gauge, exact_vector_integral, identity_integrand,
                                  poly_eval, poly_integral, poly_integrand,
                                  restrict_integrand, scalar_integral)
 from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue
@@ -43,13 +42,6 @@ def test_step_eval_half_open_cells():
         phi.eval(Fraction(3, 2))
 
 
-def test_evaluator_eval_and_metadata():
-    phi = dyadic_indicator(3)
-    assert phi.eval(Fraction(1, 8)).data == (Fraction(1),)
-    assert phi.eval(Fraction(1, 16)).data == (Fraction(0),)
-    assert phi.eval(Fraction(1, 3)).data == (Fraction(0),)
-
-
 def test_sup_norm_and_lipschitz_bounds():
     phi = two_cell_step()
     assert phi.sup_norm_bound() == 3
@@ -78,10 +70,10 @@ def test_restrict_zeroes_outside_and_keeps_class():
     assert cut.klass == "step"
     assert cut.eval(Fraction(1, 4)).data == (Fraction(1), Fraction(0))
     assert cut.eval(Fraction(3, 4)).data == (Fraction(0), Fraction(0))
-    ind = restrict_integrand(dyadic_indicator(2), left)
-    assert ind.klass == "evaluator"
-    assert ind.eval(Fraction(1, 4)).data == (Fraction(1),)
-    assert ind.eval(Fraction(3, 4)).data == (Fraction(0),)
+    lin = restrict_integrand(identity_integrand(), left)
+    assert lin.klass == "poly"
+    assert lin.eval(Fraction(1, 4)).data == (Fraction(1, 4),)
+    assert lin.eval(Fraction(3, 4)).data == (Fraction(0),)
 
 
 def test_exact_vector_integral_step():
@@ -101,11 +93,6 @@ def test_exact_vector_integral_poly():
     phi = poly_integrand([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0), Fraction(1)]])
     total = exact_vector_integral(phi)
     assert total.data == (Fraction(1, 2), Fraction(1, 3))
-
-
-def test_exact_vector_integral_rejects_evaluator():
-    with pytest.raises(Exception):
-        exact_vector_integral(dyadic_indicator(2))
 
 
 def test_scalar_integral_matches_coordinates():
@@ -152,8 +139,3 @@ def test_adapted_gauge_isolates_breakpoints():
         lo, hi = item.interval.lo.as_fraction(), item.interval.hi.as_fraction()
         inner = [b for b in breaks if lo < b < hi]
         assert not inner
-
-
-def test_adapted_gauge_rejects_evaluator():
-    with pytest.raises(Exception):
-        adapted_gauge(dyadic_indicator(2), 4)

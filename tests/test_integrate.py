@@ -10,9 +10,8 @@ from gaugelab import integrate
 from gaugelab.errors import UnsupportedExactIntegration
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION
 from gaugelab.gauges import Gauge, TaggedInterval, TaggedPartition
-from gaugelab.integrands import (IntegrandFn, dyadic_indicator,
-                                 exact_vector_integral, identity_integrand,
-                                 poly_integrand)
+from gaugelab.integrands import (IntegrandFn, exact_vector_integral,
+                                 identity_integrand, poly_integrand)
 from gaugelab.integrate import (DEFAULT_TOL, BochnerCertificate,
                                 NotApproximable, absolute_continuity,
                                 bochner_integrate, default_functionals,
@@ -90,10 +89,13 @@ def test_mcshane_explicit_gauge_schedule():
 
 
 def test_mcshane_floor_needs_two_flat_ratios():
-    # oscillation 1 at every level: no level improves, a genuine floor
-    flat = mcshane_integrate(dyadic_indicator(6), schedule=[Gauge.const(Fraction(1, 4))] * 4,
-                             tol=DEFAULT_TOL)
-    assert [row["oscillation"] for row in flat.trace] == ["1"] * 4
+    # a jump at 1/4 under the same constant gauge at every level: the
+    # oscillation stays 1/4, no level improves, a genuine floor
+    space = ValueSpace.findim(1, "l2")
+    jump = IntegrandFn.step(space, (D0, Dyadic(1, 2), D1),
+                            (VectorValue.coords(space, [0]), VectorValue.coords(space, [1])))
+    flat = mcshane_integrate(jump, schedule=[Gauge.const(Fraction(1, 4))] * 4, tol=DEFAULT_TOL)
+    assert [row["oscillation"] for row in flat.trace] == ["1/4"] * 4
     assert flat.status == "oscillation-floor"
     # about halving at every level is steady convergence that ran out of
     # levels, even where one level keeps just over half (the last one here)
@@ -285,11 +287,6 @@ def test_bochner_refuses_separated_values():
     assert isinstance(out, NotApproximable)
     assert out.lower_bound == Fraction(1, 2) * (1 - Fraction(64, 256))
     assert out.piece_budget == 64
-
-
-def test_bochner_rejects_evaluator():
-    with pytest.raises(UnsupportedExactIntegration):
-        bochner_integrate(dyadic_indicator(2), Fraction(1, 4))
 
 
 def test_vitali_constant_sequence_passes():

@@ -1,9 +1,10 @@
 """The breakpoint cell lookups and Region.contains against linear scans.
 
-Four objects find the cell of a point among dyadic breakpoints: piecewise
-gauges, piecewise integrands, step values and step family members.  All four
-use half-open cells [b_i, b_{i+1}) with the last cell closed, so t = 1 falls
-in the last cell.  Region.contains looks a point up among sorted parts.  The
+Three objects find the cell of a point among dyadic breakpoints: piecewise
+gauges, piecewise integrands and step family members; a step value's
+coordinate functional finds the cell of a grid cell.  All use half-open
+cells [b_i, b_{i+1}) with the last cell closed, so t = 1 falls in the last
+cell.  Region.contains looks a point up among sorted parts.  The
 queries always include every breakpoint and endpoint, 0 and 1, where an
 off-by-one in a search would show.
 """
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from gaugelab.exact import Dyadic, Interval, Region
 from gaugelab.gauges import Gauge
 from gaugelab.integrands import IntegrandFn
-from gaugelab.spaces import ValueSpace, VectorValue
+from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue
 from gaugelab.stability import FunctionFamily, Member
 
 DEPTH = 5
@@ -53,7 +54,8 @@ def test_cell_lookups_and_region_contains_match_linear_scan(case):
     gauge = Gauge.piecewise(breaks, [Fraction(c + 1) for c in cells])
     line = ValueSpace.findim(1)
     phi = IntegrandFn.step(line, breaks, [VectorValue.coords(line, [c]) for c in cells])
-    step = VectorValue.step(ValueSpace.step_linf(DEPTH), breaks, list(cells))
+    step_space = ValueSpace.step_linf(DEPTH)
+    step = VectorValue.step(step_space, breaks, list(cells))
     member = Member("step", "m", breaks=tuple(breaks), levels=tuple(Fraction(c) for c in cells))
     region = Region(parts)
     for tq in points:
@@ -61,8 +63,9 @@ def test_cell_lookups_and_region_contains_match_linear_scan(case):
         for t in (tq, Dyadic.from_fraction(tq)):
             assert gauge(t) == expect + 1
             assert phi.eval(t).data == (expect,)
-            assert step.step_eval(t) == expect
             assert member.eval(t) == expect
+        grid_cell = min(int(tq * (1 << DEPTH)), (1 << DEPTH) - 1)
+        assert DualFunctional.coordinate(step_space, grid_cell)(step) == expect
         inside = any(p.lo.as_fraction() <= tq <= p.hi.as_fraction() for p in parts)
         assert region.contains(tq) == inside
         assert region.contains(Dyadic.from_fraction(tq)) == inside

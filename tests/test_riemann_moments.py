@@ -11,7 +11,7 @@ coordinates.
 
 Integrands: step values in `step_linf` and in every coordinate space kind,
 polynomial cells with ragged coefficient tuples and all-zero (restricted)
-cells, and evaluators, `dyadic_indicator` among them.  Partitions: Cousin
+cells.  Partitions: Cousin
 bisection under all three tag strategies and both flavors, completions of
 partial items by `extend_to_partition` (non-unit bases, degenerate items,
 tags on the integrand's breakpoints), free-tag items and the empty partition.
@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
                              cousin_partition, extend_to_partition)
-from gaugelab.integrands import (EVALUATOR, STEP, IntegrandFn, adapted_gauge,
-                                 dyadic_indicator, poly_eval, restrict_integrand)
+from gaugelab.integrands import (STEP, IntegrandFn, adapted_gauge, poly_eval,
+                                 restrict_integrand)
 from gaugelab.integrate import riemann_sum
 from gaugelab.spaces import ValueSpace, VectorValue, linear_combination
 
@@ -39,8 +39,6 @@ def reference_eval(phi, t):
     tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
     if not 0 <= tq <= 1:
         raise ValueError(f"t={tq} outside [0,1]")
-    if phi.klass == EVALUATOR:
-        return phi.fn(tq)
     cell = sum(1 for b in phi.breaks[1:-1] if b.as_fraction() <= tq)
     if phi.klass == STEP:
         return phi.values[cell]
@@ -104,23 +102,13 @@ def poly_integrands(draw):
     return IntegrandFn.poly(space, breaks, cells, label="poly")
 
 
-def _scaled_poly(tq):
-    return VectorValue.coords(ValueSpace.findim(2, "l1"), [tq * tq - tq, Fraction(1, 3) + tq])
-
-
-EVALUATORS = [dyadic_indicator(3), dyadic_indicator(6),
-              IntegrandFn.evaluator(ValueSpace.findim(2, "l1"), _scaled_poly, label="quad")]
-
-
 @st.composite
 def integrands(draw):
-    kind = draw(st.sampled_from(["step", "poly", "evaluator", "restricted"]))
+    kind = draw(st.sampled_from(["step", "poly", "restricted"]))
     if kind == "step":
         return draw(step_integrands())
     if kind == "poly":
         return draw(poly_integrands())
-    if kind == "evaluator":
-        return draw(st.sampled_from(EVALUATORS))
     phi = draw(st.one_of(step_integrands(), poly_integrands()))
     return restrict_integrand(phi, draw(regions()))
 
@@ -142,14 +130,14 @@ def gauges_for(phi, draw, adapted):
                Gauge.const(Fraction(1, 5)),
                Gauge.piecewise([D0, Dyadic(1, 2), Dyadic(3, 2), D1],
                                [Fraction(1, 8), Fraction(1, 3), Fraction(1, 16)])]
-    if adapted and phi.breaks is not None:
+    if adapted:
         options.append(adapted_gauge(phi, draw(st.integers(1, 4))))
     return draw(st.sampled_from(options))
 
 
 def tags_for(phi):
     """Tags on the integrand's breakpoints, the ends of [0,1] and elsewhere."""
-    on_breaks = list(phi.breaks) if phi.breaks is not None else []
+    on_breaks = list(phi.breaks)
     return st.one_of(st.sampled_from(on_breaks + [D0, D1, Dyadic(1, 1)]),
                      st.builds(Dyadic, st.integers(0, 128), st.just(7)))
 

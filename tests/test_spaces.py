@@ -14,7 +14,6 @@ from gaugelab.spaces import (
     Enclosure,
     ValueSpace,
     VectorValue,
-    apply,
     distance,
     sqrt_enclosure,
 )
@@ -35,7 +34,7 @@ def test_sqrt_enclosure_perfect_square_exact():
 def test_sqrt_enclosure_brackets(q):
     e = sqrt_enclosure(q, bits=40)
     assert e.lo * e.lo <= q <= e.hi * e.hi
-    assert e.width <= Fraction(1, 1 << 40)
+    assert e.hi - e.lo <= Fraction(1, 1 << 40)
 
 
 def test_pythagoras_345():
@@ -84,8 +83,9 @@ def test_step_values_merge_and_norm():
     assert levels == (Fraction(3), Fraction(1), Fraction(0))
     assert w.norm().lo == 3
     assert (u - u).norm().lo == 0
-    assert w.step_eval(Dyadic(1, 3)) == 1  # half-open cells: boundary joins right cell
-    assert w.step_eval(D1) == 0
+    # half-open cells: the cell at the boundary 1/8 joins the right cell
+    assert DualFunctional.coordinate(sp, 1)(w) == 1
+    assert DualFunctional.coordinate(sp, 7)(w) == 0
 
 
 def test_step_canonicalizes_equal_runs():
@@ -99,11 +99,11 @@ def test_dual_coordinate_and_combination():
     sp = ValueSpace.seq_l2(4)
     v = VectorValue.coords(sp, [Fraction(1, 2), 0, -3, 1])
     f = DualFunctional.coordinate(sp, 2)
-    assert apply(f, v) == -3
+    assert f(v) == -3
     assert f.norm_bound == 1
     g = DualFunctional.combination(sp, [Fraction(3, 5), 0, Fraction(4, 5), 0])
     assert g.norm_bound == 1  # (3/5, 4/5) is unit in l2
-    assert apply(g, v) == Fraction(3, 10) - Fraction(12, 5)
+    assert g(v) == Fraction(3, 10) - Fraction(12, 5)
     sup = ValueSpace.seq_sup(2)
     h = DualFunctional.combination(sup, [Fraction(1, 2), Fraction(1, 2)])
     assert h.norm_bound == 1  # dual of sup is absolute sum
@@ -117,7 +117,7 @@ def test_functional_linearity_random():
         u = VectorValue.coords(sp, [Fraction(rng.randint(-9, 9), 4) for _ in range(5)])
         v = VectorValue.coords(sp, [Fraction(rng.randint(-9, 9), 4) for _ in range(5)])
         a = Fraction(rng.randint(-5, 5), 3)
-        assert apply(f, u * a + v) == a * apply(f, u) + apply(f, v)
+        assert f(u * a + v) == a * f(u) + f(v)
 
 
 def test_step_pairing_unit_density_halfline():
@@ -127,10 +127,10 @@ def test_step_pairing_unit_density_halfline():
     f = DualFunctional.step_pairing(sp, density)
     assert f.norm_bound == 1
     ind = VectorValue.step(sp, [D0, Dyadic(1, 1), D1], [1, 0])
-    assert apply(f, ind) == Fraction(1, 2)
+    assert f(ind) == Fraction(1, 2)
     # functional coordinate on step space reads a cell level
     c = DualFunctional.coordinate(sp, 0)
-    assert apply(c, ind) == 1
+    assert c(ind) == 1
 
 
 def test_distance_enclosure_direction():

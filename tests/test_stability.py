@@ -7,15 +7,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab.exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION,
-                            parse_region)
-from gaugelab.integrands import dyadic_indicator, identity_integrand
+                            parse_region, region_intersect)
+from gaugelab.integrands import IntegrandFn, identity_integrand
 from gaugelab.integrate import default_functionals
-from gaugelab.stability import (FunctionFamily, ZQuery, exact_z_measure,
-                                family_from_integrand, pairsum_expected_z,
-                                pairsum_z_bound, properly_measurable_probe,
-                                stability_scan, z_measure_mc, z_member)
+from gaugelab.spaces import ValueSpace, VectorValue
+from gaugelab.stability import (FunctionFamily, ZQuery, family_from_integrand,
+                                pairsum_z_bound, stability_scan, z_measure_mc)
 
 HALF = Dyadic(1, 1)
+
+
+def exact_z_measure(A, E, m, n, alpha, beta):
+    """Exact mu(Z) for a piecewise-step family, by inclusion-exclusion over
+    members: the oracle for the Monte Carlo estimate.
+
+    Z is the union over members f of A_f^m x B_f^n with A_f = {t in E: f(t) <=
+    alpha} and B_f = {u in E: f(u) >= beta}; intersections of such products
+    factor coordinate-wise, so the alternating sum is exact.  A term whose
+    partial intersection is already null is pruned with all its supersets.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    assert A.klass == "piecewise-step"
+    caps = []
+    for member in A.members:
+        a_parts, b_parts = [], []
+        for lo, hi, level in zip(member.breaks, member.breaks[1:], member.levels):
+            if level <= alpha:
+                a_parts.append(Interval(lo, hi))
+            if level >= beta:
+                b_parts.append(Interval(lo, hi))
+        caps.append((region_intersect(Region(a_parts), E),
+                     region_intersect(Region(b_parts), E)))
+
+    total = Fraction(0)
+
+    def rec(i, cur_a, cur_b, size):
+        nonlocal total
+        if i == len(caps):
+            if size:
+                mu_a = cur_a.measure().as_fraction()
+                mu_b = cur_b.measure().as_fraction()
+                sign = 1 if size % 2 else -1
+                total += sign * mu_a**m * mu_b**n
+            return
+        rec(i + 1, cur_a, cur_b, size)  # skip member i
+        a, b = caps[i]
+        na = a if cur_a is None else region_intersect(cur_a, a)
+        nb = b if cur_b is None else region_intersect(cur_b, b)
+        # a null factor zeroes this term and every deeper superset term
+        if na.measure().as_fraction() == 0 or nb.measure().as_fraction() == 0:
+            return
+        rec(i + 1, na, nb, size + 1)
+
+    rec(0, None, None, 0)
+    return total
 
 
 def indicator_family():
@@ -40,17 +85,6 @@ def test_zquery_validation():
         ZQuery(Region(()), 1, 1, Fraction(1, 4), Fraction(1, 2))
     q = ZQuery(Region((Interval(D0, HALF),)), 2, 1, Fraction(1, 4), Fraction(1, 2))
     assert q.threshold == Fraction(1, 8)
-
-
-def test_z_member_step_family():
-    fam = indicator_family()
-    # first member: value 0 at 1/4 <= alpha, value 1 at 3/4 >= beta
-    assert z_member(fam, [Fraction(1, 4)], [Fraction(3, 4)], Fraction(1, 4), Fraction(3, 4))
-    # second member separates the reversed pair (low at 3/4, high at 1/8)
-    assert z_member(fam, [Fraction(3, 4)], [Fraction(1, 8)], Fraction(1, 4), Fraction(3, 4))
-    # both members vanish at 3/8, so nothing is high there
-    assert not z_member(fam, [Fraction(3, 4)], [Fraction(3, 8)], Fraction(1, 4), Fraction(3, 4))
-    assert not z_member(FunctionFamily.empty(), [Fraction(0)], [Fraction(1)], 0, 1)
 
 
 def test_exact_inclusion_exclusion_two_members():
@@ -112,24 +146,11 @@ def test_pairsum_mc_tracks_closed_form():
     fam = FunctionFamily.pairsum(H)
     q = ZQuery(UNIT_REGION, 1, 2, Fraction(0), Fraction(1))
     res = z_measure_mc(fam, q, samples=60_000, seed=3)
-    closed = pairsum_expected_z(H, UNIT_REGION, 1)
+    # at (m, n) = (1, 2): mu E (mu E^2 - gamma), with mu E = 1
+    closed = 1 - pairsum_z_bound(H, UNIT_REGION)
     assert abs(res["estimate"] - closed) <= res["half_width"] + Fraction(1, 150)
     # the constraint actually bites: strictly below the full cube
     assert res["comparison"] == "strictly-below"
-
-
-def test_pairsum_membership_predicate():
-    fam = FunctionFamily.pairsum(parse_region("1/2:3/4"))
-    # u-pair summing into H is forbidden
-    assert not z_member(fam, [Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 5)], 0, 1)
-    # repeated u is always fine
-    assert z_member(fam, [Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 5)], 0, 1)
-    # t colliding with a u kills it
-    assert not z_member(fam, [Fraction(1, 5)], [Fraction(1, 5)], 0, 1)
-    # any thresholds pinning members to {0,1} are accepted
-    assert z_member(fam, [Fraction(1, 3)], [Fraction(1, 5)], Fraction(1, 4), Fraction(3, 4))
-    with pytest.raises(ValueError):
-        z_member(fam, [Fraction(0)], [Fraction(1)], Fraction(-1), Fraction(2))
 
 
 def test_scan_finds_identity_witness():
@@ -159,22 +180,15 @@ def test_scan_stays_inconclusive_for_saturating_family():
 
 
 def test_family_from_integrand_step_trace():
-    phi = dyadic_indicator(2)
-    fs = default_functionals(phi.space, 3, seed=2)
-    fam = family_from_integrand(phi, fs)
-    assert fam.klass == "evaluator"
+    space = ValueSpace.findim(1, "l2")
+    phi = IntegrandFn.step(space, (D0, HALF, D1),
+                           (VectorValue.coords(space, [0]), VectorValue.coords(space, [1])))
+    fam = family_from_integrand(phi, default_functionals(phi.space, 3, seed=2))
+    assert fam.klass == "piecewise-step"
     ident = identity_integrand()
     fam2 = family_from_integrand(ident, default_functionals(ident.space, 2, seed=0))
+    assert fam2.klass == "evaluator"
     # composed trace evaluates exactly
     t = Fraction(1, 3)
     for member, f in zip(fam2.members, default_functionals(ident.space, 2, seed=0)):
         assert member.eval(t) == f(ident.eval(t))
-
-
-def test_properly_measurable_probe_shape():
-    phi = identity_integrand()
-    fs = default_functionals(phi.space, 2, seed=4)
-    out = properly_measurable_probe(phi, fs, samples=4_000, seed=6, mn_max=1)
-    assert out["probe"] is True
-    assert "note" in out
-    assert len(out["rows"]) == 5  # unit region + four quarters
