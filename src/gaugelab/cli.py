@@ -618,7 +618,15 @@ def resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> d
                 if key not in ("out", "csv", "config")}
     for dest, parse in _PARSED.items():
         if getattr(args, dest, None) is not None:
-            setattr(args, dest, parse(getattr(args, dest)))
+            value = parse(getattr(args, dest))
+            # a region's endpoints reach its report as fractions (its measure
+            # among them), so a region whose endpoints cannot print is refused
+            if isinstance(value, Region):
+                try:
+                    jsonable([Fraction(a, 1 << value.exp) for a in (*value.lo, *value.hi)])
+                except ValueError:
+                    raise ValueError(f"--{dest} has more digits than a report can print") from None
+            setattr(args, dest, value)
     return resolved
 
 
@@ -649,16 +657,21 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        doc = build_report(args.command, config, result,
+                           deterministic=args.deterministic)
+        text = write_report(doc, args.out)
+        if args.csv and rows:
+            write_csv(rows, args.csv)
+    except (ValueError, OSError) as exc:
+        # a value with more digits than Python prints, or an unwritable path
+        print(f"error: the {args.command} report cannot be written: {exc}", file=sys.stderr)
+        return 2
     if code == 1:
         print(f"check failed: {reason or _failure_reason(args.command, result)}",
               file=sys.stderr)
-    doc = build_report(args.command, config, result,
-                       deterministic=args.deterministic)
-    text = write_report(doc, args.out)
     if not args.out:
         sys.stdout.write(text)
-    if args.csv and rows:
-        write_csv(rows, args.csv)
     return code
 
 

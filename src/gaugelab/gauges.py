@@ -25,6 +25,7 @@ import json
 from _random import Random as _CRandom
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from hashlib import sha512
 from math import lcm
 from typing import Callable, Iterable, Sequence
@@ -330,31 +331,43 @@ def _canonical_exp(n: int, e: int) -> int:
     return e - z if z < e else 0
 
 
-def _sampled_tag(rng: _CRandom, seed: int, lo: int, hi: int, e: int):
-    """The sampled strategy's fit-test triple (t, d, te) for [lo, hi] / 2^e
-    with lo < hi: a draw t strictly inside at exponent te, ten bits finer than
-    the finest of lo, hi and the length in canonical form.  The length is
-    never finer than both ends (a difference keeps every factor of two its
-    terms share), so only the ends are read.  The draw is seeded by the
-    canonical endpoint strings, so it depends on the interval alone.
+@lru_cache(maxsize=4096)
+def _draw(seed: int, lo: int, el: int, hi: int, eh: int) -> int:
+    """The sampled tag of the node [lo / 2^el, hi / 2^eh], both ends in
+    canonical form, as an int at exponent max(el, eh) + 10.
 
     It is the draw `random.Random(key).randint(lo + 1, hi - 1)` makes, done
     the way that call does it on CPython, without its Python layers: a str
-    key seeds the C generator with the int of key + sha512(key) (version-2
-    seeding), and randint draws below the width by getrandbits rejection."""
-    el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
-    te = max(el, eh) + 10
-    lo, hi = lo >> (e - el), hi >> (e - eh)
+    key seeds a fresh C generator with the int of key + sha512(key) (version-2
+    seeding), and randint draws below the width by getrandbits rejection.
+    The draw is a pure function of its arguments, so it is memoized: nodes
+    recur across partitions built under one seed, and each distinct node pays
+    for the seeding once."""
     key = f"{seed}|{lo}/2^{el}|{hi}/2^{eh}".encode()
-    rng.seed(int.from_bytes(key + sha512(key).digest(), "big"))
+    rng = _CRandom(int.from_bytes(key + sha512(key).digest(), "big"))
+    te = max(el, eh) + 10
     lo, hi = lo << (te - el), hi << (te - eh)
     width = hi - lo - 1  # at least 2^10 - 1: te is ten bits finer
     k = width.bit_length()
     r = rng.getrandbits(k)
     while r >= width:
         r = rng.getrandbits(k)
-    t = lo + 1 + r
-    return t, max(t - lo, hi - t), te
+    return lo + 1 + r
+
+
+def _sampled_tag(seed: int, lo: int, hi: int, e: int):
+    """The sampled strategy's fit-test triple (t, d, te) for [lo, hi] / 2^e
+    with lo < hi: a draw t strictly inside at exponent te, ten bits finer than
+    the finest of lo, hi and the length in canonical form.  The length is
+    never finer than both ends (a difference keeps every factor of two its
+    terms share), so only the ends are read.  The draw (`_draw`) is keyed by
+    the seed and the canonical endpoints, so it depends on the interval alone
+    and not on the exponent e it is written at."""
+    el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
+    te = max(el, eh) + 10
+    lo, hi = lo >> (e - el), hi >> (e - eh)
+    t = _draw(seed, lo, el, hi, eh)
+    return t, max(t - (lo << (te - el)), (hi << (te - eh)) - t), te
 
 
 def cousin_partition(
@@ -380,7 +393,10 @@ def cousin_partition(
     any tag inside could fit.  A walled node is split without a draw, exactly
     as a node whose drawn tag failed, at the same depth check; every draw is
     seeded by its node alone, so the partition is the same as with a draw at
-    every node.
+    every node.  Every unwalled node calls `_sampled_tag` once; the draw
+    behind it is memoized per (seed, node), so a node that recurs across
+    partitions under one seed is seeded once, and no generator is shared
+    between calls.
 
     A base whose width is not a power of two is split into pieces of
     power-of-two width, largest first, each bisected with its own depth count,
@@ -393,7 +409,6 @@ def cousin_partition(
         raise ValueError(f"unknown flavor {flavor!r}")
     fits, wall = g.fits, g.wall
     sampled = tag_strategy == "sampled"
-    rng = _CRandom(seed) if sampled else None
     # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
     # ints at exponent e0 + depth, so kept items come out sorted.  Each kept
     # item is (lo, hi, e, t, te): its endpoints at e and its tag at te.  Every
@@ -415,7 +430,7 @@ def cousin_partition(
             # a walled node holds no tag that fits: it splits without a draw
             tagged = not wall(lo, hi, e)
             if tagged:
-                t, d, te = _sampled_tag(rng, seed, lo, hi, e)
+                t, d, te = _sampled_tag(seed, lo, hi, e)
         else:
             tagged = True
             if tag_strategy == "left":

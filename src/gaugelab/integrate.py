@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +33,8 @@ from .integrands import (
     restrict_integrand,
 )
 from .rng import stream
-from .spaces import DualFunctional, ValueSpace, VectorValue, distance, linear_combination
+from .spaces import (L1, LINF, DualFunctional, ValueSpace, VectorValue, distance,
+                     linear_combination, sqrt_enclosure)
 
 DEFAULT_TOL = Fraction(1, 1 << 10)
 
@@ -103,14 +105,45 @@ _STRATEGIES = ("mid", "left", "sampled")
 
 
 def _max_distance(values: Sequence[VectorValue]) -> Fraction:
-    """Largest pairwise distance (enclosure upper end) among the values."""
-    out = Fraction(0)
-    for i, u in enumerate(values):
-        for v in values[i + 1:]:
-            d = distance(u, v).hi
-            if d > out:
-                out = d
-    return out
+    """Largest pairwise distance (enclosure upper end) among the values.
+
+    Step values are compared pair by pair through `distance`, which works in
+    ints.  Coordinate values are put over one denominator D, the lcm of all
+    their coordinates' denominators, so that each is a row of int numerators
+    and each pair gets one int key that grows with its distance: the sum of
+    |a - b| (l1), their max (linf) or the sum of (a - b)^2 (l2).  The l1 and
+    linf distances are the largest key over D, exactly.  The largest linf key
+    is the widest column's range, and in one dimension every norm is |a - b|
+    (the root of the l2 key is exact), so those take one pass over the rows.
+
+    The l2 distance of a pair is `sqrt_enclosure(key / D^2).hi`, and that
+    upper end does not grow with the key: at a perfect square it is the exact
+    root, while just below one it is the rounded-down root plus 2^-64, which
+    can be larger.  So the distinct keys are scanned largest first, keeping
+    the best upper end so far.  B(q) = (isqrt(floor(q 2^128)) + 1) / 2^64
+    grows with q and is never below the upper end at q (off perfect squares
+    the two are equal), so the scan stops at the first key whose B is at most
+    the best: no smaller key can beat it.
+    """
+    if len(values) < 2:
+        return Fraction(0)
+    space = values[0].space
+    if space.is_step:
+        return max(distance(u, v).hi for i, u in enumerate(values) for v in values[i + 1:])
+    den = lcm(*(x.denominator for v in values for x in v.data))
+    rows = [[x.numerator * (den // x.denominator) for x in v.data] for v in values]
+    if space.norm == LINF or space.dim == 1:
+        return Fraction(max(max(c) - min(c) for c in zip(*rows)), den)
+    diffs = ([a - b for a, b in zip(u, v)] for i, u in enumerate(rows) for v in rows[i + 1:])
+    if space.norm == L1:
+        return Fraction(max(sum(map(abs, d)) for d in diffs), den)
+    square = den * den
+    best = Fraction(0)
+    for q in sorted({sum(x * x for x in d) for d in diffs}, reverse=True):
+        if Fraction(isqrt((q << 128) // square) + 1, 1 << 64) <= best:
+            break
+        best = max(best, sqrt_enclosure(Fraction(q, square)).hi)
+    return best
 
 
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):

@@ -271,6 +271,12 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
     ("series", "--fn", "3g", "--window-start", "-1"),
     ("vitali", "--config", "R-not-an-int.json"),
     ("vitali", "--config", "R-a-list.json"),
+    # a region endpoint with more digits than a report prints, and a region
+    # whose endpoints print but whose threshold (mu E)^(m+n) does not
+    ("stability", "--E", "2^-99999:1", "--samples", "200"),
+    ("stability", "--E", "2^-3000:1", "--m", "3", "--n", "3"),
+    # a report path in a directory that does not exist
+    ("integrate", "--fn", "identity", "--out", "no-such-dir/r.json"),
 ], ids=" ".join)
 def test_bad_input_is_usage_error(argv, tmp_path):
     argv = [str(tmp_path / a) if a in CONFIGS else a for a in argv]
@@ -285,6 +291,7 @@ def test_bad_input_is_usage_error(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("bochner", "--fn", "3f", "--eps", "2^-99999"),
     ("integrate", "--fn", "identity", "--tol", "2^-99999"),
+    ("stability", "--E", "2^-99999:1"),
 ], ids=" ".join)
 def test_unprintable_fraction_is_usage_error(argv):
     # the report would echo a value with more digits than Python prints, so

@@ -11,7 +11,6 @@ adapted schedule against the eager list of `adapted_gauge` calls.  The sampled
 strategy's seeding and draw are pinned to `random.Random(key).randint`.
 """
 
-import _random
 import random
 from fractions import Fraction
 
@@ -327,6 +326,5 @@ def test_sampled_tag_is_the_random_module_draw(seed, e, data):
     te = max(a.exp, b.exp, w.exp) + 10
     lo_t, hi_t = a.num << (te - a.exp), b.num << (te - b.exp)
     want = random.Random(f"{seed}|{a}|{b}").randint(lo_t + 1, hi_t - 1)
-    rng = _random.Random(data.draw(st.integers(0, 99)))  # the generator cousin_partition uses
-    for _ in range(2):  # reseeded per call: the draw depends on the interval alone
-        assert _sampled_tag(rng, seed, lo, hi, e) == (want, max(want - lo_t, hi_t - want), te)
+    for _ in range(2):  # memoized: the draw depends on the interval alone
+        assert _sampled_tag(seed, lo, hi, e) == (want, max(want - lo_t, hi_t - want), te)

@@ -121,9 +121,9 @@ def test_sampled_bisection_draws_only_at_unwalled_nodes(monkeypatch):
     drawn = []
     draw = gauges._sampled_tag
 
-    def counted(rng, seed, lo, hi, e):
+    def counted(seed, lo, hi, e):
         drawn.append(Interval(Dyadic(lo, e), Dyadic(hi, e)))
-        return draw(rng, seed, lo, hi, e)
+        return draw(seed, lo, hi, e)
 
     monkeypatch.setattr(gauges, "_sampled_tag", counted)
     p = cousin_partition(g, tag_strategy="sampled", seed=5)

@@ -1,0 +1,109 @@
+"""The largest pairwise distance among values, in ints, against the pair loop.
+
+`integrate._max_distance` is the spread of the McShane trial sums, the
+series tail and the batch means.  Coordinate values are compared through
+one common denominator and one int key per pair; the l2 upper end is found
+by scanning the distinct keys largest first (see its docstring).  The oracle
+is the loop it replaced, copied in below: `distance(u, v).hi` for every
+pair.  Values: l1, l2 and linf coordinate spaces of dimension 1-4 with mixed
+denominators, 0-8 values, and step values.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gaugelab import integrate, spaces
+from gaugelab.exact import D0, D1, Dyadic
+from gaugelab.integrate import _max_distance
+from gaugelab.spaces import L1, L2, LINF, ValueSpace, VectorValue, distance
+
+
+def oracle_max_distance(values):
+    out = Fraction(0)
+    for i, u in enumerate(values):
+        for v in values[i + 1:]:
+            d = distance(u, v).hi
+            if d > out:
+                out = d
+    return out
+
+
+# denominators that mix primes, small and large powers of two
+DENOMINATORS = [1, 2, 3, 5, 7, 12, 1 << 10, 1 << 60, 3 << 40, 1 << 100]
+# coordinates near 1/3 and near one another make near-perfect-square keys
+NEAR = [Fraction(0), Fraction(1, 3), Fraction(1, 3) - Fraction(1, 1 << 100),
+        Fraction(1, 1 << 60), Fraction(2, 3), Fraction(-1, 3)]
+
+coordinates = st.one_of(
+    st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.sampled_from(DENOMINATORS)),
+    st.sampled_from(NEAR),
+)
+
+
+@st.composite
+def coordinate_values(draw):
+    space = ValueSpace.findim(draw(st.integers(1, 4)), draw(st.sampled_from([L1, L2, LINF])))
+    values = draw(st.lists(st.lists(coordinates, min_size=space.dim, max_size=space.dim),
+                           max_size=8))
+    return [VectorValue.coords(space, v) for v in values]
+
+
+@st.composite
+def step_values(draw):
+    space = ValueSpace.step_linf(3)
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        keys = sorted(draw(st.sets(st.integers(1, 7), max_size=4)))
+        breaks = [D0] + [Dyadic(k, 3) for k in keys] + [D1]
+        levels = draw(st.lists(coordinates, min_size=len(breaks) - 1,
+                               max_size=len(breaks) - 1))
+        out.append(VectorValue.step(space, breaks, levels))
+    return out
+
+
+# the largest key is 1/9, a perfect square whose upper end is exactly 1/3; a
+# smaller key just below 1/9 is not a square, and its upper end is larger
+WORKED = [VectorValue.coords(ValueSpace.findim(2, L2), v) for v in
+          [(0, 0), (Fraction(1, 3), 0), (Fraction(1, 3) - Fraction(1, 1 << 100),
+                                         Fraction(1, 1 << 60))]]
+
+
+def test_worked_example():
+    assert _max_distance(WORKED) == Fraction(3074457345618258603, 1 << 63)
+    assert _max_distance(WORKED) > Fraction(1, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(coordinate_values(), step_values()))
+@example(WORKED)
+@example([VectorValue.coords(ValueSpace.findim(2, L1), v) for v in [(1, 0), (0, 1)]])
+@example([VectorValue.coords(ValueSpace.findim(1, L2), (Fraction(1, 2),)),
+          VectorValue.coords(ValueSpace.findim(1, L2), (Fraction(1, 3),))])
+def test_max_distance_is_the_pairwise_loop(values):
+    assert _max_distance(values) == oracle_max_distance(values)
+
+
+def test_spread_of_200_means_calls_no_distance(monkeypatch):
+    # 200 float-like means in a plane: 19,900 pairs, one square root
+    rng = random.Random(20)
+    space = ValueSpace.findim(2, L2)
+    means = [VectorValue.coords(space, [Fraction(rng.random()) for _ in range(2)])
+             for _ in range(200)]
+    want = oracle_max_distance(means)
+    calls = {"distance": 0, "sqrt": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(integrate, "distance", counted("distance", integrate.distance))
+    monkeypatch.setattr(spaces, "distance", counted("distance", spaces.distance))
+    monkeypatch.setattr(integrate, "sqrt_enclosure",
+                        counted("sqrt", integrate.sqrt_enclosure))
+    assert _max_distance(means) == want
+    assert calls["distance"] == 0 and 1 <= calls["sqrt"] <= 2
