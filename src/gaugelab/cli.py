@@ -53,16 +53,25 @@ def arg_fraction_list(text) -> list[Fraction]:
     return out
 
 
+def _printable(dest: str, value):
+    """value, or a usage error naming --dest if a report could not echo it."""
+    try:
+        jsonable(value)
+    except ValueError:
+        raise ValueError(f"--{dest} has more digits than a report can print") from None
+    return value
+
+
 def arg_gauge(text) -> Gauge:
     """"const:1/5" or "piecewise:0,1/2,1;1/4,1/8"."""
     kind, _, rest = str(text).partition(":")
     if kind == "const":
-        return Gauge.const(parse_fraction(rest))
+        return Gauge.const(_printable("gauge", parse_fraction(rest)))
     if kind == "piecewise":
         bpart, _, vpart = rest.partition(";")
         breaks = [Dyadic.parse(tok) for tok in bpart.split(",") if tok.strip()]
         values = [parse_fraction(tok) for tok in vpart.split(",") if tok.strip()]
-        return Gauge.piecewise(breaks, values)
+        return Gauge.piecewise(breaks, _printable("gauge", values))
     raise ValueError(f"unknown gauge spec {text!r}")
 
 
@@ -599,14 +608,9 @@ def resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> d
         args.deterministic = False
     for dest, conv in _CONVERTERS.items():
         if hasattr(args, dest) and getattr(args, dest) is not None:
-            value = conv(getattr(args, dest))
             # the report echoes the value, so one it cannot print is refused
             # here rather than after the check has run
-            try:
-                jsonable(value)
-            except ValueError:
-                raise ValueError(f"--{dest} has more digits than a report can print") from None
-            setattr(args, dest, value)
+            setattr(args, dest, _printable(dest, conv(getattr(args, dest))))
     if args.tol <= 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     for dest in _COUNTS:
@@ -622,10 +626,7 @@ def resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> d
             # a region's endpoints reach its report as fractions (its measure
             # among them), so a region whose endpoints cannot print is refused
             if isinstance(value, Region):
-                try:
-                    jsonable([Fraction(a, 1 << value.exp) for a in (*value.lo, *value.hi)])
-                except ValueError:
-                    raise ValueError(f"--{dest} has more digits than a report can print") from None
+                _printable(dest, [Fraction(a, 1 << value.exp) for a in (*value.lo, *value.hi)])
             setattr(args, dest, value)
     return resolved
 

@@ -16,11 +16,12 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Sequence
 
 from .errors import ResolutionExceeded, SearchExhausted
-from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, region_intersect,
-                    region_subtract)
+from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION,
+                    region_intersect, region_subtract)
 from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
 from .integrands import IntegrandFn, exact_vector_integral, restrict_integrand
@@ -57,15 +58,14 @@ class FatSet:
         return self.stages[min(l, self.levels)]
 
 
-def build_fat_set(L: int, r: int = 3, seed: int = 0) -> FatSet:
+def build_fat_set(L: int, r: int = 3) -> FatSet:
     """Deterministic fat set: stage s centers one closed interval of length
     2^-(r+2+s) in every dyadic cell of [0,2] at scale 2^-(r+s-1).
 
-    The seed is accepted for interface uniformity; the construction is fully
-    deterministic.  Stages at different scales overlap, so per-cell mass grows
-    slower than L*2^-(r+3); rather than trusting any closed form, the full-
-    and null-cell halves of the invariant are checked exhaustively over every
-    scale-r cell and violating parameters are rejected with diagnostics.
+    Stages at different scales overlap, so per-cell mass grows slower than
+    L*2^-(r+3); rather than trusting any closed form, the full- and null-cell
+    halves of the invariant are checked exhaustively over every scale-r cell
+    and violating parameters are rejected with diagnostics.
     """
     if L < 1:
         raise ValueError("need at least one stage")
@@ -237,85 +237,62 @@ def _pair_violation(H: Region, parts: Sequence[tuple], new: tuple) -> bool:
     return False
 
 
-def _support_parts(breaks: Sequence[Fraction], levels: Sequence[int]):
-    return [(lo, hi) for lo, hi, lev in zip(breaks, breaks[1:], levels) if lev]
+# the enumeration stops after this many pair checks, whatever it has yielded
+CHECK_CAP = 400_000
 
 
-def _enumerate_jump_members(H: Region, depth: int, vmax: int, budget: int,
-                            check_cap: int = 400_000):
-    """Yield (breaks, levels, variation) for {0,1} step functions with jumps
-    on the depth grid, variation <= vmax, passing the pair constraint.
+def _enumerate_jump_members(H: Region, depth: int, vmax: int):
+    """Lazily yield (breaks, levels, variation) for the {0,1} step functions
+    with jumps on the depth grid and variation <= vmax that pass the pair
+    constraint; breaks are Dyadics, levels 0/1 ints.
 
     Canonical order: variation ascending, start level 1 before 0, jump tuples
     lexicographic.  Support parts are checked as soon as they complete, and a
     failed completion prunes every later completion of the same run (the
-    violating sum interval only grows), which keeps the scan shallow.
+    violating sum interval only grows), which keeps the scan shallow.  The
+    caller takes as many members as it needs; after CHECK_CAP pair checks
+    nothing more is yielded.
     """
-    if budget <= 0:
-        return
     grid = 1 << depth
     checks = 0
-    yielded = 0
-
-    def to_break(g: int) -> Fraction:
-        return Fraction(g, grid)
 
     # variation 0: constant 0 always passes; constant 1 fails against any
     # fat set (some doubled subinterval lands in H) and is checked honestly
-    for const in (0, 1):
-        parts = [(Fraction(0), Fraction(1))] if const else []
-        if not parts or not _pair_violation(H, [], parts[0]):
-            yield (Fraction(0), Fraction(1)), (const,), 0
-            yielded += 1
-            if yielded >= budget:
+    yield (D0, D1), (0,), 0
+    if not _pair_violation(H, [], (Fraction(0), Fraction(1))):
+        yield (D0, D1), (1,), 0
+
+    def runs(v: int, start: int, jumps: list, completed: list):
+        nonlocal checks
+        if checks >= CHECK_CAP:
+            return
+        used = len(jumps)
+        # the run after the last jump sits at 1: its end completes a part
+        open_run = start ^ (used & 1)
+        run_lo = Fraction(jumps[-1], grid) if jumps else Fraction(0)
+        if used == v:
+            if open_run:
+                checks += 1
+                if _pair_violation(H, completed, (run_lo, Fraction(1))):
+                    return
+            yield ((D0, *(Dyadic(g, depth) for g in jumps), D1),
+                   tuple(start ^ (i & 1) for i in range(v + 1)), v)
+            return
+        for g in range((jumps[-1] + 1) if jumps else 1, grid - (v - used - 1)):
+            if checks >= CHECK_CAP:
                 return
+            if open_run:
+                new = (run_lo, Fraction(g, grid))
+                checks += 1
+                if _pair_violation(H, completed, new):
+                    return  # larger g only widens the run: prune
+                yield from runs(v, start, jumps + [g], completed + [new])
+            else:
+                yield from runs(v, start, jumps + [g], completed)
 
     for v in range(1, vmax + 1):
         for start in (1, 0):
-
-            def dfs(jumps: list, completed: list):
-                nonlocal checks, yielded
-                if yielded >= budget or checks >= check_cap:
-                    return
-                used = len(jumps)
-                level_after = start ^ (used & 1)
-                if used == v:
-                    final = list(completed)
-                    if level_after == 1:
-                        run_lo = to_break(jumps[-1]) if jumps else Fraction(0)
-                        new = (run_lo, Fraction(1))
-                        checks += 1
-                        if _pair_violation(H, final, new):
-                            return
-                        final.append(new)
-                    breaks = (Fraction(0), *map(to_break, jumps), Fraction(1))
-                    levels = tuple((start ^ (i & 1)) for i in range(v + 1))
-                    yield_list.append((breaks, levels, v))
-                    yielded += 1
-                    return
-                first = (jumps[-1] + 1) if jumps else 1
-                for g in range(first, grid - (v - used - 1)):
-                    if yielded >= budget or checks >= check_cap:
-                        return
-                    if level_after == 1:
-                        # this jump completes the open run started earlier
-                        run_lo = to_break(jumps[-1]) if jumps else Fraction(0)
-                        new = (run_lo, to_break(g))
-                        checks += 1
-                        if _pair_violation(H, completed, new):
-                            return  # larger g only widens the run: prune
-                        dfs(jumps + [g], completed + [new])
-                    else:
-                        dfs(jumps + [g], completed)
-
-            yield_list: list = []
-            dfs([], [])
-            for item in yield_list:
-                yield item
-                if yielded > budget:
-                    return
-            if yielded >= budget or checks >= check_cap:
-                return
+            yield from runs(v, start, [], [])
 
 
 def targeted_member(H: Region, tags: Sequence[Dyadic]):
@@ -367,65 +344,21 @@ def targeted_member(H: Region, tags: Sequence[Dyadic]):
     return tuple(breaks), tuple(levels)
 
 
-def build_A_family(
-    fat: FatSet,
-    l: int,
-    jump_grid_depth: int = 10,
-    cap: int = 64,
-    targeted: Sequence[Sequence[Dyadic]] = (),
-) -> FunctionFamily:
-    """First cap members (canonical order) of the {0,1} jump functions with
-    variation <= l passing the pair constraint against H_l, preceded by
-    targeted neighborhood indicators for the supplied tag sets.
-
-    Targeted members are exempt from the variation cap and the jump grid
-    (their breakpoints are still dyadic); an infeasible tag set is recorded
-    in metadata rather than raised, since the enumeration is still useful.
-    """
+def build_A_family(fat: FatSet, l: int, jump_grid_depth: int = 10,
+                   cap: int = 64) -> FunctionFamily:
+    """First cap members, in canonical order, of the {0,1} jump functions
+    with variation <= l and jumps on the 2^-jump_grid_depth grid that pass
+    the pair constraint against H_l.  metadata["variations"] holds each
+    member's variation."""
     if l < 2:
         raise ValueError("family level must be >= 2")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    H = fat.stage(l)
-    steps = []
-    variations = []
-    failures = []
-    for ti, T in enumerate(targeted):
-        member = targeted_member(H, T)
-        if member is None:
-            failures.append({"targeted": ti, "reason": "tag sums touch H or margin collapsed"})
-            continue
-        breaks, levels = member
-        support = _support_parts([b.as_fraction() for b in breaks], [int(v) for v in levels])
-        bad = False
-        done: list = []
-        for part in support:
-            if _pair_violation(H, done, part):
-                bad = True
-                break
-            done.append(part)
-        if bad:
-            failures.append({"targeted": ti, "reason": "constructed member failed the pair check"})
-            continue
-        steps.append((breaks, [Fraction(v) for v in levels]))
-        variations.append(2 * len(T))
-    budget = cap - len(steps)
-    for breaks_q, levels, v in _enumerate_jump_members(H, jump_grid_depth, l, budget):
-        breaks = tuple(Dyadic.from_fraction(b) for b in breaks_q)
-        steps.append((breaks, [Fraction(x) for x in levels]))
-        variations.append(v)
-        if len(steps) >= cap:
-            break
-    fam = FunctionFamily.from_steps(steps, label=f"jump-family-level-{l}")
-    fam.metadata.update(
-        {
-            "level": l,
-            "grid_depth": jump_grid_depth,
-            "variations": variations,
-            "n_targeted": len(targeted) - len(failures),
-            "targeted_failures": failures,
-        }
-    )
+    found = list(islice(_enumerate_jump_members(fat.stage(l), jump_grid_depth, l), cap))
+    fam = FunctionFamily.from_steps([(breaks, levels) for breaks, levels, _ in found],
+                                    label=f"jump-family-level-{l}")
+    fam.metadata.update({"level": l, "grid_depth": jump_grid_depth,
+                         "variations": [v for _, _, v in found]})
     return fam
 
 
@@ -436,25 +369,23 @@ def example_3e(family: FunctionFamily, R: int) -> IntegrandFn:
     """phi(t) = (f_0(t), ..., f_{R-1}(t)) in the sup-norm sequence space.
 
     Piecewise-step: breakpoints are the union of the member jump points, and
-    every coordinate is one member function.
+    every coordinate is one member function.  The union is built as int keys
+    at the finest exponent; a cell's coordinate i is member i's level at the
+    cell's left key, since no member break lies inside the cell.
     """
     if family.klass != "piecewise-step":
         raise ValueError("need step members")
     if R < 1 or R > len(family.members):
         raise ValueError(f"R={R} outside 1..{len(family.members)}")
     members = family.members[:R]
-    cut_set = {Fraction(0), Fraction(1)}
-    for m in members:
-        cut_set.update(b.as_fraction() for b in m.breaks)
-    cuts = sorted(cut_set)
+    e = max(b.exp for m in members for b in m.breaks)
+    keys = sorted({0, 1 << e}.union(b.num << (e - b.exp) for m in members for b in m.breaks))
+    cells = [(DyadicCuts(m.breaks[1:-1]), m.levels) for m in members]
     space = ValueSpace.seq_sup(R)
-    breaks = tuple(Dyadic.from_fraction(c) for c in cuts)
-    values = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        values.append(VectorValue.coords(space, [m.eval(mid) for m in members]))
+    values = [VectorValue.coords(space, [levels[cuts.cell_at(k, e)] for cuts, levels in cells])
+              for k in keys[:-1]]
     return IntegrandFn.step(
-        space, breaks, values, label=f"jump-sequence-R{R}",
+        space, tuple(Dyadic(k, e) for k in keys), values, label=f"jump-sequence-R{R}",
         metadata={"family": family.label, "R": R},
     )
 
@@ -558,10 +489,7 @@ def oscillation_witness_3e(
     if tm is None:
         raise SearchExhausted("targeted member infeasible for the found tags",
                               index=0, trace=[])
-    breaks, levels = tm
-    members = [Member("step", "targeted[T]", breaks=breaks,
-                      levels=tuple(Fraction(v) for v in levels))]
-    members.extend(family.members[: R - 1])
+    members = [Member("targeted[T]", *tm), *family.members[: R - 1]]
     fam2 = FunctionFamily("piecewise-step", members, label=family.label + "+targeted")
     fam2.metadata = dict(family.metadata)
     phi = example_3e(fam2, len(members))

@@ -339,9 +339,10 @@ def _trim_region_to_measure(region: Region, target: Fraction) -> Region:
 
 
 def sample_regions(
-    count: int, seed: int, max_measure: Fraction = Fraction(1), depth: int = 8, max_parts: int = 3
+    count: int, seed: int, max_measure: Fraction = Fraction(1), depth: int = 8
 ) -> list[Region]:
-    """Deterministic pool of dyadic regions with measure <= max_measure."""
+    """Deterministic pool of dyadic regions with measure <= max_measure: the
+    unit interval and its halves, trimmed, then draws of 1 to 3 parts."""
     # a drawn part starts at exponent <= depth, so a trimmed draw is empty
     # unless the bound reaches one cell of the finest grid it may be cut on
     floor = Fraction(1, 1 << _trim_depth(depth))
@@ -360,7 +361,7 @@ def sample_regions(
     out.extend(canonical[: min(count, 3)])
     while len(out) < count:
         parts = []
-        for _ in range(int(rng.integers(1, max_parts + 1))):
+        for _ in range(int(rng.integers(1, 4))):
             a = int(rng.integers(0, 1 << depth))
             b = int(rng.integers(a + 1, (1 << depth) + 1))
             parts.append(Interval(Dyadic(a, depth), Dyadic(b, depth)))
@@ -634,19 +635,17 @@ def vitali_limit(
     tol: Fraction = DEFAULT_TOL,
     n_max: int = 16,
     seed: int = 0,
-    sample_depth: int = 6,
 ) -> dict:
     """Finite-sample convergence verdict for phi_n -> phi.
 
-    H1: pointwise closeness of phi_{n_max} to the limit on a deterministic
-    interior dyadic sample.
+    H1: pointwise closeness of phi_{n_max} to the limit at the 64 midpoints
+    of the 2^-6 grid.
     H2: late-window Cauchy check of the scalar integrals f(int_E phi_n) over
     each region, f applied to one closed-form vector integral per (n, region).
     C:  only claimed when H1 and H2 hold — the gauge integral of the limit
     matches the closed-form vector integral of phi_{n_max} within 3*tol.
     """
-    n_pts = 1 << sample_depth
-    sample = [Fraction(2 * i + 1, 2 * n_pts) for i in range(n_pts)]
+    sample = [Fraction(2 * i + 1, 128) for i in range(64)]
     phi_last = phi_seq(n_max)
     h1_worst = Fraction(0)
     h1_witness = None

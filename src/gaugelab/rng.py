@@ -13,6 +13,6 @@ import numpy as np
 _MASK = (1 << 64) - 1
 
 
-def stream(seed: int, lane: int = 0) -> np.random.Generator:
+def stream(seed: int, lane: int) -> np.random.Generator:
     key = np.array([seed & _MASK, lane & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -259,7 +259,7 @@ class VectorValue:
 
     # -- norms ---------------------------------------------------------------
 
-    def norm(self, bits: int = 64) -> Enclosure:
+    def norm(self) -> Enclosure:
         if self.space.is_step:
             top = Fraction(max(map(abs, self.nums)), self.den)
             return Enclosure(top, top)
@@ -268,7 +268,7 @@ class VectorValue:
         if self.space.norm == LINF:
             return Enclosure.exact(max((abs(v) for v in self.data if v), default=Fraction(0)))
         square = sum((v * v for v in self.data if v), Fraction(0))
-        return sqrt_enclosure(square, bits=bits)
+        return sqrt_enclosure(square)
 
     def _level_at(self, key: int) -> Fraction:
         """Level at the points [key, key + 1) / 2^g, 0 <= key < 2^g: the cell
@@ -367,11 +367,11 @@ def _step_combination(space: ValueSpace, terms) -> VectorValue:
     return VectorValue._columns(space, tuple(keys), tuple(nums), den)
 
 
-def distance(u: VectorValue, v: VectorValue, bits: int = 64) -> Enclosure:
+def distance(u: VectorValue, v: VectorValue) -> Enclosure:
     """The norm of u - v.  Two step values are compared run by run on their
     common refinement, max |n_u d_v - n_v d_u| / (d_u d_v), in ints."""
     if not u.space.is_step:
-        return (u - v).norm(bits=bits)
+        return (u - v).norm()
     if v.space != u.space:
         raise SpaceMismatch(f"{u.space} vs {v.space}")
     worst = max(abs(a * v.den - b * u.den)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .exact import DyadicCuts, Region, format_region
+from .exact import Region, format_region
 from .integrands import STEP, IntegrandFn, paired_polys
 from .rng import stream
 from .spaces import DualFunctional, sqrt_enclosure
@@ -32,30 +32,24 @@ from .spaces import DualFunctional, sqrt_enclosure
 _Z95 = Fraction(196, 100)
 
 
-@dataclass
-class Member:
-    kind: str  # "step" | "eval"
+class Member(NamedTuple):
+    """One family member as data: breaks b_0 = 0 < ... < b_k = 1 (dyadic)
+    and one level per half-open cell [b_i, b_{i+1}), the last cell closed.
+    A step member's level is a rational; a polynomial member's level is the
+    cell's exact coefficient tuple, lowest degree first."""
+
     member_id: str
-    breaks: tuple = ()  # step: dyadic breakpoints spanning [0,1]
-    levels: tuple = ()  # step: one rational level per half-open cell
-    fn: Callable | None = None  # eval: exact rational evaluation
-    fn_np: Callable | None = None  # eval: vectorized float evaluation
-
-    def __post_init__(self):
-        self._cells = DyadicCuts(self.breaks[1:-1])
-
-    def eval(self, t) -> Fraction:
-        if self.kind == "step":
-            return self.levels[self._cells.cell(t)]
-        return Fraction(self.fn(t))
+    breaks: tuple
+    levels: tuple
 
 
 class FunctionFamily:
-    """Finite family of evaluable maps [0,1] -> R, or the pair-sum class.
+    """Finite family of piecewise maps [0,1] -> R, or the pair-sum class.
 
-    klass "piecewise-step" members evaluate by breakpoint lookup and feed the
-    step sampling kernel; "evaluator" members carry an exact callable plus a
-    vectorized float twin.  klass "pairsum" is not a finite list: it stands for
+    Members are data (see Member).  klass "piecewise-step" members hold one
+    rational level per cell and feed the step sampling kernel; "evaluator"
+    members hold one exact polynomial per cell, sampled through the float
+    polynomial kernel.  klass "pairsum" is not a finite list: it stands for
     every {0,1}-valued function subject to the constraint that no two distinct
     points summing into the region H may both take the value 1.  Its
     separation predicate is evaluated in closed form, which is what lets the
@@ -78,19 +72,19 @@ class FunctionFamily:
 
     @classmethod
     def from_steps(cls, steps: Sequence[tuple], label: str = "steps") -> "FunctionFamily":
-        members = [
-            Member("step", f"{label}[{i}]", breaks=tuple(b), levels=tuple(Fraction(v) for v in lv))
-            for i, (b, lv) in enumerate(steps)
-        ]
+        members = [Member(f"{label}[{i}]", tuple(b), tuple(Fraction(v) for v in lv))
+                   for i, (b, lv) in enumerate(steps)]
         return cls("piecewise-step", members, label=label)
 
     @classmethod
-    def from_callables(cls, fns: Sequence[tuple], label: str = "fns") -> "FunctionFamily":
-        """fns: (exact_fn, vector_fn) pairs."""
-        members = [
-            Member("eval", f"{label}[{i}]", fn=fn, fn_np=fn_np)
-            for i, (fn, fn_np) in enumerate(fns)
-        ]
+    def from_polys(cls, breaks: Sequence, polys: Sequence[Sequence],
+                   label: str = "polys") -> "FunctionFamily":
+        """Members on shared breaks; polys[i][c] is member i's coefficient
+        sequence on cell c, lowest degree first."""
+        breaks = tuple(breaks)
+        members = [Member(f"{label}[{i}]", breaks,
+                          tuple(tuple(Fraction(x) for x in coeffs) for coeffs in cells))
+                   for i, cells in enumerate(polys)]
         return cls("evaluator", members, label=label)
 
     @classmethod
@@ -111,27 +105,16 @@ def family_from_integrand(phi: IntegrandFn, functionals: Sequence[DualFunctional
                           label: str | None = None) -> FunctionFamily:
     """The scalar trace {f o phi : f in functionals} as a FunctionFamily.
 
-    Step integrands produce a piecewise-step family (kernel path); polynomial
-    integrands produce evaluator members: the exact trace and, for sampling,
-    the paired coefficients evaluated in float64.
+    Step integrands give a piecewise-step family, one level f(v) per cell;
+    polynomial integrands give an evaluator family whose level on each cell
+    is the exact coefficient tuple of f(phi(t)).
     """
     label = label or f"trace({phi.label})"
     if phi.klass == STEP:
         steps = [(phi.breaks, tuple(f(v) for v in phi.values)) for f in functionals]
         return FunctionFamily.from_steps(steps, label=label)
-    cuts = np.array([float(b) for b in phi.breaks[1:-1]])
-    fns = []
-    for f in functionals:
-        def fn(t, _f=f, _phi=phi):
-            return _f(_phi.eval(t))
-
-        cells = [[[float(c) for c in coeffs]] for coeffs in paired_polys(f, phi)]
-
-        def fn_np(xs, _cells=cells):
-            return _kernels.piecewise_poly(xs, cuts, _cells)[:, 0]
-
-        fns.append((fn, fn_np))
-    return FunctionFamily.from_callables(fns, label=label)
+    return FunctionFamily.from_polys(phi.breaks, [paired_polys(f, phi) for f in functionals],
+                                     label=label)
 
 
 @dataclass
@@ -198,8 +181,10 @@ def _count_hits(A: FunctionFamily, t_pts: np.ndarray, u_pts: np.ndarray,
     hit = np.zeros(t_pts.shape[0], dtype=bool)
     af, bf = float(alpha), float(beta)
     for member in A.members:
-        tv = np.column_stack([member.fn_np(t_pts[:, i]) for i in range(t_pts.shape[1])])
-        uv = np.column_stack([member.fn_np(u_pts[:, j]) for j in range(u_pts.shape[1])])
+        cuts = np.array([float(b) for b in member.breaks[1:-1]])
+        cells = [[[float(c) for c in coeffs]] for coeffs in member.levels]
+        tv = _kernels.piecewise_poly(t_pts.ravel(), cuts, cells)[:, 0].reshape(t_pts.shape)
+        uv = _kernels.piecewise_poly(u_pts.ravel(), cuts, cells)[:, 0].reshape(u_pts.shape)
         hit |= np.all(tv <= af, axis=1) & np.all(uv >= bf, axis=1)
     return int(np.count_nonzero(hit))
 

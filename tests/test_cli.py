@@ -292,6 +292,7 @@ def test_bad_input_is_usage_error(argv, tmp_path):
     ("bochner", "--fn", "3f", "--eps", "2^-99999"),
     ("integrate", "--fn", "identity", "--tol", "2^-99999"),
     ("stability", "--E", "2^-99999:1"),
+    ("gallery", "3e", "--gauge", "const:2^-99999"),
 ], ids=" ".join)
 def test_unprintable_fraction_is_usage_error(argv):
     # the report would echo a value with more digits than Python prints, so

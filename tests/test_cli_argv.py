@@ -121,6 +121,7 @@ REASON = re.compile(r"^(gaugelab( \w+)?: )?error: \S|^check failed: \S")
 @example(["integrate", "--fn", "identity", "--tol", "2^-20", "--max-levels", "2"])
 @example(["bochner", "--fn", "3f", "--eps", "2^-99999"])
 @example(["stability", "--E", "2^-99999:1", "--samples", "200"])
+@example(["gallery", "3e", "--gauge", "const:2^-99999", "--R", "2", "--L", "2"])
 def test_any_argv_exits_cleanly(tmp_path_factory, argv):
     # runs in an empty directory, with the package importable from there
     cwd = tmp_path_factory.mktemp("argv")

@@ -1,12 +1,11 @@
 """The breakpoint cell lookups and Region.contains against linear scans.
 
-Three objects find the cell of a point among dyadic breakpoints: piecewise
-gauges, piecewise integrands and step family members; a step value's
-coordinate functional finds the cell of a grid cell.  All use half-open
-cells [b_i, b_{i+1}) with the last cell closed, so t = 1 falls in the last
-cell.  Region.contains looks a point up among sorted parts.  The
-queries always include every breakpoint and endpoint, 0 and 1, where an
-off-by-one in a search would show.
+Two objects find the cell of a point among dyadic breakpoints: piecewise
+gauges and piecewise integrands; a step value's coordinate functional finds
+the cell of a grid cell.  All use half-open cells [b_i, b_{i+1}) with the
+last cell closed, so t = 1 falls in the last cell.  Region.contains looks a
+point up among sorted parts.  The queries always include every breakpoint
+and endpoint, 0 and 1, where an off-by-one in a search would show.
 """
 
 from fractions import Fraction
@@ -18,7 +17,6 @@ from gaugelab.exact import Dyadic, Interval, Region
 from gaugelab.gauges import Gauge
 from gaugelab.integrands import IntegrandFn
 from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue
-from gaugelab.stability import FunctionFamily, Member
 
 DEPTH = 5
 
@@ -56,41 +54,14 @@ def test_cell_lookups_and_region_contains_match_linear_scan(case):
     phi = IntegrandFn.step(line, breaks, [VectorValue.coords(line, [c]) for c in cells])
     step_space = ValueSpace.step_linf(DEPTH)
     step = VectorValue.step(step_space, breaks, list(cells))
-    member = Member("step", "m", breaks=tuple(breaks), levels=tuple(Fraction(c) for c in cells))
     region = Region(parts)
     for tq in points:
         expect = scan_cell(breaks, tq)
         for t in (tq, Dyadic.from_fraction(tq)):
             assert gauge(t) == expect + 1
             assert phi.eval(t).data == (expect,)
-            assert member.eval(t) == expect
         grid_cell = min(int(tq * (1 << DEPTH)), (1 << DEPTH) - 1)
         assert DualFunctional.coordinate(step_space, grid_cell)(step) == expect
         inside = any(p.lo.as_fraction() <= tq <= p.hi.as_fraction() for p in parts)
         assert region.contains(tq) == inside
         assert region.contains(Dyadic.from_fraction(tq)) == inside
-
-
-@st.composite
-def member_cases(draw):
-    depth = draw(st.integers(0, 7))
-    n = 1 << depth
-    interior = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=12))) if n > 1 else []
-    breaks = tuple(Dyadic(k, depth) for k in [0] + interior + [n])
-    levels = draw(st.lists(st.fractions(-2, 2, max_denominator=6),
-                           min_size=len(breaks) - 1, max_size=len(breaks) - 1))
-    extra = draw(st.lists(st.integers(0, 4 * n), max_size=16))
-    points = ({Fraction(k, 4 * n) for k in extra} | {Fraction(0), Fraction(1)}
-              | {b.as_fraction() for b in breaks})
-    return breaks, levels, sorted(points)
-
-
-@settings(max_examples=80, deadline=None)
-@given(member_cases())
-def test_member_eval_matches_linear_scan(case):
-    breaks, levels, points = case
-    (member,) = FunctionFamily.from_steps([(breaks, levels)]).members
-    for tq in points:
-        expect = levels[scan_cell(breaks, tq)]
-        assert member.eval(tq) == expect
-        assert member.eval(Dyadic.from_fraction(tq)) == expect

@@ -2,16 +2,19 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugelab import _kernels
 from gaugelab.exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION,
                             parse_region, region_intersect)
-from gaugelab.integrands import IntegrandFn, identity_integrand
+from gaugelab.integrands import IntegrandFn, identity_integrand, paired_polys, poly_eval
 from gaugelab.integrate import default_functionals
 from gaugelab.spaces import ValueSpace, VectorValue
-from gaugelab.stability import (FunctionFamily, ZQuery, family_from_integrand,
+from gaugelab.rng import stream
+from gaugelab.stability import (FunctionFamily, ZQuery, _count_hits, family_from_integrand,
                                 pairsum_z_bound, stability_scan, z_measure_mc)
 
 HALF = Dyadic(1, 1)
@@ -72,8 +75,8 @@ def indicator_family():
 
 
 def identity_family():
-    return FunctionFamily.from_callables(
-        [(lambda t: Fraction(t), lambda xs: xs)], label="identity")
+    """One member, t on [0,1]: the single cell's coefficients (0, 1)."""
+    return FunctionFamily.from_polys((D0, D1), [[(0, 1)]], label="identity")
 
 
 def test_zquery_validation():
@@ -188,7 +191,56 @@ def test_family_from_integrand_step_trace():
     ident = identity_integrand()
     fam2 = family_from_integrand(ident, default_functionals(ident.space, 2, seed=0))
     assert fam2.klass == "evaluator"
-    # composed trace evaluates exactly
+    # each member's one cell holds the exact coefficients of the composed trace
     t = Fraction(1, 3)
     for member, f in zip(fam2.members, default_functionals(ident.space, 2, seed=0)):
-        assert member.eval(t) == f(ident.eval(t))
+        assert member.breaks == ident.breaks
+        (cell,) = member.levels
+        assert poly_eval(cell, t) == f(ident.eval(t))
+
+
+def closure_hits(phi, functionals, t_pts, u_pts, alpha, beta):
+    """Hit count of a polynomial trace family the way evaluator members with
+    a vectorized float callable per member counted it, column by column: the
+    oracle for from_polys members."""
+    cuts = np.array([float(b) for b in phi.breaks[1:-1]])
+    hit = np.zeros(t_pts.shape[0], dtype=bool)
+    for f in functionals:
+        cells = [[[float(c) for c in coeffs]] for coeffs in paired_polys(f, phi)]
+
+        def fn_np(xs, _cells=cells):
+            return _kernels.piecewise_poly(xs, cuts, _cells)[:, 0]
+
+        tv = np.column_stack([fn_np(t_pts[:, i]) for i in range(t_pts.shape[1])])
+        uv = np.column_stack([fn_np(u_pts[:, j]) for j in range(u_pts.shape[1])])
+        hit |= np.all(tv <= float(alpha), axis=1) & np.all(uv >= float(beta), axis=1)
+    return int(np.count_nonzero(hit))
+
+
+@st.composite
+def poly_trace_cases(draw):
+    depth = 4
+    interior = sorted(draw(st.sets(st.integers(1, (1 << depth) - 1), max_size=4)))
+    breaks = [Dyadic(k, depth) for k in [0, *interior, 1 << depth]]
+    dim = draw(st.integers(1, 3))
+    coeff = st.fractions(-2, 2, max_denominator=8)
+    polys = [[draw(st.lists(coeff, min_size=1, max_size=4)) for _ in range(dim)]
+             for _ in range(len(breaks) - 1)]
+    phi = IntegrandFn.poly(ValueSpace.findim(dim, "l2"), breaks, polys)
+    fs = default_functionals(phi.space, draw(st.integers(1, 4)), seed=draw(st.integers(0, 99)))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    alpha = draw(st.fractions(-1, 1, max_denominator=4))
+    beta = alpha + draw(st.fractions(0, 1, max_denominator=4).filter(bool))
+    return phi, fs, m, n, alpha, beta, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_trace_cases())
+def test_from_polys_hits_match_closure_path(case):
+    phi, fs, m, n, alpha, beta, seed = case
+    pts = stream(seed, 0).random((500, m + n))
+    t_pts, u_pts = np.ascontiguousarray(pts[:, :m]), np.ascontiguousarray(pts[:, m:])
+    fam = family_from_integrand(phi, fs)
+    assert fam.klass == "evaluator"
+    assert (_count_hits(fam, t_pts, u_pts, alpha, beta)
+            == closure_hits(phi, fs, t_pts, u_pts, alpha, beta))
