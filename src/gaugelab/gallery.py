@@ -321,9 +321,8 @@ def targeted_member(H: Region, tags: Sequence[Dyadic]):
     bound = min(bound, 1 - T[-1].as_fraction())
     if bound <= 0:
         return None
-    e = 1
-    while Fraction(1, 1 << e) > bound and e < 48:
-        e += 1
+    # the smallest e >= 1 with 2^-e <= bound, i.e. 2^e >= ceil(1 / bound)
+    e = max(1, (-(-bound.denominator // bound.numerator) - 1).bit_length())
     eps = Dyadic(1, e)
     breaks = [D0]
     levels = []
@@ -539,21 +538,18 @@ def example_3f(depth: int = 12) -> dict:
     which is what defeats simple-function approximation; the exact integral is
     the discretized down-ramp 1 - (j+1)/2^depth on cell j, returned in closed
     form as an oracle independent of the Riemann-sum accumulator.
+
+    With n = 2^depth, every value is written straight as canonical int
+    columns on the grid: cell 0 is the zero function, cell j >= 1 is 1 on
+    [0, j) and 0 on [j, n), and the ramp has levels n-1, ..., 0 over n.
     """
     if depth < 1 or depth > 16:
         raise ValueError("depth must be in 1..16")
     space = ValueSpace.step_linf(depth)
     n = 1 << depth
     breaks = tuple(Dyadic(j, depth) for j in range(n + 1))
-    values = []
-    for j in range(n):
-        if j == 0:
-            values.append(VectorValue.step(space, (D0, D1), (Fraction(0),)))
-        else:
-            values.append(
-                VectorValue.step(space, (D0, Dyadic(j, depth), D1),
-                                 (Fraction(1), Fraction(0)))
-            )
+    values = [VectorValue._columns(space, (0, n), (0,), 1)]
+    values.extend(VectorValue._columns(space, (0, j, n), (1, 0), 1) for j in range(1, n))
     phi = IntegrandFn.step(
         space, breaks, values, label=f"indicator-ramp-{depth}",
         metadata={
@@ -562,9 +558,7 @@ def example_3f(depth: int = 12) -> dict:
             "grid_depth": depth,
         },
     )
-    ramp = VectorValue.step(
-        space, breaks, [Fraction(n - j - 1, n) for j in range(n)]
-    )
+    ramp = VectorValue._columns(space, tuple(range(n + 1)), tuple(range(n - 1, -1, -1)), n)
     return {"integrand": phi, "exact_integral": ramp, "grid": Fraction(1, n)}
 
 

@@ -40,6 +40,8 @@ HENSTOCK = "henstock"
 
 
 def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, Dyadic):
         return x.as_fraction()
     return Fraction(x)
@@ -160,9 +162,9 @@ class Gauge:
             raise GaugeNotPositive("proximity gauge needs positive cap and floors")
         if len(floorq) != len(bps):
             raise ValueError("need one floor per breakpoint")
-        order = sorted(range(len(bps)), key=lambda j: bps[j])
-        cuts = DyadicCuts(bps[j] for j in order)
-        keys, e0, n = cuts.keys, cuts.exp, len(order)
+        cuts = DyadicCuts(bps)
+        order = sorted(range(len(bps)), key=cuts.keys.__getitem__)
+        keys, e0, n = [cuts.keys[j] for j in order], cuts.exp, len(order)
         ordered_floors = [floorq[j] for j in order]
         cap_p, cap_q = capq.numerator, capq.denominator
         floor_den, floor_nums = _over_common_den(ordered_floors)

@@ -15,6 +15,7 @@ tagged on it contribute at most 2^-level in total.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,7 +44,11 @@ def poly_integral(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> Fract
 
 
 class IntegrandFn:
-    """Vector-valued map on [0,1] with a declared class and value space."""
+    """Vector-valued map on [0,1] with a declared class and value space.
+
+    The Dyadic breaks are checked as int keys at their largest exponent e:
+    the first key must be 0, the last 2^e, and the keys must increase.  The
+    interior keys are kept as the cell lookup `_cells`."""
 
     def __init__(self, space, klass, breaks, values=None, polys=None,
                  label="phi", metadata=None):
@@ -54,9 +59,11 @@ class IntegrandFn:
         self.polys = tuple(polys) if polys is not None else None
         self.label = label
         self.metadata = dict(metadata or {})
-        if not self.breaks or self.breaks[0] != D0 or self.breaks[-1] != D1:
+        cells = DyadicCuts(self.breaks)
+        keys = cells.keys
+        if not keys or keys[0] != 0 or keys[-1] != 1 << cells.exp:
             raise ValueError("piecewise integrand must span [0,1]")
-        if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("breakpoints must increase")
         if klass == STEP and len(self.values) != len(self.breaks) - 1:
             raise ValueError("one value per cell")
@@ -65,7 +72,9 @@ class IntegrandFn:
                 raise ValueError("polynomial coordinates need a coordinate space")
             if len(self.polys) != len(self.breaks) - 1:
                 raise ValueError("one polynomial tuple per cell")
-        self._cells = DyadicCuts(self.breaks[1:-1])
+        # 0 and 1 have exponent 0, so the interior keys keep the exponent
+        cells.keys = keys[1:-1]
+        self._cells = cells
         self._sup_norm = None
 
     # -- construction --------------------------------------------------------
@@ -138,24 +147,33 @@ class IntegrandFn:
 
 
 def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
-    """phi * indicator(region), in the same class as phi."""
-    label = f"{phi.label}|restricted"
-    one = 1 << region.exp
-    cuts = sorted(
-        {b.as_fraction() for b in phi.breaks}
-        | {Fraction(x, one) for x in region.lo + region.hi if 0 <= x <= one}
-    )
-    breaks = [Dyadic.from_fraction(c) for c in cuts]
+    """phi * indicator(region), in the same class as phi.
+
+    All in ints at one exponent e: the breaks are the sorted union of phi's
+    keys and the region's endpoints clipped to [0, 2^e].  No endpoint lies
+    inside a cell [a, b] of that union, so the cell is in the region iff the
+    last part starting at or before a (a bisection of the lo column) ends at
+    or after b, and it lies in phi's piece at a.
+    """
+    cells = phi._cells
+    e = max(cells.exp, region.exp)
+    s, r, one = e - cells.exp, e - region.exp, 1 << e
+    lo = [x << r for x in region.lo]
+    hi = [x << r for x in region.hi]
+    cuts = sorted({0, one, *(k << s for k in cells.keys),
+                   *(x for x in lo + hi if 0 <= x <= one)})
     if phi.klass == STEP:
-        cells, zero, make = phi.values, VectorValue.zero(phi.space), IntegrandFn.step
+        pieces, zero = phi.values, VectorValue.zero(phi.space)
     else:
-        cells, make = phi.polys, IntegrandFn.poly
-        zero = tuple((Fraction(0),) for _ in range(phi.space.dim))
+        pieces, zero = phi.polys, tuple((Fraction(0),) for _ in range(phi.space.dim))
     kept = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        mid = (lo.as_fraction() + hi.as_fraction()) / 2
-        kept.append(cells[phi._cells.cell(mid)] if region.contains(mid) else zero)
-    return make(phi.space, breaks, kept, label=label, metadata=phi.metadata)
+    for a, b in zip(cuts, cuts[1:]):
+        i = bisect_right(lo, a)
+        kept.append(pieces[cells.cell_at(a, e)] if i and hi[i - 1] >= b else zero)
+    # phi's pieces are already exact, so the constructor takes them as they are
+    values, polys = (kept, None) if phi.klass == STEP else (None, kept)
+    return IntegrandFn(phi.space, phi.klass, [Dyadic(c, e) for c in cuts], values=values,
+                       polys=polys, label=f"{phi.label}|restricted", metadata=phi.metadata)
 
 
 def paired_polys(f: DualFunctional, phi: IntegrandFn) -> list[list[Fraction]]:

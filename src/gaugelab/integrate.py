@@ -107,8 +107,13 @@ _STRATEGIES = ("mid", "left", "sampled")
 def _max_distance(values: Sequence[VectorValue]) -> Fraction:
     """Largest pairwise distance (enclosure upper end) among the values.
 
-    Step values are compared pair by pair through `distance`, which works in
-    ints.  Coordinate values are put over one denominator D, the lcm of all
+    Step values carry the sup norm, so the largest pairwise distance is the
+    sup over x of max_i v_i(x) - min_i v_i(x).  One pass over the sorted
+    union of the values' keys finds it: every level is put over the lcm D of
+    the values' denominators, each union key sets the levels of the values
+    with a cell starting there, and the largest range of the levels on a
+    cell of the union is over D.
+    Coordinate values are put over one denominator D, the lcm of all
     their coordinates' denominators, so that each is a row of int numerators
     and each pair gets one int key that grows with its distance: the sum of
     |a - b| (l1), their max (linf) or the sum of (a - b)^2 (l2).  The l1 and
@@ -129,7 +134,21 @@ def _max_distance(values: Sequence[VectorValue]) -> Fraction:
         return Fraction(0)
     space = values[0].space
     if space.is_step:
-        return max(distance(u, v).hi for i, u in enumerate(values) for v in values[i + 1:])
+        den = lcm(*(v.den for v in values))
+        # each value's level over den, at the left key of each of its cells
+        changes: dict[int, list] = {}
+        for i, v in enumerate(values):
+            m = den // v.den
+            for k, n in zip(v.keys, v.nums):
+                changes.setdefault(k, []).append((i, n * m))
+        # every value starts a cell at 0, so each level is set before it is read
+        levels = [0] * len(values)
+        widest = 0
+        for k in sorted(changes):
+            for i, n in changes[k]:
+                levels[i] = n
+            widest = max(widest, max(levels) - min(levels))
+        return Fraction(widest, den)
     den = lcm(*(x.denominator for v in values for x in v.data))
     rows = [[x.numerator * (den // x.denominator) for x in v.data] for v in values]
     if space.norm == LINF or space.dim == 1:
@@ -467,10 +486,13 @@ def talagrand_integrate(
             mean = linear_combination(phi.space, (
                 (Fraction(c, n), val) for c, val in zip(counts.tolist(), phi.values) if c))
             means.append(mean)
-            var = Fraction(0)
-            for c, val in zip(counts.tolist(), phi.values):
-                if c:
-                    var += Fraction(c) * distance(val, mean).hi ** 2
+            # sum c * distance^2 in ints, over the square of the lcm of the
+            # distances' denominators
+            dists = [(c, distance(val, mean).hi)
+                     for c, val in zip(counts.tolist(), phi.values) if c]
+            den = lcm(*(d.denominator for _, d in dists))
+            var = Fraction(sum(c * (d.numerator * (den // d.denominator)) ** 2
+                               for c, d in dists), den * den)
             variances.append(var / (n - 1) if n > 1 else Fraction(0))
         total = n * batches
         pooled = linear_combination(phi.space, (

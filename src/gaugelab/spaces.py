@@ -17,7 +17,7 @@ the Dyadic/Fraction form `data` is built only when read.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
@@ -368,15 +368,24 @@ def _step_combination(space: ValueSpace, terms) -> VectorValue:
 
 
 def distance(u: VectorValue, v: VectorValue) -> Enclosure:
-    """The norm of u - v.  Two step values are compared run by run on their
-    common refinement, max |n_u d_v - n_v d_u| / (d_u d_v), in ints."""
+    """The norm of u - v.  Two step values give max |n_u d_v - n_v d_u| /
+    (d_u d_v) over the pairs of cells that overlap, in ints: each cell of
+    the value with fewer cells is compared with the smallest and largest
+    levels of the other over the cells it meets, found by bisection."""
     if not u.space.is_step:
         return (u - v).norm()
     if v.space != u.space:
         raise SpaceMismatch(f"{u.space} vs {v.space}")
-    worst = max(abs(a * v.den - b * u.den)
-                for _, _, a, b in _merge_steps(u.keys, u.nums, v.keys, v.nums))
-    top = Fraction(worst, u.den * v.den)
+    if len(u.nums) > len(v.nums):
+        u, v = v, u
+    du, dv, keys, nums = u.den, v.den, v.keys, v.nums
+    worst = 0
+    for lo, hi, n in zip(u.keys, u.keys[1:], u.nums):
+        # v's cells [keys[c], keys[c + 1]) that meet [lo, hi)
+        run = nums[bisect_right(keys, lo) - 1:bisect_left(keys, hi)]
+        a = n * dv
+        worst = max(worst, a - min(run) * du, max(run) * du - a)
+    top = Fraction(worst, du * dv)
     return Enclosure(top, top)
 
 

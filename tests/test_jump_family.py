@@ -211,3 +211,23 @@ def test_example_3e_with_a_targeted_member_at_exponent_48():
     cuts, values = oracle_3e(members)
     assert list(phi.breaks) == cuts
     assert [v.data for v in phi.values] == values
+
+
+def test_targeted_member_past_exponent_48_keeps_its_breaks_sorted():
+    # tags 2^-48 apart need a radius of 2^-50: a radius capped at 2^-48 made
+    # the two neighborhoods overlap and the breaks decrease
+    tags = [Dyadic(5, 4), Dyadic(5 * (1 << 44) + 1, 48)]
+    far = Region((Interval(Dyadic(15, 3), Dyadic(2)),))
+    breaks, levels = targeted_member(far, tags)
+    assert all(a < b for a, b in zip(breaks, breaks[1:]))
+    assert breaks == (D0, Dyadic(5 * (1 << 46) - 1, 50), Dyadic(5 * (1 << 46) + 1, 50),
+                      Dyadic(5 * (1 << 46) + 3, 50), Dyadic(5 * (1 << 46) + 5, 50), D1)
+    assert levels == (0, 1, 0, 1, 0)
+    member = Member("targeted[T]", breaks, levels)
+    for t in tags:
+        assert scan_level(member, t.as_fraction()) == 1
+    members = [member, *JUMPS.members[:3]]
+    phi = example_3e(FunctionFamily("piecewise-step", members), 4)
+    cuts, values = oracle_3e(members)
+    assert list(phi.breaks) == cuts
+    assert [v.data for v in phi.values] == values

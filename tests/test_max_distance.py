@@ -7,6 +7,13 @@ by scanning the distinct keys largest first (see its docstring).  The oracle
 is the loop it replaced, copied in below: `distance(u, v).hi` for every
 pair.  Values: l1, l2 and linf coordinate spaces of dimension 1-4 with mixed
 denominators, 0-8 values, and step values.
+
+Step values take one sweep over the union of their keys, the largest range
+of the levels over a cell.  Its oracle is the same pair loop with the
+distance of that loop copied in too: every pair is merged run by run on the
+common refinement.  It draws 0-50 step values with mixed denominators whose
+keys are shared, disjoint or nested, and checks `distance` itself, which
+now bisects, against the merge.
 """
 
 import random
@@ -107,3 +114,88 @@ def test_spread_of_200_means_calls_no_distance(monkeypatch):
                         counted("sqrt", integrate.sqrt_enclosure))
     assert _max_distance(means) == want
     assert calls["distance"] == 0 and 1 <= calls["sqrt"] <= 2
+
+
+def merge_distance(u, v):
+    """|u - v| for step values, run by run on the common refinement."""
+    out, ia, ib, cur = 0, 0, 0, 0
+    while cur < u.keys[-1]:
+        hi_a, hi_b = u.keys[ia + 1], v.keys[ib + 1]
+        hi = min(hi_a, hi_b)
+        out = max(out, abs(u.nums[ia] * v.den - v.nums[ib] * u.den))
+        ia += hi == hi_a
+        ib += hi == hi_b
+        cur = hi
+    return Fraction(out, u.den * v.den)
+
+
+def oracle_step_spread(values):
+    return max((merge_distance(u, v) for i, u in enumerate(values) for v in values[i + 1:]),
+               default=Fraction(0))
+
+
+GRID = 5
+STEP_SPACE = ValueSpace.step_linf(GRID)
+levels = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 12, 1 << 10]))
+
+
+@st.composite
+def many_step_values(draw):
+    """0-50 step values whose keys are a shared set, a subset or superset of
+    it (nested), or a set apart from it (disjoint)."""
+    n = 1 << GRID
+    shared = draw(st.sets(st.integers(1, n - 1), max_size=8))
+    out = []
+    for _ in range(draw(st.integers(0, 50))):
+        kind = draw(st.sampled_from(["shared", "subset", "superset", "disjoint"]))
+        if kind == "shared":
+            keys = set(shared)
+        elif kind == "subset":
+            keys = {k for k in shared if draw(st.booleans())}
+        else:
+            extra = draw(st.sets(st.integers(1, n - 1), max_size=6)) - shared
+            keys = shared | extra if kind == "superset" else extra
+        breaks = [D0, *(Dyadic(k, GRID) for k in sorted(keys)), D1]
+        out.append(VectorValue.step(STEP_SPACE, breaks, draw(
+            st.lists(levels, min_size=len(breaks) - 1, max_size=len(breaks) - 1))))
+    return out
+
+
+def step(keys, levels):
+    breaks = [D0, *(Dyadic(k, GRID) for k in keys), D1]
+    return VectorValue.step(STEP_SPACE, breaks, [Fraction(x) for x in levels])
+
+
+@settings(max_examples=150, deadline=None)
+@given(many_step_values())
+# the widest range is on the last cell
+@example([step([8], [0, 0]), step([16], [0, 5]), step([], [Fraction(1, 3)])])
+# the range is widest on a cell that starts at a break of one value only
+@example([step([4, 12], [1, 0, 1]), step([12], [1, 3])])
+def test_step_spread_is_the_pairwise_merge(values):
+    assert _max_distance(values) == oracle_step_spread(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_step_values())
+def test_step_distance_is_the_merge(values):
+    for u, v in zip(values, values[1:]):
+        assert distance(u, v).hi == distance(u, v).lo == merge_distance(u, v)
+        assert distance(v, u).hi == merge_distance(u, v)
+
+
+def test_step_spread_of_200_means_calls_no_distance(monkeypatch):
+    rng = random.Random(16)
+    space = ValueSpace.step_linf(6)
+    means = []
+    for _ in range(200):
+        keys = sorted(rng.sample(range(1, 64), 20))
+        breaks = [D0, *(Dyadic(k, 6) for k in keys), D1]
+        means.append(VectorValue.step(space, breaks, [Fraction(rng.randrange(100), 100)
+                                                      for _ in range(21)]))
+    want = oracle_step_spread(means)
+    calls = []
+    monkeypatch.setattr(integrate, "distance", lambda u, v: calls.append(1))
+    monkeypatch.setattr(spaces, "distance", lambda u, v: calls.append(1))
+    assert _max_distance(means) == want
+    assert not calls
