@@ -23,7 +23,6 @@ from .exact import (
     format_region,
     parse_fraction,
     parse_region,
-    region_complement,
     region_intersect,
     region_subtract,
     region_union,
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dyadic", "Interval", "Region", "UNIT", "UNIT_REGION",
     "parse_fraction", "parse_region", "format_region",
-    "region_union", "region_intersect", "region_subtract", "region_complement",
+    "region_union", "region_intersect", "region_subtract",
     "Gauge", "TaggedPartition", "MCSHANE", "HENSTOCK",
     "cousin_partition", "extend_to_partition",
     "is_partition", "is_subordinate",

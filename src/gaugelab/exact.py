@@ -185,13 +185,6 @@ D0 = Dyadic(0)
 D1 = Dyadic(1)
 
 
-def floor_to_depth(x: Rational, depth: int) -> Dyadic:
-    """Largest dyadic of exponent <= depth that is <= x."""
-    q = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
-    scaled = q * (1 << depth)
-    return Dyadic(scaled.numerator // scaled.denominator, depth)
-
-
 class DyadicCuts:
     """Sorted dyadic cut points as ints at their largest exponent.
 
@@ -469,10 +462,6 @@ def region_intersect(a: Region, b: Region) -> Region:
 
 def region_subtract(a: Region, b: Region) -> Region:
     return region_combine(a, b, "subtract")
-
-
-def region_complement(a: Region, ambient: Interval) -> Region:
-    return region_subtract(Region((ambient,)), a)
 
 
 UNIT = Interval(D0, D1)

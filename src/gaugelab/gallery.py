@@ -25,7 +25,7 @@ from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION,
 from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
 from .integrands import IntegrandFn, exact_vector_integral, restrict_integrand
-from .integrate import riemann_sum
+from .integrate import _merged_region, riemann_sum
 from .spaces import ValueSpace, VectorValue, distance
 from .stability import FunctionFamily, Member
 
@@ -58,9 +58,14 @@ class FatSet:
         return self.stages[min(l, self.levels)]
 
 
+# the largest r + L build_fat_set takes: its last stage places 2^(r+L) parts
+MAX_FAT_SCALE = 18
+
+
 def build_fat_set(L: int, r: int = 3) -> FatSet:
     """Deterministic fat set: stage s centers one closed interval of length
-    2^-(r+2+s) in every dyadic cell of [0,2] at scale 2^-(r+s-1).
+    2^-(r+2+s) in every dyadic cell of [0,2] at scale 2^-(r+s-1), in ints
+    [16c + 7, 16c + 9] / 2^(r+3+s) in cell c; each stage re-merges all parts.
 
     Stages at different scales overlap, so per-cell mass grows slower than
     L*2^-(r+3); rather than trusting any closed form, the full- and null-cell
@@ -71,15 +76,15 @@ def build_fat_set(L: int, r: int = 3) -> FatSet:
         raise ValueError("need at least one stage")
     if r < 2:
         raise ValueError("resolution must be >= 2")
+    if r + L > MAX_FAT_SCALE:
+        raise ValueError(f"fat set with L={L}, r={r} would place 2^{r + L} intervals "
+                         f"in its last stage; L + r must be at most {MAX_FAT_SCALE}")
     stages = [Region.empty()]
-    acc: list[Interval] = []
+    placed: list[tuple[int, int]] = []
     for s in range(1, L + 1):
-        cell_exp = r + s - 1
-        half = Dyadic(1, r + 3 + s)  # half of the placed length 2^-(r+2+s)
-        for c in range(2 << cell_exp):
-            center = Dyadic(2 * c + 1, cell_exp + 1)
-            acc.append(Interval(center - half, center + half))
-        stages.append(Region(acc))
+        k = L - s
+        placed += [((16 * c + 7) << k, (16 * c + 9) << k) for c in range(1 << (r + s))]
+        stages.append(_merged_region(r + 3 + L, placed))
     top = stages[-1]
     worst = check_fat_invariant(top, r)
     if worst is not None:
@@ -99,12 +104,20 @@ def build_fat_set(L: int, r: int = 3) -> FatSet:
 def check_fat_invariant(H: Region, r: int):
     """Exhaustive positive-but-not-full mass check of H over every dyadic
     cell of [0,2] at scale 2^-r.  Returns None, or diagnostics for the first
-    violating cell."""
-    for j in range(2 << r):
-        cell = Interval(Dyadic(j, r), Dyadic(j + 1, r))
-        mu = region_intersect(H, Region((cell,))).measure()
-        if not (D0 < mu < cell.length):
-            return {"cell": [str(cell.lo), str(cell.hi)], "mass": str(mu)}
+    violating cell.  One sweep over H's parts, as ints at exponent
+    e = max(H.exp, r), adds each part's overlap to the 2^(e-r) wide cells."""
+    e = max(H.exp, r)
+    u, w = e - H.exp, e - r
+    mass = [0] * (2 << r)
+    for a, b in zip(H.lo, H.hi):
+        a, b = a << u, b << u
+        # the cells a part of positive length meets; a degenerate part adds 0
+        for j in range(max(a >> w, 0), min((b - 1) >> w, len(mass) - 1) + 1):
+            mass[j] += min(b, (j + 1) << w) - max(a, j << w)
+    for j, mu in enumerate(mass):
+        if not 0 < mu < 1 << w:
+            return {"cell": [str(Dyadic(j, r)), str(Dyadic(j + 1, r))],
+                    "mass": str(Dyadic(mu, e))}
     return None
 
 
@@ -203,36 +216,22 @@ def inductive_tag_sequences(
 # -- jump-function family ------------------------------------------------------
 
 
-# H's columns are sorted and its hi column increases, so among the parts that
-# start left of a point the last one reaches furthest right.  A rational p/q
-# is compared with the columns as p * 2^exp against q times an endpoint.
-
-
-def _hits_closed(H: Region, lo: Fraction, hi: Fraction) -> bool:
-    """Does any H part meet [lo, hi]?"""
-    e = H.exp
-    idx = bisect_right(H.lo, (hi.numerator << e) // hi.denominator) - 1
-    return idx >= 0 and H.hi[idx] * lo.denominator >= lo.numerator << e
-
-
-def _hits_open(H: Region, lo: Fraction, hi: Fraction) -> bool:
-    """Does any H part meet the open interval (lo, hi)?  H parts are
-    non-degenerate, so this is equivalent to positive-measure overlap."""
-    if lo >= hi:
-        return False
-    e = H.exp
-    idx = bisect_left(H.lo, -((-hi.numerator << e) // hi.denominator)) - 1
-    return idx >= 0 and H.hi[idx] * lo.denominator > lo.numerator << e
-
-
-def _pair_violation(H: Region, parts: Sequence[tuple], new: tuple) -> bool:
+def _pair_violation(lo: Sequence[int], hi: Sequence[int], parts: Sequence[tuple],
+                    new: tuple) -> bool:
     """Exact pair-constraint check of a new support part against itself and
-    all earlier parts: some s < t in the support with s + t in H."""
+    all earlier parts: some s < t in the support with s + t in H, whose columns
+    lo, hi are ints at the parts' exponent.  Among H's parts that start left of
+    a point the last one reaches furthest right, so each test is one bisect."""
     a, b = new
-    if _hits_open(H, 2 * a, 2 * b):
+    # the self sums fill the open (2a, 2b); H's parts are non-degenerate, so
+    # meeting it is a positive-measure overlap
+    i = bisect_left(lo, 2 * b) - 1
+    if i >= 0 and hi[i] > 2 * a:
         return True
     for c, d in parts:
-        if _hits_closed(H, a + c, b + d):
+        # the cross sums fill the closed [a + c, b + d]
+        i = bisect_right(lo, b + d) - 1
+        if i >= 0 and hi[i] >= a + c:
             return True
     return False
 
@@ -253,13 +252,18 @@ def _enumerate_jump_members(H: Region, depth: int, vmax: int):
     caller takes as many members as it needs; after CHECK_CAP pair checks
     nothing more is yielded.
     """
+    # support parts are grid ints scaled to H's columns at exponent e
+    e = max(H.exp, depth)
+    lo = [x << (e - H.exp) for x in H.lo]
+    hi = [x << (e - H.exp) for x in H.hi]
+    t = e - depth
     grid = 1 << depth
     checks = 0
 
     # variation 0: constant 0 always passes; constant 1 fails against any
     # fat set (some doubled subinterval lands in H) and is checked honestly
     yield (D0, D1), (0,), 0
-    if not _pair_violation(H, [], (Fraction(0), Fraction(1))):
+    if not _pair_violation(lo, hi, [], (0, 1 << e)):
         yield (D0, D1), (1,), 0
 
     def runs(v: int, start: int, jumps: list, completed: list):
@@ -269,11 +273,11 @@ def _enumerate_jump_members(H: Region, depth: int, vmax: int):
         used = len(jumps)
         # the run after the last jump sits at 1: its end completes a part
         open_run = start ^ (used & 1)
-        run_lo = Fraction(jumps[-1], grid) if jumps else Fraction(0)
+        run_lo = jumps[-1] << t if jumps else 0
         if used == v:
             if open_run:
                 checks += 1
-                if _pair_violation(H, completed, (run_lo, Fraction(1))):
+                if _pair_violation(lo, hi, completed, (run_lo, 1 << e)):
                     return
             yield ((D0, *(Dyadic(g, depth) for g in jumps), D1),
                    tuple(start ^ (i & 1) for i in range(v + 1)), v)
@@ -282,9 +286,9 @@ def _enumerate_jump_members(H: Region, depth: int, vmax: int):
             if checks >= CHECK_CAP:
                 return
             if open_run:
-                new = (run_lo, Fraction(g, grid))
+                new = (run_lo, g << t)
                 checks += 1
-                if _pair_violation(H, completed, new):
+                if _pair_violation(lo, hi, completed, new):
                     return  # larger g only widens the run: prune
                 yield from runs(v, start, jumps + [g], completed + [new])
             else:

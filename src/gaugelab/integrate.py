@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import UnsupportedExactIntegration
-from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION, floor_to_depth, format_region
-from .gauges import Gauge, MCSHANE, TaggedPartition, cousin_partition
+from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION, format_region
+from .gauges import Gauge, MCSHANE, TaggedPartition, _canonical_exp, cousin_partition
 from .integrands import (
     STEP,
     IntegrandFn,
@@ -341,20 +341,44 @@ def _trim_depth(exp: int) -> int:
 
 
 def _trim_region_to_measure(region: Region, target: Fraction) -> Region:
-    """Largest prefix of the region's parts with measure <= target (exact)."""
-    kept = []
-    budget = target
-    for part in region.parts:
-        length = part.length.as_fraction()
-        if length <= budget:
-            kept.append(part)
-            budget -= length
-        elif budget > 0:
-            hi = floor_to_depth(part.lo.as_fraction() + budget, _trim_depth(part.lo.exp))
-            if hi > part.lo:
-                kept.append(Interval(part.lo, hi))
-            budget = Fraction(0)
-    return Region(kept)
+    """Largest prefix of the region's parts with measure <= target (exact).
+
+    In ints at E = _trim_depth(region.exp), past every part's trim grid, the
+    budget left is rem / (den * 2^E); the part that overruns it is cut on the
+    _trim_depth grid of its left end's canonical exponent."""
+    e, den = region.exp, target.denominator
+    E = _trim_depth(e)
+    rem = target.numerator << E
+    lo: list[int] = []
+    hi: list[int] = []
+    for a, b in zip(region.lo, region.hi):
+        a, b = a << (E - e), b << (E - e)
+        if (b - a) * den <= rem:
+            lo.append(a)
+            hi.append(b)
+            rem -= (b - a) * den
+        elif rem > 0:
+            k = E - _trim_depth(_canonical_exp(a, E))
+            end = (a * den + rem) // (den << k) << k
+            if end > a:
+                lo.append(a)
+                hi.append(end)
+            rem = 0
+    return Region._columns(E, lo, hi)
+
+
+def _merged_region(exp: int, pairs: Sequence[tuple[int, int]]) -> Region:
+    """The region of the parts (a, b) / 2^exp, merged where they overlap or touch."""
+    lo: list[int] = []
+    hi: list[int] = []
+    for a, b in sorted(pairs):
+        if hi and a <= hi[-1]:
+            if b > hi[-1]:
+                hi[-1] = b
+        else:
+            lo.append(a)
+            hi.append(b)
+    return Region._columns(exp, lo, hi)
 
 
 def sample_regions(
@@ -379,12 +403,12 @@ def sample_regions(
     ]
     out.extend(canonical[: min(count, 3)])
     while len(out) < count:
-        parts = []
+        pairs = []
         for _ in range(int(rng.integers(1, 4))):
             a = int(rng.integers(0, 1 << depth))
             b = int(rng.integers(a + 1, (1 << depth) + 1))
-            parts.append(Interval(Dyadic(a, depth), Dyadic(b, depth)))
-        region = _trim_region_to_measure(Region(parts), target)
+            pairs.append((a, b))
+        region = _trim_region_to_measure(_merged_region(depth, pairs), target)
         if not region.is_empty():
             out.append(region)
     return out

@@ -23,7 +23,7 @@ from gaugelab.exact import (
     parse_fraction,
     parse_region,
     region_combine,
-    region_complement,
+    region_subtract,
 )
 from gaugelab.errors import MalformedInterval
 
@@ -210,7 +210,7 @@ def test_subtract_point_is_noop_modulo_null():
 
 def test_complement_and_distance():
     a = Region.make((Dyadic(1, 2), Dyadic(1, 1)))
-    comp = region_complement(a, UNIT)
+    comp = region_subtract(Region((UNIT,)), a)
     assert comp == Region.make((Dyadic(0), Dyadic(1, 2)), (Dyadic(1, 1), Dyadic(1)))
     assert a.distance_to_point(Dyadic(3, 3)) == 0
     assert a.distance_to_point(Dyadic(3, 2)) == Fraction(1, 4)

@@ -2,15 +2,18 @@
 
 The enumerator oracle is the buffered, budgeted enumerator it replaced,
 copied in below: it collected each (variation, start level) block in a list
-before yielding it and stopped at a member budget or a check cap.  Both must
-yield the same first members, in the same order, after the same number of
-pair checks.  The 3e oracle scans: the cut set is the Fraction union of the
+before yielding it and stopped at a member budget or a check cap.  Its pair
+check is the Fraction one the int check replaced, also copied in: support
+parts are Fraction pairs, and a sum interval is compared with H's columns as
+p * 2^exp against q times an endpoint.  Both enumerators must yield the same
+first members, in the same order, after the same number of pair checks.  The 3e oracle scans: the cut set is the Fraction union of the
 member breaks, and each cell's coordinates are the members' levels at the
 cell midpoint, each found by a linear scan of the member's breaks.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +25,37 @@ from gaugelab.gallery import build_A_family, build_fat_set, example_3e, targeted
 from gaugelab.stability import FunctionFamily, Member
 
 
-def oracle_enumerate(H, depth, vmax, budget, check_cap=400_000):
-    """Yield (breaks, levels, variation), breaks as Fractions."""
+def _hits_closed(H, lo, hi):
+    """Does any H part meet [lo, hi]?"""
+    e = H.exp
+    idx = bisect_right(H.lo, (hi.numerator << e) // hi.denominator) - 1
+    return idx >= 0 and H.hi[idx] * lo.denominator >= lo.numerator << e
+
+
+def _hits_open(H, lo, hi):
+    """Does any H part meet the open interval (lo, hi)?"""
+    if lo >= hi:
+        return False
+    e = H.exp
+    idx = bisect_left(H.lo, -((-hi.numerator << e) // hi.denominator)) - 1
+    return idx >= 0 and H.hi[idx] * lo.denominator > lo.numerator << e
+
+
+def oracle_pair_violation(H, parts, new, calls):
+    calls[0] += 1
+    a, b = new
+    if _hits_open(H, 2 * a, 2 * b):
+        return True
+    for c, d in parts:
+        if _hits_closed(H, a + c, b + d):
+            return True
+    return False
+
+
+def oracle_enumerate(H, depth, vmax, budget, check_cap=400_000, calls=None):
+    """Yield (breaks, levels, variation), breaks as Fractions; calls[0]
+    counts the pair checks."""
+    calls = [0] if calls is None else calls
     if budget <= 0:
         return
     grid = 1 << depth
@@ -35,7 +67,7 @@ def oracle_enumerate(H, depth, vmax, budget, check_cap=400_000):
 
     for const in (0, 1):
         parts = [(Fraction(0), Fraction(1))] if const else []
-        if not parts or not gallery._pair_violation(H, [], parts[0]):
+        if not parts or not oracle_pair_violation(H, [], parts[0], calls):
             yield (Fraction(0), Fraction(1)), (const,), 0
             yielded += 1
             if yielded >= budget:
@@ -56,7 +88,7 @@ def oracle_enumerate(H, depth, vmax, budget, check_cap=400_000):
                         run_lo = to_break(jumps[-1]) if jumps else Fraction(0)
                         new = (run_lo, Fraction(1))
                         checks += 1
-                        if gallery._pair_violation(H, final, new):
+                        if oracle_pair_violation(H, final, new, calls):
                             return
                         final.append(new)
                     breaks = (Fraction(0), *map(to_break, jumps), Fraction(1))
@@ -72,7 +104,7 @@ def oracle_enumerate(H, depth, vmax, budget, check_cap=400_000):
                         run_lo = to_break(jumps[-1]) if jumps else Fraction(0)
                         new = (run_lo, to_break(g))
                         checks += 1
-                        if gallery._pair_violation(H, completed, new):
+                        if oracle_pair_violation(H, completed, new, calls):
                             return
                         dfs(jumps + [g], completed + [new])
                     else:
@@ -89,7 +121,7 @@ def oracle_enumerate(H, depth, vmax, budget, check_cap=400_000):
 
 
 def counted(monkeypatch):
-    """Count the enumerators' pair checks, the constant-1 check included."""
+    """Count the enumerator's pair checks, the constant-1 check included."""
     calls = [0]
     check = gallery._pair_violation
 
@@ -123,14 +155,40 @@ def avoid_regions(draw):
 @settings(max_examples=60, deadline=None)
 @given(avoid_regions(), st.integers(2, 10), st.integers(1, 4), st.integers(1, 200))
 def test_lazy_enumerator_matches_buffered_oracle(H, depth, vmax, cap):
+    want_checks = [0]
+    want = as_dyadic(oracle_enumerate(H, depth, vmax, cap, calls=want_checks))
     with MonkeyPatch.context() as mp:
         calls = counted(mp)
-        want = as_dyadic(oracle_enumerate(H, depth, vmax, cap))
-        want_checks = calls[0]
-        calls[0] = 0
         got = list(islice(gallery._enumerate_jump_members(H, depth, vmax), cap))
-        assert got == want
-        assert calls[0] == want_checks
+    assert got == want
+    assert calls[0] == want_checks[0]
+
+
+def small_avoid_regions():
+    """Every one-part region on the 2^-3 grid of [0, 2], and every two-part
+    one on the 2^-2 grid: their ends meet the part sums below in every way."""
+    for p in range(16):
+        for q in range(p + 1, 17):
+            yield Region((Interval(Dyadic(p, 3), Dyadic(q, 3)),))
+    for p, q, p2, q2 in combinations(range(9), 4):
+        yield Region((Interval(Dyadic(p, 2), Dyadic(q, 2)), Interval(Dyadic(p2, 2), Dyadic(q2, 2))))
+
+
+def test_int_pair_check_matches_fraction_oracle_on_a_small_grid():
+    # support parts on the 2^-2 grid of [0, 1], written at exponent 3 for the
+    # int check, each alone and against each possible earlier part
+    parts = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    for H in small_avoid_regions():
+        lo = [x << (3 - H.exp) for x in H.lo]
+        hi = [x << (3 - H.exp) for x in H.hi]
+        for a, b in parts:
+            new = (Fraction(a, 4), Fraction(b, 4))
+            for earlier in [[], *([part] for part in parts)]:
+                want = oracle_pair_violation(
+                    H, [(Fraction(c, 4), Fraction(d, 4)) for c, d in earlier], new, [0])
+                got = gallery._pair_violation(lo, hi, [(2 * c, 2 * d) for c, d in earlier],
+                                              (2 * a, 2 * b))
+                assert got == want, (H, new, earlier)
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,8 +205,13 @@ def test_family_sweep_matches_oracle():
         fat = build_fat_set(L, r)
         for depth in (6, 10):
             for cap in (1, 64):
-                fam = build_A_family(fat, L, jump_grid_depth=depth, cap=cap)
-                want = as_dyadic(oracle_enumerate(fat.stage(L), depth, L, cap))
+                with MonkeyPatch.context() as mp:
+                    calls = counted(mp)
+                    fam = build_A_family(fat, L, jump_grid_depth=depth, cap=cap)
+                want_checks = [0]
+                want = as_dyadic(oracle_enumerate(fat.stage(L), depth, L, cap,
+                                                  calls=want_checks))
+                assert calls[0] == want_checks[0]
                 assert [(m.breaks, m.levels) for m in fam.members] == \
                     [(b, tuple(map(Fraction, lv))) for b, lv, _ in want]
                 assert fam.metadata["variations"] == [v for _, _, v in want]
