@@ -10,6 +10,7 @@ the same config and seed is byte-identical under --deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -450,6 +451,8 @@ _DEFAULTS = {
 _NEEDS_FN = {"integrate", "pettis", "series", "abscont", "lln", "bochner"}
 
 
+# built once per process: parse_args reads the parser and leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gaugelab",
                                  description="gauge-integral laboratory on [0,1]")
@@ -657,6 +660,12 @@ def main(argv=None) -> int:
         result = {"pass": False, "error": type(exc).__name__, "message": reason}
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the caps keep every option's own allocation small; this is the
+        # last line for a machine with less memory than they allow for
+        print(f"error: {args.command} ran out of memory: {str(exc) or 'no detail'}",
+              file=sys.stderr)
         return 2
     try:
         doc = build_report(args.command, config, result,

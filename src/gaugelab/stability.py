@@ -25,11 +25,18 @@ import numpy as np
 from . import _kernels
 from .exact import Region, format_region
 from .integrands import STEP, IntegrandFn, paired_polys
-from .rng import stream
+from .rng import uniform_blocks
 from .spaces import DualFunctional, sqrt_enclosure
 
 # 95% two-sided normal quantile, as the rational the reports use
 _Z95 = Fraction(196, 100)
+
+# Sampling memory is bounded by the block size (rng.BLOCK_ELEMENTS), but time
+# grows with the sample count times m + n (the pair-sum kernel loops over
+# every pair of u columns), so both are capped.  At both caps one estimate
+# over the depth-12 3f trace, the slowest family, took 26 s on 2 cores.
+MAX_SAMPLES = 4_000_000
+MAX_TUPLE = 12
 
 
 class Member(NamedTuple):
@@ -132,6 +139,8 @@ class ZQuery:
             raise ValueError("alpha must be < beta")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
+        if self.m + self.n > MAX_TUPLE:
+            raise ValueError(f"m + n must be at most {MAX_TUPLE}, got {self.m + self.n}")
         if self.region.measure().as_fraction() <= 0:
             raise ValueError("region must have positive measure")
 
@@ -151,20 +160,16 @@ def _region_arrays(region: Region):
     return np.cumsum(lengths), _floats(region.lo, region.exp)
 
 
-def _draw_points(region: Region, samples: int, cols: int, seed: int) -> np.ndarray:
-    raw = stream(seed, 11).random((samples, cols))
-    cum, los = _region_arrays(region)
-    return _kernels.map_unit_to_region(raw.ravel(), cum, los).reshape(samples, cols)
-
-
-def _count_hits(A: FunctionFamily, t_pts: np.ndarray, u_pts: np.ndarray,
-                alpha: Fraction, beta: Fraction) -> int:
+def _hit_counter(A: FunctionFamily, alpha: Fraction, beta: Fraction):
+    """(t_pts, u_pts) -> the number of tuples in Z, with the family's float
+    arrays built here once, however many blocks of samples it then counts."""
     if A.klass == "pairsum":
         h = A.h
-        return _kernels.pairsum_family_hits(t_pts, u_pts, _floats(h.lo, h.exp),
-                                            _floats(h.hi, h.exp))
+        h_lo, h_hi = _floats(h.lo, h.exp), _floats(h.hi, h.exp)
+        return lambda t_pts, u_pts: _kernels.pairsum_family_hits(t_pts, u_pts, h_lo, h_hi)
     if not A.members:
-        return 0
+        return lambda t_pts, u_pts: 0
+    af, bf = float(alpha), float(beta)
     if A.klass == "piecewise-step":
         cuts_chunks, vals_chunks = [], []
         for member in A.members:
@@ -174,27 +179,34 @@ def _count_hits(A: FunctionFamily, t_pts: np.ndarray, u_pts: np.ndarray,
         vals_off = np.cumsum([0] + [len(v) for v in vals_chunks]).astype(np.int64)
         cuts_flat = np.concatenate(cuts_chunks) if cuts_chunks else np.zeros(0)
         vals_flat = np.concatenate(vals_chunks)
-        return _kernels.step_family_hits(
-            t_pts, u_pts, cuts_flat, cuts_off, vals_flat, vals_off,
-            float(alpha), float(beta),
-        )
-    hit = np.zeros(t_pts.shape[0], dtype=bool)
-    af, bf = float(alpha), float(beta)
-    for member in A.members:
-        cuts = np.array([float(b) for b in member.breaks[1:-1]])
-        cells = [[[float(c) for c in coeffs]] for coeffs in member.levels]
-        tv = _kernels.piecewise_poly(t_pts.ravel(), cuts, cells)[:, 0].reshape(t_pts.shape)
-        uv = _kernels.piecewise_poly(u_pts.ravel(), cuts, cells)[:, 0].reshape(u_pts.shape)
-        hit |= np.all(tv <= af, axis=1) & np.all(uv >= bf, axis=1)
-    return int(np.count_nonzero(hit))
+        return lambda t_pts, u_pts: _kernels.step_family_hits(
+            t_pts, u_pts, cuts_flat, cuts_off, vals_flat, vals_off, af, bf)
+    members = [(np.array([float(b) for b in member.breaks[1:-1]]),
+                [[[float(c) for c in coeffs]] for coeffs in member.levels])
+               for member in A.members]
+
+    def count(t_pts: np.ndarray, u_pts: np.ndarray) -> int:
+        hit = np.zeros(t_pts.shape[0], dtype=bool)
+        for cuts, cells in members:
+            tv = _kernels.piecewise_poly(t_pts.ravel(), cuts, cells)[:, 0].reshape(t_pts.shape)
+            uv = _kernels.piecewise_poly(u_pts.ravel(), cuts, cells)[:, 0].reshape(u_pts.shape)
+            hit |= np.all(tv <= af, axis=1) & np.all(uv >= bf, axis=1)
+        return int(np.count_nonzero(hit))
+    return count
+
+
+def _count_hits(A: FunctionFamily, t_pts: np.ndarray, u_pts: np.ndarray,
+                alpha: Fraction, beta: Fraction) -> int:
+    return _hit_counter(A, alpha, beta)(t_pts, u_pts)
 
 
 def z_measure_mc(A: FunctionFamily, q: ZQuery, samples: int = 100_000,
                  seed: int = 0) -> dict:
     """Seeded Monte Carlo estimate of mu(Z) with a 95% confidence half-width.
 
-    Draws (t,u) tuples uniformly from E^(m+n) via the inverse-CDF map; the
-    estimate is the hit fraction scaled by (mu E)^(m+n).  The half-width is a
+    Draws (t,u) tuples uniformly from E^(m+n) via the inverse-CDF map, in
+    blocks of one stream, and adds up the blocks' hit counts; the estimate
+    is the hit fraction scaled by (mu E)^(m+n).  The half-width is a
     normal-approximation interval with continuity correction, computed as an
     exact rational upper bound.  comparison is "strictly-below" only when
     estimate + half_width clears the threshold; boundary cases are
@@ -202,10 +214,14 @@ def z_measure_mc(A: FunctionFamily, q: ZQuery, samples: int = 100_000,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    pts = _draw_points(q.region, samples, q.m + q.n, seed)
-    t_pts = np.ascontiguousarray(pts[:, :q.m])
-    u_pts = np.ascontiguousarray(pts[:, q.m:])
-    hits = _count_hits(A, t_pts, u_pts, q.alpha, q.beta)
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    cum, los = _region_arrays(q.region)
+    count = _hit_counter(A, q.alpha, q.beta)
+    hits = 0
+    for raw in uniform_blocks(seed, 11, samples, q.m + q.n):
+        pts = _kernels.map_unit_to_region(raw.ravel(), cum, los).reshape(raw.shape)
+        hits += count(np.ascontiguousarray(pts[:, :q.m]), np.ascontiguousarray(pts[:, q.m:]))
     p_hat = Fraction(hits, samples)
     threshold = q.threshold
     se = sqrt_enclosure(p_hat * (1 - p_hat) / samples).hi
@@ -247,6 +263,9 @@ def stability_scan(A: FunctionFamily, E_list: Sequence[Region],
     margin = Fraction(margin)
     if margin <= 0:
         raise ValueError("margin must be > 0")
+    if 2 * mn_max > MAX_TUPLE:
+        raise ValueError(f"mn_max must be at most {MAX_TUPLE // 2}, so that m + n stays "
+                         f"at most {MAX_TUPLE}; got {mn_max}")
     rows = []
     run = 0
     for E in E_list:

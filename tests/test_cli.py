@@ -302,3 +302,33 @@ def test_unprintable_fraction_is_usage_error(argv):
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [
         f"error: {argv[-2]} has more digits than a report can print"]
+
+
+def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
+    # main builds its parser once per process; a usage error between two
+    # calls must leave the second call's report as a fresh process writes it
+    from gaugelab import cli
+    runs = [("lln", "--fn", "identity", "--batches", "3", "--n", "200"),
+            ("stability", "--family", "pairsum", "--h", "1/4:1/2", "--m", "1", "--n", "2",
+             "--samples", "2000", "--seed", "3")]
+    for i, argv in enumerate(runs):
+        assert cli.main([*argv, "--deterministic", "--out", str(tmp_path / f"in-{i}.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stability", "--samples", "x"])
+        assert exc.value.code == 2
+    for i, argv in enumerate(runs):
+        proc = run(*argv, "--deterministic", "--out", str(tmp_path / f"fresh-{i}.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"in-{i}.json").read_bytes() == \
+            (tmp_path / f"fresh-{i}.json").read_bytes()
+
+
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    from gaugelab import cli
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+    monkeypatch.setitem(cli._HANDLERS, "lln", exhausted)
+    assert cli.main(["lln", "--fn", "identity"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: lln ran out of memory: Unable to allocate 7.45 GiB for an array"]

@@ -122,6 +122,10 @@ REASON = re.compile(r"^(gaugelab( \w+)?: )?error: \S|^check failed: \S")
 @example(["bochner", "--fn", "3f", "--eps", "2^-99999"])
 @example(["stability", "--E", "2^-99999:1", "--samples", "200"])
 @example(["gallery", "3e", "--gauge", "const:2^-99999", "--R", "2", "--L", "2"])
+@example(["lln", "--fn", "identity", "--batches", "10", "--n", "1000000000"])
+@example(["stability", "--family", "pairsum", "--h", "1/4:1/2", "--m", "1000", "--n", "1000"])
+@example(["stability", "--family", "pairsum", "--h", "1/4:1/2", "--m", "1", "--n", "2",
+          "--samples", "1000000000000"])
 def test_any_argv_exits_cleanly(tmp_path_factory, argv):
     # runs in an empty directory, with the package importable from there
     cwd = tmp_path_factory.mktemp("argv")

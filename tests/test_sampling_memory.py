@@ -1,0 +1,62 @@
+"""Size options of the sampling commands: bounded memory, and exit 2 at once
+past a cap.
+
+Each case runs `gaugelab.cli.main` in a child process that caps its own
+address space with RLIMIT_AS, then prints the exit code, the time `main`
+took, stderr and the child's peak RSS as one JSON line.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+MEMORY_CAP = 1 << 30
+CHILD = r"""
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+import gaugelab.cli
+err = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    code = gaugelab.cli.main(sys.argv[2:] + ["--deterministic"])
+elapsed = time.perf_counter() - start
+print(json.dumps({"code": code, "elapsed": elapsed, "stderr": err.getvalue(),
+                  "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+PAIRSUM = ["stability", "--family", "pairsum", "--h", "1/4:1/2", "--m", "1", "--n", "2"]
+
+
+def run_child(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(MEMORY_CAP), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["lln", "--fn", "identity", "--batches", "10", "--n", "1000000000"],
+     "n must be at most"),
+    (PAIRSUM[:5] + ["--m", "1000", "--n", "1000"], "m + n must be at most"),
+    (PAIRSUM + ["--samples", "1000000000000"], "samples must be at most"),
+    (["stability", "--scan", "--mn-max", "1000"], "mn_max must be at most"),
+])
+def test_past_a_cap_exits_2_at_once(argv, reason):
+    out = run_child(argv)
+    lines = out["stderr"].strip().splitlines()
+    assert out["code"] == 2, out
+    assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0], out
+    assert out["elapsed"] < 1, out
+
+
+def test_pairsum_peak_rss_does_not_grow_with_samples():
+    small = run_child(PAIRSUM + ["--samples", "100000"])
+    large = run_child(PAIRSUM + ["--samples", "2000000"])
+    assert small["code"] == large["code"] == 0
+    assert large["peak_kb"] - small["peak_kb"] <= 2048, (small["peak_kb"], large["peak_kb"])
