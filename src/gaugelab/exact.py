@@ -106,16 +106,6 @@ class Dyadic:
         e = max(self.exp, other.exp)
         return self.num << (e - self.exp), other.num << (e - other.exp), e
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        a, b, e = self._align(other)
-        return Dyadic(a + b, e)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, int):
             other = Dyadic(other)
@@ -123,29 +113,6 @@ class Dyadic:
             return NotImplemented
         a, b, e = self._align(other)
         return Dyadic(a - b, e)
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return Dyadic(other) - self
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def __abs__(self):
-        return Dyadic(abs(self.num), self.exp)
-
-    def half(self) -> "Dyadic":
-        return Dyadic(self.num, self.exp + 1)
 
     # -- comparisons ------------------------------------------------------
 
@@ -237,15 +204,6 @@ class Interval:
     def length(self) -> Dyadic:
         return self.hi - self.lo
 
-    def contains(self, x: Rational) -> bool:
-        return self.lo <= x <= self.hi
-
-    def midpoint(self) -> Dyadic:
-        return (self.lo + self.hi).half()
-
-    def translate(self, t: Dyadic) -> "Interval":
-        return Interval(self.lo + t, self.hi + t)
-
     def __eq__(self, other):
         return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
 
@@ -274,17 +232,9 @@ class Region:
     def __init__(self, parts: Iterable[Interval] = ()):
         parts = list(parts)
         e = max((max(iv.lo.exp, iv.hi.exp) for iv in parts), default=0)
-        lo: list[int] = []
-        hi: list[int] = []
-        for a, b in sorted((iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp))
-                           for iv in parts):
-            if hi and a <= hi[-1]:
-                if b > hi[-1]:
-                    hi[-1] = b
-            else:
-                lo.append(a)
-                hi.append(b)
-        self._store(e, lo, hi)
+        m = merged_region(e, ((iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp))
+                              for iv in parts))
+        self._store(m.exp, m.lo, m.hi)
 
     @classmethod
     def _columns(cls, exp: int, lo: Sequence[int], hi: Sequence[int]) -> "Region":
@@ -393,6 +343,21 @@ class Region:
 
     def __repr__(self):
         return f"Region({', '.join(f'[{lo}, {hi}]' for lo, hi in format_region(self))})"
+
+
+def merged_region(exp: int, pairs: Iterable[tuple[int, int]]) -> Region:
+    """The region of the parts (a, b) / 2^exp, sorted and merged where they
+    overlap or touch."""
+    lo: list[int] = []
+    hi: list[int] = []
+    for a, b in sorted(pairs):
+        if hi and a <= hi[-1]:
+            if b > hi[-1]:
+                hi[-1] = b
+        else:
+            lo.append(a)
+            hi.append(b)
+    return Region._columns(exp, lo, hi)
 
 
 # keep rule per op, indexed by 2 * in_a + in_b

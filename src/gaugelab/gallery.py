@@ -21,11 +21,11 @@ from typing import Callable, Sequence
 
 from .errors import ResolutionExceeded, SearchExhausted
 from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION,
-                    region_intersect, region_subtract)
+                    merged_region, region_intersect, region_subtract)
 from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
 from .integrands import IntegrandFn, exact_vector_integral, restrict_integrand
-from .integrate import _merged_region, riemann_sum
+from .integrate import riemann_sum
 from .spaces import ValueSpace, VectorValue, distance
 from .stability import FunctionFamily, Member
 
@@ -84,7 +84,7 @@ def build_fat_set(L: int, r: int = 3) -> FatSet:
     for s in range(1, L + 1):
         k = L - s
         placed += [((16 * c + 7) << k, (16 * c + 9) << k) for c in range(1 << (r + s))]
-        stages.append(_merged_region(r + 3 + L, placed))
+        stages.append(merged_region(r + 3 + L, placed))
     top = stages[-1]
     worst = check_fat_invariant(top, r)
     if worst is not None:
@@ -188,18 +188,21 @@ def inductive_tag_sequences(
                 failed = True
                 break
             i = rng.randrange(len(window.lo))
-            t = Dyadic(window.lo[i] + window.hi[i], window.exp + 1)
-            tags.append(t)
-            shifted = core.translate(-t)
+            t, te = window.lo[i] + window.hi[i], window.exp + 1
+            tags.append(Dyadic(t, te))
+            shifted = core.translate(Dyadic(-t, te))
             for j2 in range(j + 1, len(current)):
                 current[j2] = region_intersect(current[j2], shifted)
         if failed:
             continue
+        # the tags as ints at their finest exponent, so a sum is one add
+        e = max(t.exp for t in tags)
+        keys = [t.num << (e - t.exp) for t in tags]
         ok = True
         for i in range(len(tags)):
             lo_pair = i + 1 if mode == "sums-in" else i
             for j in range(lo_pair, len(tags)):
-                inside = H.contains(tags[i] + tags[j])
+                inside = H.contains(Dyadic(keys[i] + keys[j], e))
                 if mode == "sums-in" and not inside:
                     ok = False
                 if mode == "sums-out" and inside:
@@ -303,48 +306,49 @@ def targeted_member(H: Region, tags: Sequence[Dyadic]):
     """Indicator of epsilon-neighborhoods of the tags, with epsilon a dyadic
     quarter of the worst exact distance from any tag sum (doubles included)
     to H.  Returns (breaks, levels) or None with no feasible margin."""
-    T = sorted(tags, key=lambda d: d.as_fraction())
-    if not T:
+    if not tags:
         return None
-    if len(set(t.as_fraction() for t in T)) != len(T):
+    # the tags as sorted ints at their finest exponent e
+    e = max(t.exp for t in tags)
+    T = sorted(t.num << (e - t.exp) for t in tags)
+    one = 1 << e
+    if len(set(T)) != len(T):
         return None
     worst = None
     for i in range(len(T)):
         for j in range(i, len(T)):
-            d = H.distance_to_point(T[i].as_fraction() + T[j].as_fraction())
+            d = H.distance_to_point(Dyadic(T[i] + T[j], e))
             if d == 0:
                 return None
             if worst is None or d < worst:
                 worst = d
     bound = worst / 4
     for i in range(len(T) - 1):
-        gap = (T[i + 1] - T[i]).as_fraction() / 4
-        bound = min(bound, gap)
-    if T[0].as_fraction() > 0:
-        bound = min(bound, T[0].as_fraction())
-    bound = min(bound, 1 - T[-1].as_fraction())
+        bound = min(bound, Fraction(T[i + 1] - T[i], 4 << e))
+    if T[0] > 0:
+        bound = min(bound, Fraction(T[0], one))
+    bound = min(bound, Fraction(one - T[-1], one))
     if bound <= 0:
         return None
-    # the smallest e >= 1 with 2^-e <= bound, i.e. 2^e >= ceil(1 / bound)
-    e = max(1, (-(-bound.denominator // bound.numerator) - 1).bit_length())
-    eps = Dyadic(1, e)
-    breaks = [D0]
+    # the smallest k >= 1 with 2^-k <= bound, i.e. 2^k >= ceil(1 / bound)
+    k = max(1, (-(-bound.denominator // bound.numerator) - 1).bit_length())
+    # each tag's [t - 2^-k, t + 2^-k], clipped to [0, 1], as ints at exponent f
+    f = max(e, k)
+    eps, top = 1 << (f - k), 1 << f
+    breaks = [0]
     levels = []
     for t in T:
-        lo, hi = t - eps, t + eps
-        if lo.as_fraction() < 0:
-            lo = D0
-        if hi.as_fraction() > 1:
-            hi = D1
+        t <<= f - e
+        lo, hi = max(t - eps, 0), min(t + eps, top)
         if breaks[-1] != lo:
             levels.append(Fraction(0))
             breaks.append(lo)
         levels.append(Fraction(1))
         breaks.append(hi)
-    if breaks[-1] != D1:
+    if breaks[-1] != top:
         levels.append(Fraction(0))
-        breaks.append(D1)
-    return tuple(breaks), tuple(levels)
+        breaks.append(top)
+    return tuple(Dyadic(b, f) for b in breaks), tuple(levels)
 
 
 def build_A_family(fat: FatSet, l: int, jump_grid_depth: int = 10,
@@ -396,46 +400,6 @@ def example_3e(family: FunctionFamily, R: int) -> IntegrandFn:
 # -- the two-partition oscillation witness ------------------------------------
 
 
-def _gauge_level_set(delta: Gauge, threshold: Fraction, proxy_depth: int):
-    """Region where delta >= threshold: exact for const/piecewise/proximity,
-    midpoint-sampled dyadic proxy for evaluator gauges (flagged)."""
-    if delta.kind == "const":
-        full = delta(Dyadic(1, 1)) >= threshold
-        return (UNIT_REGION if full else Region.empty()), False
-    if delta.kind == "piecewise":
-        desc = delta.descriptor
-        breaks = [Dyadic.parse(b) for b in desc["breaks"]]
-        vals = [Fraction(v) for v in desc["values"]]
-        parts = [
-            Interval(lo, hi)
-            for lo, hi, v in zip(breaks, breaks[1:], vals)
-            if v >= threshold
-        ]
-        return Region(parts), False
-    if delta.kind == "proximity":
-        desc = delta.descriptor
-        cap = Fraction(desc["cap"])
-        if cap < threshold:
-            return Region.empty(), False
-        if threshold.denominator & (threshold.denominator - 1):
-            return Region.empty(), False  # non-dyadic radius: give up exactly
-        radius = Dyadic.from_fraction(threshold)
-        out = UNIT_REGION
-        for b in desc["breakpoints"]:
-            bp = Dyadic.parse(b)
-            lo = max(D0, bp - radius)
-            hi = min(D1, bp + radius)
-            out = region_subtract(out, Region((Interval(lo, hi),)))
-        return out, False
-    n = 1 << proxy_depth
-    parts = []
-    for i in range(n):
-        mid = Dyadic(2 * i + 1, proxy_depth + 1)
-        if delta(mid) >= threshold:
-            parts.append(Interval(Dyadic(i, proxy_depth), Dyadic(i + 1, proxy_depth)))
-    return Region(parts), True
-
-
 def oscillation_witness_3e(
     fat: FatSet,
     family: FunctionFamily,
@@ -448,8 +412,8 @@ def oscillation_witness_3e(
     """Two partitions subordinate to the same gauge whose Riemann sums differ
     by an exact, certified amount.
 
-    Procedure: find the smallest power of two k >= 8 whose level set
-    D = {delta >= 1/k} has (outer) measure >= 4/5; take the m width-1/k grid
+    Procedure: find the smallest power of two 8 <= k <= 2^proxy_depth whose
+    level set D = {delta >= 1/k} (`Gauge.level_set`) has measure >= 4/5; take the m width-1/k grid
     cells meeting D; search tags T (pairwise and doubled sums outside H) and
     U (pairwise sums inside H) within those cells; rebuild the family with
     the T-neighborhood indicator as coordinate 0; tag the cells with T and U
@@ -457,23 +421,18 @@ def oscillation_witness_3e(
     m/k - (0 or 1/k): the pair constraint lets any member sit at 1 on at most
     one U tag, so gap >= (m-1)/k.
     """
+    if proxy_depth < 0:
+        raise ValueError(f"proxy depth must be >= 0, got {proxy_depth}")
     H = fat.top
-    k = None
-    level_region = None
-    proxy = False
-    exp = 3
-    while (1 << exp) <= (1 << proxy_depth):
-        cand = 1 << exp
-        region, used_proxy = _gauge_level_set(delta, Fraction(1, cand), proxy_depth)
-        if region.measure().as_fraction() >= Fraction(4, 5):
-            k, level_region, proxy = cand, region, used_proxy
+    for k_exp in range(3, proxy_depth + 1):
+        level_region = delta.level_set(k_exp)
+        if level_region.measure().as_fraction() >= Fraction(4, 5):
             break
-        exp += 1
-    if k is None:
+    else:
         raise ResolutionExceeded(
             f"no k <= 2^{proxy_depth} gives the level set outer measure >= 4/5"
         )
-    k_exp = exp
+    k = 1 << k_exp
     cells = []
     for c in range(k):
         cell = Interval(Dyadic(c, k_exp), Dyadic(c + 1, k_exp))
@@ -517,7 +476,7 @@ def oscillation_witness_3e(
         "k": k,
         "m": m,
         "mu_level_set": level_region.measure().as_fraction(),
-        "proxy": proxy,
+        "proxy": False,
         "cells": [[str(cell.lo), str(cell.hi)] for cell, _ in cells],
         "tags_out": tags_out,
         "tags_in": tags_in,

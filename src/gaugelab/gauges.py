@@ -11,8 +11,8 @@ Subordination is decided by one fit test per gauge, `Gauge.fits`, in integer
 arithmetic: the tag and the interval's half-width about it are ints at a
 common exponent, and the gauge's own data (breakpoints scaled to their largest
 exponent, rational widths cross-multiplied) is compared against them without
-building a Fraction.  Evaluator gauges are still compared exactly, as the
-rationals their values are (a float value included).
+building a Fraction.  Each gauge is only that data: the fit test, a wall for
+sampled bisection and its level sets are all built from it at construction.
 
 A partition holds its items as int columns at one exponent: bisection fills
 them, the tests above and the JSON form read them, and TaggedInterval objects
@@ -31,7 +31,8 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
-from .exact import D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT, region_subtract
+from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT, UNIT_REGION,
+                    merged_region, region_subtract)
 
 SCHEMA = "gauge-lab/1"
 
@@ -54,53 +55,40 @@ def _over_common_den(qs: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 class Gauge:
-    """Positive width function on [0,1].
+    """Positive width function on [0,1], held as the int data of its kind.
 
     kinds:
       const      delta(t) = value everywhere
       piecewise  constant on half-open dyadic cells [b_i, b_{i+1}), last closed
       proximity  min(cap, distance to a breakpoint set), with a positive floor
                  at each breakpoint; the classical witness gauge for step maps
-      evaluator  arbitrary callable; positivity is checked at each probe
 
-    The first three kinds build an integer fit test from their data at
-    construction; it replaces the `fits` method on the instance.  Next to it
-    they build a wall: `wall(lo, hi, e)` is true only if no tag strictly
-    inside [lo, hi] / 2^e fits that interval, so sampled bisection splits a
-    walled node without drawing a tag.  A wall may miss a node no tag fits,
-    never the reverse.  Each interior tag's half-width is at least half the
-    width w, so a wall is a bound of delta by w/2 over the node:
+    Each kind builds three tests in ints from its data; `descriptor` names it.
+    `fits(t, d, e)`: is d/2^e <= delta(t/2^e)?  The one subordination test: an
+    interval whose points all lie within d/2^e of the tag t/2^e fits the
+    gauge ball at that tag.
+    `wall(lo, hi, e)`: true only if no tag strictly inside [lo, hi] / 2^e fits
+    that interval, so sampled bisection splits a walled node without drawing
+    a tag.  A wall may miss a node no tag fits, never the reverse.  Each
+    interior tag's half-width is at least half the width w, so a wall is a
+    bound of delta by w/2 over the node:
       const      w/2 > delta
       piecewise  w/2 > the largest value over the cells the node meets
       proximity  w/2 > cap if no breakpoint lies strictly inside; otherwise
                  w/2 > the largest floor of the interior breakpoints, since
                  a tag t off them has delta(t) <= |t - b| < max(t - lo, hi - t)
-      evaluator  never walled
+    `level_set(k)`: the region of [0,1] where delta >= 2^-k, modulo null
+    sets: [0,1] or nothing (const), the cells of value >= 2^-k (piecewise),
+    or nothing if cap < 2^-k and else [0,1] less the balls of radius 2^-k
+    about the breakpoints (proximity; its floors sit on single points).
     """
 
-    def __init__(self, kind: str, eval_fn: Callable, descriptor: dict,
-                 fits: Callable[[int, int, int], bool] | None = None,
-                 wall: Callable[[int, int, int], bool] | None = None):
-        self.kind = kind
-        self._eval = eval_fn
+    def __init__(self, descriptor: dict, fits: Callable[[int, int, int], bool],
+                 wall: Callable[[int, int, int], bool], level_set: Callable[[int], Region]):
         self.descriptor = descriptor
-        if fits is not None:
-            self.fits = fits
-        if wall is not None:
-            self.wall = wall
-
-    def fits(self, t: int, d: int, e: int) -> bool:
-        """Is d/2^e <= delta(t/2^e)?  The one subordination test: an interval
-        whose points all lie within d/2^e of the tag t/2^e fits the gauge ball
-        at that tag.  This exact fallback evaluates the gauge, so a
-        non-positive evaluator value still raises GaugeNotPositive."""
-        return Fraction(d, 1 << e) <= self(Dyadic(t, e))
-
-    def wall(self, lo: int, hi: int, e: int) -> bool:
-        """Does no tag strictly inside [lo, hi] / 2^e fit it?  Evaluator
-        gauges keep this default and are never walled: ruling a node out
-        would take delta at every tag inside it."""
-        return False
+        self.fits = fits
+        self.wall = wall
+        self.level_set = level_set
 
     @classmethod
     def const(cls, value) -> "Gauge":
@@ -108,9 +96,10 @@ class Gauge:
         if v <= 0:
             raise GaugeNotPositive(f"constant gauge {v} <= 0")
         p, q = v.numerator, v.denominator
-        return cls("const", lambda t: v, {"kind": "const", "value": str(v)},
+        return cls({"kind": "const", "value": str(v)},
                    fits=lambda t, d, e: d * q <= p << e,
-                   wall=lambda lo, hi, e: (hi - lo) * q > p << (e + 1))
+                   wall=lambda lo, hi, e: (hi - lo) * q > p << (e + 1),
+                   level_set=lambda k: UNIT_REGION if p << k >= q else Region.empty())
 
     @classmethod
     def piecewise(cls, breaks: Sequence[Dyadic], values: Sequence) -> "Gauge":
@@ -128,9 +117,7 @@ class Gauge:
         cells = DyadicCuts(breaks[1:-1])
         keys, ce = cells.keys, cells.exp
         den, nums = _over_common_den(vals)
-
-        def ev(t):
-            return vals[cells.cell(t)]
+        edges = [0, *keys, 1 << ce]
 
         def fits(t, d, e):
             v = vals[cells.cell_at(t, e)]
@@ -144,12 +131,16 @@ class Gauge:
             j = bisect_left(keys, hi << s if s >= 0 else -(-hi >> -s))
             return (hi - lo) * den > max(nums[i:j + 1]) << (e + 1)
 
+        def level_set(k):
+            return merged_region(ce, [(edges[i], edges[i + 1])
+                                      for i, v in enumerate(nums) if v << k >= den])
+
         desc = {
             "kind": "piecewise",
             "breaks": [str(b) for b in breaks],
             "values": [str(v) for v in vals],
         }
-        return cls("piecewise", ev, desc, fits=fits, wall=wall)
+        return cls(desc, fits=fits, wall=wall, level_set=level_set)
 
     @classmethod
     def proximity(cls, breakpoints: Sequence[Dyadic], cap, floors: Sequence) -> "Gauge":
@@ -168,21 +159,6 @@ class Gauge:
         ordered_floors = [floorq[j] for j in order]
         cap_p, cap_q = capq.numerator, capq.denominator
         floor_den, floor_nums = _over_common_den(ordered_floors)
-
-        def ev(t):
-            # t = a/b, so t * 2^e0 = x/b; the first key >= that is at ceil(x/b)
-            tq = _as_fraction(t)
-            a, b = tq.numerator, tq.denominator
-            x = a << e0
-            i = bisect_left(keys, -(-x // b))
-            if i < n and keys[i] * b == x:
-                return ordered_floors[i]
-            best = capq
-            if i < n:
-                best = min(best, Fraction(keys[i] * b - x, b << e0))
-            if i > 0:
-                best = min(best, Fraction(x - keys[i - 1] * b, b << e0))
-            return best
 
         def fits(t, d, e):
             if e < e0:
@@ -218,23 +194,26 @@ class Gauge:
                 return (hi - lo) * floor_den > max(floor_nums[i:j]) << (e + 1)
             return (hi - lo) * cap_q > cap_p << (e + 1)
 
+        def level_set(k):
+            if cap_p << k < cap_q:
+                return Region.empty()
+            # the balls [b - r, b + r] that meet [0, 1], at exponent f
+            f = max(e0, k)
+            r, one = 1 << (f - k), 1 << f
+            balls = merged_region(f, [(x - r, x + r) for x in (b << (f - e0) for b in keys)
+                                      if -r <= x <= one + r])
+            # what they leave of [0, 1]: the gaps between them, from 0 up to 1
+            # (only the first ball can start below 0, only the last end past 1)
+            g, top = balls.exp, 1 << balls.exp
+            return merged_region(g, [(a, b) for a, b in zip((0, *balls.hi), (*balls.lo, top))
+                                     if a < b])
+
         desc = {
             "kind": "proximity",
             "breakpoints": [str(b) for b in bps],
             "cap": str(capq),
         }
-        return cls("proximity", ev, desc, fits=fits, wall=wall)
-
-    @classmethod
-    def evaluator(cls, fn: Callable, label: str = "evaluator") -> "Gauge":
-        return cls("evaluator", fn, {"kind": "evaluator", "label": label})
-
-    def __call__(self, t) -> Fraction:
-        v = self._eval(t)
-        vq = Fraction(v) if not isinstance(v, Fraction) else v
-        if vq <= 0:
-            raise GaugeNotPositive(f"gauge evaluated to {v} at t={t}")
-        return vq
+        return cls(desc, fits=fits, wall=wall, level_set=level_set)
 
 
 class TaggedInterval:
@@ -465,9 +444,11 @@ def extend_to_partition(
     seed: int = 0,
 ) -> TaggedPartition:
     """Complete non-overlapping subordinate items to a full partition of [0,1]."""
-    covered = Region(it.interval for it in partial)
-    total = sum((it.interval.length for it in partial), D0)
-    if covered.measure() != total:
+    # the items' int columns: they overlap iff their union is shorter than
+    # the sum of their lengths
+    cols = TaggedPartition(partial, flavor)
+    covered = merged_region(cols.exp, zip(cols.lo, cols.hi))
+    if covered.measure() != Dyadic(sum(cols.hi) - sum(cols.lo), cols.exp):
         raise OverlappingItems("partial items overlap in positive measure")
     items = list(partial)
     for gap in region_subtract(Region((UNIT,)), covered).parts:

@@ -138,11 +138,14 @@ class IntegrandFn:
     def norm_lower_on(self, iv: Interval) -> Fraction:
         """Certified lower bound of inf over iv of ‖phi‖ (the interval must
         not straddle a breakpoint)."""
+        # the ends as ints at exponent e, and the midpoint at e + 1
+        e = max(iv.lo.exp, iv.hi.exp)
+        a, b = iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp)
         if self.klass == STEP:
-            return self.values[self._cells.cell(iv.midpoint())].norm().lo
-        pts = [iv.lo, iv.midpoint(), iv.hi]
+            return self.values[self._cells.cell_at(a + b, e + 1)].norm().lo
+        pts = [iv.lo, Dyadic(a + b, e + 1), iv.hi]
         vals = [self.eval(p).norm().lo for p in pts]
-        slack = self.lipschitz_bound() * iv.length.as_fraction()
+        slack = self.lipschitz_bound() * Fraction(b - a, 1 << e)
         return max(Fraction(0), min(vals) - slack)
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import UnsupportedExactIntegration
-from .exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION, format_region
+from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, format_region,
+                    merged_region)
 from .gauges import Gauge, MCSHANE, TaggedPartition, _canonical_exp, cousin_partition
 from .integrands import (
     STEP,
@@ -367,20 +368,6 @@ def _trim_region_to_measure(region: Region, target: Fraction) -> Region:
     return Region._columns(E, lo, hi)
 
 
-def _merged_region(exp: int, pairs: Sequence[tuple[int, int]]) -> Region:
-    """The region of the parts (a, b) / 2^exp, merged where they overlap or touch."""
-    lo: list[int] = []
-    hi: list[int] = []
-    for a, b in sorted(pairs):
-        if hi and a <= hi[-1]:
-            if b > hi[-1]:
-                hi[-1] = b
-        else:
-            lo.append(a)
-            hi.append(b)
-    return Region._columns(exp, lo, hi)
-
-
 def sample_regions(
     count: int, seed: int, max_measure: Fraction = Fraction(1), depth: int = 8
 ) -> list[Region]:
@@ -408,7 +395,7 @@ def sample_regions(
             a = int(rng.integers(0, 1 << depth))
             b = int(rng.integers(a + 1, (1 << depth) + 1))
             pairs.append((a, b))
-        region = _trim_region_to_measure(_merged_region(depth, pairs), target)
+        region = _trim_region_to_measure(merged_region(depth, pairs), target)
         if not region.is_empty():
             out.append(region)
     return out

@@ -1,13 +1,15 @@
 """The int-column fat set and its invariant sweep against oracles.
 
 The oracles are the Dyadic versions they replaced, copied in below: the fat
-set placed one Interval per cell from Dyadic centers and half-lengths and
+set placed one Interval per cell from its center and half-length (worked out
+here in Fractions) and
 normalized the growing list with Region(...) at every stage; the invariant
 intersected H with each scale-r cell through region_intersect.  Stages,
 diagnostics and the first violating cell must all be equal.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,10 +25,10 @@ def oracle_stages(L, r):
     acc = []
     for s in range(1, L + 1):
         cell_exp = r + s - 1
-        half = Dyadic(1, r + 3 + s)  # half of the placed length 2^-(r+2+s)
+        half = Fraction(1, 1 << (r + 3 + s))  # half of the placed length 2^-(r+2+s)
         for c in range(2 << cell_exp):
-            center = Dyadic(2 * c + 1, cell_exp + 1)
-            acc.append(Interval(center - half, center + half))
+            center = Fraction(2 * c + 1, 2 << cell_exp)
+            acc.append(Interval.make(center - half, center + half))
         stages.append(Region(acc))
     return stages
 

@@ -1,9 +1,12 @@
 """Gallery tests: fat sets, tag searches, jump families, and the three
 constructed integrands, verified against independent exact checks."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+
+from gaugelab.cli import main
 
 from gaugelab.errors import ResolutionExceeded, SearchExhausted
 from gaugelab.exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION,
@@ -261,16 +264,29 @@ def test_witness_filler_before_the_cells():
     assert all(it.interval.hi <= Dyadic(1, 3) for it in fillers[0])
 
 
-def test_witness_evaluator_gauge_uses_proxy():
+def test_witness_proximity_gauge_with_a_breakpoint_past_one():
+    # the ball about 3/2 misses [0, 1]: the level sets are [0, 1] less the
+    # ball about 1/4, and k = 16 is the first whose set has measure >= 4/5
     fat = build_fat_set(4, 3)
     fam = build_A_family(fat, 4, cap=16)
-    ev = Gauge.evaluator(
-        lambda t: Fraction(1, 5) if t.as_fraction() < Fraction(9, 10) else Fraction(1, 50))
-    w = oscillation_witness_3e(fat, fam, 16, ev, seed=5, proxy_depth=8)
-    assert w["proxy"] is True
+    delta = Gauge.proximity([Dyadic(1, 2), Dyadic(3, 1)], Fraction(1, 4), [Fraction(1, 32)] * 2)
+    w = oscillation_witness_3e(fat, fam, 16, delta, seed=5)
+    assert w["k"] == 16 and w["mu_level_set"] == Fraction(7, 8)
+    assert w["proxy"] is False
     assert w["gap"] >= w["bound"]
     for p in w["partitions"]:
-        assert is_partition(p) and is_subordinate(p, ev)
+        assert is_partition(p) and is_subordinate(p, delta)
+
+
+def test_witness_piecewise_gauge_report_digest(tmp_path):
+    # the CLI's non-const witness: its level sets come from a piecewise gauge
+    out = tmp_path / "r.json"
+    code = main(["gallery", "3e", "--L", "4", "--R", "64", "--gauge",
+                 "piecewise:0,1/2,1;1/4,1/8", "--seed", "11", "--deterministic",
+                 "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "01addff7d191a200560c8a2894740b494475b6bfe4dc125fd6a6f5771838d280")
 
 
 def test_witness_needs_resolution():

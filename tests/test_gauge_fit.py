@@ -4,7 +4,8 @@ Every gauge answers `fits(t, d, e)`: is d/2^e <= delta(t/2^e)?  It is checked
 here against delta worked out in Fractions straight from each kind's
 definition, with non-dyadic widths (1/5, 1/12), tags on and next to
 breakpoints, tag exponents below and above the breakpoints' own, and tags
-outside [0,1].  `cousin_partition` is checked against the Fraction-route
+outside [0,1]; so is each gauge's `level_set(k)`, the region where delta >= 2^-k.
+`cousin_partition` is checked against the Fraction-route
 bisection it replaced, copied in below as the oracle (with a base whose width
 is not a power of two split into power-of-two pieces first), and the lazy
 adapted schedule against the eager list of `adapted_gauge` calls.  The sampled
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab import integrate
-from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded
+from gaugelab.errors import MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
 from gaugelab.gallery import example_3f
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
@@ -38,7 +39,7 @@ dyadics = st.builds(Dyadic, st.integers(-40, 100), st.integers(0, 6))
 
 @st.composite
 def gauge_specs(draw):
-    kind = draw(st.sampled_from(["const", "piecewise", "proximity", "evaluator"]))
+    kind = draw(st.sampled_from(["const", "piecewise", "proximity"]))
     if kind == "const":
         return kind, draw(widths)
     if kind == "piecewise":
@@ -48,15 +49,9 @@ def gauge_specs(draw):
         breaks = [Dyadic(k, depth) for k in [0] + interior + [n]]
         return kind, (breaks, draw(st.lists(widths, min_size=len(breaks) - 1,
                                             max_size=len(breaks) - 1)))
-    if kind == "proximity":
-        bps = draw(st.lists(dyadics, max_size=6))
-        floors = draw(st.lists(widths, min_size=len(bps), max_size=len(bps)))
-        return kind, (bps, draw(widths), floors)
-    # a threshold evaluator: a float width is compared as the rational it is,
-    # and a zero width raises when it is probed
-    cut = Fraction(draw(st.integers(0, 16)), 16)
-    below, above = draw(widths), draw(st.sampled_from(WIDTHS + [0.25, 0.2, 0]))
-    return kind, (cut, below, above)
+    bps = draw(st.lists(dyadics, max_size=6))
+    floors = draw(st.lists(widths, min_size=len(bps), max_size=len(bps)))
+    return kind, (bps, draw(widths), floors)
 
 
 def make_gauge(spec) -> Gauge:
@@ -65,10 +60,7 @@ def make_gauge(spec) -> Gauge:
         return Gauge.const(params)
     if kind == "piecewise":
         return Gauge.piecewise(*params)
-    if kind == "proximity":
-        return Gauge.proximity(*params)
-    cut, below, above = params
-    return Gauge.evaluator(lambda t: below if t < cut else above)
+    return Gauge.proximity(*params)
 
 
 def delta_of(spec, tq: Fraction) -> Fraction:
@@ -79,22 +71,17 @@ def delta_of(spec, tq: Fraction) -> Fraction:
     if kind == "piecewise":
         breaks, values = params
         return values[sum(1 for b in breaks[1:-1] if b.as_fraction() <= tq)]
-    if kind == "proximity":
-        bps, cap, floors = params
-        for b, f in zip(bps, floors):
-            if b.as_fraction() == tq:
-                return f
-        return min([cap] + [abs(tq - b.as_fraction()) for b in bps])
-    cut, below, above = params
-    return Fraction(below if tq < cut else above)
+    bps, cap, floors = params
+    for b, f in zip(bps, floors):
+        if b.as_fraction() == tq:
+            return f
+    return min([cap] + [abs(tq - b.as_fraction()) for b in bps])
 
 
 def breakpoints_of(spec) -> list:
     kind, params = spec
     if kind in ("piecewise", "proximity"):
         return [D0, D1] + list(params[0])
-    if kind == "evaluator":
-        return [D0, D1, Dyadic.from_fraction(params[0])]
     return [D0, D1]
 
 
@@ -124,14 +111,7 @@ def test_fit_test_matches_fraction_widths(data):
     g = make_gauge(spec)
     for _ in range(12):
         t, d, e = data.draw(probes(spec))
-        tq = Fraction(t, 1 << e)
-        delta = delta_of(spec, tq)
-        if delta == 0:
-            with pytest.raises(GaugeNotPositive):
-                g.fits(t, d, e)
-            continue
-        assert g(tq) == delta
-        assert g(Dyadic(t, e)) == delta
+        delta = delta_of(spec, Fraction(t, 1 << e))
         assert g.fits(t, d, e) == (Fraction(d, 1 << e) <= delta), (spec, t, d, e)
 
 
@@ -145,22 +125,37 @@ def test_is_subordinate_matches_fraction_walls(data):
         tag = Dyadic(min(max(t, 0), 1 << e), e)  # tags of partitions lie in [0,1]
         tq = tag.as_fraction()
         delta = delta_of(spec, tq)
-        if delta == 0:
-            continue
         # the interval may hold the tag or lie to either side of it
-        lo = tag + Dyadic(data.draw(st.integers(-d - 1, d + 1)), e)
-        hi = lo + Dyadic(data.draw(st.integers(0, 2 * d + 2)), e + data.draw(st.integers(0, 2)))
-        expect = tq - delta <= lo.as_fraction() and hi.as_fraction() <= tq + delta
-        p = TaggedPartition([TaggedInterval(Interval(lo, hi), tag)])
+        lo = tq + Fraction(data.draw(st.integers(-d - 1, d + 1)), 1 << e)
+        hi = lo + Fraction(data.draw(st.integers(0, 2 * d + 2)),
+                           1 << (e + data.draw(st.integers(0, 2))))
+        expect = tq - delta <= lo and hi <= tq + delta
+        p = TaggedPartition([TaggedInterval(Interval.make(lo, hi), tag)])
         assert is_subordinate(p, g) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=gauge_specs(), k=st.integers(0, 12))
+def test_level_set_matches_fraction_widths(spec, k):
+    """level_set(k) holds a point iff delta there is at least 2^-k.  Every
+    edge of the set lies on the 2^-E grid, E the finest exponent among the
+    gauge's data and k, so each cell of the 2^-(E+1) grid is inside or
+    outside as a whole, and its midpoint decides which."""
+    region = make_gauge(spec).level_set(k)
+    n = 2 << max([k] + [b.exp for b in breakpoints_of(spec)])
+    mids = [Fraction(2 * i + 1, 2 * n) for i in range(n)]
+    inside = [region.contains(x) for x in mids]
+    assert inside == [delta_of(spec, x) >= Fraction(1, 1 << k) for x in mids], (spec, k)
+    # no part of the set lies outside [0,1]: its measure counts the cells
+    assert region.measure().as_fraction() == Fraction(sum(inside), n)
 
 
 # -- the Fraction-route bisection, as it was before the integer walk --------------
 
 
-def oracle_fits(iv: Interval, tag: Dyadic, g: Gauge) -> bool:
-    delta = g(tag)
+def oracle_fits(iv: Interval, tag: Dyadic, spec) -> bool:
     tq = tag.as_fraction()
+    delta = delta_of(spec, tq)
     return tq - delta <= iv.lo.as_fraction() and iv.hi.as_fraction() <= tq + delta
 
 
@@ -185,13 +180,17 @@ def oracle_pieces(base: Interval) -> list:
             p /= 2
         while 2 * p <= rest:
             p *= 2
-        hi = lo + Dyadic.from_fraction(p)
+        hi = Dyadic.from_fraction(lo.as_fraction() + p)
         pieces.append(Interval(lo, hi))
         lo, rest = hi, rest - p
     return pieces
 
 
-def oracle_cousin(g, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT):
+def midpoint(iv: Interval) -> Dyadic:
+    return Dyadic.from_fraction((iv.lo.as_fraction() + iv.hi.as_fraction()) / 2)
+
+
+def oracle_cousin(spec, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT):
     items = []
 
     def strategy_tag(iv):
@@ -200,12 +199,12 @@ def oracle_cousin(g, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, b
         if tag_strategy == "sampled" and iv.lo < iv.hi:
             rng = random.Random(f"{seed}|{iv.lo}|{iv.hi}")
             return _sample_dyadic_in(iv, rng)
-        return iv.midpoint()
+        return midpoint(iv)
 
     def visit(iv, depth):
         tag = strategy_tag(iv)
-        tag_ok = D0 <= tag <= D1 and (flavor != HENSTOCK or iv.contains(tag))
-        if tag_ok and oracle_fits(iv, tag, g):
+        tag_ok = D0 <= tag <= D1 and (flavor != HENSTOCK or iv.lo <= tag <= iv.hi)
+        if tag_ok and oracle_fits(iv, tag, spec):
             items.append(TaggedInterval(iv, tag))
             return
         if depth >= max_depth:
@@ -213,7 +212,7 @@ def oracle_cousin(g, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, b
                 f"no fitting tag for [{iv.lo}, {iv.hi}] within depth {max_depth}",
                 interval=iv,
             )
-        mid = iv.midpoint()
+        mid = midpoint(iv)
         visit(Interval(iv.lo, mid), depth + 1)
         visit(Interval(mid, iv.hi), depth + 1)
 
@@ -227,7 +226,7 @@ def outcome(build):
     """The partition as JSON plus its subordination, or the error it raised."""
     try:
         p = build()
-    except (MaxDepthExceeded, GaugeNotPositive) as exc:
+    except MaxDepthExceeded as exc:
         return type(exc).__name__, str(exc), getattr(exc, "interval", None)
     return partition_to_json(p), p
 
@@ -247,12 +246,12 @@ def test_cousin_partition_matches_fraction_bisection(spec, strategy, flavor, bas
     g = make_gauge(spec)
     kw = dict(flavor=flavor, tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base)
     got = outcome(lambda: cousin_partition(g, **kw))
-    want = outcome(lambda: oracle_cousin(g, **kw))
+    want = outcome(lambda: oracle_cousin(spec, **kw))
     assert got[0] == want[0]
     if isinstance(got[1], TaggedPartition):
         p, ref = got[1], want[1]
         assert [(it.interval, it.tag) for it in p] == [(it.interval, it.tag) for it in ref]
-        assert is_subordinate(p, g) == all(oracle_fits(it.interval, it.tag, g) for it in p)
+        assert is_subordinate(p, g) == all(oracle_fits(it.interval, it.tag, spec) for it in p)
     else:
         assert got[1:] == want[1:]
 
@@ -304,10 +303,14 @@ def test_lazy_adapted_schedule_matches_eager_list(case, monkeypatch):
     assert built == []
     gauges = list(lazy)
     assert built == list(range(2, 8))
-    probes = [Fraction(k, 64) for k in range(65)] + [b.as_fraction() for b in phi.breaks]
+    # the widths compared through the fit test: each probe tag, as an int at
+    # exponent e, against every power-of-two half-width 2^(j-e)
+    e = 40
+    probes = [k << (e - 6) for k in range(65)] + [b.num << (e - b.exp) for b in phi.breaks]
     for got, want in zip(gauges, eager, strict=True):
         assert got.descriptor == want.descriptor
-        assert [got(t) for t in probes] == [want(t) for t in probes]
+        assert ([got.fits(t, 1 << j, e) for t in probes for j in range(e + 1)]
+                == [want.fits(t, 1 << j, e) for t in probes for j in range(e + 1)])
     # a run builds only the levels it reaches
     built.clear()
     est = integrate.mcshane_integrate(phi, schedule="adapted", tol=Fraction(1, 16), max_levels=6)

@@ -107,8 +107,6 @@ def test_walls_at_hand_checked_nodes():
     small = Gauge.proximity([Dyadic(1, 1)], Fraction(1, 4), [Fraction(1, 1024)])
     big = Gauge.proximity([Dyadic(1, 1)], Fraction(1, 4), [Fraction(1, 2)])
     assert not small.wall(1, 2, 1) and small.wall(0, 1, 0) and not big.wall(0, 1, 0)
-    # an evaluator is never walled
-    assert not Gauge.evaluator(lambda t: Fraction(1, 1 << 20)).wall(0, 1, 0)
 
 
 def test_sampled_bisection_draws_only_at_unwalled_nodes(monkeypatch):

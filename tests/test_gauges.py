@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
-from gaugelab.exact import D0, D1, Dyadic, Interval
+from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gauges import (
     Gauge,
     HENSTOCK,
@@ -60,26 +60,36 @@ def test_mcshane_tag_may_leave_interval_henstock_not():
     assert not tags_as_flavor_asks(p_pinned)
 
 
+def width_is(g: Gauge, t: Dyadic, w: Fraction, e: int = 30) -> bool:
+    """Is delta(t) = w, up to 2^-e?  The fit test holds for the largest
+    half-width d / 2^e <= w and fails one step above it."""
+    tn, d = t.num << (e - t.exp), w.numerator * (1 << e) // w.denominator
+    return g.fits(tn, d, e) and not g.fits(tn, d + 1, e)
+
+
 def test_gauge_kinds_and_positivity():
     with pytest.raises(GaugeNotPositive):
         Gauge.const(0)
     g = Gauge.piecewise(
         [D0, Dyadic(1, 1), D1], [Fraction(1, 2), Fraction(1, 100)]
     )
-    assert g(Dyadic(1, 2)) == Fraction(1, 2)
-    assert g(Dyadic(1, 1)) == Fraction(1, 100)  # half-open cells, boundary -> right
-    assert g(D1) == Fraction(1, 100)
-    bad = Gauge.evaluator(lambda t: 0.0)
-    with pytest.raises(GaugeNotPositive):
-        bad(Dyadic(1, 1))
+    assert width_is(g, Dyadic(1, 2), Fraction(1, 2))
+    assert width_is(g, Dyadic(1, 1), Fraction(1, 100))  # half-open cells, boundary -> right
+    assert width_is(g, D1, Fraction(1, 100))
 
 
 def test_proximity_gauge_values():
     bps = [Dyadic(1, 1)]
     g = Gauge.proximity(bps, Fraction(1, 4), [Fraction(1, 1024)])
-    assert g(Dyadic(1, 1)) == Fraction(1, 1024)
-    assert g(Dyadic(3, 3)) == Fraction(1, 8)  # distance to 1/2
-    assert g(D0) == Fraction(1, 4)  # capped
+    assert width_is(g, Dyadic(1, 1), Fraction(1, 1024))
+    assert width_is(g, Dyadic(3, 3), Fraction(1, 8))  # distance to 1/2
+    assert width_is(g, D0, Fraction(1, 4))  # capped
+
+
+def test_proximity_level_set_drops_balls_outside_the_unit_interval():
+    # the ball about 3/2 of radius 1/8 misses [0, 1] altogether
+    g = Gauge.proximity([Dyadic(1, 2), Dyadic(3, 1)], Fraction(1, 4), [Fraction(1, 32)] * 2)
+    assert g.level_set(3) == Region.make((D0, Dyadic(1, 3)), (Dyadic(3, 3), D1))
 
 
 def test_cousin_constant_quarter_gauge():

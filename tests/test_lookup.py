@@ -57,8 +57,10 @@ def test_cell_lookups_and_region_contains_match_linear_scan(case):
     region = Region(parts)
     for tq in points:
         expect = scan_cell(breaks, tq)
+        # the gauge's width expect + 1 through the fit test, at tq's exponent
+        tn, width = int(tq * (2 << DEPTH)), (expect + 1) << (DEPTH + 1)
+        assert gauge.fits(tn, width, DEPTH + 1) and not gauge.fits(tn, width + 1, DEPTH + 1)
         for t in (tq, Dyadic.from_fraction(tq)):
-            assert gauge(t) == expect + 1
             assert phi.eval(t).data == (expect,)
         grid_cell = min(int(tq * (1 << DEPTH)), (1 << DEPTH) - 1)
         assert DualFunctional.coordinate(step_space, grid_cell)(step) == expect

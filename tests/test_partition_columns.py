@@ -95,7 +95,7 @@ def oracle_pieces(base):
             p /= 2
         while 2 * p <= rest:
             p *= 2
-        hi = lo + Dyadic.from_fraction(p)
+        hi = Dyadic.from_fraction(lo.as_fraction() + p)
         pieces.append(Interval(lo, hi))
         lo, rest = hi, rest - p
     return pieces

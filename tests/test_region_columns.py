@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugelab.exact import D0, Dyadic, Interval, Region, format_region, region_combine
+from gaugelab.exact import Dyadic, Interval, Region, format_region, region_combine
 from gaugelab.integrands import IntegrandFn, _region_pieces
 from gaugelab.spaces import ValueSpace, VectorValue
 from gaugelab.stability import _region_arrays
@@ -40,6 +40,12 @@ def _common_exp(parts) -> int:
 
 def _lo_fraction(part):
     return part.lo.as_fraction()
+
+
+def shifted(iv, t):
+    """iv + t, worked out in Fractions."""
+    tq = t.as_fraction()
+    return Interval.make(iv.lo.as_fraction() + tq, iv.hi.as_fraction() + tq)
 
 
 class OracleRegion:
@@ -63,10 +69,10 @@ class OracleRegion:
         self.parts = tuple(merged)
 
     def measure(self):
-        total = D0
+        total = Fraction(0)
         for iv in self.parts:
-            total = total + iv.length
-        return total
+            total += iv.length.as_fraction()
+        return Dyadic.from_fraction(total)
 
     def contains(self, x):
         xq = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
@@ -74,11 +80,11 @@ class OracleRegion:
         return i > 0 and self.parts[i - 1].hi >= xq
 
     def translate(self, t):
-        return OracleRegion((iv.translate(t) for iv in self.parts), normalized=True)
+        return OracleRegion((shifted(iv, t) for iv in self.parts), normalized=True)
 
     def scale_half(self):
-        return OracleRegion((Interval(iv.lo.half(), iv.hi.half()) for iv in self.parts),
-                            normalized=True)
+        return OracleRegion((Interval.make(iv.lo.as_fraction() / 2, iv.hi.as_fraction() / 2)
+                             for iv in self.parts), normalized=True)
 
     def bounding(self):
         if not self.parts:
@@ -203,8 +209,8 @@ def split(parts, k: int) -> list:
         if iv.lo == iv.hi:
             out.append(iv)
             continue
-        step = iv.length * Dyadic(1, k)
-        cuts = [iv.lo + step * j for j in range(1 << k)] + [iv.hi]
+        lo, step = iv.lo.as_fraction(), iv.length.as_fraction() / (1 << k)
+        cuts = [Dyadic.from_fraction(lo + step * j) for j in range(1 << k)] + [iv.hi]
         out.extend(Interval(a, b) for a, b in zip(cuts, cuts[1:]))
     return out
 
@@ -244,8 +250,8 @@ def test_columns_match_interval_oracle(parts, k, t):
     # one point set, built at several exponents, is one region
     for same in (Region(split(parts, k)), Region(reversed(parts)),
                  Region(parts + [Interval(iv.lo, iv.lo) for iv in parts]),
-                 r.translate(t).translate(-t),
-                 Region(iv.translate(t) for iv in parts).translate(-t)):
+                 r.translate(t).translate(Dyadic(-t.num, t.exp)),
+                 Region(shifted(iv, t) for iv in parts).translate(Dyadic(-t.num, t.exp))):
         assert same == r and hash(same) == hash(r)
         assert (same.exp, same.lo, same.hi) == (r.exp, r.lo, r.hi)
     assert_matches(r.translate(t), o.translate(t))

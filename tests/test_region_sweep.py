@@ -96,10 +96,14 @@ def test_normalisation_matches_fraction_keyed_merge(parts):
 def test_monotone_images_equal_renormalised_images(parts, t):
     r = Region(parts)
     moved = r.translate(t)
-    assert moved == Region(iv.translate(t) for iv in r.parts)
-    assert shape(moved.parts) == shape(Region(iv.translate(t) for iv in r.parts).parts)
+    tq = t.as_fraction()
+    expect = Region(Interval.make(iv.lo.as_fraction() + tq, iv.hi.as_fraction() + tq)
+                    for iv in r.parts)
+    assert moved == expect
+    assert shape(moved.parts) == shape(expect.parts)
     halved = r.scale_half()
-    expect = Region(Interval(iv.lo.half(), iv.hi.half()) for iv in r.parts)
+    expect = Region(Interval.make(iv.lo.as_fraction() / 2, iv.hi.as_fraction() / 2)
+                    for iv in r.parts)
     assert shape(halved.parts) == shape(expect.parts)
 
 
