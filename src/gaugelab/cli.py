@@ -1,5 +1,5 @@
 """Command-line front end: named experiments with seeds, config files, and
-JSON/CSV reports.
+JSON/CSV reports.  Every option is declared once, in OPTIONS and COMMANDS below.
 
 Exit codes: 0 all asserted checks passed, 1 a check failed (the report is
 still written), 2 usage or configuration error; 1 and 2 end stderr with a
@@ -392,63 +392,105 @@ def cmd_report(args):
                                      "rows": rows}, rows
 
 
-# -- option plumbing -----------------------------------------------------------
-
-# dest -> (converter, default); config files use the same dests
-_CONVERTERS = {
-    "tol": arg_fraction,
-    "eps": arg_fraction,
-    "alpha": arg_fraction,
-    "beta": arg_fraction,
-    "margin": arg_fraction,
-    "delta": arg_fraction,
-    "etas": arg_fraction_list,
+# -- option table --------------------------------------------------------------
+# Every option is declared once: dest -> (kind, detail, help), its flag --dest
+# with "-" for "_".  The kind says how a flag, or a config value, is read:
+#   int        an integer >= detail (None: no bound), the least a run can
+#              use; a config value is read as text, so "8" is 8 and 8.5 fails
+#   choice     one of the detail tuple (a JSON string)
+#   fraction   p/q, p/2^k or 2^-k; "fractions" is a comma list of them
+#   parsed     a string that detail parses once the config is echoed, so the
+#              report keeps the text given (a JSON string)
+#   text       a string (a JSON string)
+#   switch     a flag without a value (a JSON boolean)
+OPTIONS = {
+    "seed": ("int", None, "rng seed (default: GIL_SEED env, then 0)"),
+    "tol": ("fraction", None, "tolerance, e.g. 2^-10 or 1/1024"),
+    "out": ("text", None, "write the JSON report here"),
+    "csv": ("text", None, "write table-valued output here"),
+    "config": ("text", None, "JSON config file; flags override"),
+    "deterministic": ("switch", None, "omit timestamps so reruns are byte-identical"),
+    "fn": ("text", None, "integrand: identity, 3f, 3g or poly:c0,c1;d0,..."),
+    "R": ("int", 1, "3g block count (gallery 3e: family member cap)"),
+    "depth": ("int", 1, "3f grid depth"),
+    "schedule": ("choice", ("auto", "adapted"), "gauge schedule (default: adapted)"),
+    "trials": ("int", 2, "partitions per level"),
+    "max_levels": ("int", 1, "schedule levels before giving up"),
+    "flavor": ("choice", ("mcshane", "henstock"), "partition flavor"),
+    "functionals": ("int", 1, "sampled functionals"),
+    "regions": ("int", 1, "sampled regions"),
+    "blocks": ("int", 1, "geometric blocks"),
+    "window_start": ("int", 0, "first block of the tail window"),
+    "etas": ("fractions", None, "measure bounds, e.g. 2^-2,2^-4"),
+    "regions_per_eta": ("int", 1, "sampled regions per eta"),
+    "batches": ("int", 1, "sample batches"),
+    "n": ("int", 1, "lln: samples per batch; stability: query n"),
+    "eps": ("fraction", None, "approximation tolerance"),
+    "max_pieces": ("int", 1, "piece budget of the simple function"),
+    "family": ("choice", ("integrand", "pairsum"), "function family"),
+    "h": ("parsed", parse_region, "avoid region for the pairsum family"),
+    "E": ("parsed", parse_region, "query region, e.g. 0:1/2+3/4:1"),
+    "m": ("int", 1, "query m"),
+    "alpha": ("fraction", None, "lower threshold"),
+    "beta": ("fraction", None, "upper threshold"),
+    "samples": ("int", 100, "Monte Carlo samples"),
+    "scan": ("switch", None, "scan m, n up to --mn-max for a witness"),
+    "mn_max": ("int", 1, "largest m and n of the scan"),
+    "margin": ("fraction", None, "scan margin, a share of the threshold"),
+    "sequence": ("choice", ("truncations", "spike"), "integrand sequence"),
+    "n_max": ("int", 1, "sequence terms"),
+    "kind": ("choice", ("3e", "3f", "3g"), "paper example"),
+    "L": ("int", 1, "fat-set stages"),
+    "r": ("int", 2, "fat-set resolution"),
+    "gauge": ("parsed", arg_gauge, "const:1/5 or piecewise:0,1/2,1;1/4,1/8"),
+    "jump_depth": ("int", 0, "jump grid depth of the family"),
+    "max_attempts": ("int", 1, "witness search attempts"),
+    "proxy_depth": ("int", 0, "search k up to 2^proxy-depth"),
+    "delta": ("fraction", None, "constant gauge of the 3f Riemann sum"),
+    "norm_depth": ("int", 0, "grid depth of the lower norm integral"),
+    "files": ("text", None, "reports to digest"),
 }
 
-# dest -> parser run once the config is echoed, so the report keeps the text
-# given and a malformed value is a usage error before any check runs
-_PARSED = {"E": parse_region, "h": parse_region, "gauge": arg_gauge}
+# positional arguments, with what argparse needs besides; not config keys
+POSITIONAL = {"kind": {}, "files": {"nargs": "+"}}
 
-# counts below 1 would leave a check with nothing to check
-_COUNTS = ("n", "batches", "n_max", "blocks", "functionals", "regions",
-           "regions_per_eta", "mn_max", "max_levels")
+# command -> (help, {dest: default}).  Defaults apply after the config file,
+# so argparse's stay None.  None is no default, and an fn without one is
+# required.  _COMMON's options come first in every command.
+_COMMON = {"seed": None, "tol": DEFAULT_TOL, "out": None, "csv": None,
+           "config": None, "deterministic": False}
+COMMANDS = {name: (text, {**_COMMON, **options}) for name, (text, options) in {
+    "integrate": ("gauge-schedule Riemann sums",
+                  {"fn": None, "R": 16, "depth": 8, "schedule": None, "trials": 3,
+                   "max_levels": 12, "flavor": "mcshane"}),
+    "pettis": ("dual-pairing consistency check",
+               {"fn": None, "R": 16, "depth": 6, "functionals": 20, "regions": 20}),
+    "series": ("interval-series partial sums and tails",
+               {"fn": None, "R": 16, "depth": 6, "blocks": 12, "window_start": None}),
+    "abscont": ("absolute-continuity modulus table",
+                {"fn": None, "R": 16, "depth": 6, "etas": "2^-2,2^-4,2^-6,2^-8",
+                 "regions_per_eta": 8}),
+    "lln": ("empirical-mean batches against the closed form",
+            {"fn": None, "R": 8, "depth": 6, "batches": 30, "n": 10_000}),
+    "bochner": ("simple-function certificate or refusal",
+                {"fn": None, "R": 16, "depth": 12, "eps": "1/100", "max_pieces": 64}),
+    "stability": ("separation-set measure estimates",
+                  {"fn": "identity", "R": 8, "depth": 6, "family": "integrand", "h": "0:2",
+                   "E": "0:1", "m": 1, "n": 1, "alpha": "3/10", "beta": "7/10",
+                   "samples": 100_000, "scan": False, "mn_max": 3, "margin": "1/100"}),
+    "vitali": ("convergence-theorem hypotheses and conclusion",
+               {"fn": "3g", "R": 8, "depth": 6, "sequence": "truncations", "n_max": 12,
+                "functionals": 8, "regions": 8}),
+    "gallery": ("constructed integrands and witnesses",
+                {"kind": None, "L": 4, "r": 3, "R": 64, "gauge": "const:1/5",
+                 "jump_depth": 10, "max_attempts": 200, "proxy_depth": 12, "depth": 12,
+                 "eps": "1/100", "max_pieces": 64, "delta": None, "norm_depth": 8}),
+    "report": ("digest and validate emitted reports", {"files": None}),
+}.items()}
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None,
-                    help="rng seed (default: GIL_SEED env, then 0)")
-    sp.add_argument("--tol", default=None, help="tolerance, e.g. 2^-10 or 1/1024")
-    sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.add_argument("--csv", default=None, help="write table-valued output here")
-    sp.add_argument("--config", default=None, help="JSON config file; flags override")
-    sp.add_argument("--deterministic", action="store_true", default=None,
-                    help="omit timestamps so reruns are byte-identical")
-
-
-# final fallbacks applied after the config file; parser defaults stay None so
-# an explicit flag, a config value, and a library default are distinguishable
-_DEFAULTS = {
-    "integrate": {"R": 16, "depth": 8, "trials": 3,
-                  "max_levels": 12, "flavor": "mcshane"},
-    "pettis": {"R": 16, "depth": 6, "functionals": 20, "regions": 20},
-    "series": {"R": 16, "depth": 6, "blocks": 12},
-    "abscont": {"R": 16, "depth": 6, "etas": "2^-2,2^-4,2^-6,2^-8",
-                "regions_per_eta": 8},
-    "lln": {"R": 8, "depth": 6, "batches": 30, "n": 10_000},
-    "bochner": {"R": 16, "depth": 12, "eps": "1/100", "max_pieces": 64},
-    "stability": {"fn": "identity", "R": 8, "depth": 6, "family": "integrand",
-                  "h": "0:2", "E": "0:1", "m": 1, "n": 1, "alpha": "3/10",
-                  "beta": "7/10", "samples": 100_000, "scan": False,
-                  "mn_max": 3, "margin": "1/100"},
-    "vitali": {"fn": "3g", "R": 8, "depth": 6, "sequence": "truncations",
-               "n_max": 12, "functionals": 8, "regions": 8},
-    "gallery": {"L": 4, "r": 3, "R": 64, "gauge": "const:1/5", "jump_depth": 10,
-                "max_attempts": 200, "proxy_depth": 12, "depth": 12,
-                "eps": "1/100", "max_pieces": 64, "norm_depth": 8},
-    "report": {},
-}
-
-_NEEDS_FN = {"integrate", "pettis", "series", "abscont", "lln", "bochner"}
+def _flag(dest: str) -> str:
+    return dest if dest in POSITIONAL else "--" + dest.replace("_", "-")
 
 
 # built once per process: parse_args reads the parser and leaves it unchanged
@@ -457,99 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gaugelab",
                                  description="gauge-integral laboratory on [0,1]")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        _add_common(sp)
-        return sp
-
-    sp = add("integrate", help="gauge-schedule Riemann sums")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--schedule", choices=("auto", "adapted"))
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--max-levels", dest="max_levels", type=int)
-    sp.add_argument("--flavor", choices=("mcshane", "henstock"))
-
-    sp = add("pettis", help="dual-pairing consistency check")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--functionals", type=int)
-    sp.add_argument("--regions", type=int)
-
-    sp = add("series", help="interval-series partial sums and tails")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--blocks", type=int)
-    sp.add_argument("--window-start", dest="window_start", type=int)
-
-    sp = add("abscont", help="absolute-continuity modulus table")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--etas")
-    sp.add_argument("--regions-per-eta", dest="regions_per_eta", type=int)
-
-    sp = add("lln", help="empirical-mean batches against the closed form")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--batches", type=int)
-    sp.add_argument("--n", type=int)
-
-    sp = add("bochner", help="simple-function certificate or refusal")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--eps")
-    sp.add_argument("--max-pieces", dest="max_pieces", type=int)
-
-    sp = add("stability", help="separation-set measure estimates")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--family", choices=("integrand", "pairsum"))
-    sp.add_argument("--h", help="avoid region for the pairsum family")
-    sp.add_argument("--E")
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--alpha")
-    sp.add_argument("--beta")
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--scan", action="store_true", default=None)
-    sp.add_argument("--mn-max", dest="mn_max", type=int)
-    sp.add_argument("--margin")
-
-    sp = add("vitali", help="convergence-theorem hypotheses and conclusion")
-    sp.add_argument("--fn")
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--sequence", choices=("truncations", "spike"))
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--functionals", type=int)
-    sp.add_argument("--regions", type=int)
-
-    sp = add("gallery", help="constructed integrands and witnesses")
-    sp.add_argument("kind", choices=("3e", "3f", "3g"))
-    sp.add_argument("--L", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--R", type=int)
-    sp.add_argument("--gauge")
-    sp.add_argument("--jump-depth", dest="jump_depth", type=int)
-    sp.add_argument("--max-attempts", dest="max_attempts", type=int)
-    sp.add_argument("--proxy-depth", dest="proxy_depth", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--eps")
-    sp.add_argument("--max-pieces", dest="max_pieces", type=int)
-    sp.add_argument("--delta")
-    sp.add_argument("--norm-depth", dest="norm_depth", type=int)
-
-    sp = add("report", help="digest and validate emitted reports")
-    sp.add_argument("files", nargs="+")
-
+    for name, (about, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=about)
+        for dest in options:
+            kind, detail, text = OPTIONS[dest]
+            kw = {"int": {"type": int}, "choice": {"choices": detail},
+                  "switch": {"action": "store_true", "default": None}}.get(kind, {})
+            sp.add_argument(_flag(dest), help=text, **kw, **POSITIONAL.get(dest, {}))
     return ap
 
 
@@ -567,64 +523,68 @@ _HANDLERS = {
 }
 
 
-def _option_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> the type argparse applies to that flag of the subcommand."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.type for a in sub.choices[command]._actions if a.type is not None}
+def _config_value(key: str, dest: str, value):
+    """A config file's value for dest, read as its flag would read it."""
+    kind, detail, _ = OPTIONS[dest]
+    if kind == "int":
+        try:
+            return int(str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid int value {value!r}") from None
+    if kind == "switch":
+        ok, expected = isinstance(value, bool), "true or false"
+    elif kind in ("fraction", "fractions"):  # a number, a string, or a list
+        ok, expected = value is not None and not isinstance(value, bool), "a fraction"
+    else:
+        ok = isinstance(value, str) and (kind != "choice" or value in detail)
+        expected = "one of " + ", ".join(detail) if kind == "choice" else "a string"
+    if not ok:
+        raise ValueError(f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
+    return value
 
 
-def resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Fold in the config file (flags override), env seed, defaults, and
-    convert fraction-typed options.  Returns the resolved config dict that
-    the report embeds."""
+def resolve_args(args: argparse.Namespace) -> dict:
+    """Fold in the config file (flags override), env seed and defaults, then
+    convert fractions and check the lower bounds.  Returns the resolved config
+    dict that the report embeds."""
+    options = COMMANDS[args.command][1]
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
-        types = _option_types(parser, args.command)
         for key, value in overrides.items():
             dest = key.replace("-", "_")
-            if not hasattr(args, dest):
+            if dest not in options or dest in POSITIONAL:
                 raise ValueError(f"config key {key!r} is not a known option")
-            if getattr(args, dest) is not None:
-                continue
-            # a typed flag's value goes through its type as text, as it
-            # would on the command line: "8" and 8 give 8, [8] and 8.5 fail
-            if dest in types:
-                try:
-                    value = types[dest](str(value))
-                except (ValueError, argparse.ArgumentTypeError):
-                    raise ValueError(f"config key {key!r}: invalid "
-                                     f"{types[dest].__name__} value {value!r}") from None
-            setattr(args, dest, value)
-    for dest, value in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-    if args.command in _NEEDS_FN and getattr(args, "fn", None) is None:
+            if getattr(args, dest) is None:
+                setattr(args, dest, _config_value(key, dest, value))
+    for dest, default in options.items():
+        if getattr(args, dest) is None and default is not None:
+            setattr(args, dest, default)
+    if "fn" in options and args.fn is None:
         raise ValueError(f"{args.command} requires --fn (or fn in the config file)")
     if args.seed is None:
         args.seed = int(os.environ.get("GIL_SEED", "0"))
-    if args.tol is None:
-        args.tol = DEFAULT_TOL
-    if args.deterministic is None:
-        args.deterministic = False
-    for dest, conv in _CONVERTERS.items():
-        if hasattr(args, dest) and getattr(args, dest) is not None:
+    for dest in options:
+        kind, detail, _ = OPTIONS[dest]
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if kind in ("fraction", "fractions"):
             # the report echoes the value, so one it cannot print is refused
             # here rather than after the check has run
-            setattr(args, dest, _printable(dest, conv(getattr(args, dest))))
+            conv = arg_fraction if kind == "fraction" else arg_fraction_list
+            setattr(args, dest, _printable(dest, conv(value)))
+        elif kind == "int" and detail is not None and value < detail:
+            raise ValueError(f"{_flag(dest)} must be an integer >= {detail}, got {value!r}")
     if args.tol <= 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
-    for dest in _COUNTS:
-        value = getattr(args, dest, None)
-        if value is not None and not (isinstance(value, int) and value >= 1):
-            raise ValueError(f"--{dest.replace('_', '-')} must be an integer >= 1, "
-                             f"got {value!r}")
     resolved = {key: value for key, value in sorted(vars(args).items())
                 if key not in ("out", "csv", "config")}
-    for dest, parse in _PARSED.items():
-        if getattr(args, dest, None) is not None:
+    for dest in options:
+        kind, parse, _ = OPTIONS[dest]
+        if kind == "parsed" and getattr(args, dest) is not None:
             value = parse(getattr(args, dest))
             # a region's endpoints reach its report as fractions (its measure
             # among them), so a region whose endpoints cannot print is refused
@@ -646,7 +606,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        config = resolve_args(args, ap)
+        config = resolve_args(args)
     except (OSError, ValueError, GaugeLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

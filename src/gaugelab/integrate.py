@@ -167,7 +167,7 @@ def _max_distance(values: Sequence[VectorValue]) -> Fraction:
 
 
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
-    """The schedule's gauges in level order.  Adapted gauges come from a
+    """The schedule's gauges in level order.  Named schedules come from a
     generator, so a run that converges early never builds the later levels.
     No schedule means "adapted": an integrand converges under its own
     breakpoint structure, where a uniform schedule stalls once cells outpace
@@ -176,7 +176,7 @@ def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
         schedule = "adapted"
     if isinstance(schedule, str):
         if schedule == "auto":
-            return [Gauge.const(Fraction(1, 1 << k)) for k in range(max_levels)]
+            return (Gauge.const(Fraction(1, 1 << k)) for k in range(max_levels))
         if schedule == "adapted":
             return (adapted_gauge(phi, k) for k in range(2, 2 + max_levels))
         raise ValueError(f"unknown schedule {schedule!r}")

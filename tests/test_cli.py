@@ -233,8 +233,15 @@ def test_failed_check_still_writes_report(tmp_path):
     assert "the piece budget is 64" in doc["result"]["message"]
 
 
-# config files named in the argv below, written to a scratch directory
-CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
+# config files named in the argv below, written to a scratch directory; each
+# holds one key, which the error line must name
+CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]},
+           "R-a-float.json": {"R": 8.5}, "fn-an-int.json": {"fn": 5},
+           "fn-a-list.json": {"fn": ["3f"]}, "family-bogus.json": {"family": "bogus"},
+           "sequence-bogus.json": {"sequence": "bogus"}, "scan-no.json": {"scan": "no"},
+           "deterministic-no.json": {"deterministic": "no"}, "out-an-int.json": {"out": 5},
+           "kind-a-key.json": {"kind": "3f"}, "command-a-key.json": {"command": "lln"},
+           "tol-null.json": {"tol": None}, "tol-true.json": {"tol": True}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -271,6 +278,28 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
     ("series", "--fn", "3g", "--window-start", "-1"),
     ("vitali", "--config", "R-not-an-int.json"),
     ("vitali", "--config", "R-a-list.json"),
+    ("vitali", "--config", "R-a-float.json"),
+    # a config value is read as its flag reads it: a string for text, one of
+    # the choices for a choice, a JSON boolean for a switch, and for a
+    # fraction neither null (which would fall back to the default) nor a boolean
+    ("integrate", "--config", "fn-an-int.json"),
+    ("lln", "--config", "fn-a-list.json"),
+    ("stability", "--config", "family-bogus.json"),
+    ("vitali", "--config", "sequence-bogus.json"),
+    ("stability", "--config", "scan-no.json"),
+    ("integrate", "--fn", "identity", "--config", "deterministic-no.json"),
+    ("integrate", "--fn", "identity", "--config", "out-an-int.json"),
+    ("integrate", "--fn", "identity", "--config", "tol-null.json"),
+    ("integrate", "--fn", "identity", "--config", "tol-true.json"),
+    # positional arguments are not config keys
+    ("gallery", "3e", "--config", "kind-a-key.json"),
+    ("lln", "--fn", "identity", "--config", "command-a-key.json"),
+    # below an int option's lower bound: a vacuous pass, two zero budgets
+    # that failed the check, and a shift error that did not name the flag
+    ("gallery", "3f", "--max-pieces", "0"),
+    ("bochner", "--fn", "3f", "--max-pieces", "0"),
+    ("gallery", "3e", "--max-attempts", "0"),
+    ("gallery", "3e", "--jump-depth", "-2"),
     # a region endpoint with more digits than a report prints, and a region
     # whose endpoints print but whose threshold (mu E)^(m+n) does not
     ("stability", "--E", "2^-99999:1", "--samples", "200"),
@@ -279,6 +308,7 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]}}
     ("integrate", "--fn", "identity", "--out", "no-such-dir/r.json"),
 ], ids=" ".join)
 def test_bad_input_is_usage_error(argv, tmp_path):
+    keys = [key for a in argv if a in CONFIGS for key in CONFIGS[a]]
     argv = [str(tmp_path / a) if a in CONFIGS else a for a in argv]
     for name, config in CONFIGS.items():
         (tmp_path / name).write_text(json.dumps(config))
@@ -286,6 +316,32 @@ def test_bad_input_is_usage_error(argv, tmp_path):
     assert proc.returncode == 2, proc.stderr or proc.stdout
     assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
     assert "Traceback" not in proc.stderr
+    for key in keys:
+        assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+        assert f"config key {key!r}" in proc.stderr, proc.stderr
+
+
+def _int_options():
+    from gaugelab import cli
+    return [pytest.param(command, dest, id=f"{command} {dest}")
+            for command, (_, options) in cli.COMMANDS.items() for dest in options
+            if cli.OPTIONS[dest][0] == "int" and cli.OPTIONS[dest][1] is not None]
+
+
+@pytest.mark.parametrize("command, dest", _int_options())
+def test_int_option_below_its_bound_is_usage_error(command, dest, capsys):
+    # in process: the table's bound stops the run before any work, with one
+    # line that names the flag
+    from gaugelab import cli
+    _, options = cli.COMMANDS[command]
+    bound = cli.OPTIONS[dest][1]
+    flag = "--" + dest.replace("_", "-")
+    argv = [command] + (["3e"] if command == "gallery" else []) \
+        + (["--fn", "identity"] if "fn" in options else []) + [f"{flag}={bound - 1}"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {flag} must be an integer >= {bound}, got {bound - 1}"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,12 +2,15 @@
 
 Argv is drawn from the README subcommands and their flags, with small flag
 values so that every run stays short, and with malformed tokens swapped in
-for some values and appended at the end.  Each draw runs `gaugelab` in its own
-subprocess under a 1 GiB address-space cap.  Whatever the argv, the run must
-exit 0, 1 or 2, print no traceback, end stderr with one `error:` line (exit 2)
-or one `check failed:` line (exit 1), and finish within a wall-time bound.
+for some values and appended at the end.  Some draws also pass a `--config`
+file of one to three of the command's options, each well formed or junk.
+Each draw runs `gaugelab` in its own subprocess under a 1 GiB address-space
+cap.  Whatever the argv, the run must exit 0, 1 or 2, print no traceback, end
+stderr with one `error:` line (exit 2) or one `check failed:` line (exit 1),
+and finish within a wall-time bound.
 """
 
+import json
 import os
 import re
 import resource
@@ -18,6 +21,8 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from gaugelab.cli import COMMANDS, OPTIONS, POSITIONAL
 
 CLI = [sys.executable, "-m", "gaugelab.cli"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -76,6 +81,10 @@ FLAGS = {
 ALWAYS = {"lln": ("--n", "--batches"), "stability": ("--samples",), "gallery": ("--R", "--L"),
           "pettis": ("--functionals", "--regions"), "vitali": ("--functionals", "--regions"),
           "abscont": ("--regions-per-eta",)}
+# options the draws leave out: they name files or drop timestamps
+UNDRAWN = ("out", "csv", "config", "deterministic")
+# config values that are no option's well-formed value, or only some options'
+JUNK = [5, [8], True, None, "x"]
 TAILS = [["--deterministic"], ["--bogus"], ["--seed"], ["--seed", "x"], ["--tol", "0"],
          ["--tol", "-1/2"], ["stray"], ["--config", "missing.json"]]
 
@@ -103,6 +112,19 @@ def argvs(draw):
             value = draw(st.sampled_from(MALFORMED))
         argv += [flag, value]
     if draw(st.integers(0, 3)) == 0:
+        # the file's keys are option dests; a dict in argv is written to a
+        # file and its name passed in its place
+        keys = sorted(set(COMMANDS[cmd][1]) - set(POSITIONAL))
+        config = {}
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+            flag = "--" + key.replace("_", "-")
+            if flag in flags and draw(st.booleans()):
+                value = draw(flags[flag])
+                config[key] = True if value is None else value  # a switch: true
+            else:
+                config[key] = draw(st.sampled_from(JUNK))
+        argv += ["--config", config]
+    if draw(st.integers(0, 3)) == 0:
         argv += draw(st.sampled_from(TAILS))
     return argv
 
@@ -129,6 +151,10 @@ REASON = re.compile(r"^(gaugelab( \w+)?: )?error: \S|^check failed: \S")
 def test_any_argv_exits_cleanly(tmp_path_factory, argv):
     # runs in an empty directory, with the package importable from there
     cwd = tmp_path_factory.mktemp("argv")
+    for arg in argv:
+        if isinstance(arg, dict):
+            (cwd / "config.json").write_text(json.dumps(arg))
+    argv = ["config.json" if isinstance(arg, dict) else arg for arg in argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     start = time.monotonic()
     proc = subprocess.run(CLI + argv, cwd=cwd, env=env, capture_output=True, text=True,
@@ -143,3 +169,11 @@ def test_any_argv_exits_cleanly(tmp_path_factory, argv):
         assert len(reasons) == 1 and lines[-1] == reasons[0], (argv, proc.stderr[-2000:])
         expect = "check failed: " if proc.returncode == 1 else "error: "
         assert expect in reasons[0], (argv, proc.stderr[-2000:])
+
+
+def test_flags_cover_every_table_option():
+    # the draws reach every option of every command, bar the undrawn ones
+    for command, (_, options) in COMMANDS.items():
+        drawn = {"--" + dest.replace("_", "-") for dest in options
+                 if dest not in POSITIONAL and dest not in UNDRAWN}
+        assert drawn <= set(COMMON) | set(FLAGS.get(command, {})), command

@@ -289,20 +289,32 @@ def adapted_cases():
     return [ramp, poly, restrict_integrand(ramp, region), restrict_integrand(poly, region)]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "auto"])
 def test_lazy_adapted_schedule_matches_eager_list(case, monkeypatch):
-    phi = adapted_cases()[case]
-    eager = [adapted_gauge(phi, k) for k in range(2, 8)]
+    # "auto", the constant gauges 2^-k on the first integrand, is as lazy
+    schedule = "auto" if case == "auto" else "adapted"
+    phi = adapted_cases()[0 if case == "auto" else case]
     built = []
+    if case == "auto":
+        levels, const = range(6), Gauge.const
+        eager = [const(Fraction(1, 1 << k)) for k in levels]
 
-    def counted(phi, level):
-        built.append(level)
-        return adapted_gauge(phi, level)
-    monkeypatch.setattr(integrate, "adapted_gauge", counted)
-    lazy = integrate._schedule_gauges(phi, "adapted", 6)
+        def counted(value):
+            built.append(value.denominator.bit_length() - 1)
+            return const(value)
+        monkeypatch.setattr(Gauge, "const", counted)
+    else:
+        levels = range(2, 8)
+        eager = [adapted_gauge(phi, k) for k in levels]
+
+        def counted(phi, level):
+            built.append(level)
+            return adapted_gauge(phi, level)
+        monkeypatch.setattr(integrate, "adapted_gauge", counted)
+    lazy = integrate._schedule_gauges(phi, schedule, 6)
     assert built == []
     gauges = list(lazy)
-    assert built == list(range(2, 8))
+    assert built == list(levels)
     # the widths compared through the fit test: each probe tag, as an int at
     # exponent e, against every power-of-two half-width 2^(j-e)
     e = 40
@@ -313,8 +325,8 @@ def test_lazy_adapted_schedule_matches_eager_list(case, monkeypatch):
                 == [want.fits(t, 1 << j, e) for t in probes for j in range(e + 1)])
     # a run builds only the levels it reaches
     built.clear()
-    est = integrate.mcshane_integrate(phi, schedule="adapted", tol=Fraction(1, 16), max_levels=6)
-    assert built == list(range(2, 2 + len(est.trace)))
+    est = integrate.mcshane_integrate(phi, schedule=schedule, tol=Fraction(1, 16), max_levels=6)
+    assert built == list(levels)[:len(est.trace)]
 
 
 @settings(max_examples=300, deadline=None)
