@@ -23,6 +23,8 @@ def map_unit_to_region(unit: np.ndarray, cum: np.ndarray, los: np.ndarray) -> np
     """Inverse-CDF map of uniforms in [0,1) onto a region given part offsets."""
     total = cum[-1]
     t = unit * total
+    if len(cum) == 1:  # one part: t - 0.0 is t, so this is the search's result
+        return los[0] + t
     idx = np.searchsorted(cum, t, side="right")
     idx = np.minimum(idx, len(cum) - 1)
     before = np.concatenate((np.zeros(1), cum))[idx]
@@ -79,19 +81,26 @@ def pairsum_family_hits(
 
 
 def piecewise_poly(xs: np.ndarray, cuts: np.ndarray, cells) -> np.ndarray:
-    """Values at xs of a piecewise polynomial map, one row per x: cells[c][j]
-    holds coordinate j's float coefficients on cell c, lowest degree first,
-    and each is evaluated by Horner's rule from a zero accumulator."""
-    idx = np.searchsorted(cuts, xs, side="right")
-    out = np.zeros((len(xs), len(cells[0])))
+    """Values at finite xs of a piecewise polynomial map, one row per x:
+    cells[c][j] holds coordinate j's float coefficients on cell c, lowest
+    degree first.
+
+    One gathered Horner pass per coordinate over all the samples: row c of
+    the table holds cell c's coefficients highest degree first, with zeros
+    padded in front up to the longest list.  From a zero accumulator a
+    padded step gives 0 * x + 0 = +0.0 again, so every x runs exactly its own
+    cell's Horner steps, bit for bit.  Without cuts the cell index is the
+    scalar 0 and no search runs."""
+    idx = np.searchsorted(cuts, xs, side="right") if len(cuts) else 0
+    width = max((len(coeffs) for coords in cells for coeffs in coords), default=0)
+    table = np.zeros((len(cells), len(cells[0]), width))
     for c, coords in enumerate(cells):
-        mask = idx == c
-        if not mask.any():
-            continue
-        ts = xs[mask]
         for j, coeffs in enumerate(coords):
-            acc = np.zeros_like(ts)
-            for ck in reversed(coeffs):
-                acc = acc * ts + ck
-            out[mask, j] = acc
+            table[c, j, width - len(coeffs):] = coeffs[::-1]
+    out = np.zeros((len(xs), len(cells[0])))
+    for j in range(len(cells[0])):
+        acc = np.zeros(len(xs))
+        for k in range(width):
+            acc = acc * xs + table[idx, j, k]
+        out[:, j] = acc
     return out

@@ -38,20 +38,28 @@ from .stability import (FunctionFamily, ZQuery, family_from_integrand,
 # -- argument helpers ----------------------------------------------------------
 
 
-def arg_fraction(text) -> Fraction:
-    if isinstance(text, (int, float)):
-        return Fraction(text)
-    return parse_fraction(str(text))
+# the forms parse_fraction reads, named in every error on a fraction option
+FRACTION_FORMS = "p/q, p/2^k, 2^-k or an integer"
 
 
-def arg_fraction_list(text) -> list[Fraction]:
-    if isinstance(text, (list, tuple)):
-        out = [arg_fraction(t) for t in text]
+def arg_fractions(name: str, kind: str, value):
+    """A fraction option's value (text, an int, or for "fractions" a comma
+    list or a JSON list) as a Fraction or a list of them; a malformed value
+    is a usage error that names the option and the accepted forms."""
+    if kind == "fraction":
+        items = [value]
+    elif isinstance(value, list):
+        items = value
     else:
-        out = [arg_fraction(tok) for tok in str(text).split(",") if tok.strip()]
+        items = [tok for tok in str(value).split(",") if tok.strip()]
+    try:
+        out = [Fraction(x) if isinstance(x, int) else parse_fraction(str(x)) for x in items]
+    except (ValueError, OverflowError):
+        out = []
     if not out:
-        raise ValueError(f"expected at least one value, got {text!r}")
-    return out
+        expected = "a fraction" if kind == "fraction" else "a comma list of fractions"
+        raise ValueError(f"{name} must be {expected} ({FRACTION_FORMS}), got {value!r}")
+    return out[0] if kind == "fraction" else out
 
 
 def _printable(dest: str, value):
@@ -533,8 +541,11 @@ def _config_value(key: str, dest: str, value):
             raise ValueError(f"config key {key!r}: invalid int value {value!r}") from None
     if kind == "switch":
         ok, expected = isinstance(value, bool), "true or false"
-    elif kind in ("fraction", "fractions"):  # a number, a string, or a list
-        ok, expected = value is not None and not isinstance(value, bool), "a fraction"
+    elif kind in ("fraction", "fractions"):  # an int, a string, or a list of them
+        items = value if kind == "fractions" and isinstance(value, list) else [value]
+        ok = all(isinstance(x, (int, str)) and not isinstance(x, bool) for x in items)
+        expected = ("a string or an integer" + (", or a list of them" if kind == "fractions"
+                                                else "") + f" ({FRACTION_FORMS})")
     else:
         ok = isinstance(value, str) and (kind != "choice" or value in detail)
         expected = "one of " + ", ".join(detail) if kind == "choice" else "a string"
@@ -548,6 +559,7 @@ def resolve_args(args: argparse.Namespace) -> dict:
     convert fractions and check the lower bounds.  Returns the resolved config
     dict that the report embeds."""
     options = COMMANDS[args.command][1]
+    keys = {}  # dest -> the config key that set it
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -559,6 +571,7 @@ def resolve_args(args: argparse.Namespace) -> dict:
                 raise ValueError(f"config key {key!r} is not a known option")
             if getattr(args, dest) is None:
                 setattr(args, dest, _config_value(key, dest, value))
+                keys[dest] = key
     for dest, default in options.items():
         if getattr(args, dest) is None and default is not None:
             setattr(args, dest, default)
@@ -574,8 +587,8 @@ def resolve_args(args: argparse.Namespace) -> dict:
         if kind in ("fraction", "fractions"):
             # the report echoes the value, so one it cannot print is refused
             # here rather than after the check has run
-            conv = arg_fraction if kind == "fraction" else arg_fraction_list
-            setattr(args, dest, _printable(dest, conv(value)))
+            name = f"config key {keys[dest]!r}" if dest in keys else _flag(dest)
+            setattr(args, dest, _printable(dest, arg_fractions(name, kind, value)))
         elif kind == "int" and detail is not None and value < detail:
             raise ValueError(f"{_flag(dest)} must be an integer >= {detail}, got {value!r}")
     if args.tol <= 0:

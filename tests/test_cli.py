@@ -241,7 +241,9 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]},
            "sequence-bogus.json": {"sequence": "bogus"}, "scan-no.json": {"scan": "no"},
            "deterministic-no.json": {"deterministic": "no"}, "out-an-int.json": {"out": 5},
            "kind-a-key.json": {"kind": "3f"}, "command-a-key.json": {"command": "lln"},
-           "tol-null.json": {"tol": None}, "tol-true.json": {"tol": True}}
+           "tol-null.json": {"tol": None}, "tol-true.json": {"tol": True},
+           "tol-a-float.json": {"tol": 0.1}, "etas-a-float.json": {"etas": ["2^-2", 0.25]},
+           "tol-malformed.json": {"tol": "x"}, "tol-a-list.json": {"tol": [1]}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,6 +293,12 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]},
     ("integrate", "--fn", "identity", "--config", "out-an-int.json"),
     ("integrate", "--fn", "identity", "--config", "tol-null.json"),
     ("integrate", "--fn", "identity", "--config", "tol-true.json"),
+    # a JSON float is the binary float, not the decimal it was written as, so
+    # a fraction option refuses it as --tol 0.1 is refused
+    ("integrate", "--fn", "identity", "--config", "tol-a-float.json"),
+    ("abscont", "--fn", "3f", "--config", "etas-a-float.json"),
+    ("integrate", "--fn", "identity", "--config", "tol-malformed.json"),
+    ("integrate", "--fn", "identity", "--config", "tol-a-list.json"),
     # positional arguments are not config keys
     ("gallery", "3e", "--config", "kind-a-key.json"),
     ("lln", "--fn", "identity", "--config", "command-a-key.json"),
@@ -358,6 +366,29 @@ def test_unprintable_fraction_is_usage_error(argv):
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [
         f"error: {argv[-2]} has more digits than a report can print"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--fn", "identity", "--tol", "x"),
+    ("integrate", "--fn", "identity", "--tol", "0.1"),
+    ("integrate", "--fn", "identity", "--tol", "1/0"),
+    ("integrate", "--fn", "identity", "--tol", "2^-99999999999999999999"),
+    ("bochner", "--fn", "3f", "--eps", "1/2^x"),
+    ("stability", "--alpha", "1e-3"),
+    ("abscont", "--fn", "3f", "--etas", "1/x"),
+    ("abscont", "--fn", "3f", "--etas", "2^-2,0.5"),
+    ("abscont", "--fn", "3f", "--etas", ","),
+], ids=" ".join)
+def test_malformed_fraction_names_its_flag(argv, capsys):
+    # in process: one line naming the flag and the forms a fraction takes,
+    # not Python's message from int()
+    from gaugelab import cli
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    expected = "a fraction" if argv[-2] != "--etas" else "a comma list of fractions"
+    assert out == ""
+    assert err.splitlines() == [f"error: {argv[-2]} must be {expected} "
+                                f"(p/q, p/2^k, 2^-k or an integer), got {argv[-1]!r}"]
 
 
 def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path):

@@ -1,6 +1,9 @@
-"""Every README CLI example, run in process with --deterministic, must write
-the report whose SHA-256 is recorded in readme_report_digests.json, and exit
-with the recorded code.
+"""Every README CLI example, run with --deterministic, must write the report
+whose SHA-256 is recorded in readme_report_digests.json, and exit with the
+recorded code: once in process, and once more, each example in its own
+subprocess, through the `gaugelab` console script when it is on PATH (else
+`python -m gaugelab.cli`).  The subprocess pass also runs a few commands
+that are not README examples and checks only their exit codes.
 
 The examples are read from the sh block of the README's CLI section, in
 order.  Example i (from 1) writes out{i}.json in a scratch directory, so the
@@ -19,6 +22,8 @@ import os
 import platform
 import re
 import shlex
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -76,6 +81,48 @@ def test_readme_report_matches_recorded_digest(line, ran):
     assert line in RECORDED, f"{line!r}: no recorded digest"
     assert line in ran, f"{line!r}: recorded, but no longer a README example"
     assert ran[line] == RECORDED[line], f"{line!r}: the report or exit code changed"
+
+
+# commands checked for their exit code only: the witness on a piecewise
+# gauge, and two that must stop at once on a size bound, not run on
+EXIT_ONLY = {
+    "gaugelab gallery 3e --L 4 --R 64 --gauge 'piecewise:0,1/2,1;1/4,1/8' --seed 11": 0,
+    "gaugelab gallery 3e --L 30": 2,
+    "gaugelab stability --family pairsum --h 1/4:1/2 --m 1 --n 2 --samples 1000000000000": 2,
+}
+
+
+def run_subprocesses(workdir: Path) -> dict:
+    """command line -> {"exit", "sha256"}, each command in its own process in
+    workdir, importing the gaugelab these tests import."""
+    script = shutil.which("gaugelab")
+    prefix = [script] if script else [sys.executable, "-m", "gaugelab.cli"]
+    env = {key: value for key, value in os.environ.items() if key != "GIL_SEED"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = {}
+    for i, line in enumerate(readme_examples() + list(EXIT_ONLY), 1):
+        report = workdir / f"out{i}.json"
+        proc = subprocess.run(prefix + shlex.split(line)[1:]
+                              + ["--deterministic", "--out", report.name],
+                              cwd=workdir, env=env, capture_output=True, text=True,
+                              timeout=10 if EXIT_ONLY.get(line) == 2 else 60)
+        digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
+        out[line] = {"exit": proc.returncode, "sha256": digest}
+    return out
+
+
+@pytest.fixture(scope="module")
+def ran_apart(tmp_path_factory):
+    return run_subprocesses(tmp_path_factory.mktemp("readme-subprocess"))
+
+
+@pytest.mark.parametrize("line", readme_examples() + list(EXIT_ONLY))
+def test_command_in_a_subprocess_matches_record(line, ran_apart):
+    if line in EXIT_ONLY:
+        assert ran_apart[line]["exit"] == EXIT_ONLY[line], line
+    else:
+        assert ran_apart[line] == RECORDED.get(line), f"{line!r}: the report or exit code changed"
 
 
 if __name__ == "__main__":
