@@ -22,7 +22,7 @@ from .gallery import (build_A_family, build_fat_set, example_3f, example_3g,
                       harmonic_half, oscillation_witness_3e, truncation_cover,
                       truncation_sequence)
 from .gauges import Gauge, cousin_partition
-from .integrands import (IntegrandFn, exact_vector_integral, identity_integrand,
+from .integrands import (STEP, IntegrandFn, exact_vector_integral, identity_integrand,
                          poly_integrand)
 from .integrate import (DEFAULT_TOL, NotApproximable, absolute_continuity,
                         bochner_integrate, default_functionals,
@@ -279,14 +279,14 @@ def cmd_stability(args):
 def cmd_vitali(args):
     if args.sequence == "spike":
         space = ValueSpace.findim(1, "l2")
-        limit = IntegrandFn.step(space, (Dyadic(0, 0), Dyadic(1, 0)),
-                                 (VectorValue.coords(space, [0]),), label="zero")
+        limit = IntegrandFn(space, STEP, 0, (0, 1), values=(VectorValue.coords(space, [0]),),
+                            label="zero")
 
         def seq(n: int) -> IntegrandFn:
             j = min(n + 1, 30)
-            return IntegrandFn.step(
-                space, (Dyadic(0, 0), Dyadic(1, j), Dyadic(1, 0)),
-                (VectorValue.coords(space, [1 << j]), VectorValue.coords(space, [0])),
+            return IntegrandFn(
+                space, STEP, j, (0, 1, 1 << j),
+                values=(VectorValue.coords(space, [1 << j]), VectorValue.coords(space, [0])),
                 label=f"spike-{j}",
             )
 
@@ -598,7 +598,14 @@ def resolve_args(args: argparse.Namespace) -> dict:
     for dest in options:
         kind, parse, _ = OPTIONS[dest]
         if kind == "parsed" and getattr(args, dest) is not None:
-            value = parse(getattr(args, dest))
+            try:
+                value = parse(getattr(args, dest))
+            except ValueError as exc:
+                # name the option, unless the parser's own check already did
+                if str(exc).startswith(_flag(dest)):
+                    raise
+                name = f"config key {keys[dest]!r}" if dest in keys else _flag(dest)
+                raise ValueError(f"{name}: {exc}") from None
             # a region's endpoints reach its report as fractions (its measure
             # among them), so a region whose endpoints cannot print is refused
             if isinstance(value, Region):

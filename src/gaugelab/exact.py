@@ -27,6 +27,18 @@ _DYADIC_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 _POW_RE = re.compile(r"^2\^(-?\d+)$")
 _PLAIN_FRAC_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
+# the largest |k| of a literal's 2^k, so that 2^k takes at most 128 KiB; a
+# report prints no fraction past 2^14284 (4,300 digits), far below it
+MAX_LITERAL_EXP = 1 << 20
+
+
+def _exponent(digits: str) -> int:
+    """A literal's exponent k, refused past MAX_LITERAL_EXP before any 2^k is built."""
+    k = int(digits)
+    if abs(k) > MAX_LITERAL_EXP:
+        raise ValueError(f"exponent {digits} lies outside ±2^20")
+    return k
+
 
 class Dyadic:
     """Rational with a power-of-two denominator, kept in canonical form.
@@ -76,11 +88,11 @@ class Dyadic:
         text = text.strip()
         m = _POW_RE.match(text)
         if m:
-            k = int(m.group(1))
+            k = _exponent(m.group(1))
             return cls(1, -k) if k < 0 else cls(1 << k, 0)
         m = _DYADIC_RE.match(text)
         if m:
-            return cls(int(m.group(1)), int(m.group(2) or 0))
+            return cls(int(m.group(1)), _exponent(m.group(2) or "0"))
         m = _PLAIN_FRAC_RE.match(text)
         if m:
             return cls.from_fraction(parse_fraction(text))
@@ -245,11 +257,7 @@ class Region:
         return region
 
     def _store(self, exp: int, lo: Sequence[int], hi: Sequence[int]) -> None:
-        # drop the trailing zero bits that every endpoint shares, at most exp
-        bits = 0
-        for x in (*lo, *hi):
-            bits |= x
-        z = min((bits & -bits).bit_length() - 1, exp) if bits else exp
+        z = shared_zeros(exp, (*lo, *hi))
         if z:
             lo = [x >> z for x in lo]
             hi = [x >> z for x in hi]
@@ -343,6 +351,15 @@ class Region:
 
     def __repr__(self):
         return f"Region({', '.join(f'[{lo}, {hi}]' for lo, hi in format_region(self))})"
+
+
+def shared_zeros(exp: int, xs: Iterable[int]) -> int:
+    """The trailing zero bits that every x shares, at most exp: the points
+    x / 2^exp are ints at exponent exp - shared_zeros(exp, xs), the smallest."""
+    bits = 0
+    for x in xs:
+        bits |= x
+    return min((bits & -bits).bit_length() - 1, exp) if bits else exp
 
 
 def merged_region(exp: int, pairs: Iterable[tuple[int, int]]) -> Region:
@@ -454,11 +471,11 @@ def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     m = _POW_RE.match(text)
     if m:
-        k = int(m.group(1))
+        k = _exponent(m.group(1))
         return Fraction(1, 1 << -k) if k < 0 else Fraction(1 << k)
     m = _DYADIC_RE.match(text)
     if m:
-        return Fraction(int(m.group(1)), 1 << int(m.group(2) or 0))
+        return Fraction(int(m.group(1)), 1 << _exponent(m.group(2) or "0"))
     if "/" in text:
         num, _, den = text.partition("/")
         if int(den) == 0:

@@ -24,7 +24,7 @@ from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION,
                     merged_region, region_intersect, region_subtract)
 from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
-from .integrands import IntegrandFn, exact_vector_integral, restrict_integrand
+from .integrands import STEP, IntegrandFn, exact_vector_integral, restrict_integrand
 from .integrate import riemann_sum
 from .spaces import ValueSpace, VectorValue, distance
 from .stability import FunctionFamily, Member
@@ -391,10 +391,8 @@ def example_3e(family: FunctionFamily, R: int) -> IntegrandFn:
     space = ValueSpace.seq_sup(R)
     values = [VectorValue.coords(space, [levels[cuts.cell_at(k, e)] for cuts, levels in cells])
               for k in keys[:-1]]
-    return IntegrandFn.step(
-        space, tuple(Dyadic(k, e) for k in keys), values, label=f"jump-sequence-R{R}",
-        metadata={"family": family.label, "R": R},
-    )
+    return IntegrandFn(space, STEP, e, keys, values=values, label=f"jump-sequence-R{R}",
+                       metadata={"family": family.label, "R": R})
 
 
 # -- the two-partition oscillation witness ------------------------------------
@@ -510,11 +508,10 @@ def example_3f(depth: int = 12) -> dict:
         raise ValueError("depth must be in 1..16")
     space = ValueSpace.step_linf(depth)
     n = 1 << depth
-    breaks = tuple(Dyadic(j, depth) for j in range(n + 1))
     values = [VectorValue._columns(space, (0, n), (0,), 1)]
     values.extend(VectorValue._columns(space, (0, j, n), (1, 0), 1) for j in range(1, n))
-    phi = IntegrandFn.step(
-        space, breaks, values, label=f"indicator-ramp-{depth}",
+    phi = IntegrandFn(
+        space, STEP, depth, range(n + 1), values=values, label=f"indicator-ramp-{depth}",
         metadata={
             "separation": Fraction(1),
             "separation_cell_measure": Fraction(1, n),
@@ -538,14 +535,13 @@ def example_3g(R: int) -> dict:
     if R < 1:
         raise ValueError("need R >= 1")
     space = ValueSpace.seq_l2(R)
-    breaks = [D0] + [Dyadic(1, n + 1) for n in range(R - 1, -1, -1)] + [D1]
     values = [VectorValue.zero(space)]
     for n in range(R - 1, -1, -1):
         values.append(VectorValue.basis(space, n) * Fraction(1 << n, n + 1))
-    breaks = tuple(breaks)
-    # breaks: 0, 2^-R, ..., 1/2, 1; cell after 2^-(n+1) carries block n
-    phi = IntegrandFn.step(space, breaks, tuple(values),
-                           label=f"harmonic-blocks-{R}", metadata={"R": R})
+    # keys 0, 1, 2, 4, ..., 2^R over 2^R: the breaks 0, 2^-R, ..., 1/2, 1;
+    # the cell after 2^-(n+1) carries block n
+    phi = IntegrandFn(space, STEP, R, (0, *(1 << i for i in range(R + 1))), values=values,
+                      label=f"harmonic-blocks-{R}", metadata={"R": R})
     integral = exact_vector_integral(phi)
     return {
         "integrand": phi,

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION
+from .exact import D0, D1, Dyadic, DyadicCuts, Region, UNIT_REGION, shared_zeros
 from .gauges import Gauge
 from .spaces import DualFunctional, ValueSpace, VectorValue, linear_combination
 
@@ -46,47 +46,60 @@ def poly_integral(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> Fract
 class IntegrandFn:
     """Vector-valued map on [0,1] with a declared class and value space.
 
-    The Dyadic breaks are checked as int keys at their largest exponent e:
-    the first key must be 0, the last 2^e, and the keys must increase.  The
-    interior keys are kept as the cell lookup `_cells`."""
+    The breakpoints are int keys k_0 = 0 < ... < k_m = 2^exp at the smallest
+    exponent, as a Region's endpoints are; `_cells` looks up the interior
+    keys.  `breaks`, the same points as Dyadics, is built when first read."""
 
-    def __init__(self, space, klass, breaks, values=None, polys=None,
+    def __init__(self, space, klass, exp, keys, values=None, polys=None,
                  label="phi", metadata=None):
+        keys = list(keys)
+        z = shared_zeros(exp, keys)
+        if z:
+            keys = [k >> z for k in keys]
+            exp -= z
         self.space = space
         self.klass = klass
-        self.breaks = tuple(breaks)
+        self.exp = exp
+        self.keys = tuple(keys)
         self.values = tuple(values) if values is not None else None
         self.polys = tuple(polys) if polys is not None else None
         self.label = label
         self.metadata = dict(metadata or {})
-        cells = DyadicCuts(self.breaks)
-        keys = cells.keys
-        if not keys or keys[0] != 0 or keys[-1] != 1 << cells.exp:
+        if not keys or keys[0] != 0 or keys[-1] != 1 << exp:
             raise ValueError("piecewise integrand must span [0,1]")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("breakpoints must increase")
-        if klass == STEP and len(self.values) != len(self.breaks) - 1:
+        if klass == STEP and len(self.values) != len(keys) - 1:
             raise ValueError("one value per cell")
         if klass == POLY:
             if space.is_step:
                 raise ValueError("polynomial coordinates need a coordinate space")
-            if len(self.polys) != len(self.breaks) - 1:
+            if len(self.polys) != len(keys) - 1:
                 raise ValueError("one polynomial tuple per cell")
-        # 0 and 1 have exponent 0, so the interior keys keep the exponent
-        cells.keys = keys[1:-1]
-        self._cells = cells
+        self._cells = DyadicCuts(())
+        self._cells.exp, self._cells.keys = exp, keys[1:-1]
+        self._breaks = None
         self._sup_norm = None
+
+    @property
+    def breaks(self) -> tuple[Dyadic, ...]:
+        if self._breaks is None:
+            self._breaks = tuple(Dyadic(k, self.exp) for k in self.keys)
+        return self._breaks
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def step(cls, space, breaks, values, label="phi", metadata=None) -> "IntegrandFn":
-        return cls(space, STEP, breaks=breaks, values=values, label=label, metadata=metadata)
+        cuts = DyadicCuts(breaks)
+        return cls(space, STEP, cuts.exp, cuts.keys, values=values, label=label,
+                   metadata=metadata)
 
     @classmethod
     def poly(cls, space, breaks, polys, label="phi", metadata=None) -> "IntegrandFn":
         polys = tuple(tuple(tuple(Fraction(c) for c in coeffs) for coeffs in cell) for cell in polys)
-        return cls(space, POLY, breaks=breaks, polys=polys, label=label, metadata=metadata)
+        cuts = DyadicCuts(breaks)
+        return cls(space, POLY, cuts.exp, cuts.keys, polys=polys, label=label, metadata=metadata)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -135,15 +148,12 @@ class IntegrandFn:
             best = max(best, bound)
         return best
 
-    def norm_lower_on(self, iv: Interval) -> Fraction:
-        """Certified lower bound of inf over iv of ‖phi‖ (the interval must
-        not straddle a breakpoint)."""
-        # the ends as ints at exponent e, and the midpoint at e + 1
-        e = max(iv.lo.exp, iv.hi.exp)
-        a, b = iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp)
+    def norm_lower_on(self, a: int, b: int, e: int) -> Fraction:
+        """Certified lower bound of inf over [a, b] / 2^e of ‖phi‖ (the
+        interval must not straddle a breakpoint)."""
         if self.klass == STEP:
             return self.values[self._cells.cell_at(a + b, e + 1)].norm().lo
-        pts = [iv.lo, Dyadic(a + b, e + 1), iv.hi]
+        pts = [Fraction(a, 1 << e), Fraction(a + b, 2 << e), Fraction(b, 1 << e)]
         vals = [self.eval(p).norm().lo for p in pts]
         slack = self.lipschitz_bound() * Fraction(b - a, 1 << e)
         return max(Fraction(0), min(vals) - slack)
@@ -158,13 +168,12 @@ def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
     last part starting at or before a (a bisection of the lo column) ends at
     or after b, and it lies in phi's piece at a.
     """
-    cells = phi._cells
-    e = max(cells.exp, region.exp)
-    s, r, one = e - cells.exp, e - region.exp, 1 << e
+    cell_at = phi._cells.cell_at
+    e = max(phi.exp, region.exp)
+    s, r, one = e - phi.exp, e - region.exp, 1 << e
     lo = [x << r for x in region.lo]
     hi = [x << r for x in region.hi]
-    cuts = sorted({0, one, *(k << s for k in cells.keys),
-                   *(x for x in lo + hi if 0 <= x <= one)})
+    cuts = sorted({*(k << s for k in phi.keys), *(x for x in lo + hi if 0 <= x <= one)})
     if phi.klass == STEP:
         pieces, zero = phi.values, VectorValue.zero(phi.space)
     else:
@@ -172,11 +181,11 @@ def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
     kept = []
     for a, b in zip(cuts, cuts[1:]):
         i = bisect_right(lo, a)
-        kept.append(pieces[cells.cell_at(a, e)] if i and hi[i - 1] >= b else zero)
+        kept.append(pieces[cell_at(a, e)] if i and hi[i - 1] >= b else zero)
     # phi's pieces are already exact, so the constructor takes them as they are
     values, polys = (kept, None) if phi.klass == STEP else (None, kept)
-    return IntegrandFn(phi.space, phi.klass, [Dyadic(c, e) for c in cuts], values=values,
-                       polys=polys, label=f"{phi.label}|restricted", metadata=phi.metadata)
+    return IntegrandFn(phi.space, phi.klass, e, cuts, values=values, polys=polys,
+                       label=f"{phi.label}|restricted", metadata=phi.metadata)
 
 
 def paired_polys(f: DualFunctional, phi: IntegrandFn) -> list[list[Fraction]]:
@@ -198,17 +207,16 @@ def _region_pieces(phi: IntegrandFn, region: Region) -> tuple[int, list]:
     [a, b] / 2^e of a cell of phi with a part of the region.  One integer
     sweep: a part, clipped to [0,1], finds its first cell by bisection and
     walks the cells until it ends."""
-    cells = phi._cells
-    keys, n = cells.keys, len(cells.keys)
-    e = max(cells.exp, region.exp)
-    s, r, one = e - cells.exp, e - region.exp, 1 << e
+    keys, cell_at = phi.keys, phi._cells.cell_at
+    e = max(phi.exp, region.exp)
+    s, r, one = e - phi.exp, e - region.exp, 1 << e
     pieces = []
     for lo, hi in zip(region.lo, region.hi):
         a = max(lo << r, 0)
         b = min(hi << r, one)
-        c = cells.cell_at(a, e)
+        c = cell_at(a, e)
         while a < b:
-            top = keys[c] << s if c < n else one
+            top = keys[c + 1] << s
             hi = top if top < b else b
             pieces.append((c, a, hi))
             a, c = hi, c + 1
@@ -260,8 +268,8 @@ def adapted_gauge(phi: IntegrandFn, level: int) -> Gauge:
     m_bound = phi.sup_norm_bound()
     scale = int(m_bound) + 2  # >= ceil(1+M)
     cap = Fraction(1, 1 << level)
-    floor = cap / (4 * len(phi.breaks) * scale)
-    return Gauge.proximity(phi.breaks, cap, [floor] * len(phi.breaks))
+    floor = cap / (4 * len(phi.keys) * scale)
+    return Gauge.proximity(phi.breaks, cap, [floor] * len(phi.keys))
 
 
 # -- stock integrands --------------------------------------------------------

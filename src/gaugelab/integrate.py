@@ -457,13 +457,19 @@ def lower_norm_integral(phi: IntegrandFn, grid_depth: int = 8) -> Fraction:
     The grid has 2^grid_depth cells, so the depth is held to 0..16."""
     if not 0 <= grid_depth <= 16:
         raise ValueError(f"norm grid depth must be in 0..16, got {grid_depth}")
-    cuts = {Fraction(i, 1 << grid_depth) for i in range((1 << grid_depth) + 1)}
-    points = sorted(cuts | {b.as_fraction() for b in phi.breaks})
+    e, points = _refined_grid(phi, grid_depth)
     total = Fraction(0)
     for a, b in zip(points, points[1:]):
-        iv = Interval(Dyadic.from_fraction(a), Dyadic.from_fraction(b))
-        total += (b - a) * phi.norm_lower_on(iv)
+        total += Fraction(b - a, 1 << e) * phi.norm_lower_on(a, b, e)
     return total
+
+
+def _refined_grid(phi: IntegrandFn, depth: int) -> tuple[int, list[int]]:
+    """(e, cuts): the 2^depth grid merged with phi's keys, as sorted ints at
+    exponent e = max(depth, phi.exp)."""
+    e = max(depth, phi.exp)
+    s, t = e - depth, e - phi.exp
+    return e, sorted({i << s for i in range((1 << depth) + 1)}.union(k << t for k in phi.keys))
 
 
 # -- empirical-mean integration --------------------------------------------------
@@ -482,7 +488,9 @@ class TalagrandReport:
 
 
 def _float_breaks(phi: IntegrandFn) -> np.ndarray:
-    return np.array([float(b) for b in phi.breaks[1:-1]], dtype=np.float64)
+    """The interior keys over 2^exp, each correctly rounded, as float(Dyadic) is."""
+    one = 1 << phi.exp
+    return np.array([k / one for k in phi.keys[1:-1]], dtype=np.float64)
 
 
 # the largest n of a float-path batch: at 10^6 one batch of the identity
@@ -620,63 +628,30 @@ def bochner_integrate(phi: IntegrandFn, eps: Fraction, max_pieces: int = 64):
     # dominating bound: |phi(t) - phi(mid)| <= lip * h/2 on each cell
     while lip * Fraction(1, 1 << (depth + 1)) > eps and depth < 30:
         depth += 1
-    # count the pieces before building any cut: eps = 0 climbs to depth 30
-    off_grid = {b for b in phi.breaks if b.exp > depth}
-    pieces = (1 << depth) + len(off_grid)
+    # count the pieces before building any cut: eps = 0 climbs to depth 30;
+    # a key is off the 2^depth grid iff one of its low exp - depth bits is set
+    mask = (1 << max(phi.exp - depth, 0)) - 1
+    pieces = (1 << depth) + sum(1 for k in phi.keys if k & mask)
     if pieces > max_pieces:
         raise UnsupportedExactIntegration(
             f"a dominated certificate within eps {eps} needs {pieces} pieces "
             f"(depth {depth}); the piece budget is {max_pieces}"
         )
-    cuts = sorted(
-        {Fraction(i, 1 << depth) for i in range((1 << depth) + 1)}
-        | {b.as_fraction() for b in phi.breaks}
-    )
+    e, cuts = _refined_grid(phi, depth)
     parts = []
     terms = []
     dom = Fraction(0)
     for a, b in zip(cuts, cuts[1:]):
-        x = phi.eval((a + b) / 2)
-        parts.append((Interval(Dyadic.from_fraction(a), Dyadic.from_fraction(b)), x))
-        terms.append((b - a, x))
-        dom += (b - a) * lip * (b - a) / 2
+        x = phi.eval(Fraction(a + b, 2 << e))
+        parts.append((Interval(Dyadic(a, e), Dyadic(b, e)), x))
+        w = Fraction(b - a, 1 << e)
+        terms.append((w, x))
+        dom += w * lip * w / 2
     if dom > eps:
         raise UnsupportedExactIntegration(
             f"refinement floor {dom} > eps; raise eps or depth cap"
         )
     return BochnerCertificate(parts, dom, linear_combination(phi.space, terms), eps)
-
-
-def uniform_integrability(
-    phis: Sequence[IntegrandFn],
-    functionals: Sequence[DualFunctional],
-    etas: Sequence[Fraction],
-    regions_per_eta: int = 8,
-    seed: int = 0,
-) -> dict:
-    """Family modulus eta -> sup over (phi, f, mu(E) <= eta) of |int_E f(phi)|."""
-    etas = sorted(Fraction(e) for e in etas)
-    pool: list[Region] = []
-    for i, eta in enumerate(etas):
-        pool.extend(sample_regions(regions_per_eta, seed + 57 * i, max_measure=eta))
-    measured = [(region, region.measure().as_fraction(),
-                 [exact_vector_integral(phi, region) for phi in phis]) for region in pool]
-    rows = []
-    for eta in etas:
-        best = Fraction(0)
-        witness = None
-        for region, mu, integrals in measured:
-            if mu > eta:
-                continue
-            for pi, integral in enumerate(integrals):
-                for fi, f in enumerate(functionals):
-                    v = abs(f(integral))
-                    if v > best:
-                        best = v
-                        witness = {"phi": pi, "functional": fi,
-                                   "region": format_region(region)}
-        rows.append({"eta": eta, "modulus": best, "witness": witness})
-    return {"rows": rows}
 
 
 # -- convergence-under-domination harness ----------------------------------------

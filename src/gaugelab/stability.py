@@ -195,11 +195,6 @@ def _hit_counter(A: FunctionFamily, alpha: Fraction, beta: Fraction):
     return count
 
 
-def _count_hits(A: FunctionFamily, t_pts: np.ndarray, u_pts: np.ndarray,
-                alpha: Fraction, beta: Fraction) -> int:
-    return _hit_counter(A, alpha, beta)(t_pts, u_pts)
-
-
 def z_measure_mc(A: FunctionFamily, q: ZQuery, samples: int = 100_000,
                  seed: int = 0) -> dict:
     """Seeded Monte Carlo estimate of mu(Z) with a 95% confidence half-width.

@@ -52,12 +52,11 @@ def test_sup_norm_and_lipschitz_bounds():
 
 def test_norm_lower_on_is_sound():
     phi = two_cell_step()
-    lo = phi.norm_lower_on(Interval(Dyadic(1, 1), D1))
+    lo = phi.norm_lower_on(1, 2, 1)  # [1/2, 1]
     assert lo <= 3
     assert lo > 0
     lin = identity_integrand()
-    iv = Interval(Dyadic(1, 2), Dyadic(3, 2))
-    bound = lin.norm_lower_on(iv)
+    bound = lin.norm_lower_on(1, 3, 2)  # [1/4, 3/4]
     # inf of |t| on [1/4, 3/4] is 1/4
     assert bound <= Fraction(1, 4)
 

@@ -18,8 +18,7 @@ from gaugelab.integrate import (DEFAULT_TOL, BochnerCertificate,
                                 indefinite_integral,
                                 interval_series_check, lower_norm_integral,
                                 mcshane_integrate, pettis_check, riemann_sum,
-                                sample_regions, talagrand_integrate,
-                                uniform_integrability, vitali_limit)
+                                sample_regions, talagrand_integrate, vitali_limit)
 from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue, distance
 
 HALF = Dyadic(1, 1)
@@ -131,9 +130,9 @@ def test_pettis_check_passes_and_guards_norm():
 
 
 def test_pairing_checks_integrate_each_integrand_and_region_once(monkeypatch):
-    """pettis_check, vitali_limit and uniform_integrability work out one
-    closed-form vector integral per (integrand, region) and apply every
-    functional to it, never one integral per functional."""
+    """pettis_check and vitali_limit work out one closed-form vector
+    integral per (integrand, region) and apply every functional to it, never
+    one integral per functional."""
     calls = []
 
     def counted(phi, region=UNIT_REGION):
@@ -159,12 +158,6 @@ def test_pairing_checks_integrate_each_integrand_and_region_once(monkeypatch):
     vitali_limit(spike, zero_integrand(), gs, regions, n_max=8)
     # H2 over n = 4..8 for each region, then C's one integral of phi_8
     assert len(calls) == len(pairs()) == len(regions) * 5 + 1
-
-    calls.clear()
-    out = uniform_integrability([phi, two_cell_step()], fs, [Fraction(1, 8), Fraction(1, 2)],
-                                regions_per_eta=4, seed=1)
-    assert len(calls) == len(pairs()) == 2 * 8
-    assert out["rows"][1]["modulus"] > 0
 
 
 def test_interval_series_check_geometric_blocks():
@@ -341,11 +334,3 @@ def test_sample_regions_rejects_bound_no_region_meets(cap):
     with pytest.raises(ValueError, match="positive measure bound"):
         sample_regions(4, seed=0, max_measure=cap)
 
-
-def test_uniform_integrability_rows():
-    phis = [identity_integrand(), zero_integrand()]
-    fs = [DualFunctional.coordinate(phis[0].space, 0)]
-    out = uniform_integrability(phis, fs, [Fraction(1, 8), Fraction(1, 2)], regions_per_eta=4, seed=1)
-    rows = out["rows"]
-    assert rows[0]["modulus"] <= rows[1]["modulus"]
-    assert rows[1]["witness"]["phi"] == 0

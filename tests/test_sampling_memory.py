@@ -1,5 +1,5 @@
-"""Size options of the sampling commands: bounded memory, and exit 2 at once
-past a cap.
+"""Size options of the sampling commands, and literals with a huge exponent:
+bounded memory, and exit 2 at once past a cap.
 
 Each case runs `gaugelab.cli.main` in a child process that caps its own
 address space with RLIMIT_AS, then prints the exit code, the time `main`
@@ -46,6 +46,16 @@ def run_child(argv):
     (PAIRSUM[:5] + ["--m", "1000", "--n", "1000"], "m + n must be at most"),
     (PAIRSUM + ["--samples", "1000000000000"], "samples must be at most"),
     (["stability", "--scan", "--mn-max", "1000"], "mn_max must be at most"),
+    # a literal's exponent is bounded before 2^k is built
+    (["integrate", "--fn", "identity", "--tol", "2^-9999999999"], "--tol must be a fraction"),
+    (["integrate", "--fn", "identity", "--tol", "1/2^9999999999"], "--tol must be a fraction"),
+    (["integrate", "--fn", "identity", "--tol", "2^9999999999"], "--tol must be a fraction"),
+    (["stability", "--E", "0:1/2^9999999999"], "--E: exponent 9999999999 lies outside"),
+    (["stability", "--E", "0:2^-9999999999"], "--E: exponent -9999999999 lies outside"),
+    (["gallery", "3e", "--gauge", "piecewise:0,1/2^9999999999,1;1/4,1/8"],
+     "--gauge: exponent 9999999999 lies outside"),
+    (["gallery", "3e", "--gauge", "const:2^-9999999999"],
+     "--gauge: exponent -9999999999 lies outside"),
 ])
 def test_past_a_cap_exits_2_at_once(argv, reason):
     out = run_child(argv)

@@ -14,7 +14,7 @@ from gaugelab.integrands import IntegrandFn, identity_integrand, paired_polys, p
 from gaugelab.integrate import default_functionals
 from gaugelab.spaces import ValueSpace, VectorValue
 from gaugelab.rng import stream
-from gaugelab.stability import (FunctionFamily, ZQuery, _count_hits, family_from_integrand,
+from gaugelab.stability import (FunctionFamily, ZQuery, _hit_counter, family_from_integrand,
                                 pairsum_z_bound, stability_scan, z_measure_mc)
 
 HALF = Dyadic(1, 1)
@@ -242,5 +242,5 @@ def test_from_polys_hits_match_closure_path(case):
     t_pts, u_pts = np.ascontiguousarray(pts[:, :m]), np.ascontiguousarray(pts[:, m:])
     fam = family_from_integrand(phi, fs)
     assert fam.klass == "evaluator"
-    assert (_count_hits(fam, t_pts, u_pts, alpha, beta)
+    assert (_hit_counter(fam, alpha, beta)(t_pts, u_pts)
             == closure_hits(phi, fs, t_pts, u_pts, alpha, beta))
