@@ -84,26 +84,27 @@ def arg_gauge(text) -> Gauge:
     raise ValueError(f"unknown gauge spec {text!r}")
 
 
+def arg_fn(spec):
+    """"identity", "3f" or "3g" as given, or "poly:c0,c1;d0,..." as its
+    lists of coefficients, one list per coordinate."""
+    if spec in ("identity", "3f", "3g"):
+        return spec
+    if spec.startswith("poly:"):
+        groups = spec[5:].split(";")
+        return _printable("fn", [arg_fractions("each coordinate", "fractions", group)
+                                 for group in groups])
+    raise ValueError(f"unknown integrand spec {spec!r}")
+
+
 def build_integrand(args) -> dict:
     """Resolve --fn into an integrand plus whatever exact data comes with it."""
     spec = args.fn
-    if spec == "identity":
-        phi = identity_integrand()
-        return {"integrand": phi, "exact_integral": exact_vector_integral(phi)}
     if spec == "3f":
         return example_3f(args.depth)
     if spec == "3g":
         return example_3g(args.R)
-    if spec.startswith("poly:"):
-        coeff_lists = [
-            [parse_fraction(c) for c in group.split(",") if c.strip()]
-            for group in spec[5:].split(";")
-        ]
-        if not all(coeff_lists):
-            raise ValueError(f"every coordinate of {spec!r} needs a coefficient")
-        phi = poly_integrand(coeff_lists)
-        return {"integrand": phi, "exact_integral": exact_vector_integral(phi)}
-    raise ValueError(f"unknown integrand spec {spec!r}")
+    phi = identity_integrand() if spec == "identity" else poly_integrand(spec)
+    return {"integrand": phi, "exact_integral": exact_vector_integral(phi)}
 
 
 def geometric_blocks(count: int) -> list[Region]:
@@ -418,7 +419,7 @@ OPTIONS = {
     "csv": ("text", None, "write table-valued output here"),
     "config": ("text", None, "JSON config file; flags override"),
     "deterministic": ("switch", None, "omit timestamps so reruns are byte-identical"),
-    "fn": ("text", None, "integrand: identity, 3f, 3g or poly:c0,c1;d0,..."),
+    "fn": ("parsed", arg_fn, "integrand: identity, 3f, 3g or poly:c0,c1;d0,..."),
     "R": ("int", 1, "3g block count (gallery 3e: family member cap)"),
     "depth": ("int", 1, "3f grid depth"),
     "schedule": ("choice", ("auto", "adapted"), "gauge schedule (default: adapted)"),
@@ -600,7 +601,7 @@ def resolve_args(args: argparse.Namespace) -> dict:
         if kind == "parsed" and getattr(args, dest) is not None:
             try:
                 value = parse(getattr(args, dest))
-            except ValueError as exc:
+            except (ValueError, GaugeLabError) as exc:
                 # name the option, unless the parser's own check already did
                 if str(exc).startswith(_flag(dest)):
                     raise

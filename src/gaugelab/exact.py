@@ -167,9 +167,8 @@ D1 = Dyadic(1)
 class DyadicCuts:
     """Sorted dyadic cut points as ints at their largest exponent.
 
-    A cut k/2^exp is <= x iff k <= floor(x * 2^exp), so the half-open cell
-    lookup bisect_right(cuts, x) is a search over ints: the probe is a shift
-    for a Dyadic and (a << exp) // b for a rational a/b.
+    A cut k/2^exp is <= n/2^e iff k <= floor(n * 2^(exp - e)), so the
+    half-open cell lookup is a search over ints whose probe is a shift.
     """
 
     __slots__ = ("keys", "exp")
@@ -179,15 +178,9 @@ class DyadicCuts:
         self.exp = max((c.exp for c in cuts), default=0)
         self.keys = [c.num << (self.exp - c.exp) for c in cuts]
 
-    def cell(self, x: Rational) -> int:
-        """Number of cuts <= x: the index of the cell [c_{i-1}, c_i) holding x."""
-        if isinstance(x, Dyadic):
-            return self.cell_at(x.num, x.exp)
-        q = x if isinstance(x, (int, Fraction)) else Fraction(x)
-        return bisect_right(self.keys, (q.numerator << self.exp) // q.denominator)
-
     def cell_at(self, n: int, e: int) -> int:
-        """cell(n / 2^e), without building the Dyadic."""
+        """Number of cuts <= n / 2^e: the index of the cell [c_{i-1}, c_i)
+        holding it."""
         s = self.exp - e
         return bisect_right(self.keys, n << s if s >= 0 else n >> -s)
 

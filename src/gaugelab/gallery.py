@@ -469,7 +469,7 @@ def oscillation_witness_3e(
     s2 = riemann_sum(phi, p2)
     gap_enc = distance(s1, s2)
     bound = Fraction(m - 1, k)
-    hits = sum(1 for u in tags_in if phi.eval(u).data[0] == 1)
+    hits = sum(1 for v in map(phi.eval, tags_in) if v.nums[0] == v.den)
     return {
         "k": k,
         "m": m,
@@ -485,7 +485,7 @@ def oscillation_witness_3e(
         "partitions": (p1, p2),
         "integrand": phi,
         "family": fam2,
-        "coordinate_gap": abs(s1.data[0] - s2.data[0]),
+        "coordinate_gap": abs(Fraction(s1.nums[0], s1.den) - Fraction(s2.nums[0], s2.den)),
     }
 
 

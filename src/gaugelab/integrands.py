@@ -47,8 +47,9 @@ class IntegrandFn:
     """Vector-valued map on [0,1] with a declared class and value space.
 
     The breakpoints are int keys k_0 = 0 < ... < k_m = 2^exp at the smallest
-    exponent, as a Region's endpoints are; `_cells` looks up the interior
-    keys.  `breaks`, the same points as Dyadics, is built when first read."""
+    exponent, as a Region's endpoints are; `cell_at` looks up the cell of a
+    point among them.  `breaks`, the same points as Dyadics, is built when
+    first read."""
 
     def __init__(self, space, klass, exp, keys, values=None, polys=None,
                  label="phi", metadata=None):
@@ -76,8 +77,6 @@ class IntegrandFn:
                 raise ValueError("polynomial coordinates need a coordinate space")
             if len(self.polys) != len(keys) - 1:
                 raise ValueError("one polynomial tuple per cell")
-        self._cells = DyadicCuts(())
-        self._cells.exp, self._cells.keys = exp, keys[1:-1]
         self._breaks = None
         self._sup_norm = None
 
@@ -103,13 +102,22 @@ class IntegrandFn:
 
     # -- evaluation ------------------------------------------------------------
 
+    def cell_at(self, n: int, e: int) -> int:
+        """Index of the cell holding n / 2^e, 0 <= n / 2^e <= 1: the last key
+        <= n / 2^e among the keys before the last, found by bisection (the
+        last cell is closed)."""
+        s = self.exp - e
+        return bisect_right(self.keys, n << s if s >= 0 else n >> -s, 1, len(self.keys) - 1) - 1
+
     def eval(self, t) -> VectorValue:
         tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
         if not 0 <= tq <= 1:
             raise ValueError(f"t={tq} outside [0,1]")
+        # floor(t 2^exp) lies in the same cell as t, since every key is an int at exp
+        i = self.cell_at((tq.numerator << self.exp) // tq.denominator, self.exp)
         if self.klass == STEP:
-            return self.values[self._cells.cell(t)]
-        cell = self.polys[self._cells.cell(t)]
+            return self.values[i]
+        cell = self.polys[i]
         return VectorValue.coords(self.space, [poly_eval(c, tq) for c in cell])
 
     __call__ = eval
@@ -152,7 +160,7 @@ class IntegrandFn:
         """Certified lower bound of inf over [a, b] / 2^e of ‖phi‖ (the
         interval must not straddle a breakpoint)."""
         if self.klass == STEP:
-            return self.values[self._cells.cell_at(a + b, e + 1)].norm().lo
+            return self.values[self.cell_at(a + b, e + 1)].norm().lo
         pts = [Fraction(a, 1 << e), Fraction(a + b, 2 << e), Fraction(b, 1 << e)]
         vals = [self.eval(p).norm().lo for p in pts]
         slack = self.lipschitz_bound() * Fraction(b - a, 1 << e)
@@ -168,7 +176,7 @@ def restrict_integrand(phi: IntegrandFn, region: Region) -> IntegrandFn:
     last part starting at or before a (a bisection of the lo column) ends at
     or after b, and it lies in phi's piece at a.
     """
-    cell_at = phi._cells.cell_at
+    cell_at = phi.cell_at
     e = max(phi.exp, region.exp)
     s, r, one = e - phi.exp, e - region.exp, 1 << e
     lo = [x << r for x in region.lo]
@@ -207,7 +215,7 @@ def _region_pieces(phi: IntegrandFn, region: Region) -> tuple[int, list]:
     [a, b] / 2^e of a cell of phi with a part of the region.  One integer
     sweep: a part, clipped to [0,1], finds its first cell by bisection and
     walks the cells until it ends."""
-    keys, cell_at = phi.keys, phi._cells.cell_at
+    keys, cell_at = phi.keys, phi.cell_at
     e = max(phi.exp, region.exp)
     s, r, one = e - phi.exp, e - region.exp, 1 << e
     pieces = []

@@ -57,7 +57,7 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
     zero-length items add nothing.
     """
     e = p.exp
-    cell_at = phi._cells.cell_at
+    cell_at = phi.cell_at
     if phi.klass == STEP:
         weights = [0] * len(phi.values)
         for lo, hi, t in zip(p.lo, p.hi, p.tag):
@@ -114,13 +114,13 @@ def _max_distance(values: Sequence[VectorValue]) -> Fraction:
     the values' denominators, each union key sets the levels of the values
     with a cell starting there, and the largest range of the levels on a
     cell of the union is over D.
-    Coordinate values are put over one denominator D, the lcm of all
-    their coordinates' denominators, so that each is a row of int numerators
-    and each pair gets one int key that grows with its distance: the sum of
-    |a - b| (l1), their max (linf) or the sum of (a - b)^2 (l2).  The l1 and
-    linf distances are the largest key over D, exactly.  The largest linf key
-    is the widest column's range, and in one dimension every norm is |a - b|
-    (the root of the l2 key is exact), so those take one pass over the rows.
+    Coordinate values are put over the same D, so that each is a row of int
+    numerators and each pair gets one int key that grows with its distance:
+    the sum of |a - b| (l1), their max (linf) or the sum of (a - b)^2 (l2).
+    The l1 and linf distances are the largest key over D, exactly.  The
+    largest linf key is the widest column's range, and in one dimension every
+    norm is |a - b| (the root of the l2 key is exact), so those take one pass
+    over the rows.
 
     The l2 distance of a pair is `sqrt_enclosure(key / D^2).hi`, and that
     upper end does not grow with the key: at a perfect square it is the exact
@@ -134,8 +134,8 @@ def _max_distance(values: Sequence[VectorValue]) -> Fraction:
     if len(values) < 2:
         return Fraction(0)
     space = values[0].space
+    den = lcm(*(v.den for v in values))
     if space.is_step:
-        den = lcm(*(v.den for v in values))
         # each value's level over den, at the left key of each of its cells
         changes: dict[int, list] = {}
         for i, v in enumerate(values):
@@ -150,8 +150,7 @@ def _max_distance(values: Sequence[VectorValue]) -> Fraction:
                 levels[i] = n
             widest = max(widest, max(levels) - min(levels))
         return Fraction(widest, den)
-    den = lcm(*(x.denominator for v in values for x in v.data))
-    rows = [[x.numerator * (den // x.denominator) for x in v.data] for v in values]
+    rows = [[n * (den // v.den) for n in v.nums] for v in values]
     if space.norm == LINF or space.dim == 1:
         return Fraction(max(max(c) - min(c) for c in zip(*rows)), den)
     diffs = ([a - b for a, b in zip(u, v)] for i, u in enumerate(rows) for v in rows[i + 1:])

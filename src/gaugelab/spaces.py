@@ -4,15 +4,15 @@ Norms that are themselves rational (l1, sup, max-of-levels) come back exact;
 the Euclidean norm comes back as a certified enclosure [lo, hi] produced by an
 outward-rounded integer square root, never as a float.
 
-Coordinate values are tuples of rationals.  Step-function values (the
-L-infinity-like space) are integer columns on the space's grid 2^-g: break
-keys k_0 = 0 < ... < k_m = 2^g, level numerators n_0..n_{m-1} and one
-positive denominator d, so cell [k_i, k_{i+1}) / 2^g has level n_i / d.  The
-grid depth is the resolution contract: every breakpoint must sit on that grid.
-The columns are canonical (no two adjacent levels equal, gcd(n, d) = 1), so
-equal functions have equal columns.  Sums, norms, distances and pairings of
-step values work on the columns in ints and build one Fraction per result;
-the Dyadic/Fraction form `data` is built only when read.
+Every value is int columns over one positive denominator d.  A coordinate
+value holds numerators n_0..n_{dim-1}, coordinate i being n_i / d.  A
+step-function value (the L-infinity-like space) also holds break keys on the
+space's grid 2^-g, k_0 = 0 < ... < k_m = 2^g, so cell [k_i, k_{i+1}) / 2^g
+has level n_i / d.  The grid depth is the resolution contract: every
+breakpoint must sit on that grid.  The columns are canonical (gcd(n, d) = 1,
+and no two adjacent step levels equal), so equal values have equal columns.
+Sums, norms, distances and pairings work on the columns in ints and build one
+Fraction per result; the Fraction form `data` is built only when read.
 """
 
 from __future__ import annotations
@@ -150,6 +150,14 @@ def _merge_steps(a_breaks, a_levels, b_breaks, b_levels):
     return out
 
 
+def _over_one_den(values: Sequence) -> tuple[list, int]:
+    """(numerators, d): the rationals over the lcm d of their reduced
+    denominators, so gcd(numerators, d) = 1."""
+    values = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in values]
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 def _step_columns(space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence):
     """Canonical columns (keys, nums, den) of the step function with Dyadic
     breaks on the space's grid and rational levels; ValueError if it is not one."""
@@ -164,12 +172,9 @@ def _step_columns(space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence)
     keys = [b.num << (g - b.exp) for b in breaks]
     if any(k >= j for k, j in zip(keys, keys[1:])):
         raise ValueError("breakpoints must increase")
-    levels = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in levels]
-    # the lcm of reduced denominators leaves gcd(nums, den) = 1
-    den = lcm(*(q.denominator for q in levels))
+    nums, den = _over_one_den(levels)
     out_keys, out_nums = [0], []
-    for k, q in zip(keys[1:], levels):
-        n = q.numerator * (den // q.denominator)
+    for k, n in zip(keys[1:], nums):
         if out_nums and n == out_nums[-1]:
             out_keys[-1] = k
         else:
@@ -181,11 +186,12 @@ def _step_columns(space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence)
 class VectorValue:
     """Element of a ValueSpace with exact rational data.
 
-    A coordinate value's `data` is its tuple of Fractions.  A step value keeps
-    the canonical int columns `keys`, `nums` and `den` (see the module
-    docstring); its `data`, (Dyadic breaks, Fraction levels), is built from
-    them on first read.  A step value made from `data` is converted to
-    columns at once.
+    Every value keeps the canonical int columns of the module docstring:
+    `nums` over the positive `den`, and for a step value its break `keys`
+    (None for a coordinate value).  `data` is the same value as Fractions: a
+    coordinate value's tuple of Fractions, or a step value's (Dyadic breaks,
+    Fraction levels).  It is built from the columns on first read, or kept
+    as given when the value is made from it.
     """
 
     __slots__ = ("space", "_data", "keys", "nums", "den")
@@ -196,11 +202,13 @@ class VectorValue:
         if space.is_step:
             self.keys, self.nums, self.den = _step_columns(space, *data)
         else:
-            self.keys = self.nums = self.den = None
+            nums, self.den = _over_one_den(data)
+            self.keys, self.nums = None, tuple(nums)
 
     @classmethod
-    def _columns(cls, space: ValueSpace, keys: tuple, nums: tuple, den: int) -> "VectorValue":
-        """A step value from columns that are already canonical."""
+    def _columns(cls, space: ValueSpace, keys, nums: tuple, den: int) -> "VectorValue":
+        """A value from columns that are already canonical; keys is None for
+        a coordinate value."""
         v = cls.__new__(cls)
         v.space, v._data, v.keys, v.nums, v.den = space, None, keys, nums, den
         return v
@@ -208,9 +216,13 @@ class VectorValue:
     @property
     def data(self):
         if self._data is None:
-            g, den = self.space.grid_depth, self.den
-            self._data = (tuple(Dyadic(k, g) for k in self.keys),
-                          tuple(Fraction(n, den) for n in self.nums))
+            den = self.den
+            levels = tuple(Fraction(n, den) for n in self.nums)
+            if self.keys is None:
+                self._data = levels
+            else:
+                g = self.space.grid_depth
+                self._data = (tuple(Dyadic(k, g) for k in self.keys), levels)
         return self._data
 
     # -- constructors ------------------------------------------------------
@@ -219,10 +231,10 @@ class VectorValue:
     def coords(cls, space: ValueSpace, values: Sequence) -> "VectorValue":
         if space.is_step:
             raise ValueError("use VectorValue.step for step_linf values")
-        vals = tuple(Fraction(v) for v in values)
-        if len(vals) != space.dim:
-            raise ValueError(f"expected {space.dim} coordinates, got {len(vals)}")
-        return cls(space, vals)
+        nums, den = _over_one_den(values)
+        if len(nums) != space.dim:
+            raise ValueError(f"expected {space.dim} coordinates, got {len(nums)}")
+        return cls._columns(space, None, tuple(nums), den)
 
     @classmethod
     def step(cls, space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence) -> "VectorValue":
@@ -234,15 +246,15 @@ class VectorValue:
     def zero(cls, space: ValueSpace) -> "VectorValue":
         if space.is_step:
             return cls._columns(space, (0, 1 << space.grid_depth), (0,), 1)
-        return cls(space, (Fraction(0),) * space.dim)
+        return cls._columns(space, None, (0,) * space.dim, 1)
 
     @classmethod
     def basis(cls, space: ValueSpace, n: int) -> "VectorValue":
         if space.is_step:
             raise ValueError("no canonical basis for step values; build explicitly")
-        vals = [Fraction(0)] * space.dim
-        vals[n] = Fraction(1)
-        return cls(space, tuple(vals))
+        nums = [0] * space.dim
+        nums[n] = 1
+        return cls._columns(space, None, tuple(nums), 1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -260,15 +272,16 @@ class VectorValue:
     # -- norms ---------------------------------------------------------------
 
     def norm(self) -> Enclosure:
-        if self.space.is_step:
-            top = Fraction(max(map(abs, self.nums)), self.den)
-            return Enclosure(top, top)
+        """Σn² / d² under a root (l2), Σ|n| / d (l1), or max|n| / d (sup, and
+        every step space)."""
+        nums, den = self.nums, self.den
+        if self.space.norm == L2:
+            return sqrt_enclosure(Fraction(sum(n * n for n in nums), den * den))
         if self.space.norm == L1:
-            return Enclosure.exact(sum((abs(v) for v in self.data if v), Fraction(0)))
-        if self.space.norm == LINF:
-            return Enclosure.exact(max((abs(v) for v in self.data if v), default=Fraction(0)))
-        square = sum((v * v for v in self.data if v), Fraction(0))
-        return sqrt_enclosure(square)
+            top = Fraction(sum(map(abs, nums)), den)
+        else:
+            top = Fraction(max(map(abs, nums)), den)
+        return Enclosure(top, top)
 
     def _level_at(self, key: int) -> Fraction:
         """Level at the points [key, key + 1) / 2^g, 0 <= key < 2^g: the cell
@@ -276,11 +289,8 @@ class VectorValue:
         return Fraction(self.nums[bisect_right(self.keys, key, 1, len(self.nums)) - 1], self.den)
 
     def __eq__(self, other):
-        if not isinstance(other, VectorValue) or self.space != other.space:
-            return False
-        if self.space.is_step:
-            return (self.keys, self.nums, self.den) == (other.keys, other.nums, other.den)
-        return self.data == other.data
+        return (isinstance(other, VectorValue) and self.space == other.space
+                and (self.keys, self.nums, self.den) == (other.keys, other.nums, other.den))
 
     def __repr__(self):
         return f"VectorValue({self.space!r}, {self.data!r})"
@@ -298,41 +308,16 @@ def linear_combination(space: ValueSpace, terms) -> VectorValue:
 
     Every v must live in `space` (else SpaceMismatch); each c is an exact
     rational.  The result is the left fold of `+` over the scaled terms, with
-    the same canonical data.  Coordinate values sum into one list in place,
-    skipping zero coefficients and zero coordinates.  A step value adds the
-    int c * (level change) at each of its break keys into a dict, over one
-    common denominator D for all terms: a term whose denominator does not
-    divide D raises D to their lcm and rescales the jumps so far.  So a term
-    costs O(breaks of v) however many cells the sum already has.  One sorted
-    prefix sum at the end emits a break only where the level changes, and
-    dividing out gcd(levels, D) makes the columns canonical.
+    the same canonical columns.  Every term adds ints into one dict over one
+    common denominator D: a term whose denominator does not divide D raises D
+    to their lcm and rescales the entries so far.  A coordinate value adds
+    c * n at the index of each nonzero coordinate; a step value adds
+    c * (level change) at each of its break keys, so a term costs O(breaks
+    of v) however many cells the sum already has.  In a step space one
+    sorted prefix sum at the end emits a break only where the level changes.
+    Dividing out gcd(numerators, D) makes the columns canonical.
     """
-    if space.is_step:
-        return _step_combination(space, terms)
-    acc = None
-    for c, v in terms:
-        c = _coefficient(space, c, v)
-        if not c:
-            continue
-        if acc is None:
-            acc = list(v.data) if c == 1 else [c * x if x else x for x in v.data]
-        elif c == 1:
-            for i, x in enumerate(v.data):
-                if x:
-                    acc[i] += x
-        elif c == -1:
-            for i, x in enumerate(v.data):
-                if x:
-                    acc[i] -= x
-        else:
-            for i, x in enumerate(v.data):
-                if x:
-                    acc[i] += c * x
-    return VectorValue(space, tuple(acc) if acc is not None else (Fraction(0),) * space.dim)
-
-
-def _step_combination(space: ValueSpace, terms) -> VectorValue:
-    jumps: dict[int, int] = {}
+    acc: dict[int, int] = {}
     den = 1
     for c, v in terms:
         c = _coefficient(space, c, v)
@@ -342,29 +327,38 @@ def _step_combination(space: ValueSpace, terms) -> VectorValue:
         if den % q:
             grow = q // gcd(den, q)
             den *= grow
-            for k in jumps:
-                jumps[k] *= grow
+            for k in acc:
+                acc[k] *= grow
         m = c.numerator * (den // q)
-        prev = 0
-        for k, n in zip(v.keys, v.nums):  # each cell's left end
-            jumps[k] = jumps.get(k, 0) + m * (n - prev)
-            prev = n
-    keys, nums = [0], []
-    level = 0
-    for k in sorted(jumps):
-        jump = jumps[k]
-        if jump:
-            if k:
-                keys.append(k)
-                nums.append(level)
-            level += jump
-    keys.append(1 << space.grid_depth)
-    nums.append(level)
+        if v.keys is None:
+            for i, n in enumerate(v.nums):
+                if n:
+                    acc[i] = acc.get(i, 0) + m * n
+        else:
+            prev = 0
+            for k, n in zip(v.keys, v.nums):  # each cell's left end
+                acc[k] = acc.get(k, 0) + m * (n - prev)
+                prev = n
+    if space.is_step:
+        keys, nums = [0], []
+        level = 0
+        for k in sorted(acc):
+            jump = acc[k]
+            if jump:
+                if k:
+                    keys.append(k)
+                    nums.append(level)
+                level += jump
+        keys.append(1 << space.grid_depth)
+        nums.append(level)
+        keys = tuple(keys)
+    else:
+        keys, nums = None, [acc.get(i, 0) for i in range(space.dim)]
     r = gcd(den, *nums)
     if r != 1:
         den //= r
         nums = [n // r for n in nums]
-    return VectorValue._columns(space, tuple(keys), tuple(nums), den)
+    return VectorValue._columns(space, keys, tuple(nums), den)
 
 
 def distance(u: VectorValue, v: VectorValue) -> Enclosure:
@@ -444,9 +438,9 @@ class DualFunctional:
             if self.space.is_step:
                 # the middle of grid cell n is (2n + 1) / 2^(g+1): key n
                 return v._level_at(self.params)
-            return v.data[self.params]
+            return Fraction(v.nums[self.params], v.den)
         if self.kind == "combination":
-            return sum((c * x for c, x in zip(self.params, v.data)), Fraction(0))
+            return sum((c * n for c, n in zip(self.params, v.nums) if n), Fraction(0)) / v.den
         # both step functions on the grid 2^-g: the integral of their product
         d = self.params
         total = sum(ld * lv * (hi - lo)

@@ -357,6 +357,7 @@ def test_int_option_below_its_bound_is_usage_error(command, dest, capsys):
     ("integrate", "--fn", "identity", "--tol", "2^-99999"),
     ("stability", "--E", "2^-99999:1"),
     ("gallery", "3e", "--gauge", "const:2^-99999"),
+    ("integrate", "--fn", "poly:0,2^-99999"),
 ], ids=" ".join)
 def test_unprintable_fraction_is_usage_error(argv):
     # the report would echo a value with more digits than Python prints, so
@@ -389,6 +390,31 @@ def test_malformed_fraction_names_its_flag(argv, capsys):
     assert out == ""
     assert err.splitlines() == [f"error: {argv[-2]} must be {expected} "
                                 f"(p/q, p/2^k, 2^-k or an integer), got {argv[-1]!r}"]
+
+
+@pytest.mark.parametrize("argv, config, name", [
+    (("integrate", "--fn", "poly:x"), None, "--fn"),
+    (("integrate", "--fn", "poly:1e3"), None, "--fn"),
+    (("integrate", "--fn", "poly:1/0"), None, "--fn"),
+    (("integrate", "--fn", "poly:2^9999999999"), None, "--fn"),
+    (("integrate",), {"fn": "poly:x"}, "config key 'fn'"),
+    (("stability", "--E", "1:0"), None, "--E"),
+    (("stability", "--family", "pairsum", "--h", "1:0"), None, "--h"),
+    (("gallery", "3e", "--gauge", "const:0"), None, "--gauge"),
+    (("gallery", "3e", "--gauge", "piecewise:0,1;0"), None, "--gauge"),
+    (("stability",), {"E": "1:0"}, "config key 'E'"),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else json.dumps(x) if x else "")
+def test_parse_error_names_its_option(argv, config, name, tmp_path, capsys):
+    # in process: a value its parser refuses, whether with a ValueError or a
+    # package error, ends in one line that names the flag or the config key
+    from gaugelab import cli
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = (*argv, "--config", str(tmp_path / "c.json"))
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {name}: "), err
 
 
 def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path):

@@ -21,6 +21,7 @@ Mutations these tests catch (each run once on a scratch copy):
 - `example_3g` writes its keys shifted by one (1, 2, ..., 2^(R+1)).
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -64,7 +65,7 @@ def oracle_norm_lower_on(phi, iv):
     e = max(iv.lo.exp, iv.hi.exp)
     a, b = iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp)
     if phi.klass == STEP:
-        return phi.values[phi._cells.cell_at(a + b, e + 1)].norm().lo
+        return phi.values[phi.cell_at(a + b, e + 1)].norm().lo
     pts = [iv.lo, Dyadic(a + b, e + 1), iv.hi]
     vals = [phi.eval(p).norm().lo for p in pts]
     slack = phi.lipschitz_bound() * Fraction(b - a, 1 << e)
@@ -165,7 +166,11 @@ def assert_columns(phi, breaks):
     want_breaks, exp, keys, inner = oracle_columns(breaks)
     assert phi.breaks == want_breaks
     assert (phi.exp, phi.keys) == (exp, keys)
-    assert (phi._cells.exp, phi._cells.keys) == (exp, inner)
+    # the points of the grid one finer than exp at, just before and just
+    # after each key lie in the cells that a bisection of the interior keys finds
+    probes = sorted({n for k in keys for n in (2 * k - 1, 2 * k, 2 * k + 1)
+                     if 0 <= n <= 2 * keys[-1]})
+    assert [phi.cell_at(n, exp + 1) for n in probes] == [bisect_right(inner, n >> 1) for n in probes]
 
 
 def assert_readers(phi):

@@ -4,11 +4,13 @@ arithmetic they replaced.
 The oracle is the pairwise route: `+` walks the common refinement of two step
 values and re-canonicalises, `*` rescales every level, and a linear
 combination is the left fold of both from the zero vector.  The accumulator
-must give structurally equal data: the same canonical breakpoints (as
-Dyadics) and the same Fraction levels or coordinates.  Step values are drawn
-on small grids, including single-cell and all-zero values; coefficients
-include 0, negative numbers and plain ints; term lists include the empty list
-and a single term.
+must give structurally equal data, the same canonical breakpoints (as
+Dyadics) and the same Fraction levels or coordinates, and the same int
+columns.  Step values are drawn on small grids, including single-cell and
+all-zero values; coordinate values in findim l1/l2/linf, seq_l2 and seq_sup
+spaces of dimension 1-4, with mixed denominators, zeros and negatives;
+coefficients include 0, negative numbers and plain ints; term lists include
+the empty list and a single term.
 """
 
 from fractions import Fraction
@@ -83,15 +85,18 @@ def assert_same(got, want):
     assert got.space == want.space
     # repr tells Fraction from int and Dyadic(num, exp) apart, not just values
     assert repr(got.data) == repr(want.data)
+    assert (got.keys, got.nums, got.den) == (want.keys, want.nums, want.den)
 
 
 # -- strategies ------------------------------------------------------------------
 
-SPACES = [
-    ValueSpace.findim(1, "l1"), ValueSpace.findim(2, "l2"), ValueSpace.findim(3, "linf"),
-    ValueSpace.seq_l2(2), ValueSpace.seq_sup(3),
-    ValueSpace.step_linf(0), ValueSpace.step_linf(1), ValueSpace.step_linf(4),
-]
+COORD_SPACES = ([ValueSpace.findim(d, norm) for d in range(1, 5) for norm in ("l1", "l2", "linf")]
+                + [ValueSpace.seq_l2(d) for d in range(1, 5)]
+                + [ValueSpace.seq_sup(d) for d in range(1, 5)])
+STEP_SPACES = [ValueSpace.step_linf(0), ValueSpace.step_linf(1), ValueSpace.step_linf(4)]
+SPACES = COORD_SPACES + STEP_SPACES
+# coordinate and step spaces are drawn equally often
+SPACE_DRAWS = st.one_of(st.sampled_from(COORD_SPACES), st.sampled_from(STEP_SPACES))
 NUMBERS = st.one_of(
     st.just(0), st.integers(-3, 3),
     st.fractions(min_value=-4, max_value=4, max_denominator=8),
@@ -102,7 +107,8 @@ LEVELS = st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1
 @st.composite
 def values(draw, space):
     if not space.is_step:
-        coords = draw(st.lists(LEVELS, min_size=space.dim, max_size=space.dim))
+        coords = draw(st.lists(st.one_of(LEVELS, NUMBERS), min_size=space.dim,
+                               max_size=space.dim))
         return VectorValue.coords(space, coords)
     n = 1 << space.grid_depth
     interior = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
@@ -113,14 +119,14 @@ def values(draw, space):
 
 @st.composite
 def combinations(draw):
-    space = draw(st.sampled_from(SPACES))
+    space = draw(SPACE_DRAWS)
     terms = draw(st.lists(st.tuples(NUMBERS, values(space)), max_size=6))
     return space, terms
 
 
 @st.composite
 def operands(draw):
-    space = draw(st.sampled_from(SPACES))
+    space = draw(SPACE_DRAWS)
     return space, draw(values(space)), draw(values(space)), draw(NUMBERS)
 
 

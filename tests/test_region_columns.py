@@ -157,15 +157,15 @@ def oracle_combine(a, b, op):
 
 
 def oracle_region_pieces(phi, region):
-    cells = phi._cells
-    keys, n = cells.keys, len(cells.keys)
-    e = max([cells.exp] + [max(part.lo.exp, part.hi.exp) for part in region.parts])
-    s, one = e - cells.exp, 1 << e
+    keys = phi.keys[1:-1]
+    n = len(keys)
+    e = max([phi.exp] + [max(part.lo.exp, part.hi.exp) for part in region.parts])
+    s, one = e - phi.exp, 1 << e
     pieces = []
     for part in region.parts:
         a = max(part.lo.num << (e - part.lo.exp), 0)
         b = min(part.hi.num << (e - part.hi.exp), one)
-        c = cells.cell_at(a, e)
+        c = bisect_right(keys, a >> s)
         while a < b:
             top = keys[c] << s if c < n else one
             hi = top if top < b else b

@@ -1,4 +1,4 @@
-"""Step values as integer columns against dense Fraction oracles.
+"""Values as integer columns against Fraction oracles.
 
 A step value on the grid 2^-g keeps int columns: break keys, level
 numerators and one positive denominator, canonical (no equal adjacent levels,
@@ -15,10 +15,21 @@ include 0 and terms that cancel.  Checked: `VectorValue.step` and the `data`
 constructor, `linear_combination` and the operators, `norm`, `distance`, and
 the step-space functionals (coordinates and step pairings with their norm
 bounds).
+
+A coordinate value keeps the same columns without keys: one numerator per
+coordinate over the lcm of the coordinates' reduced denominators.  Its
+oracle is the coordinates the test drew, as Fractions, and the Fraction code
+that norms, functionals and `_max_distance` ran on coordinate tuples before
+they read columns, copied in below.  Spaces: findim l1/l2/linf, seq_l2 and
+seq_sup of dimension 1-4.  Mutations these tests catch (each run once on a
+scratch copy): the final gcd reduction of `linear_combination` dropped; its
+rescale when the common denominator grows skipped; the l1 and linf norms
+swapped; den in place of den^2 in the l2 norm; a coordinate functional that
+does not divide by den; `coords` keeping a denominator twice the lcm.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +37,9 @@ from hypothesis import strategies as st
 
 from gaugelab.errors import SpaceMismatch
 from gaugelab.exact import D0, D1, Dyadic
-from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue, distance, linear_combination
+from gaugelab.integrate import _max_distance
+from gaugelab.spaces import (L1, L2, LINF, DualFunctional, Enclosure, ValueSpace, VectorValue,
+                             distance, linear_combination, sqrt_enclosure)
 
 GRIDS = st.integers(0, 5)
 LEVELS = st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(0), Fraction(1, 3)]),
@@ -184,3 +197,118 @@ def test_distance_refuses_other_space():
     for w in (VectorValue.zero(ValueSpace.step_linf(4)), VectorValue.zero(ValueSpace.findim(1))):
         with pytest.raises(SpaceMismatch):
             distance(u, w)
+
+
+# -- coordinate values ---------------------------------------------------------------
+
+COORD_SPACES = ([ValueSpace.findim(d, norm) for d in range(1, 5) for norm in (L1, L2, LINF)]
+                + [ValueSpace.seq_l2(d) for d in range(1, 5)]
+                + [ValueSpace.seq_sup(d) for d in range(1, 5)])
+
+
+def oracle_norm(space, coords):
+    """The norm of a tuple of Fractions, as it was worked out on them."""
+    if space.norm == L1:
+        return Enclosure.exact(sum((abs(v) for v in coords if v), Fraction(0)))
+    if space.norm == LINF:
+        return Enclosure.exact(max((abs(v) for v in coords if v), default=Fraction(0)))
+    return sqrt_enclosure(sum((v * v for v in coords if v), Fraction(0)))
+
+
+def oracle_max_distance(space, rows):
+    """The coordinate branch of `_max_distance` on tuples of Fractions."""
+    if len(rows) < 2:
+        return Fraction(0)
+    den = lcm(*(x.denominator for v in rows for x in v))
+    rows = [[x.numerator * (den // x.denominator) for x in v] for v in rows]
+    if space.norm == LINF or space.dim == 1:
+        return Fraction(max(max(c) - min(c) for c in zip(*rows)), den)
+    diffs = ([a - b for a, b in zip(u, v)] for i, u in enumerate(rows) for v in rows[i + 1:])
+    if space.norm == L1:
+        return Fraction(max(sum(map(abs, d)) for d in diffs), den)
+    square = den * den
+    best = Fraction(0)
+    for q in sorted({sum(x * x for x in d) for d in diffs}, reverse=True):
+        if Fraction(isqrt((q << 128) // square) + 1, 1 << 64) <= best:
+            break
+        best = max(best, sqrt_enclosure(Fraction(q, square)).hi)
+    return best
+
+
+def assert_coord_columns(v, coords):
+    """v's columns are canonical and hold exactly the given coordinates."""
+    want = [Fraction(x) for x in coords]
+    keys, nums, den = v.keys, v.nums, v.den
+    assert keys is None and len(nums) == v.space.dim
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    assert all(type(n) is int for n in nums)
+    assert den == lcm(*(q.denominator for q in want))
+    assert [Fraction(n, den) for n in nums] == want
+    # coords of the Fraction form gives the same columns again
+    w = VectorValue.coords(v.space, v.data)
+    assert (w.keys, w.nums, w.den) == (keys, nums, den) and w == v
+
+
+@st.composite
+def coord_cases(draw, count):
+    space = draw(st.sampled_from(COORD_SPACES))
+    return space, [draw(st.lists(LEVELS, min_size=space.dim, max_size=space.dim))
+                   for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coord_cases(1), st.integers(0, 3))
+def test_coordinate_constructors_give_canonical_columns(case, n):
+    space, [coords] = case
+    v = VectorValue.coords(space, coords)
+    assert_coord_columns(v, coords)
+    assert repr(v.data) == repr(tuple(Fraction(x) for x in coords))
+    # the data constructor keeps what it is given and converts it to the same columns
+    given_data = tuple(coords)
+    w = VectorValue(space, given_data)
+    assert w.data is given_data
+    assert (w.keys, w.nums, w.den) == (v.keys, v.nums, v.den) and w == v
+    assert_coord_columns(VectorValue.zero(space), [0] * space.dim)
+    unit = [0] * space.dim
+    unit[n % space.dim] = 1
+    assert_coord_columns(VectorValue.basis(space, n % space.dim), unit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_coordinate_linear_combination_matches_fraction_sum(data):
+    space, values = data.draw(coord_cases(data.draw(st.integers(0, 6))))
+    coeffs = [data.draw(COEFFS) for _ in values]
+    want = [Fraction(0)] * space.dim
+    for c, coords in zip(coeffs, values):
+        want = [w + c * Fraction(x) for w, x in zip(want, coords)]
+    terms = [(c, VectorValue.coords(space, coords)) for c, coords in zip(coeffs, values)]
+    assert_coord_columns(linear_combination(space, terms), want)
+    assert_coord_columns(linear_combination(space, iter(terms)), want)
+    undo = terms + [(-c, v) for c, v in reversed(terms)]
+    assert_coord_columns(linear_combination(space, undo), [0] * space.dim)
+    if values:
+        (u, uc), (v, vc) = (terms[0][1], values[0]), (terms[-1][1], values[-1])
+        c = coeffs[0]
+        assert_coord_columns(u + v, [Fraction(a) + b for a, b in zip(uc, vc)])
+        assert_coord_columns(u - v, [Fraction(a) - b for a, b in zip(uc, vc)])
+        assert_coord_columns(u * c, [c * Fraction(a) for a in uc])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coordinate_norm_functionals_and_spread_match_fraction_code(data):
+    space, rows = data.draw(coord_cases(data.draw(st.integers(0, 5))))
+    rows = [tuple(Fraction(x) for x in coords) for coords in rows]
+    values = [VectorValue.coords(space, coords) for coords in rows]
+    for v, coords in zip(values, rows):
+        got, want = v.norm(), oracle_norm(space, coords)
+        assert type(got.lo) is Fraction and (got.lo, got.hi) == (want.lo, want.hi)
+        for j in range(space.dim):
+            x = DualFunctional.coordinate(space, j)(v)
+            assert type(x) is Fraction and x == coords[j]
+        coeffs = [data.draw(COEFFS) for _ in range(space.dim)]
+        x = DualFunctional.combination(space, coeffs)(v)
+        assert type(x) is Fraction
+        assert x == sum((Fraction(c) * y for c, y in zip(coeffs, coords)), Fraction(0))
+    assert _max_distance(values) == oracle_max_distance(space, rows)
