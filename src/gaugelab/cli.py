@@ -40,6 +40,8 @@ from .stability import (FunctionFamily, ZQuery, family_from_integrand,
 
 # the forms parse_fraction reads, named in every error on a fraction option
 FRACTION_FORMS = "p/q, p/2^k, 2^-k or an integer"
+# the refusal of a value a report could not print, after the value's source
+UNPRINTABLE = "has more digits than a report can print"
 
 
 def arg_fractions(name: str, kind: str, value):
@@ -62,12 +64,14 @@ def arg_fractions(name: str, kind: str, value):
     return out[0] if kind == "fraction" else out
 
 
-def _printable(dest: str, value):
-    """value, or a usage error naming --dest if a report could not echo it."""
+def _printable(value, name=None):
+    """value, or a usage error if a report could not echo it.  The error
+    starts with name, the flag or config key the value came from; a parser,
+    which does not know it, raises the bare UNPRINTABLE for resolve_args to name."""
     try:
         jsonable(value)
     except ValueError:
-        raise ValueError(f"--{dest} has more digits than a report can print") from None
+        raise ValueError(f"{name} {UNPRINTABLE}" if name else UNPRINTABLE) from None
     return value
 
 
@@ -75,12 +79,12 @@ def arg_gauge(text) -> Gauge:
     """"const:1/5" or "piecewise:0,1/2,1;1/4,1/8"."""
     kind, _, rest = str(text).partition(":")
     if kind == "const":
-        return Gauge.const(_printable("gauge", parse_fraction(rest)))
+        return Gauge.const(_printable(parse_fraction(rest)))
     if kind == "piecewise":
         bpart, _, vpart = rest.partition(";")
         breaks = [Dyadic.parse(tok) for tok in bpart.split(",") if tok.strip()]
         values = [parse_fraction(tok) for tok in vpart.split(",") if tok.strip()]
-        return Gauge.piecewise(breaks, _printable("gauge", values))
+        return Gauge.piecewise(breaks, _printable(values))
     raise ValueError(f"unknown gauge spec {text!r}")
 
 
@@ -91,8 +95,8 @@ def arg_fn(spec):
         return spec
     if spec.startswith("poly:"):
         groups = spec[5:].split(";")
-        return _printable("fn", [arg_fractions("each coordinate", "fractions", group)
-                                 for group in groups])
+        return _printable([arg_fractions("each coordinate", "fractions", group)
+                           for group in groups])
     raise ValueError(f"unknown integrand spec {spec!r}")
 
 
@@ -580,20 +584,22 @@ def resolve_args(args: argparse.Namespace) -> dict:
         raise ValueError(f"{args.command} requires --fn (or fn in the config file)")
     if args.seed is None:
         args.seed = int(os.environ.get("GIL_SEED", "0"))
+    # an error names the config key that set the option, or else its flag
+    names = {dest: f"config key {keys[dest]!r}" if dest in keys else _flag(dest)
+             for dest in options}
     for dest in options:
         kind, detail, _ = OPTIONS[dest]
-        value = getattr(args, dest)
+        value, name = getattr(args, dest), names[dest]
         if value is None:
             continue
         if kind in ("fraction", "fractions"):
             # the report echoes the value, so one it cannot print is refused
             # here rather than after the check has run
-            name = f"config key {keys[dest]!r}" if dest in keys else _flag(dest)
-            setattr(args, dest, _printable(dest, arg_fractions(name, kind, value)))
+            setattr(args, dest, _printable(arg_fractions(name, kind, value), name))
         elif kind == "int" and detail is not None and value < detail:
-            raise ValueError(f"{_flag(dest)} must be an integer >= {detail}, got {value!r}")
+            raise ValueError(f"{name} must be an integer >= {detail}, got {value!r}")
     if args.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+        raise ValueError(f"{names['tol']} must be positive, got {args.tol}")
     resolved = {key: value for key, value in sorted(vars(args).items())
                 if key not in ("out", "csv", "config")}
     for dest in options:
@@ -602,15 +608,13 @@ def resolve_args(args: argparse.Namespace) -> dict:
             try:
                 value = parse(getattr(args, dest))
             except (ValueError, GaugeLabError) as exc:
-                # name the option, unless the parser's own check already did
-                if str(exc).startswith(_flag(dest)):
-                    raise
-                name = f"config key {keys[dest]!r}" if dest in keys else _flag(dest)
-                raise ValueError(f"{name}: {exc}") from None
+                sep = " " if str(exc) == UNPRINTABLE else ": "
+                raise ValueError(f"{names[dest]}{sep}{exc}") from None
             # a region's endpoints reach its report as fractions (its measure
             # among them), so a region whose endpoints cannot print is refused
             if isinstance(value, Region):
-                _printable(dest, [Fraction(a, 1 << value.exp) for a in (*value.lo, *value.hi)])
+                _printable([Fraction(a, 1 << value.exp) for a in (*value.lo, *value.hi)],
+                           names[dest])
             setattr(args, dest, value)
     return resolved
 

@@ -313,17 +313,24 @@ def _canonical_exp(n: int, e: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _draw(seed: int, lo: int, el: int, hi: int, eh: int) -> int:
-    """The sampled tag of the node [lo / 2^el, hi / 2^eh], both ends in
-    canonical form, as an int at exponent max(el, eh) + 10.
-
-    It is the draw `random.Random(key).randint(lo + 1, hi - 1)` makes, done
-    the way that call does it on CPython, without its Python layers: a str
-    key seeds a fresh C generator with the int of key + sha512(key) (version-2
-    seeding), and randint draws below the width by getrandbits rejection.
-    The draw is a pure function of its arguments, so it is memoized: nodes
-    recur across partitions built under one seed, and each distinct node pays
-    for the seeding once."""
+def _sampled_tag(seed: int, lo: int, hi: int, e: int):
+    """The sampled strategy's fit-test triple (t, d, te) for the node
+    [lo, hi] / 2^e with lo < hi: a tag t / 2^te strictly inside, and the
+    node's half-width d / 2^te about it.  The one statement of the draw:
+    key: f"{seed}|{n_lo}/2^{k_lo}|{n_hi}/2^{k_hi}", the ends in canonical form
+    (n odd or k = 0), so the draw depends on the node and not on e.
+    te: ten bits finer than the finest of lo, hi and the length in canonical
+    form.  The length is never finer than both ends (a difference keeps every
+    factor of two its terms share), so te = max(k_lo, k_hi) + 10.
+    draw: `random.Random(key).randint(lo + 1, hi - 1)` at te, as CPython
+    makes it without its Python layers.  The int of key + sha512(key) seeds a
+    fresh C generator (version-2 seeding); r = getrandbits(k), k the bit
+    length of the width hi - lo - 1, is redrawn until r < width; t = lo + 1 + r.
+    memo: bounded, keyed by the seed and the node as written, so the key is
+    built only on a miss; a node written at two exponents takes two entries,
+    which hold one draw."""
+    el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
+    lo, hi = lo >> (e - el), hi >> (e - eh)
     key = f"{seed}|{lo}/2^{el}|{hi}/2^{eh}".encode()
     rng = _CRandom(int.from_bytes(key + sha512(key).digest(), "big"))
     te = max(el, eh) + 10
@@ -333,22 +340,8 @@ def _draw(seed: int, lo: int, el: int, hi: int, eh: int) -> int:
     r = rng.getrandbits(k)
     while r >= width:
         r = rng.getrandbits(k)
-    return lo + 1 + r
-
-
-def _sampled_tag(seed: int, lo: int, hi: int, e: int):
-    """The sampled strategy's fit-test triple (t, d, te) for [lo, hi] / 2^e
-    with lo < hi: a draw t strictly inside at exponent te, ten bits finer than
-    the finest of lo, hi and the length in canonical form.  The length is
-    never finer than both ends (a difference keeps every factor of two its
-    terms share), so only the ends are read.  The draw (`_draw`) is keyed by
-    the seed and the canonical endpoints, so it depends on the interval alone
-    and not on the exponent e it is written at."""
-    el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
-    te = max(el, eh) + 10
-    lo, hi = lo >> (e - el), hi >> (e - eh)
-    t = _draw(seed, lo, el, hi, eh)
-    return t, max(t - (lo << (te - el)), (hi << (te - eh)) - t), te
+    t = lo + 1 + r
+    return t, max(t - lo, hi - t), te
 
 
 def cousin_partition(
@@ -374,10 +367,9 @@ def cousin_partition(
     any tag inside could fit.  A walled node is split without a draw, exactly
     as a node whose drawn tag failed, at the same depth check; every draw is
     seeded by its node alone, so the partition is the same as with a draw at
-    every node.  Every unwalled node calls `_sampled_tag` once; the draw
-    behind it is memoized per (seed, node), so a node that recurs across
-    partitions under one seed is seeded once, and no generator is shared
-    between calls.
+    every node.  Every unwalled node calls `_sampled_tag` once.  Its memo is
+    per (seed, node as written), so a node that recurs across partitions
+    under one seed is seeded once, and no generator is shared between calls.
 
     A base whose width is not a power of two is split into pieces of
     power-of-two width, largest first, each bisected with its own depth count,

@@ -243,7 +243,12 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]},
            "kind-a-key.json": {"kind": "3f"}, "command-a-key.json": {"command": "lln"},
            "tol-null.json": {"tol": None}, "tol-true.json": {"tol": True},
            "tol-a-float.json": {"tol": 0.1}, "etas-a-float.json": {"etas": ["2^-2", 0.25]},
-           "tol-malformed.json": {"tol": "x"}, "tol-a-list.json": {"tol": [1]}}
+           "tol-malformed.json": {"tol": "x"}, "tol-a-list.json": {"tol": [1]},
+           "R-zero.json": {"R": 0}, "tol-zero.json": {"tol": "0"},
+           "gauge-unprintable.json": {"gauge": "const:2^-99999"},
+           "fn-unprintable.json": {"fn": "poly:2^-99999"},
+           "delta-unprintable.json": {"delta": "2^-99999"},
+           "E-unprintable.json": {"E": "0:2^-99999"}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -299,6 +304,9 @@ CONFIGS = {"R-not-an-int.json": {"R": "eight"}, "R-a-list.json": {"R": [8]},
     ("abscont", "--fn", "3f", "--config", "etas-a-float.json"),
     ("integrate", "--fn", "identity", "--config", "tol-malformed.json"),
     ("integrate", "--fn", "identity", "--config", "tol-a-list.json"),
+    # a value below its bound names the config key that set it
+    ("vitali", "--config", "R-zero.json"),
+    ("integrate", "--fn", "identity", "--config", "tol-zero.json"),
     # positional arguments are not config keys
     ("gallery", "3e", "--config", "kind-a-key.json"),
     ("lln", "--fn", "identity", "--config", "command-a-key.json"),
@@ -358,15 +366,24 @@ def test_int_option_below_its_bound_is_usage_error(command, dest, capsys):
     ("stability", "--E", "2^-99999:1"),
     ("gallery", "3e", "--gauge", "const:2^-99999"),
     ("integrate", "--fn", "poly:0,2^-99999"),
+    # fraction, region and parsed options alike, from a config file
+    ("gallery", "3e", "--config", "gauge-unprintable.json"),
+    ("integrate", "--config", "fn-unprintable.json"),
+    ("gallery", "3f", "--config", "delta-unprintable.json"),
+    ("stability", "--family", "pairsum", "--h", "1/4:1/2", "--config", "E-unprintable.json"),
 ], ids=" ".join)
-def test_unprintable_fraction_is_usage_error(argv):
+def test_unprintable_fraction_is_usage_error(argv, tmp_path):
     # the report would echo a value with more digits than Python prints, so
-    # the run stops before any check with one line that names the flag
+    # the run stops before any check with one line naming the flag or config key
+    name, config = argv[-2], CONFIGS.get(argv[-1])
+    if config:
+        (tmp_path / argv[-1]).write_text(json.dumps(config))
+        argv, name = (*argv[:-1], str(tmp_path / argv[-1])), f"config key {[*config][0]!r}"
     proc = run(*argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [
-        f"error: {argv[-2]} has more digits than a report can print"]
+        f"error: {name} has more digits than a report can print"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,14 +5,11 @@ here against delta worked out in Fractions straight from each kind's
 definition, with non-dyadic widths (1/5, 1/12), tags on and next to
 breakpoints, tag exponents below and above the breakpoints' own, and tags
 outside [0,1]; so is each gauge's `level_set(k)`, the region where delta >= 2^-k.
-`cousin_partition` is checked against the Fraction-route
-bisection it replaced, copied in below as the oracle (with a base whose width
-is not a power of two split into power-of-two pieces first), and the lazy
-adapted schedule against the eager list of `adapted_gauge` calls.  The sampled
-strategy's seeding and draw are pinned to `random.Random(key).randint`.
+`cousin_partition` and the sampled strategy's draw are checked against
+`tests/reference.py`, the bisection given the Fraction-width fit test below,
+and the lazy adapted schedule against the eager list of `adapted_gauge` calls.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +23,7 @@ from gaugelab.gallery import example_3f
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
                              _sampled_tag, cousin_partition, is_subordinate, partition_to_json)
 from gaugelab.integrands import adapted_gauge, poly_integrand, restrict_integrand
+from reference import cousin, sampled_tag
 
 WIDTHS = [Fraction(1, 5), Fraction(1, 12), Fraction(1, 4), Fraction(3, 16), Fraction(1, 3),
           Fraction(1), Fraction(1, 1024), Fraction(5, 2)]
@@ -150,76 +148,13 @@ def test_level_set_matches_fraction_widths(spec, k):
     assert region.measure().as_fraction() == Fraction(sum(inside), n)
 
 
-# -- the Fraction-route bisection, as it was before the integer walk --------------
+# -- the bisection against the reference walk ------------------------------------
 
 
 def oracle_fits(iv: Interval, tag: Dyadic, spec) -> bool:
     tq = tag.as_fraction()
     delta = delta_of(spec, tq)
     return tq - delta <= iv.lo.as_fraction() and iv.hi.as_fraction() <= tq + delta
-
-
-def _sample_dyadic_in(iv: Interval, rng: random.Random, extra_depth: int = 10) -> Dyadic:
-    """A dyadic point strictly inside iv (iv must have positive length)."""
-    depth = max(iv.lo.exp, iv.hi.exp, iv.length.exp) + extra_depth
-    lo_n = iv.lo.num << (depth - iv.lo.exp)
-    hi_n = iv.hi.num << (depth - iv.hi.exp)
-    return Dyadic(rng.randint(lo_n + 1, hi_n - 1), depth)
-
-
-def oracle_pieces(base: Interval) -> list:
-    """base split into consecutive pieces of power-of-two width, largest
-    first, in Fractions; a base of power-of-two or zero width is one piece."""
-    rest = base.length.as_fraction()
-    if rest == 0:
-        return [base]
-    pieces, lo = [], base.lo
-    while rest:
-        p = Fraction(1)
-        while p > rest:
-            p /= 2
-        while 2 * p <= rest:
-            p *= 2
-        hi = Dyadic.from_fraction(lo.as_fraction() + p)
-        pieces.append(Interval(lo, hi))
-        lo, rest = hi, rest - p
-    return pieces
-
-
-def midpoint(iv: Interval) -> Dyadic:
-    return Dyadic.from_fraction((iv.lo.as_fraction() + iv.hi.as_fraction()) / 2)
-
-
-def oracle_cousin(spec, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT):
-    items = []
-
-    def strategy_tag(iv):
-        if tag_strategy == "left":
-            return iv.lo
-        if tag_strategy == "sampled" and iv.lo < iv.hi:
-            rng = random.Random(f"{seed}|{iv.lo}|{iv.hi}")
-            return _sample_dyadic_in(iv, rng)
-        return midpoint(iv)
-
-    def visit(iv, depth):
-        tag = strategy_tag(iv)
-        tag_ok = D0 <= tag <= D1 and (flavor != HENSTOCK or iv.lo <= tag <= iv.hi)
-        if tag_ok and oracle_fits(iv, tag, spec):
-            items.append(TaggedInterval(iv, tag))
-            return
-        if depth >= max_depth:
-            raise MaxDepthExceeded(
-                f"no fitting tag for [{iv.lo}, {iv.hi}] within depth {max_depth}",
-                interval=iv,
-            )
-        mid = midpoint(iv)
-        visit(Interval(iv.lo, mid), depth + 1)
-        visit(Interval(mid, iv.hi), depth + 1)
-
-    for piece in oracle_pieces(base):
-        visit(piece, 0)
-    items.sort(key=lambda it: (it.interval.lo.as_fraction(), it.interval.hi.as_fraction()))
-    return TaggedPartition(items, flavor)
 
 
 def outcome(build):
@@ -246,7 +181,8 @@ def test_cousin_partition_matches_fraction_bisection(spec, strategy, flavor, bas
     g = make_gauge(spec)
     kw = dict(flavor=flavor, tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base)
     got = outcome(lambda: cousin_partition(g, **kw))
-    want = outcome(lambda: oracle_cousin(spec, **kw))
+    want = outcome(lambda: TaggedPartition(
+        cousin(lambda iv, tag: oracle_fits(iv, tag, spec), **kw), flavor))
     assert got[0] == want[0]
     if isinstance(got[1], TaggedPartition):
         p, ref = got[1], want[1]
@@ -332,14 +268,9 @@ def test_lazy_adapted_schedule_matches_eager_list(case, monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 10**9), e=st.integers(0, 80), data=st.data())
 def test_sampled_tag_is_the_random_module_draw(seed, e, data):
-    """Each sampled tag is random.Random(key).randint(lo + 1, hi - 1) for the
-    key made of the seed and the canonical endpoints, at ten bits finer than
-    the finest of lo, hi and the length."""
+    """Each sampled tag, at any exponent its node is written at, is the reference draw."""
     lo = data.draw(st.integers(-(1 << (e + 1)), 1 << (e + 1)))
     hi = lo + data.draw(st.one_of(st.integers(1, 8), st.integers(1, 1 << (e + 1))))
-    a, b, w = Dyadic(lo, e), Dyadic(hi, e), Dyadic(hi - lo, e)
-    te = max(a.exp, b.exp, w.exp) + 10
-    lo_t, hi_t = a.num << (te - a.exp), b.num << (te - b.exp)
-    want = random.Random(f"{seed}|{a}|{b}").randint(lo_t + 1, hi_t - 1)
-    for _ in range(2):  # memoized: the draw depends on the interval alone
-        assert _sampled_tag(seed, lo, hi, e) == (want, max(want - lo_t, hi_t - want), te)
+    want = sampled_tag(seed, Interval(Dyadic(lo, e), Dyadic(hi, e)))
+    for _ in range(2):  # memoized: a second call returns the same triple
+        assert _sampled_tag(seed, lo, hi, e) == want

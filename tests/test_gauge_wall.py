@@ -6,7 +6,7 @@ a tag.  It is sound only if `fits` fails for every tag strictly inside
 tree down to a small depth and, at each walled node, tries every tag strictly
 inside on a grid six bits finer than the node.  Gauges: constant, piecewise,
 proximity (floors above and below the cap, breakpoints off [0,1], repeated
-ones) and adapted; bases inside, across and outside [0,1].
+ones) and adapted (`reference.step_integrand`); bases in, across and off [0,1].
 
 Each of these broken walls fails it:
   - `>=` for `>` in the proximity cap rule or the const rule (a node whose
@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from gaugelab import gauges
 from gaugelab.exact import D0, D1, Dyadic, Interval, UNIT
 from gaugelab.gauges import Gauge, cousin_partition, partition_to_json
-from gaugelab.integrands import IntegrandFn, adapted_gauge
-from gaugelab.spaces import ValueSpace, VectorValue
+from gaugelab.integrands import adapted_gauge
+from reference import step_integrand
 
 # powers of two meet node half-widths exactly; the rest do not
 WIDTHS = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 2), Fraction(1),
@@ -37,13 +37,6 @@ TAG_BITS = 6
 
 BASES = [UNIT, Interval(Dyadic(-1, 1), Dyadic(1, 1)), Interval(Dyadic(1, 2), Dyadic(3, 2)),
          Interval(D1, Dyadic(3, 1)), Interval(Dyadic(-3, 2), Dyadic(1, 2))]
-
-
-def _step_integrand(cuts):
-    space = ValueSpace.findim(1, "l2")
-    breaks = [D0] + [Dyadic(k, 6) for k in sorted(cuts)] + [D1]
-    values = [VectorValue.coords(space, [i % 3]) for i in range(len(breaks) - 1)]
-    return IntegrandFn.step(space, breaks, values)
 
 
 @st.composite
@@ -63,7 +56,7 @@ def walled_gauges(draw):
         floors = draw(st.lists(widths, min_size=len(bps), max_size=len(bps)))
         return Gauge.proximity(bps, draw(widths), floors)
     cuts = draw(st.sets(st.integers(1, 63), max_size=4))
-    return adapted_gauge(_step_integrand(cuts), draw(st.integers(0, 4)))
+    return adapted_gauge(step_integrand(cuts), draw(st.integers(0, 4)))
 
 
 def tree(base, depth):
@@ -107,6 +100,7 @@ def test_walls_at_hand_checked_nodes():
     small = Gauge.proximity([Dyadic(1, 1)], Fraction(1, 4), [Fraction(1, 1024)])
     big = Gauge.proximity([Dyadic(1, 1)], Fraction(1, 4), [Fraction(1, 2)])
     assert not small.wall(1, 2, 1) and small.wall(0, 1, 0) and not big.wall(0, 1, 0)
+    assert big.fits(1, 1, 1) and not big.fits(2, 3, 2)  # at 1/2 the floor itself fits
 
 
 def test_sampled_bisection_draws_only_at_unwalled_nodes(monkeypatch):

@@ -1,10 +1,10 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package and in `tests/reference.py` is used.
 
-A name imported at the top of a module under `src/gaugelab` must be read
-somewhere in that module.  `__init__.py` is left out: its imports are the
-package's re-exports.  The check reads the source with `ast` and counts a
-name as used when it appears as a `Name` node anywhere in the module
-(annotations included), so `np.zeros` uses `np`.
+A name imported at the top of a module under `src/gaugelab`, or of
+`tests/reference.py`, must be read somewhere in that module.  `__init__.py`
+is left out: its imports are the package's re-exports.  The check reads the
+source with `ast` and counts a name as used when it appears as a `Name` node
+anywhere in the module (annotations included), so `np.zeros` uses `np`.
 """
 
 import ast
@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaugelab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + [
+    PACKAGE.parents[1] / "tests" / "reference.py"]
 
 
 def imported_names(tree):

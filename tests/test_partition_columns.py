@@ -1,14 +1,13 @@
-"""Tagged partitions as int columns against the item-building code they replaced.
+"""Tagged partitions as int columns against the reference walk and item oracles.
 
 `cousin_partition` fills a partition's `lo`, `hi` and `tag` columns straight
 from its integer walk, and the partition and subordination tests and the
-JSON form read those columns.  The oracles are the code as it was when
-every kept item was a Dyadic, Interval and TaggedInterval, copied in below:
-the walk that built those items (here through the public, checked
-constructors), and the item-based `is_subordinate`, `is_partition` and
-`partition_to_json`.  A base whose width is not a power of
-two is split by the oracle, in Fractions, into pieces of power-of-two width,
-largest first, each walked in turn.
+JSON form read those columns.  The walk's oracle is `cousin` in
+`tests/reference.py` (bases split into power-of-two pieces, largest first,
+each bisected in turn), given the gauge's own `fits` through the tag and
+half-width below.  The predicates' oracles are the item-based
+`is_subordinate`, `is_partition` and `partition_to_json`, copied in below as
+they were when every kept item was a Dyadic, Interval and TaggedInterval.
 
 Partitions must agree item for item (the same Dyadics in the same order),
 byte for byte as JSON, and on every predicate; a walk that fails must raise
@@ -20,7 +19,6 @@ against the same item-based oracles.
 """
 
 import json
-import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -31,17 +29,10 @@ from gaugelab.exact import D0, D1, Dyadic, Interval, UNIT
 from gaugelab.gauges import (HENSTOCK, MCSHANE, SCHEMA, Gauge, TaggedInterval,
                              TaggedPartition, cousin_partition, is_partition, is_subordinate,
                              partition_from_json, partition_to_json)
-from gaugelab.integrands import IntegrandFn, adapted_gauge
-from gaugelab.spaces import ValueSpace, VectorValue
+from gaugelab.integrands import adapted_gauge
+from reference import cousin, step_integrand
 
-# -- the item-building walk and the item-based predicates, as they were ------------
-
-
-def oracle_sample_dyadic_in(iv, rng, extra_depth=10):
-    depth = max(iv.lo.exp, iv.hi.exp, iv.length.exp) + extra_depth
-    lo_n = iv.lo.num << (depth - iv.lo.exp)
-    hi_n = iv.hi.num << (depth - iv.hi.exp)
-    return Dyadic(rng.randint(lo_n + 1, hi_n - 1), depth)
+# -- the item-based predicates, as they were ------------------------------------
 
 
 def oracle_tag_and_half_width(tag, iv):
@@ -49,61 +40,6 @@ def oracle_tag_and_half_width(tag, iv):
     t = tag.num << (e - tag.exp)
     d = max(t - (iv.lo.num << (e - iv.lo.exp)), (iv.hi.num << (e - iv.hi.exp)) - t)
     return t, d, e
-
-
-def oracle_walk(g, tag_strategy, max_depth, seed, base):
-    items = []
-    e0 = max(base.lo.exp, base.hi.exp)
-    stack = [(base.lo.num << (e0 - base.lo.exp), base.hi.num << (e0 - base.hi.exp), 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        e = e0 + depth
-        iv = tag = None
-        if tag_strategy == "sampled" and lo < hi:
-            iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
-            tag = oracle_sample_dyadic_in(iv, random.Random(f"{seed}|{iv.lo}|{iv.hi}"))
-            t, d, te = oracle_tag_and_half_width(tag, iv)
-        elif tag_strategy == "left":
-            t, d, te = lo, hi - lo, e
-        else:
-            t, d, te = lo + hi, hi - lo, e + 1
-        if 0 <= t <= 1 << te and g.fits(t, d, te):
-            if iv is None:
-                iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
-            items.append(TaggedInterval(iv, tag if tag is not None else Dyadic(t, te)))
-            continue
-        if depth >= max_depth:
-            iv = Interval(Dyadic(lo, e), Dyadic(hi, e))
-            raise MaxDepthExceeded(
-                f"no fitting tag for [{iv.lo}, {iv.hi}] within depth {max_depth}",
-                interval=iv,
-            )
-        mid = lo + hi
-        stack.append((mid, hi << 1, depth + 1))
-        stack.append((lo << 1, mid, depth + 1))
-    return items
-
-
-def oracle_pieces(base):
-    rest = base.length.as_fraction()
-    if rest == 0:
-        return [base]
-    pieces, lo = [], base.lo
-    while rest:
-        p = Fraction(1)
-        while p > rest:
-            p /= 2
-        while 2 * p <= rest:
-            p *= 2
-        hi = Dyadic.from_fraction(lo.as_fraction() + p)
-        pieces.append(Interval(lo, hi))
-        lo, rest = hi, rest - p
-    return pieces
-
-
-def oracle_cousin_items(g, tag_strategy, max_depth, seed, base):
-    return [it for piece in oracle_pieces(base)
-            for it in oracle_walk(g, tag_strategy, max_depth, seed, piece)]
 
 
 def oracle_is_partition(items, base=UNIT):
@@ -166,13 +102,6 @@ WIDTHS = [Fraction(1, 5), Fraction(1, 12), Fraction(3, 16), Fraction(1, 3), Frac
           Fraction(1, 1024), Fraction(5, 2)]
 
 
-def _step_integrand(cuts):
-    space = ValueSpace.findim(1, "l2")
-    breaks = [D0] + [Dyadic(k, 6) for k in sorted(cuts)] + [D1]
-    values = [VectorValue.coords(space, [i % 3]) for i in range(len(breaks) - 1)]
-    return IntegrandFn.step(space, breaks, values)
-
-
 @st.composite
 def gauges(draw):
     kind = draw(st.sampled_from(["const", "piecewise", "proximity", "adapted"]))
@@ -191,7 +120,7 @@ def gauges(draw):
         floors = draw(st.lists(st.sampled_from(WIDTHS), min_size=len(bps), max_size=len(bps)))
         return Gauge.proximity(bps, draw(st.sampled_from(WIDTHS)), floors)
     cuts = draw(st.sets(st.integers(1, 63), max_size=4))
-    return adapted_gauge(_step_integrand(cuts), draw(st.integers(1, 4)))
+    return adapted_gauge(step_integrand(cuts), draw(st.integers(1, 4)))
 
 
 # unit, power-of-two and other widths, degenerate, reaching past [0,1], and huge
@@ -222,7 +151,9 @@ def test_cousin_columns_match_item_walk(g, other, strategy, flavor, base, probe_
                                         max_depth):
     p, err = outcome(lambda: cousin_partition(g, flavor=flavor, tag_strategy=strategy,
                                               max_depth=max_depth, seed=seed, base=base))
-    items, want_err = outcome(lambda: oracle_cousin_items(g, strategy, max_depth, seed, base))
+    items, want_err = outcome(lambda: cousin(
+        lambda iv, tag: g.fits(*oracle_tag_and_half_width(tag, iv)), flavor=flavor,
+        tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base))
     assert err == want_err
     if err is not None:
         return
