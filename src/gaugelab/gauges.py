@@ -60,8 +60,8 @@ class Gauge:
     kinds:
       const      delta(t) = value everywhere
       piecewise  constant on half-open dyadic cells [b_i, b_{i+1}), last closed
-      proximity  min(cap, distance to a breakpoint set), with a positive floor
-                 at each breakpoint; the classical witness gauge for step maps
+      proximity  min(cap, distance to a breakpoint set), with one positive
+                 floor on the breakpoints; the classical witness gauge for step maps
 
     Each kind builds three tests in ints from its data; `descriptor` names it.
     `fits(t, d, e)`: is d/2^e <= delta(t/2^e)?  The one subordination test: an
@@ -75,12 +75,12 @@ class Gauge:
       const      w/2 > delta
       piecewise  w/2 > the largest value over the cells the node meets
       proximity  w/2 > cap if no breakpoint lies strictly inside; otherwise
-                 w/2 > the largest floor of the interior breakpoints, since
-                 a tag t off them has delta(t) <= |t - b| < max(t - lo, hi - t)
+                 w/2 > the floor, since a tag t off the interior
+                 breakpoints has delta(t) <= |t - b| < max(t - lo, hi - t)
     `level_set(k)`: the region of [0,1] where delta >= 2^-k, modulo null
     sets: [0,1] or nothing (const), the cells of value >= 2^-k (piecewise),
     or nothing if cap < 2^-k and else [0,1] less the balls of radius 2^-k
-    about the breakpoints (proximity; its floors sit on single points).
+    about the breakpoints (proximity; its floor sits on single points).
     """
 
     def __init__(self, descriptor: dict, fits: Callable[[int, int, int], bool],
@@ -143,22 +143,16 @@ class Gauge:
         return cls(desc, fits=fits, wall=wall, level_set=level_set)
 
     @classmethod
-    def proximity(cls, breakpoints: Sequence[Dyadic], cap, floors: Sequence) -> "Gauge":
-        """delta(t) = min(cap, min_j |t - b_j|) for t off the breakpoint set,
-        and delta(b_j) = floors[j] > 0 on it."""
-        bps = list(breakpoints)
-        capq = _as_fraction(cap)
-        floorq = [_as_fraction(f) for f in floors]
-        if capq <= 0 or any(f <= 0 for f in floorq):
-            raise GaugeNotPositive("proximity gauge needs positive cap and floors")
-        if len(floorq) != len(bps):
-            raise ValueError("need one floor per breakpoint")
-        cuts = DyadicCuts(bps)
-        order = sorted(range(len(bps)), key=cuts.keys.__getitem__)
-        keys, e0, n = [cuts.keys[j] for j in order], cuts.exp, len(order)
-        ordered_floors = [floorq[j] for j in order]
+    def proximity(cls, exp: int, keys: Sequence[int], cap, floor) -> "Gauge":
+        """delta(t) = min(cap, min_j |t - b_j|) for t off the breakpoints
+        b_j = keys[j] / 2^exp, and delta(b_j) = floor > 0 on them."""
+        capq, floorq = _as_fraction(cap), _as_fraction(floor)
+        if capq <= 0 or floorq <= 0:
+            raise GaugeNotPositive("proximity gauge needs positive cap and floor")
+        bps = [str(Dyadic(k, exp)) for k in keys]
+        keys, e0, n = sorted(keys), exp, len(keys)
         cap_p, cap_q = capq.numerator, capq.denominator
-        floor_den, floor_nums = _over_common_den(ordered_floors)
+        floor_p, floor_q = floorq.numerator, floorq.denominator
 
         def fits(t, d, e):
             if e < e0:
@@ -172,8 +166,7 @@ class Gauge:
             if i < n:
                 right = keys[i] << s
                 if right == t:
-                    f = ordered_floors[i]
-                    return d * f.denominator <= f.numerator << e
+                    return d * floor_q <= floor_p << e
                 if d > right - t:
                     return False
             if i > 0 and d > t - (keys[i - 1] << s):
@@ -185,13 +178,12 @@ class Gauge:
                 lo <<= e0 - e
                 hi <<= e0 - e
                 e = e0
-            # keys[i] is the first breakpoint past lo; those strictly inside
-            # are keys[i:j], before every key at or above hi
+            # keys[i] is the first breakpoint past lo; if it lies strictly
+            # inside, a tag fits only on a breakpoint, under the floor
             s = e - e0
             i = bisect_right(keys, lo >> s)
             if i < n and keys[i] << s < hi:
-                j = bisect_left(keys, -(-hi >> s), i)
-                return (hi - lo) * floor_den > max(floor_nums[i:j]) << (e + 1)
+                return (hi - lo) * floor_q > floor_p << (e + 1)
             return (hi - lo) * cap_q > cap_p << (e + 1)
 
         def level_set(k):
@@ -210,8 +202,9 @@ class Gauge:
 
         desc = {
             "kind": "proximity",
-            "breakpoints": [str(b) for b in bps],
+            "breakpoints": bps,
             "cap": str(capq),
+            "floor": str(floorq),
         }
         return cls(desc, fits=fits, wall=wall, level_set=level_set)
 

@@ -267,8 +267,8 @@ def adapted_gauge(phi: IntegrandFn, level: int) -> Gauge:
     breakpoint-tagged intervals together contribute < 2^-level and bisection
     depth stays within level + log2(n_breaks * M) + constant.
 
-    It is a proximity gauge, so Cousin bisection tests it in integers against
-    the breakpoints scaled to their largest exponent.  M is the integrand's
+    It is a proximity gauge on the integrand's own keys and exponent, so
+    Cousin bisection tests it in integers.  M is the integrand's
     cached sup_norm_bound, so the levels of one schedule share it; the
     "adapted" schedule of mcshane_integrate builds each level's gauge only
     when the run reaches that level.
@@ -277,7 +277,7 @@ def adapted_gauge(phi: IntegrandFn, level: int) -> Gauge:
     scale = int(m_bound) + 2  # >= ceil(1+M)
     cap = Fraction(1, 1 << level)
     floor = cap / (4 * len(phi.keys) * scale)
-    return Gauge.proximity(phi.breaks, cap, [floor] * len(phi.keys))
+    return Gauge.proximity(phi.exp, phi.keys, cap, floor)
 
 
 # -- stock integrands --------------------------------------------------------

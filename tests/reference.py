@@ -1,9 +1,15 @@
 """Reference definitions the tests check gaugelab against, each stated once
-from its definition in Fractions: gaugelab's `Dyadic`, `Interval` and
-`TaggedInterval` are only the data read and returned."""
+from its definition in Fractions and plain lists: gaugelab's objects are only
+the data read and returned.
+
+A region is a sorted list of (lo, hi) Fraction pairs.  A value is a tuple of
+Fractions: a coordinate value's coordinates, or a step value's level on each
+cell of its space's grid.  An integrand is read through its keys, and its
+cells are found by linear scan."""
 
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 from gaugelab.errors import MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, UNIT
@@ -81,3 +87,225 @@ def step_integrand(cuts):
     breaks = [D0] + [Dyadic(k, 6) for k in sorted(cuts)] + [D1]
     values = [VectorValue.coords(space, [i % 3]) for i in range(len(breaks) - 1)]
     return IntegrandFn.step(space, breaks, values)
+
+
+def _q(x) -> Fraction:
+    return x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+
+
+def grid(xs) -> tuple[int, list[int]]:
+    """(e, ns): the dyadic rationals xs as ints ns over 2^e, e the smallest
+    exponent >= 0 at which each is an int."""
+    xs = [_q(x) for x in xs]
+    e = max((_exp(x) for x in xs), default=0)
+    return e, [x.numerator << (e - _exp(x)) for x in xs]
+
+
+# -- regions: sorted lists of (lo, hi) Fraction pairs -----------------------------
+
+
+def _ends(part) -> tuple[Fraction, Fraction]:
+    lo, hi = (part.lo, part.hi) if isinstance(part, Interval) else part
+    return _q(lo), _q(hi)
+
+
+def region(parts) -> list[tuple[Fraction, Fraction]]:
+    """The normalised union of closed parts (Intervals or (lo, hi) pairs): the
+    pairs sorted, then merged where they overlap or touch."""
+    out = []
+    for lo, hi in sorted(map(_ends, parts)):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def contains(parts, x) -> bool:
+    x = _q(x)
+    return any(lo <= x <= hi for lo, hi in map(_ends, parts))
+
+
+def point_distance(parts, x) -> Fraction:
+    """The distance from x to the nearest part, 0 inside one."""
+    x = _q(x)
+    return min(max(lo - x, x - hi, Fraction(0)) for lo, hi in map(_ends, parts))
+
+
+_OPS = {"union": lambda a, b: a or b, "intersect": lambda a, b: a and b,
+        "subtract": lambda a, b: a and not b, "symmdiff": lambda a, b: a != b}
+
+
+def combine(a, b, op: str) -> list[tuple[Fraction, Fraction]]:
+    """a op b modulo null sets: each gap between consecutive distinct ends of
+    a's and b's parts is kept iff op keeps its midpoint's membership in a and
+    in b.  No midpoint is an end, so parts of zero length decide nothing."""
+    a, b = [_ends(p) for p in a], [_ends(p) for p in b]
+    cuts = sorted({x for part in a + b for x in part})
+    return region((x, y) for x, y in zip(cuts, cuts[1:])
+                  if _OPS[op](contains(a, (x + y) / 2), contains(b, (x + y) / 2)))
+
+
+# -- values: tuples of Fractions, one per coordinate or grid cell ------------------
+
+
+def step(g: int, breaks, levels) -> tuple[Fraction, ...]:
+    """The step function with breaks 0 = b_0 < ... < b_m = 1 on the grid
+    2^-g and one level per cell [b_i, b_{i+1}), as its level on each grid cell."""
+    ends = [int(_q(b) * (1 << g)) for b in breaks]
+    return tuple(Fraction(x) for a, b, x in zip(ends, ends[1:], levels) for _ in range(b - a))
+
+
+def cells(v) -> tuple[Fraction, ...]:
+    """A VectorValue's coordinates, or its level on each grid cell."""
+    xs = [Fraction(n, v.den) for n in v.nums]
+    if v.keys is None:
+        return tuple(xs)
+    g = v.space.grid_depth
+    return step(g, [Fraction(k, 1 << g) for k in v.keys], xs)
+
+
+def _over_lcm(xs) -> tuple[list[int], int]:
+    """(ns, den): the rationals xs as ints ns over the lcm den of their
+    reduced denominators."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def columns(space, xs) -> tuple:
+    """The canonical columns (keys, nums, den) of the value xs: xs over their
+    lcm den; a step value keeps a key at 0, at each grid cell whose level
+    differs from the one before, and at 2^g, and one numerator per key but
+    the last."""
+    nums, den = _over_lcm(xs)
+    if not space.is_step:
+        return None, tuple(nums), den
+    keys = [0] + [j for j in range(1, len(nums)) if nums[j] != nums[j - 1]] + [len(nums)]
+    return tuple(keys), tuple(nums[k] for k in keys[:-1]), den
+
+
+def combination(space, terms) -> tuple[Fraction, ...]:
+    """The sum of c * xs over (c, xs) pairs, coordinate by coordinate or cell
+    by cell; the zero value of the space if there are none."""
+    out = [Fraction(0)] * ((1 << space.grid_depth) if space.is_step else space.dim)
+    for c, xs in terms:
+        out = [o + Fraction(c) * x for o, x in zip(out, xs)]
+    return tuple(out)
+
+
+def root(q: Fraction) -> tuple[Fraction, Fraction]:
+    """`sqrt_enclosure`'s bounds about sqrt(q), q >= 0: the root itself if
+    q's numerator and denominator are both squares, else s / 2^64 and
+    (s + 1) / 2^64 with s the integer root of floor(q 2^128)."""
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd), Fraction(rn, rd)
+    s = isqrt((q.numerator << 128) // q.denominator)
+    return Fraction(s, 1 << 64), Fraction(s + 1, 1 << 64)
+
+
+def norm(space, xs) -> tuple[Fraction, Fraction]:
+    """(lo, hi) about the norm of xs: l1 is the sum of |x| and sup (every
+    step space's) the max of |x|, both exact; l2 is the `root` of the sum of
+    the squares."""
+    return _norm(space, *_over_lcm(xs))
+
+
+def _norm(space, ns, den) -> tuple[Fraction, Fraction]:
+    """`norm` of the value ns / den, for int ns."""
+    if space.norm == "l2":
+        return root(Fraction(sum(n * n for n in ns), den * den))
+    top = Fraction(sum(map(abs, ns)) if space.norm == "l1" else max(map(abs, ns)), den)
+    return top, top
+
+
+def distance(space, u, v) -> tuple[Fraction, Fraction]:
+    return norm(space, [a - b for a, b in zip(u, v)])
+
+
+def spread(space, values) -> Fraction:
+    """The largest upper end of a pairwise `distance`; 0 below two values.
+    Each pair's difference is taken in ints over the values' common
+    denominator."""
+    den = lcm(*(x.denominator for xs in values for x in xs))
+    rows = [[x.numerator * (den // x.denominator) for x in xs] for xs in values]
+    return max((_norm(space, [a - b for a, b in zip(u, v)], den)[1]
+                for i, u in enumerate(rows) for v in rows[i + 1:]), default=Fraction(0))
+
+
+def pair(f, xs) -> Fraction:
+    """A DualFunctional f at the value xs: a coordinate functional reads xs[n]
+    (a step space's grid cell n), a combination sums c * x, and a step
+    pairing sums the density times xs over the grid cells, each 2^-g long."""
+    if f.kind == "coordinate":
+        return xs[f.params]
+    if f.kind == "combination":
+        return sum((c * x for c, x in zip(f.params, xs)), Fraction(0))
+    return sum((d * x for d, x in zip(cells(f.params), xs)), Fraction(0)) / len(xs)
+
+
+# -- integrand cells: breaks b_0 = 0 < ... < b_m = 1 read from the keys ---------------
+
+
+def breaks(phi) -> list[Fraction]:
+    return [Fraction(k, 1 << phi.exp) for k in phi.keys]
+
+
+def cell(bs, t) -> int:
+    """The cell of the breaks bs holding t, by linear scan: the cells are
+    half-open [b_i, b_{i+1}), the last closed."""
+    t = _q(t)
+    return sum(1 for b in bs[1:-1] if _q(b) <= t)
+
+
+def at(phi, t) -> tuple[Fraction, ...]:
+    """phi(t): the value of t's step cell, or its cell's polynomials at t."""
+    t = _q(t)
+    i = cell(breaks(phi), t)
+    if phi.values is not None:
+        return cells(phi.values[i])
+    return tuple(sum((c * t ** k for k, c in enumerate(coeffs)), Fraction(0))
+                 for coeffs in phi.polys[i])
+
+
+def restrict(phi, parts) -> tuple[list[Fraction], list]:
+    """phi times the indicator of the parts' union, as (breaks, pieces): phi's
+    breaks with the parts' ends in [0, 1], and per cell phi's piece (a value
+    or a polynomial tuple) at its midpoint if a part holds that, else None."""
+    own = breaks(phi)
+    bs = sorted({*own, *(x for part in parts for x in _ends(part) if 0 <= x <= 1)})
+    pieces = phi.values if phi.values is not None else phi.polys
+    mids = [(x + y) / 2 for x, y in zip(bs, bs[1:])]
+    return bs, [pieces[cell(own, m)] if contains(parts, m) else None for m in mids]
+
+
+def overlaps(phi, parts) -> list[tuple[int, Fraction, Fraction]]:
+    """(i, a, b) for each overlap [a, b] of positive length of phi's cell i with
+    one of the normalised parts, in the parts' order, then the cells'."""
+    bs = breaks(phi)
+    return [(i, max(lo, x), min(hi, y)) for lo, hi in region(parts)
+            for i, (x, y) in enumerate(zip(bs, bs[1:])) if max(lo, x) < min(hi, y)]
+
+
+def integral(phi, parts) -> tuple[Fraction, ...]:
+    """The integral of phi over the parts' union: per overlap [a, b] of a cell,
+    b - a times a step cell's value, or each coordinate polynomial's
+    antiderivative from a to b."""
+    if phi.values is not None:
+        return combination(phi.space, ((b - a, cells(phi.values[i]))
+                                       for i, a, b in overlaps(phi, parts)))
+    out = [Fraction(0)] * phi.space.dim
+    for i, a, b in overlaps(phi, parts):
+        for j, coeffs in enumerate(phi.polys[i]):
+            out[j] += sum((c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                           for k, c in enumerate(coeffs)), Fraction(0))
+    return tuple(out)
+
+
+def riemann_sum(phi, items) -> tuple[Fraction, ...]:
+    """The sum over TaggedIntervals of length times phi(tag)."""
+    terms = []
+    for it in items:
+        lo, hi = _ends(it.interval)
+        terms.append((hi - lo, at(phi, it.tag)))
+    return combination(phi.space, terms)

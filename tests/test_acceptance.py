@@ -376,8 +376,7 @@ def test_criterion_11_region_algebra_partitions_serialization():
         breaks = [Dyadic(i, depth) for i in range((1 << depth) + 1)]
         values = [Fraction(rng.randint(1, 8), 64) for _ in range(1 << depth)]
         gauges.append(Gauge.piecewise(breaks, values))
-    gauges.append(Gauge.proximity([Dyadic(1, 2), Dyadic(3, 2)], Fraction(1, 8),
-                                  [Fraction(1, 32), Fraction(1, 32)]))
+    gauges.append(Gauge.proximity(2, [1, 3], Fraction(1, 8), Fraction(1, 32)))
     for gi, g in enumerate(gauges):
         for seed in range(5):
             for flavor in ("mcshane", "henstock"):

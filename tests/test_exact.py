@@ -1,10 +1,9 @@
 """Exact-core tests.
 
-The region-algebra oracle here is deliberately naive: regions whose endpoints
-live on the 2^-g dyadic grid are modeled as boolean vectors of grid cells
-(membership sampled at cell midpoints), and every set operation and measure is
-recomputed cell by cell.  For grid-aligned inputs the model is exact, so any
-disagreement is an implementation bug, not tolerance noise.
+Region algebra on random regions whose endpoints live on the 2^-6 grid is
+checked against `tests/reference.py`, which decides each gap between
+endpoints by its midpoint's membership, so any disagreement is an
+implementation bug, not tolerance noise.
 """
 
 import random
@@ -26,30 +25,10 @@ from gaugelab.exact import (
     region_subtract,
 )
 from gaugelab.errors import MalformedInterval
+import reference as ref
 
 GRID_DEPTH = 6
 GRID_N = 1 << GRID_DEPTH
-
-
-def cells_of(region: Region, lo_cell: int = 0, n: int = GRID_N) -> list[bool]:
-    """Boolean model: cell i is set iff its midpoint lies in the region."""
-    out = []
-    for i in range(lo_cell, lo_cell + n):
-        mid = Fraction(2 * i + 1, 2 * GRID_N)
-        out.append(region.contains(mid))
-    return out
-
-
-def region_of_cells(cells: list[bool]) -> Region:
-    ivs = []
-    start = None
-    for i, bit in enumerate(cells + [False]):
-        if bit and start is None:
-            start = i
-        elif not bit and start is not None:
-            ivs.append(Interval(Dyadic(start, GRID_DEPTH), Dyadic(i, GRID_DEPTH)))
-            start = None
-    return Region(ivs)
 
 
 def random_grid_region(rng: random.Random, max_parts: int = 4) -> Region:
@@ -173,21 +152,13 @@ def test_combine_spec_cases():
 def test_combine_matches_cell_oracle():
     rng = random.Random(2024)
     ops = ["union", "intersect", "subtract", "symmdiff"]
-    pyop = {
-        "union": lambda x, y: x or y,
-        "intersect": lambda x, y: x and y,
-        "subtract": lambda x, y: x and not y,
-        "symmdiff": lambda x, y: x != y,
-    }
     for _ in range(250):
         a = random_grid_region(rng)
         b = random_grid_region(rng)
         op = rng.choice(ops)
         got = region_combine(a, b, op)
-        want = region_of_cells(
-            [pyop[op](x, y) for x, y in zip(cells_of(a), cells_of(b))]
-        )
-        assert got == want, (a, b, op)
+        want = ref.combine(a.parts, b.parts, op)
+        assert got == Region(Interval.make(lo, hi) for lo, hi in want), (a, b, op)
 
 
 def test_measure_inclusion_exclusion():

@@ -1,13 +1,13 @@
-"""The exact side of the dual pairing against the Fraction code it replaced.
+"""The exact side of the dual pairing against `tests/reference.py`.
 
 `exact_vector_integral` finds where the integrand's cells meet the region's
 parts in one integer sweep and weights each step value once, by its cell's
 total overlap; `scalar_integral` applies f to that vector integral.  On the
-step space, `DualFunctional` reads int keys on the space's grid.  The oracles
-are the code as it was, copied in below: a Dyadic min/max per (cell, part)
-pair, and functionals that merge Dyadic breaks and locate a grid cell's middle
-in Fractions (here by a linear scan).  Results must be structurally equal:
-the same Fraction, or the same `repr` for a vector.
+step space, `DualFunctional` reads int keys on the space's grid.  The
+reference integrates per (cell, part) overlap in Fractions, holds values as
+one Fraction per coordinate or grid cell, and applies a functional to those.
+Results must be the same Fraction, or a vector in the reference's canonical
+columns.
 
 Regions have parts reaching outside [0,1], degenerate parts, and parts that
 end on the integrand's breaks.  Integrands: step values in coordinate spaces
@@ -24,106 +24,18 @@ from hypothesis import strategies as st
 
 from gaugelab.errors import SpaceMismatch
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region
-from gaugelab.integrands import (POLY, STEP, IntegrandFn, exact_vector_integral,
-                                 poly_integral, restrict_integrand, scalar_integral)
+from gaugelab.integrands import (POLY, IntegrandFn, exact_vector_integral, restrict_integrand,
+                                 scalar_integral)
 from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue, linear_combination
-
-# -- the Fraction code, as it was ----------------------------------------------------
-
-
-def oracle_merge_steps(a_breaks, a_levels, b_breaks, b_levels):
-    out = []
-    ia = ib = 0
-    cur = a_breaks[0]
-    while cur < a_breaks[-1]:
-        hi_a = a_breaks[ia + 1]
-        hi_b = b_breaks[ib + 1]
-        hi = hi_a if hi_a <= hi_b else hi_b
-        out.append((cur, hi, a_levels[ia], b_levels[ib]))
-        if hi == hi_a:
-            ia += 1
-        if hi == hi_b:
-            ib += 1
-        cur = hi
-    return out
+import reference as ref
 
 
-def oracle_step_eval(v, tq):
-    breaks, levels = v.data
-    return levels[sum(1 for b in breaks[1:len(levels)] if b.as_fraction() <= tq)]
-
-
-def oracle_apply(f, v):
-    if v.space != f.space:
-        raise SpaceMismatch(f"{v.space} vs {f.space}")
-    if f.kind == "coordinate":
-        if f.space.is_step:
-            n = f.params
-            return oracle_step_eval(v, Fraction(2 * n + 1, 1 << (f.space.grid_depth + 1)))
-        return v.data[f.params]
-    if f.kind == "combination":
-        return sum((c * x for c, x in zip(f.params, v.data)), Fraction(0))
-    db, dl = f.params.data
-    vb, vl = v.data
-    total = Fraction(0)
-    for lo, hi, ld, lv in oracle_merge_steps(db, dl, vb, vl):
-        total += ld * lv * (hi - lo).as_fraction()
-    return total
-
-
-def oracle_paired_polys(f, phi):
-    weights = [oracle_apply(f, VectorValue.basis(phi.space, c)) for c in range(phi.space.dim)]
-    out = []
-    for cell in phi.polys:
-        coeffs = [Fraction(0)] * max(len(c) for c in cell)
-        for w, c in zip(weights, cell):
-            for k, ck in enumerate(c):
-                coeffs[k] += w * ck
-        out.append(coeffs)
-    return out
-
-
-def oracle_scalar_integral(f, phi, region):
-    total = Fraction(0)
-    if phi.klass == STEP:
-        for lo, hi, val in zip(phi.breaks, phi.breaks[1:], phi.values):
-            paired = None
-            for part in region.parts:
-                a = lo if lo > part.lo else part.lo
-                b = hi if hi < part.hi else part.hi
-                if a < b:
-                    if paired is None:
-                        paired = oracle_apply(f, val)
-                    total += paired * (b - a).as_fraction()
-        return total
-    for lo, hi, coeffs in zip(phi.breaks, phi.breaks[1:], oracle_paired_polys(f, phi)):
-        for part in region.parts:
-            a = lo.as_fraction() if lo > part.lo else part.lo.as_fraction()
-            b = hi.as_fraction() if hi < part.hi else part.hi.as_fraction()
-            if a < b:
-                total += poly_integral(coeffs, a, b)
-    return total
-
-
-def oracle_vector_integral(phi, region):
-    if phi.klass == STEP:
-        terms = []
-        for lo, hi, val in zip(phi.breaks, phi.breaks[1:], phi.values):
-            for part in region.parts:
-                a = lo if lo > part.lo else part.lo
-                b = hi if hi < part.hi else part.hi
-                if a < b:
-                    terms.append(((b - a).as_fraction(), val))
-        return linear_combination(phi.space, terms)
-    coords = [Fraction(0)] * phi.space.dim
-    for lo, hi, cell in zip(phi.breaks, phi.breaks[1:], phi.polys):
-        for part in region.parts:
-            a = lo.as_fraction() if lo > part.lo else part.lo.as_fraction()
-            b = hi.as_fraction() if hi < part.hi else part.hi.as_fraction()
-            if a < b:
-                for c, coeffs in enumerate(cell):
-                    coords[c] += poly_integral(coeffs, a, b)
-    return VectorValue.coords(phi.space, coords)
+def assert_integral(phi, region):
+    """exact_vector_integral is the reference's integral, in canonical columns."""
+    got = exact_vector_integral(phi, region)
+    assert got.space == phi.space
+    assert (got.keys, got.nums, got.den) == \
+        ref.columns(phi.space, ref.integral(phi, region.parts))
 
 
 # -- integrands, functionals and regions --------------------------------------------------
@@ -209,8 +121,8 @@ def test_scalar_integral_matches_fraction_route(data):
         f = data.draw(functionals(phi.space))
         got = scalar_integral(f, phi, region)
         assert type(got) is Fraction
-        assert got == oracle_scalar_integral(f, phi, region)
-    assert repr(exact_vector_integral(phi, region)) == repr(oracle_vector_integral(phi, region))
+        assert got == ref.pair(f, ref.integral(phi, region.parts))
+    assert_integral(phi, region)
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,7 +138,7 @@ def test_functional_matches_fraction_route(data):
                                            (1, data.draw(step_value(space)))])
         got = f(v)
         assert type(got) is Fraction
-        assert got == oracle_apply(f, v)
+        assert got == ref.pair(f, ref.cells(v))
 
 
 def test_functional_refuses_other_space():
@@ -244,10 +156,10 @@ def test_step_cell_meeting_several_parts():
                      Interval(Dyadic(7, 3), Dyadic(3, 1))])
     density = VectorValue.step(space, [D0, Dyadic(1, 1), D1], [Fraction(1), Fraction(-1)])
     for f in (DualFunctional.coordinate(space, 0), DualFunctional.step_pairing(space, density)):
-        assert scalar_integral(f, phi, region) == oracle_scalar_integral(f, phi, region) != 0
-    vector = exact_vector_integral(phi, region)
-    assert repr(vector) == repr(oracle_vector_integral(phi, region))
-    assert vector == value * Fraction(7, 16)
+        want = ref.pair(f, ref.integral(phi, region.parts))
+        assert scalar_integral(f, phi, region) == want != 0
+    assert_integral(phi, region)
+    assert exact_vector_integral(phi, region) == value * Fraction(7, 16)
 
 
 def test_polynomial_cells_on_region_parts():

@@ -37,7 +37,7 @@ def oracle_check_fat_invariant(H, r):
     for j in range(2 << r):
         cell = Interval(Dyadic(j, r), Dyadic(j + 1, r))
         mu = region_intersect(H, Region((cell,))).measure()
-        if not (D0 < mu < cell.length):
+        if not (D0 < mu < Fraction(1, 1 << r)):
             return {"cell": [str(cell.lo), str(cell.hi)], "mass": str(mu)}
     return None
 

@@ -269,7 +269,7 @@ def test_witness_proximity_gauge_with_a_breakpoint_past_one():
     # ball about 1/4, and k = 16 is the first whose set has measure >= 4/5
     fat = build_fat_set(4, 3)
     fam = build_A_family(fat, 4, cap=16)
-    delta = Gauge.proximity([Dyadic(1, 2), Dyadic(3, 1)], Fraction(1, 4), [Fraction(1, 32)] * 2)
+    delta = Gauge.proximity(2, [1, 6], Fraction(1, 4), Fraction(1, 32))
     w = oscillation_witness_3e(fat, fam, 16, delta, seed=5)
     assert w["k"] == 16 and w["mu_level_set"] == Fraction(7, 8)
     assert w["proxy"] is False

@@ -47,9 +47,9 @@ def gauge_specs(draw):
         breaks = [Dyadic(k, depth) for k in [0] + interior + [n]]
         return kind, (breaks, draw(st.lists(widths, min_size=len(breaks) - 1,
                                             max_size=len(breaks) - 1)))
-    bps = draw(st.lists(dyadics, max_size=6))
-    floors = draw(st.lists(widths, min_size=len(bps), max_size=len(bps)))
-    return kind, (bps, draw(widths), floors)
+    # breakpoints k / 2^e with k reaching past both ends of [0,1]
+    keys = draw(st.lists(st.integers(-40, 100), max_size=6))
+    return kind, (draw(st.integers(0, 6)), keys, draw(widths), draw(widths))
 
 
 def make_gauge(spec) -> Gauge:
@@ -69,17 +69,19 @@ def delta_of(spec, tq: Fraction) -> Fraction:
     if kind == "piecewise":
         breaks, values = params
         return values[sum(1 for b in breaks[1:-1] if b.as_fraction() <= tq)]
-    bps, cap, floors = params
-    for b, f in zip(bps, floors):
-        if b.as_fraction() == tq:
-            return f
-    return min([cap] + [abs(tq - b.as_fraction()) for b in bps])
+    e, keys, cap, floor = params
+    bps = [Fraction(k, 1 << e) for k in keys]
+    if tq in bps:
+        return floor
+    return min([cap] + [abs(tq - b) for b in bps])
 
 
 def breakpoints_of(spec) -> list:
     kind, params = spec
-    if kind in ("piecewise", "proximity"):
+    if kind == "piecewise":
         return [D0, D1] + list(params[0])
+    if kind == "proximity":
+        return [D0, D1] + [Dyadic(k, params[0]) for k in params[1]]
     return [D0, D1]
 
 

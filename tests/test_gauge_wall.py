@@ -5,13 +5,13 @@ a tag.  It is sound only if `fits` fails for every tag strictly inside
 [lo, hi] / 2^e.  The hypothesis test walks every node of a base's bisection
 tree down to a small depth and, at each walled node, tries every tag strictly
 inside on a grid six bits finer than the node.  Gauges: constant, piecewise,
-proximity (floors above and below the cap, breakpoints off [0,1], repeated
+proximity (a floor above or below the cap, breakpoints off [0,1], repeated
 ones) and adapted (`reference.step_integrand`); bases in, across and off [0,1].
 
 Each of these broken walls fails it:
   - `>=` for `>` in the proximity cap rule or the const rule (a node whose
     half-width equals the width fits at its midpoint);
-  - the interior-breakpoint rule without the floors (a floor can hold the
+  - the interior-breakpoint rule without the floor (the floor can hold the
     node at its breakpoint);
   - a breakpoint on either endpoint counted as interior;
   - the piecewise maximum taken over lo's cell only.
@@ -51,10 +51,8 @@ def walled_gauges(draw):
         return Gauge.piecewise(breaks, draw(st.lists(widths, min_size=len(breaks) - 1,
                                                      max_size=len(breaks) - 1)))
     if kind == "proximity":
-        bps = draw(st.lists(st.builds(Dyadic, st.integers(-24, 40), st.integers(0, 5)),
-                            max_size=5))
-        floors = draw(st.lists(widths, min_size=len(bps), max_size=len(bps)))
-        return Gauge.proximity(bps, draw(widths), floors)
+        keys = draw(st.lists(st.integers(-24, 40), max_size=5))
+        return Gauge.proximity(draw(st.integers(0, 5)), keys, draw(widths), draw(widths))
     cuts = draw(st.sets(st.integers(1, 63), max_size=4))
     return adapted_gauge(step_integrand(cuts), draw(st.integers(0, 4)))
 
@@ -97,8 +95,8 @@ def test_walls_at_hand_checked_nodes():
     assert not pw.wall(0, 1, 0) and pw.wall(0, 1, 2)
     # proximity, cap 1/4: [1/2, 1] has its breakpoint on an end, so its
     # midpoint fits; [0, 1] holds it inside, where only a floor of 1/2 fits
-    small = Gauge.proximity([Dyadic(1, 1)], Fraction(1, 4), [Fraction(1, 1024)])
-    big = Gauge.proximity([Dyadic(1, 1)], Fraction(1, 4), [Fraction(1, 2)])
+    small = Gauge.proximity(1, [1], Fraction(1, 4), Fraction(1, 1024))
+    big = Gauge.proximity(1, [1], Fraction(1, 4), Fraction(1, 2))
     assert not small.wall(1, 2, 1) and small.wall(0, 1, 0) and not big.wall(0, 1, 0)
     assert big.fits(1, 1, 1) and not big.fits(2, 3, 2)  # at 1/2 the floor itself fits
 
@@ -114,10 +112,10 @@ def test_sampled_bisection_draws_only_at_unwalled_nodes(monkeypatch):
     draw = gauges._sampled_tag
 
     def counted(seed, lo, hi, e):
-        drawn.append(Interval(Dyadic(lo, e), Dyadic(hi, e)))
+        drawn.append(Fraction(hi - lo, 1 << e))
         return draw(seed, lo, hi, e)
 
     monkeypatch.setattr(gauges, "_sampled_tag", counted)
     p = cousin_partition(g, tag_strategy="sampled", seed=5)
     assert partition_to_json(p) == everywhere and len(p) == 8
-    assert sorted(iv.length for iv in drawn) == [Dyadic(1, 3)] * 8 + [Dyadic(1, 2)] * 4
+    assert sorted(drawn) == [Fraction(1, 8)] * 8 + [Fraction(1, 4)] * 4

@@ -79,8 +79,7 @@ def test_gauge_kinds_and_positivity():
 
 
 def test_proximity_gauge_values():
-    bps = [Dyadic(1, 1)]
-    g = Gauge.proximity(bps, Fraction(1, 4), [Fraction(1, 1024)])
+    g = Gauge.proximity(1, [1], Fraction(1, 4), Fraction(1, 1024))
     assert width_is(g, Dyadic(1, 1), Fraction(1, 1024))
     assert width_is(g, Dyadic(3, 3), Fraction(1, 8))  # distance to 1/2
     assert width_is(g, D0, Fraction(1, 4))  # capped
@@ -88,22 +87,36 @@ def test_proximity_gauge_values():
 
 def test_proximity_level_set_drops_balls_outside_the_unit_interval():
     # the ball about 3/2 of radius 1/8 misses [0, 1] altogether
-    g = Gauge.proximity([Dyadic(1, 2), Dyadic(3, 1)], Fraction(1, 4), [Fraction(1, 32)] * 2)
+    g = Gauge.proximity(2, [1, 6], Fraction(1, 4), Fraction(1, 32))
     assert g.level_set(3) == Region.make((D0, Dyadic(1, 3)), (Dyadic(3, 3), D1))
+
+
+def test_distinct_floors_print_distinct_descriptors():
+    # one level, the same keys, sup-norm bounds 1 and 9: floors 1/288 and 1/1056
+    space = ValueSpace.findim(1, "l2")
+    gauges = [adapted_gauge(IntegrandFn.step(space, [D0, Dyadic(3, 3), D1], [
+        VectorValue.coords(space, [m]), VectorValue.coords(space, [0])]), 3) for m in (1, 9)]
+    assert gauges[0].descriptor != gauges[1].descriptor
+    assert [g.descriptor["floor"] for g in gauges] == ["1/288", "1/1056"]
+    for g in gauges:
+        # at the breakpoint 3/8, half-widths d / 2^20 fit up to the printed floor
+        d = int(Fraction(g.descriptor["floor"]) * (1 << 20))
+        assert g.fits(3 << 17, d, 20) and not g.fits(3 << 17, d + 1, 20)
 
 
 def test_cousin_constant_quarter_gauge():
     p = cousin_partition(Gauge.const(Fraction(1, 4)))
     assert is_partition(p)
     assert is_subordinate(p, Gauge.const(Fraction(1, 4)))
-    assert all(it.interval.length <= Fraction(1, 2) for it in p)
+    assert all(Fraction(b - a, 1 << p.exp) <= Fraction(1, 2) for a, b in zip(p.lo, p.hi))
 
 
 def test_cousin_max_depth_exceeded():
     with pytest.raises(MaxDepthExceeded) as exc:
         cousin_partition(Gauge.const(Fraction(1, 100)), max_depth=1)
     assert exc.value.interval is not None
-    assert exc.value.interval.length >= Fraction(1, 4)
+    iv = exc.value.interval
+    assert iv.hi.as_fraction() - iv.lo.as_fraction() >= Fraction(1, 4)
 
 
 def test_cousin_piecewise_and_henstock():

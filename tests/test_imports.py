@@ -1,10 +1,15 @@
-"""Every module-level import in the package and in `tests/reference.py` is used.
+"""Every module-level import in the package and in `tests/reference.py` is
+used, and the reference imports only gaugelab's data types.
 
 A name imported at the top of a module under `src/gaugelab`, or of
 `tests/reference.py`, must be read somewhere in that module.  `__init__.py`
 is left out: its imports are the package's re-exports.  The check reads the
 source with `ast` and counts a name as used when it appears as a `Name` node
 anywhere in the module (annotations included), so `np.zeros` uses `np`.
+
+The reference states each concept from its definition, so of gaugelab it may
+import only the types and constants of the data it reads and returns, never
+the code its oracles are checked against.
 """
 
 import ast
@@ -13,8 +18,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaugelab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + [
-    PACKAGE.parents[1] / "tests" / "reference.py"]
+REFERENCE = PACKAGE.parents[1] / "tests" / "reference.py"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + [REFERENCE]
+REFERENCE_MAY_IMPORT = {"MaxDepthExceeded", "D0", "D1", "Dyadic", "Interval", "UNIT", "HENSTOCK",
+                        "MCSHANE", "TaggedInterval", "IntegrandFn", "ValueSpace", "VectorValue"}
 
 
 def imported_names(tree):
@@ -33,3 +40,14 @@ def test_module_level_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_reference_imports_only_data_types():
+    tree = ast.parse(REFERENCE.read_text(), filename=str(REFERENCE))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name.startswith("gaugelab")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gaugelab"):
+            names += [alias.name for alias in node.names]
+    assert set(names) <= REFERENCE_MAY_IMPORT, sorted(set(names) - REFERENCE_MAY_IMPORT)

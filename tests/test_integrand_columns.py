@@ -4,10 +4,11 @@ they replaced.
 An `IntegrandFn` holds its breakpoints as int keys k_0 = 0 < ... < k_m =
 2^exp at the smallest exponent, and builds `breaks` (Dyadic objects) only
 when read.  Its builders write keys, and `lower_norm_integral`,
-`bochner_integrate` and `_float_breaks` read them.  The oracles below are
-the earlier Dyadic-break versions, copied in: the constructor's lookup
-`DyadicCuts(breaks)`, the restriction that built `Dyadic(c, e)` per cut, the
-norm lower bound on an `Interval`, the Fraction-set grid merges of
+`bochner_integrate` and `_float_breaks` read them.  The keys and the cell
+lookup are checked against `tests/reference.py` (the breaks as ints at their
+smallest exponent, a linear scan, and its restriction's breaks).  The other
+oracles below are the earlier Dyadic-break versions, copied in: the norm
+lower bound on an `Interval`, the Fraction-set grid merges of
 `lower_norm_integral` and `bochner_integrate`, `float(b)` per break, and
 `example_3g` built from its Dyadic breaks.
 
@@ -21,7 +22,6 @@ Mutations these tests catch (each run once on a scratch copy):
 - `example_3g` writes its keys shifted by one (1, 2, ..., 2^(R+1)).
 """
 
-from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -30,35 +30,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab.errors import UnsupportedExactIntegration
-from gaugelab.exact import D0, D1, Dyadic, DyadicCuts, Interval, Region
+from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gallery import example_3g
 from gaugelab.integrands import STEP, IntegrandFn, exact_vector_integral, restrict_integrand
 from gaugelab.integrate import (BochnerCertificate, _float_breaks, bochner_integrate,
                                 lower_norm_integral)
 from gaugelab.spaces import ValueSpace, VectorValue, linear_combination
+import reference as ref
 
 SPACE = ValueSpace.findim(2, "l2")
 small = st.fractions(-4, 4, max_denominator=6)
 
 
 # -- the Dyadic-break oracles ----------------------------------------------------
-
-
-def oracle_columns(breaks):
-    """(breaks, exp, keys, interior keys) as the constructor derived them
-    from Dyadic breaks."""
-    cells = DyadicCuts(breaks)
-    return tuple(breaks), cells.exp, tuple(cells.keys), cells.keys[1:-1]
-
-
-def oracle_restrict_breaks(phi, region):
-    """The breaks of phi restricted to region: each cut as Dyadic(c, e)."""
-    cells = DyadicCuts(phi.breaks)
-    e = max(cells.exp, region.exp)
-    s, r, one = e - cells.exp, e - region.exp, 1 << e
-    ends = [x << r for x in region.lo + region.hi]
-    cuts = sorted({0, one, *(k << s for k in cells.keys), *(x for x in ends if 0 <= x <= one)})
-    return [Dyadic(c, e) for c in cuts]
 
 
 def oracle_norm_lower_on(phi, iv):
@@ -163,14 +147,16 @@ def regions(draw):
 
 
 def assert_columns(phi, breaks):
-    want_breaks, exp, keys, inner = oracle_columns(breaks)
-    assert phi.breaks == want_breaks
-    assert (phi.exp, phi.keys) == (exp, keys)
-    # the points of the grid one finer than exp at, just before and just
-    # after each key lie in the cells that a bisection of the interior keys finds
+    """phi's keys are the breaks as ints at their smallest exponent; the
+    points of the grid one finer than exp at, just before and just after
+    each key lie in the cells the reference's linear scan finds."""
+    exp, keys = ref.grid(breaks)
+    assert (phi.exp, list(phi.keys)) == (exp, keys)
+    assert [b.as_fraction() for b in phi.breaks] == [Fraction(k, 1 << exp) for k in keys]
     probes = sorted({n for k in keys for n in (2 * k - 1, 2 * k, 2 * k + 1)
                      if 0 <= n <= 2 * keys[-1]})
-    assert [phi.cell_at(n, exp + 1) for n in probes] == [bisect_right(inner, n >> 1) for n in probes]
+    assert [phi.cell_at(n, exp + 1) for n in probes] == \
+        [ref.cell(breaks, Fraction(n, 2 << exp)) for n in probes]
 
 
 def assert_readers(phi):
@@ -190,7 +176,7 @@ def test_columns_and_readers_match_the_dyadic_breaks(drawn, region):
     assert_columns(phi, breaks)
     assert_readers(phi)
     cut = restrict_integrand(phi, region)
-    assert_columns(cut, oracle_restrict_breaks(phi, region))
+    assert_columns(cut, ref.restrict(phi, region.parts)[0])
     assert_readers(cut)
 
 

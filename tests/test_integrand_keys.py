@@ -4,9 +4,9 @@
 the integrand's keys and the region's endpoints clipped to [0, 2^e], a cell
 is kept when the last region part starting at or before its left end
 reaches its right end, and its piece is the one at its left end.  The
-oracle is the Fraction-midpoint version it replaced, copied in below: the
-cuts are a Fraction union, and a cell is kept when the region contains its
-midpoint, with the piece looked up at that midpoint.
+oracle is `tests/reference.py`'s restriction: the cuts are a Fraction union,
+and a cell is kept when a part holds its midpoint, with the piece looked up
+at that midpoint by linear scan.
 
 `example_3f` writes its values and ramp as canonical columns; the oracle
 builds them through the checked `VectorValue.step`.  `IntegrandFn` checks
@@ -25,27 +25,7 @@ from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gallery import example_3f
 from gaugelab.integrands import STEP, IntegrandFn, restrict_integrand
 from gaugelab.spaces import ValueSpace, VectorValue
-
-
-def oracle_restrict(phi, region):
-    label = f"{phi.label}|restricted"
-    one = 1 << region.exp
-    cuts = sorted(
-        {b.as_fraction() for b in phi.breaks}
-        | {Fraction(x, one) for x in region.lo + region.hi if 0 <= x <= one}
-    )
-    breaks = [Dyadic.from_fraction(c) for c in cuts]
-    if phi.klass == STEP:
-        cells, zero, make = phi.values, VectorValue.zero(phi.space), IntegrandFn.step
-    else:
-        cells, make = phi.polys, IntegrandFn.poly
-        zero = tuple((Fraction(0),) for _ in range(phi.space.dim))
-    kept = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        mid = (lo.as_fraction() + hi.as_fraction()) / 2
-        cell = sum(1 for b in phi.breaks[1:-1] if b.as_fraction() <= mid)
-        kept.append(cells[cell] if region.contains(mid) else zero)
-    return make(phi.space, breaks, kept, label=label, metadata=phi.metadata)
+import reference as ref
 
 
 SPACE = ValueSpace.findim(2, "l1")
@@ -95,13 +75,19 @@ def regions(draw):
     return Region(parts)
 
 
-def same_integrand(got, want):
-    assert got.space == want.space and got.klass == want.klass
-    assert got.breaks == want.breaks
-    assert got.values == want.values
-    assert got.polys == want.polys
-    assert got.label == want.label and got.metadata == want.metadata
-    assert (got.exp, got.keys) == (want.exp, want.keys)
+def assert_restricted(got, phi, region):
+    """got is phi times the region's indicator: the reference's breaks, and
+    its pieces with a zero where it keeps none."""
+    breaks, pieces = ref.restrict(phi, region.parts)
+    assert got.space == phi.space and got.klass == phi.klass
+    assert (got.exp, list(got.keys)) == ref.grid(breaks)
+    if phi.klass == STEP:
+        zero = VectorValue.zero(phi.space)
+        assert got.values == tuple(zero if p is None else p for p in pieces)
+    else:
+        zero = tuple((Fraction(0),) for _ in range(phi.space.dim))
+        assert got.polys == tuple(zero if p is None else p for p in pieces)
+    assert got.label == f"{phi.label}|restricted" and got.metadata == phi.metadata
 
 
 def step_phi():
@@ -118,7 +104,7 @@ def step_phi():
                                  (Fraction(7, 8), 1)))
 @example(step_phi(), Region.make((Fraction(1, 16), Fraction(5, 4))))
 def test_restrict_integrand_is_the_midpoint_version(phi, region):
-    same_integrand(restrict_integrand(phi, region), oracle_restrict(phi, region))
+    assert_restricted(restrict_integrand(phi, region), phi, region)
 
 
 def test_restrict_integrand_builds_no_fraction(monkeypatch):
@@ -134,7 +120,7 @@ def test_restrict_integrand_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(integrands, "Fraction", refuse)
     cut = restrict_integrand(phi, region)
     monkeypatch.undo()
-    same_integrand(cut, oracle_restrict(phi, region))
+    assert_restricted(cut, phi, region)
 
 
 @pytest.mark.parametrize("depth", range(1, 13))

@@ -1,16 +1,13 @@
-"""linear_combination and the VectorValue operators against the merge-based
-arithmetic they replaced.
+"""linear_combination and the VectorValue operators against `tests/reference.py`.
 
-The oracle is the pairwise route: `+` walks the common refinement of two step
-values and re-canonicalises, `*` rescales every level, and a linear
-combination is the left fold of both from the zero vector.  The accumulator
-must give structurally equal data, the same canonical breakpoints (as
-Dyadics) and the same Fraction levels or coordinates, and the same int
-columns.  Step values are drawn on small grids, including single-cell and
-all-zero values; coordinate values in findim l1/l2/linf, seq_l2 and seq_sup
-spaces of dimension 1-4, with mixed denominators, zeros and negatives;
-coefficients include 0, negative numbers and plain ints; term lists include
-the empty list and a single term.
+The reference holds a value as a tuple of Fractions, one per coordinate or
+grid cell, combines values entry by entry, and states the canonical columns
+the result must hold.  Step values are drawn on small grids, including
+single-cell and all-zero values; coordinate values in findim l1/l2/linf,
+seq_l2 and seq_sup spaces of dimension 1-4, with mixed denominators, zeros
+and negatives; coefficients include 0, negative numbers and plain ints; term
+lists include the empty list and a single term.  The sums of these drawn
+combinations are checked in `test_step_columns.py`, with its own draws.
 """
 
 from fractions import Fraction
@@ -22,70 +19,12 @@ from hypothesis import strategies as st
 from gaugelab.errors import SpaceMismatch
 from gaugelab.exact import Dyadic
 from gaugelab.spaces import ValueSpace, VectorValue, linear_combination
-
-# -- the merge-based oracle ------------------------------------------------------
-
-
-def merge_steps(a_breaks, a_levels, b_breaks, b_levels):
-    out = []
-    ia = ib = 0
-    cur = a_breaks[0]
-    while cur < a_breaks[-1]:
-        hi_a = a_breaks[ia + 1]
-        hi_b = b_breaks[ib + 1]
-        hi = hi_a if hi_a <= hi_b else hi_b
-        out.append((cur, hi, a_levels[ia], b_levels[ib]))
-        if hi == hi_a:
-            ia += 1
-        if hi == hi_b:
-            ib += 1
-        cur = hi
-    return out
+import reference as ref
 
 
-def canonical_steps(runs):
-    breaks = [runs[0][0]]
-    levels = []
-    for lo, hi, level in runs:
-        if levels and level == levels[-1]:
-            breaks[-1] = hi
-        else:
-            levels.append(level)
-            breaks.append(hi)
-    return tuple(breaks), tuple(levels)
-
-
-def oracle_add(u, v):
-    if u.space != v.space:
-        raise SpaceMismatch(f"{u.space} vs {v.space}")
-    if u.space.is_step:
-        (ab, al), (bb, bl) = u.data, v.data
-        runs = [(lo, hi, la + lb) for lo, hi, la, lb in merge_steps(ab, al, bb, bl)]
-        return VectorValue(u.space, canonical_steps(runs))
-    return VectorValue(u.space, tuple(a + b for a, b in zip(u.data, v.data)))
-
-
-def oracle_mul(v, scalar):
-    c = Fraction(scalar) if not isinstance(scalar, Fraction) else scalar
-    if v.space.is_step:
-        breaks, levels = v.data
-        runs = list(zip(breaks, breaks[1:], (c * l for l in levels)))
-        return VectorValue(v.space, canonical_steps(runs))
-    return VectorValue(v.space, tuple(c * x for x in v.data))
-
-
-def oracle_combination(space, terms):
-    acc = VectorValue.zero(space)
-    for c, v in terms:
-        acc = oracle_add(acc, oracle_mul(v, c))
-    return acc
-
-
-def assert_same(got, want):
-    assert got.space == want.space
-    # repr tells Fraction from int and Dyadic(num, exp) apart, not just values
-    assert repr(got.data) == repr(want.data)
-    assert (got.keys, got.nums, got.den) == (want.keys, want.nums, want.den)
+def assert_same(got, space, xs):
+    assert got.space == space
+    assert (got.keys, got.nums, got.den) == ref.columns(space, xs)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -133,37 +72,26 @@ def operands(draw):
 # -- tests -----------------------------------------------------------------------
 
 
-@settings(max_examples=400, deadline=None)
-@given(combinations())
-def test_linear_combination_matches_merge_fold(case):
-    space, terms = case
-    want = oracle_combination(space, terms)
-    assert_same(linear_combination(space, terms), want)
-    assert_same(linear_combination(space, iter(terms)), want)  # one pass suffices
-    # cancelling terms leave jumps that sum to zero; no breakpoint may remain there
-    undo_first = terms + [(-c, v) for c, v in terms[:1]]
-    assert_same(linear_combination(space, undo_first), oracle_combination(space, undo_first))
-    undo_all = terms + [(-c, v) for c, v in reversed(terms)]
-    assert_same(linear_combination(space, undo_all), VectorValue.zero(space))
-
-
 @settings(max_examples=300, deadline=None)
 @given(operands())
 def test_operators_match_merge_oracle(case):
     space, u, v, c = case
-    assert_same(u + v, oracle_add(u, v))
-    assert_same(u - v, oracle_add(u, oracle_mul(v, -1)))
-    assert_same(u * c, oracle_mul(u, c))
-    assert_same(c * u, oracle_mul(u, c))
-    assert_same(u - u, VectorValue.zero(space))
+    uc, vc = ref.cells(u), ref.cells(v)
+    assert_same(u + v, space, ref.combination(space, [(1, uc), (1, vc)]))
+    assert_same(u - v, space, ref.combination(space, [(1, uc), (-1, vc)]))
+    assert_same(u * c, space, ref.combination(space, [(c, uc)]))
+    assert_same(c * u, space, ref.combination(space, [(c, uc)]))
+    assert_same(u - u, space, ref.combination(space, []))
 
 
 def test_empty_and_zero_combinations_are_the_zero_vector():
     for space in SPACES:
         zero = VectorValue.zero(space)
-        assert_same(linear_combination(space, []), zero)
-        assert_same(linear_combination(space, [(0, zero)]), zero)
-        assert_same(linear_combination(space, [(Fraction(5), zero)]), zero)
+        want = ref.combination(space, [])
+        assert_same(zero, space, want)
+        assert_same(linear_combination(space, []), space, want)
+        assert_same(linear_combination(space, [(0, zero)]), space, want)
+        assert_same(linear_combination(space, [(Fraction(5), zero)]), space, want)
 
 
 @pytest.mark.parametrize("a, b", [

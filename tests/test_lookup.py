@@ -4,8 +4,9 @@ Two objects find the cell of a point among dyadic breakpoints: piecewise
 gauges and piecewise integrands; a step value's coordinate functional finds
 the cell of a grid cell.  All use half-open cells [b_i, b_{i+1}) with the
 last cell closed, so t = 1 falls in the last cell.  Region.contains looks a
-point up among sorted parts.  The queries always include every breakpoint
-and endpoint, 0 and 1, where an off-by-one in a search would show.
+point up among sorted parts.  Both are checked against the linear scans of
+`tests/reference.py`.  The queries always include every breakpoint and
+endpoint, 0 and 1, where an off-by-one in a search would show.
 """
 
 from fractions import Fraction
@@ -17,16 +18,9 @@ from gaugelab.exact import Dyadic, Interval, Region
 from gaugelab.gauges import Gauge
 from gaugelab.integrands import IntegrandFn
 from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue
+import reference as ref
 
 DEPTH = 5
-
-
-def scan_cell(breaks, tq):
-    cell = 0
-    for i, b in enumerate(breaks[1:-1], start=1):
-        if b.as_fraction() <= tq:
-            cell = i
-    return cell
 
 
 @st.composite
@@ -56,7 +50,7 @@ def test_cell_lookups_and_region_contains_match_linear_scan(case):
     step = VectorValue.step(step_space, breaks, list(cells))
     region = Region(parts)
     for tq in points:
-        expect = scan_cell(breaks, tq)
+        expect = ref.cell(breaks, tq)
         # the gauge's width expect + 1 through the fit test, at tq's exponent
         tn, width = int(tq * (2 << DEPTH)), (expect + 1) << (DEPTH + 1)
         assert gauge.fits(tn, width, DEPTH + 1) and not gauge.fits(tn, width + 1, DEPTH + 1)
@@ -64,6 +58,6 @@ def test_cell_lookups_and_region_contains_match_linear_scan(case):
             assert phi.eval(t).data == (expect,)
         grid_cell = min(int(tq * (1 << DEPTH)), (1 << DEPTH) - 1)
         assert DualFunctional.coordinate(step_space, grid_cell)(step) == expect
-        inside = any(p.lo.as_fraction() <= tq <= p.hi.as_fraction() for p in parts)
+        inside = ref.contains(parts, tq)
         assert region.contains(tq) == inside
         assert region.contains(Dyadic.from_fraction(tq)) == inside

@@ -4,16 +4,16 @@
 series tail and the batch means.  Coordinate values are compared through
 one common denominator and one int key per pair; the l2 upper end is found
 by scanning the distinct keys largest first (see its docstring).  The oracle
-is the loop it replaced, copied in below: `distance(u, v).hi` for every
-pair.  Values: l1, l2 and linf coordinate spaces of dimension 1-4 with mixed
-denominators, 0-8 values, and step values.
+is `tests/reference.py`'s spread: the largest upper end of the distance over
+every pair, each worked out on the values' Fraction tuples.  Values: l1, l2
+and linf coordinate spaces of dimension 1-4 with mixed denominators, 0-8
+values, and step values.
 
 Step values take one sweep over the union of their keys, the largest range
-of the levels over a cell.  Its oracle is the same pair loop with the
-distance of that loop copied in too: every pair is merged run by run on the
-common refinement.  It draws 0-50 step values with mixed denominators whose
-keys are shared, disjoint or nested, and checks `distance` itself, which
-now bisects, against the merge.
+of the levels over a cell.  The reference holds them as one level per grid
+cell.  It draws 0-50 step values with mixed denominators whose keys are
+shared, disjoint or nested, and checks `distance` itself, which bisects,
+against the reference's.
 """
 
 import random
@@ -26,16 +26,11 @@ from gaugelab import integrate, spaces
 from gaugelab.exact import D0, D1, Dyadic
 from gaugelab.integrate import _max_distance
 from gaugelab.spaces import L1, L2, LINF, ValueSpace, VectorValue, distance
+import reference as ref
 
 
-def oracle_max_distance(values):
-    out = Fraction(0)
-    for i, u in enumerate(values):
-        for v in values[i + 1:]:
-            d = distance(u, v).hi
-            if d > out:
-                out = d
-    return out
+def oracle_spread(values):
+    return ref.spread(values[0].space, [ref.cells(v) for v in values]) if values else 0
 
 
 # denominators that mix primes, small and large powers of two
@@ -90,7 +85,7 @@ def test_worked_example():
 @example([VectorValue.coords(ValueSpace.findim(1, L2), (Fraction(1, 2),)),
           VectorValue.coords(ValueSpace.findim(1, L2), (Fraction(1, 3),))])
 def test_max_distance_is_the_pairwise_loop(values):
-    assert _max_distance(values) == oracle_max_distance(values)
+    assert _max_distance(values) == oracle_spread(values)
 
 
 def test_spread_of_200_means_calls_no_distance(monkeypatch):
@@ -99,7 +94,7 @@ def test_spread_of_200_means_calls_no_distance(monkeypatch):
     space = ValueSpace.findim(2, L2)
     means = [VectorValue.coords(space, [Fraction(rng.random()) for _ in range(2)])
              for _ in range(200)]
-    want = oracle_max_distance(means)
+    want = oracle_spread(means)
     calls = {"distance": 0, "sqrt": 0}
 
     def counted(name, fn):
@@ -114,24 +109,6 @@ def test_spread_of_200_means_calls_no_distance(monkeypatch):
                         counted("sqrt", integrate.sqrt_enclosure))
     assert _max_distance(means) == want
     assert calls["distance"] == 0 and 1 <= calls["sqrt"] <= 2
-
-
-def merge_distance(u, v):
-    """|u - v| for step values, run by run on the common refinement."""
-    out, ia, ib, cur = 0, 0, 0, 0
-    while cur < u.keys[-1]:
-        hi_a, hi_b = u.keys[ia + 1], v.keys[ib + 1]
-        hi = min(hi_a, hi_b)
-        out = max(out, abs(u.nums[ia] * v.den - v.nums[ib] * u.den))
-        ia += hi == hi_a
-        ib += hi == hi_b
-        cur = hi
-    return Fraction(out, u.den * v.den)
-
-
-def oracle_step_spread(values):
-    return max((merge_distance(u, v) for i, u in enumerate(values) for v in values[i + 1:]),
-               default=Fraction(0))
 
 
 GRID = 5
@@ -173,15 +150,16 @@ def step(keys, levels):
 # the range is widest on a cell that starts at a break of one value only
 @example([step([4, 12], [1, 0, 1]), step([12], [1, 3])])
 def test_step_spread_is_the_pairwise_merge(values):
-    assert _max_distance(values) == oracle_step_spread(values)
+    assert _max_distance(values) == oracle_spread(values)
 
 
 @settings(max_examples=100, deadline=None)
 @given(many_step_values())
 def test_step_distance_is_the_merge(values):
     for u, v in zip(values, values[1:]):
-        assert distance(u, v).hi == distance(u, v).lo == merge_distance(u, v)
-        assert distance(v, u).hi == merge_distance(u, v)
+        want = ref.distance(STEP_SPACE, ref.cells(u), ref.cells(v))
+        assert (distance(u, v).lo, distance(u, v).hi) == want
+        assert (distance(v, u).lo, distance(v, u).hi) == want
 
 
 def test_step_spread_of_200_means_calls_no_distance(monkeypatch):
@@ -193,7 +171,7 @@ def test_step_spread_of_200_means_calls_no_distance(monkeypatch):
         breaks = [D0, *(Dyadic(k, 6) for k in keys), D1]
         means.append(VectorValue.step(space, breaks, [Fraction(rng.randrange(100), 100)
                                                       for _ in range(21)]))
-    want = oracle_step_spread(means)
+    want = oracle_spread(means)
     calls = []
     monkeypatch.setattr(integrate, "distance", lambda u, v: calls.append(1))
     monkeypatch.setattr(spaces, "distance", lambda u, v: calls.append(1))

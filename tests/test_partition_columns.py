@@ -115,10 +115,9 @@ def gauges(draw):
                                max_size=len(breaks) - 1))
         return Gauge.piecewise(breaks, values)
     if kind == "proximity":
-        bps = draw(st.lists(st.builds(Dyadic, st.integers(-8, 40), st.integers(0, 5)),
-                            max_size=4))
-        floors = draw(st.lists(st.sampled_from(WIDTHS), min_size=len(bps), max_size=len(bps)))
-        return Gauge.proximity(bps, draw(st.sampled_from(WIDTHS)), floors)
+        keys = draw(st.lists(st.integers(-8, 40), max_size=4))
+        return Gauge.proximity(draw(st.integers(0, 5)), keys, draw(st.sampled_from(WIDTHS)),
+                               draw(st.sampled_from(WIDTHS)))
     cuts = draw(st.sets(st.integers(1, 63), max_size=4))
     return adapted_gauge(step_integrand(cuts), draw(st.integers(1, 4)))
 

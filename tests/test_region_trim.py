@@ -27,7 +27,7 @@ def oracle_trim(region, target):
     kept = []
     budget = target
     for part in region.parts:
-        length = part.length.as_fraction()
+        length = part.hi.as_fraction() - part.lo.as_fraction()
         if length <= budget:
             kept.append(part)
             budget -= length

@@ -1,13 +1,11 @@
-"""Riemann sums grouped by integrand cell against the per-item sums they replaced.
+"""Riemann sums grouped by integrand cell against `tests/reference.py`.
 
 `riemann_sum` adds up integer weights (step integrands) or integer power
 moments (polynomial integrands) per integrand cell, and only then touches
-rationals.  The oracle is the per-item route, copied in below: one
-`length * phi(tag)` term per item through `linear_combination`, with phi(tag)
-looked up by a linear scan in Fractions rather than through the integer cell
-lookup both routes would otherwise share.  Results must be structurally equal
-(`repr`): the same canonical breakpoints and the same Fraction levels or
-coordinates.
+rationals.  The reference sums one `length * phi(tag)` term per item in
+Fractions, with phi(tag) looked up by a linear scan over the breakpoints
+rather than through the integer cell lookup.  Results must hold the
+reference's sum in its canonical columns.
 
 Integrands: step values in `step_linf` and in every coordinate space kind,
 polynomial cells with ragged coefficient tuples and all-zero (restricted)
@@ -25,30 +23,10 @@ from hypothesis import strategies as st
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
                              cousin_partition, extend_to_partition)
-from gaugelab.integrands import (STEP, IntegrandFn, adapted_gauge, poly_eval,
-                                 restrict_integrand)
+from gaugelab.integrands import IntegrandFn, adapted_gauge, restrict_integrand
 from gaugelab.integrate import riemann_sum
-from gaugelab.spaces import ValueSpace, VectorValue, linear_combination
-
-# -- the per-item oracle -----------------------------------------------------------
-
-
-def reference_eval(phi, t):
-    """phi(t) with the cell found by a linear scan over the breakpoints in
-    Fractions, so the oracle shares no cell lookup with the code under test."""
-    tq = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
-    if not 0 <= tq <= 1:
-        raise ValueError(f"t={tq} outside [0,1]")
-    cell = sum(1 for b in phi.breaks[1:-1] if b.as_fraction() <= tq)
-    if phi.klass == STEP:
-        return phi.values[cell]
-    return VectorValue.coords(phi.space, [poly_eval(c, tq) for c in phi.polys[cell]])
-
-
-def oracle_riemann_sum(phi, p):
-    weighted = ((it.interval.length.as_fraction(), it.tag) for it in p.items)
-    return linear_combination(phi.space, ((w, reference_eval(phi, t)) for w, t in weighted if w))
-
+from gaugelab.spaces import ValueSpace, VectorValue
+import reference as ref
 
 # -- integrands ------------------------------------------------------------------------
 
@@ -184,4 +162,6 @@ def partitions(draw, phi):
 def test_riemann_sum_matches_per_item_sum(data):
     phi = data.draw(integrands())
     p = data.draw(partitions(phi))
-    assert repr(riemann_sum(phi, p)) == repr(oracle_riemann_sum(phi, p))
+    got = riemann_sum(phi, p)
+    assert got.space == phi.space
+    assert (got.keys, got.nums, got.den) == ref.columns(phi.space, ref.riemann_sum(phi, p.items))
