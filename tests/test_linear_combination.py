@@ -6,8 +6,7 @@ the result must hold.  Step values are drawn on small grids, including
 single-cell and all-zero values; coordinate values in findim l1/l2/linf,
 seq_l2 and seq_sup spaces of dimension 1-4, with mixed denominators, zeros
 and negatives; coefficients include 0, negative numbers and plain ints; term
-lists include the empty list and a single term.  The sums of these drawn
-combinations are checked in `test_step_columns.py`, with its own draws.
+lists include the empty list and a single term.
 """
 
 from fractions import Fraction
@@ -70,6 +69,20 @@ def operands(draw):
 
 
 # -- tests -----------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(combinations())
+def test_linear_combination_matches_merge_fold(case):
+    space, terms = case
+    want = [(c, ref.cells(v)) for c, v in terms]
+    for got in (linear_combination(space, terms), linear_combination(space, iter(terms))):
+        assert_same(got, space, ref.combination(space, want))  # one pass suffices
+    # cancelling terms leave jumps that sum to zero; no breakpoint may remain there
+    assert_same(linear_combination(space, terms + [(-c, v) for c, v in terms[:1]]), space,
+                ref.combination(space, want + [(-c, x) for c, x in want[:1]]))
+    undo_all = terms + [(-c, v) for c, v in reversed(terms)]
+    assert_same(linear_combination(space, undo_all), space, ref.combination(space, []))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,11 +1,11 @@
 """The integer region code against Fraction-keyed references.
 
-`Region` sorts and merges on integer keys, `translate`/`scale_half` skip
-normalisation and `distance_to_point` bisects.  Each is checked here against
-`tests/reference.py`'s Fraction-keyed merge and linear scan, and against a
-renormalised image.  (`region_combine`'s midpoint check is in
-`test_region_columns.py`.)  Regions are drawn with mixed exponents, negative
-endpoints, degenerate and touching parts, and empty.
+`region_combine` sweeps integer-scaled endpoints, `Region` sorts and merges on
+integer keys, `translate`/`scale_half` skip normalisation and
+`distance_to_point` bisects.  Each is checked here against
+`tests/reference.py`'s midpoint combine, Fraction-keyed merge and linear scan,
+and against a renormalised image.  Regions are drawn with mixed exponents,
+negative endpoints, degenerate and touching parts, and empty.
 """
 
 from fractions import Fraction
@@ -13,21 +13,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugelab.exact import Dyadic, Interval, Region
+from gaugelab.exact import Dyadic, Interval, Region, region_combine
+from test_region_columns import OPS, intervals
 import reference as ref
 
 # small numerators over exponents 0..3 land often on shared endpoints
 dyadics = st.builds(Dyadic, st.integers(-12, 12), st.integers(0, 3))
-
-
-@st.composite
-def intervals(draw):
-    a = draw(dyadics)
-    b = draw(st.one_of(st.just(a), dyadics))
-    return Interval(a, b) if a <= b else Interval(b, a)
-
-
-part_lists = st.lists(intervals(), max_size=7)
+part_lists = st.lists(intervals(dyadics), max_size=7)
 
 
 def shape(parts) -> list:
@@ -36,6 +28,17 @@ def shape(parts) -> list:
 
 def pair_shape(pairs) -> list:
     return [(str(Dyadic.from_fraction(lo)), str(Dyadic.from_fraction(hi))) for lo, hi in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(part_lists, part_lists)
+def test_combine_matches_midpoint_oracle(a_parts, b_parts):
+    a, b = Region(a_parts), Region(b_parts)
+    for op in OPS:
+        got = region_combine(a, b, op)
+        assert shape(got.parts) == pair_shape(ref.combine(a_parts, b_parts, op)), op
+        # the result is already normalised, with no degenerate part
+        assert Region(got.parts) == got and all(iv.lo < iv.hi for iv in got.parts)
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,8 +20,7 @@ bounds).
 A coordinate value keeps the same columns without keys: one numerator per
 coordinate over the lcm of the coordinates' reduced denominators, checked
 against the coordinates the test drew.  Spaces: findim l1/l2/linf, seq_l2
-and seq_sup of dimension 1-4.  The `linear_combination` test also draws the
-cases of `test_linear_combination.py`.  Mutations these tests catch (each run
+and seq_sup of dimension 1-4.  Mutations these tests catch (each run
 on a scratch copy): the final gcd reduction of `linear_combination` dropped;
 its rescale when the common denominator grows skipped; the l1 and linf norms
 swapped; den in place of den^2 in the l2 norm; a coordinate functional that
@@ -40,7 +39,6 @@ from gaugelab.exact import D0, D1, Dyadic
 from gaugelab.integrate import _max_distance
 from gaugelab.spaces import (L1, L2, LINF, DualFunctional, ValueSpace, VectorValue, distance,
                              linear_combination)
-from test_linear_combination import combinations
 import reference as ref
 
 GRIDS = st.integers(0, 5)
@@ -146,17 +144,12 @@ def coord_terms(draw):
     return space, [(draw(COEFFS), VectorValue.coords(space, coords)) for coords in values]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(step_terms(), coord_terms(), combinations()))
-def test_linear_combination_matches_dense_sum(case):
-    space, terms = case
+def check_combination(space, terms):
+    """linear_combination of terms, and the operators on two of them, match the reference."""
     want = [(c, ref.cells(v)) for c, v in terms]
-    assert_columns(linear_combination(space, terms), ref.combination(space, want))
-    assert_columns(linear_combination(space, iter(terms)), ref.combination(space, want))
-    # cancelling terms leave jumps that sum to zero; no breakpoint may remain there
-    undo_first = terms + [(-c, v) for c, v in terms[:1]]
-    assert_columns(linear_combination(space, undo_first),
-                   ref.combination(space, want + [(-c, x) for c, x in want[:1]]))
+    for got in (linear_combination(space, terms), linear_combination(space, iter(terms))):
+        assert_columns(got, ref.combination(space, want))
+    # undoing every term leaves the zero value: every jump cancels
     undo = terms + [(-c, v) for c, v in reversed(terms)]
     assert_columns(linear_combination(space, undo), ref.combination(space, []))
     if terms:
@@ -165,6 +158,18 @@ def test_linear_combination_matches_dense_sum(case):
         assert_columns(u + v, ref.combination(space, [(1, uc), (1, vc)]))
         assert_columns(u - v, ref.combination(space, [(1, uc), (-1, vc)]))
         assert_columns(u * c, ref.combination(space, [(c, uc)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_terms())
+def test_linear_combination_matches_dense_sum(case):
+    check_combination(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coord_terms())
+def test_coordinate_linear_combination_matches_fraction_sum(case):
+    check_combination(*case)
 
 
 @settings(max_examples=300, deadline=None)
