@@ -344,6 +344,7 @@ def cousin_partition(
     max_depth: int = 40,
     seed: int = 0,
     base: Interval = UNIT,
+    support: Region | None = None,
 ) -> TaggedPartition:
     """Build a partition of base subordinate to g by repeated bisection.
 
@@ -368,6 +369,16 @@ def cousin_partition(
     power-of-two width, largest first, each bisected with its own depth count,
     so that bisection points reach every dyadic point (a proximity gauge's
     breakpoints among them).
+
+    With a support, each part [a, b] read as [a, b), only the items that
+    meet it are built: every tag candidate of a node [lo, hi] lies in
+    [lo, hi), so a node whose [lo, hi) meets no part is dropped before its
+    wall, draw or fit test, and its subtree is never built; a node inside one
+    part skips the test for its whole subtree.  The result is the items of
+    the full partition that meet the support, and max_depth counts only on
+    the nodes that do.  Where an integrand vanishes off its support, every
+    dropped item would add 0 to a Riemann sum, and by Cousin's lemma the
+    dropped nodes have partitions subordinate to g of their own.
     """
     if tag_strategy not in ("mid", "left", "sampled"):
         raise ValueError(f"unknown tag strategy {tag_strategy!r}")
@@ -375,6 +386,11 @@ def cousin_partition(
         raise ValueError(f"unknown flavor {flavor!r}")
     fits, wall = g.fits, g.wall
     sampled = tag_strategy == "sampled"
+    if support is not None:
+        # the parts of positive length at exponent es; the ends increase
+        es = support.exp
+        parts = [(a, b) for a, b in zip(support.lo, support.hi) if a < b]
+        s_lo, s_hi = [a for a, _ in parts], [b for _, b in parts]
     # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
     # ints at exponent e0 + depth, so kept items come out sorted.  Each kept
     # item is (lo, hi, e, t, te): its endpoints at e and its tag at te.  Every
@@ -382,16 +398,29 @@ def cousin_partition(
     e0 = max(base.lo.exp, base.hi.exp)
     lo0, hi0 = base.lo.num << (e0 - base.lo.exp), base.hi.num << (e0 - base.hi.exp)
     # peel power-of-two pieces off the right end, smallest first, until the
-    # rest has power-of-two (or zero) width: the stack pops the largest first
+    # rest has power-of-two (or zero) width: the stack pops the largest first.
+    # A node is (lo, hi, depth, inside): inside a support part, or no support
+    whole = support is None
     stack, kept, width = [], [], hi0 - lo0
     while width & (width - 1):
         low = width & -width
-        stack.append((hi0 - low, hi0, 0))
+        stack.append((hi0 - low, hi0, 0, whole))
         hi0, width = hi0 - low, width - low
-    stack.append((lo0, hi0, 0))
+    stack.append((lo0, hi0, 0, whole))
     while stack:
-        lo, hi, depth = stack.pop()
+        lo, hi, depth, inside = stack.pop()
         e = e0 + depth
+        if not inside:
+            # [lo, hi) at es, rounded out: l = floor, h = ceil.  The parts
+            # starting before h end increasing, so the last of them decides
+            if lo >= hi:
+                continue
+            s = e - es
+            l, h = (lo >> s, -(-hi >> s)) if s >= 0 else (lo << -s, hi << -s)
+            i = bisect_left(s_lo, h)
+            if not i or s_hi[i - 1] <= l:
+                continue
+            inside = s_lo[i - 1] <= l and h <= s_hi[i - 1]
         if sampled and lo < hi:
             # a walled node holds no tag that fits: it splits without a draw
             tagged = not wall(lo, hi, e)
@@ -413,8 +442,10 @@ def cousin_partition(
                 interval=iv,
             )
         mid = lo + hi
-        stack.append((mid, hi << 1, depth + 1))
-        stack.append((lo << 1, mid, depth + 1))
+        stack.append((mid, hi << 1, depth + 1, inside))
+        stack.append((lo << 1, mid, depth + 1, inside))
+    if not kept:
+        return TaggedPartition._columns(0, (), (), (), flavor)
     top = max(max(e, te) for _, _, e, _, te in kept)
     lo, hi, tag = zip(*[(a << top - e, b << top - e, t << top - te) for a, b, e, t, te in kept])
     return TaggedPartition._columns(top, lo, hi, tag, flavor)

@@ -19,7 +19,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import D0, D1, Dyadic, DyadicCuts, Region, UNIT_REGION, shared_zeros
+from .exact import (D0, D1, Dyadic, DyadicCuts, Region, UNIT_REGION, merged_region,
+                    shared_zeros)
 from .gauges import Gauge
 from .spaces import DualFunctional, ValueSpace, VectorValue, linear_combination
 
@@ -121,6 +122,17 @@ class IntegrandFn:
         return VectorValue.coords(self.space, [poly_eval(c, tq) for c in cell])
 
     __call__ = eval
+
+    def support(self) -> Region:
+        """The cells on which phi is not identically zero: a step cell whose
+        value is not zero, or a polynomial cell with a nonzero coefficient."""
+        if self.klass == STEP:
+            nonzero = [any(v.nums) for v in self.values]
+        else:
+            nonzero = [any(c for coeffs in cell for c in coeffs) for cell in self.polys]
+        keys = self.keys
+        return merged_region(self.exp, [(keys[i], keys[i + 1])
+                                        for i, keep in enumerate(nonzero) if keep])
 
     # -- bounds -------------------------------------------------------------
 

@@ -10,6 +10,13 @@ Riemann sums over a dyadic partition are regrouped by integrand cell: one
 integer pass over the partition's columns adds up per-cell lengths or power
 moments, so rationals enter once per cell, not once per item, and the result
 is the same exact value as the per-item sum.
+
+Gauge sums bisect only where the integrand can be nonzero: Cousin bisection
+is handed the integrand's support and builds only the items that meet it.
+Every sum is still that of a partition of all of [0,1] subordinate to the
+gauge: the dropped nodes have such partitions by Cousin's lemma, and their
+items, tagged where phi is 0, add nothing.  So the depth cap counts only on
+the support.
 """
 
 from __future__ import annotations
@@ -201,6 +208,11 @@ def mcshane_integrate(
     constant schedule delta_k = 2^-k; "adapted" follows the integrand's
     piecewise structure, is what the closed-form-aware callers use, and is
     the default.
+
+    Every trial bisects only the integrand's support, worked out once, so
+    max_depth bounds the bisection there alone and a gauge that is tiny only
+    where phi vanishes does not raise.  An integrand with empty support
+    builds no partition: every sum is its zero value.
     """
     if trials_per_level < 2:
         raise ValueError("need at least two trials per level to measure oscillation")
@@ -208,18 +220,20 @@ def mcshane_integrate(
     trace: list[dict] = []
     osc_history: list[Fraction] = []
     osc = Fraction(0)
-    last = VectorValue.zero(phi.space)
+    last = zero = VectorValue.zero(phi.space)
+    support = phi.support()
     for level, g in enumerate(gauges):
-        sums = []
-        for i in range(trials_per_level):
-            p = cousin_partition(
+        if support.is_empty():
+            sums = [zero] * trials_per_level
+        else:
+            sums = [riemann_sum(phi, cousin_partition(
                 g,
                 flavor=flavor,
                 tag_strategy=_STRATEGIES[i % len(_STRATEGIES)],
                 max_depth=max_depth,
                 seed=seed * 100003 + level * 97 + i,
-            )
-            sums.append(riemann_sum(phi, p))
+                support=support,
+            )) for i in range(trials_per_level)]
         osc = _max_distance(sums)
         last = sums[-1]
         trace.append(

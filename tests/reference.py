@@ -53,14 +53,19 @@ def pieces(base: Interval) -> list[Interval]:
     return out
 
 
-def cousin(fits, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT):
+def cousin(fits, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT,
+           support=None):
     """The items, in order, of Cousin's lemma by bisection: each of the base's
     `pieces` is bisected with its own depth count, left child first.  A node's
     tag is its left end ("left"), its `sampled_tag` ("sampled", if it is not a
     point) or its midpoint.  It is kept if the tag lies in [0,1] (for henstock,
     in the node) and fits(node, tag); else it is bisected, or at max_depth
-    named by MaxDepthExceeded."""
+    named by MaxDepthExceeded.  With a support, a list of (a, b) Fraction
+    parts, a node [lo, hi] is first dropped, with its subtree, unless some
+    point of [lo, hi) lies in a part read as [a, b)."""
     def visit(iv, lo, hi, depth):
+        if support is not None and not any(max(lo, a) < min(hi, b) for a, b in support):
+            return []
         if tag_strategy == "sampled" and lo < hi:
             t, _, te = sampled_tag(seed, iv)
             t = Fraction(t, 1 << te)
@@ -87,6 +92,18 @@ def step_integrand(cuts):
     breaks = [D0] + [Dyadic(k, 6) for k in sorted(cuts)] + [D1]
     values = [VectorValue.coords(space, [i % 3]) for i in range(len(breaks) - 1)]
     return IntegrandFn.step(space, breaks, values)
+
+
+def nonzero_cells(phi) -> list[tuple[Fraction, Fraction]]:
+    """The cells (b_i, b_{i+1}) of phi whose piece is not zero: a value with
+    a nonzero coordinate or grid level, or polynomials with a nonzero
+    coefficient."""
+    bs = breaks(phi)
+    if phi.values is not None:
+        nonzero = [any(cells(v)) for v in phi.values]
+    else:
+        nonzero = [any(c for coeffs in cell for c in coeffs) for cell in phi.polys]
+    return [(x, y) for x, y, keep in zip(bs, bs[1:], nonzero) if keep]
 
 
 def _q(x) -> Fraction:

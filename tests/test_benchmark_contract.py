@@ -3,8 +3,11 @@ tree, and its checks agree with their oracles.
 
 perfbench/ wraps or reads names of the package: `integrands.scalar_integral`,
 `IntegrandFn.eval`, `Interval.length`, `spaces._merge_steps`,
-`_kernels.USING_NUMBA`, and the `Dyadic` breaks of family members.  A change
-that drops one of them fails here, not first in a benchmark run.
+`_kernels.USING_NUMBA`, and the `Dyadic` breaks of family members.  Its
+tracer reads the first and last item of every partition that
+`cousin_partition` returns, so `mcshane_integrate` must build no partition
+for an integrand whose support is empty.  A change that drops one of these
+names or breaks that rule fails here, not first in a benchmark run.
 
 Each workload runs traced (`--trace 1`, which ignores `--seconds`) in a copy
 of perfbench/, BENCHMARK.json and src/ under tmp_path, so the run's output

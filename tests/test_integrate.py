@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from gaugelab import integrate
-from gaugelab.errors import UnsupportedExactIntegration
+from gaugelab.errors import MaxDepthExceeded, UnsupportedExactIntegration
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT_REGION
-from gaugelab.gauges import Gauge, TaggedInterval, TaggedPartition
-from gaugelab.integrands import (IntegrandFn, exact_vector_integral,
-                                 identity_integrand, poly_integrand)
+from gaugelab.gallery import example_3f
+from gaugelab.gauges import (Gauge, TaggedInterval, TaggedPartition, cousin_partition,
+                             is_partition, is_subordinate)
+from gaugelab.integrands import (IntegrandFn, exact_vector_integral, identity_integrand,
+                                 poly_integrand, restrict_integrand)
 from gaugelab.integrate import (DEFAULT_TOL, BochnerCertificate,
                                 NotApproximable, absolute_continuity,
                                 bochner_integrate, default_functionals,
@@ -104,6 +106,36 @@ def test_mcshane_floor_needs_two_flat_ratios():
     assert all(4 * b < 3 * a for a, b in zip(oscs, oscs[1:]))
     assert 2 * oscs[-1] >= oscs[-2]
     assert steady.status == "max-level"
+
+
+def test_depth_cap_counts_only_where_the_integrand_can_be_nonzero():
+    # the gauge is 2^-80 on [0, 1/2), where phi vanishes: a full partition
+    # needs depth 79 there, but only [1/2, 1] is bisected
+    phi = restrict_integrand(example_3f(4)["integrand"], Region.make((HALF, D1)))
+    g = Gauge.piecewise([D0, HALF, D1], [Fraction(1, 1 << 80), Fraction(1, 4)])
+    with pytest.raises(MaxDepthExceeded) as exc:
+        cousin_partition(g, max_depth=60)
+    assert exc.value.interval == Interval(D0, Dyadic(1, 60))
+    est = mcshane_integrate(phi, schedule=[g], seed=3)
+    assert len(est.trace) == 1
+    p = cousin_partition(g, tag_strategy="sampled", max_depth=60, seed=3 * 100003 + 2,
+                         support=phi.support())
+    assert is_partition(p, Interval(HALF, D1)) and is_subordinate(p, g)
+    assert est.value == riemann_sum(phi, p)
+
+
+@pytest.mark.parametrize("phi", [two_cell_step(), example_3f(3)["integrand"],
+                                 identity_integrand()], ids=["coords", "step", "poly"])
+def test_integrand_vanishing_everywhere_builds_no_partition(phi, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cousin_partition called")
+    monkeypatch.setattr(integrate, "cousin_partition", refuse)
+    nothing = restrict_integrand(phi, Region.empty())
+    assert nothing.support().is_empty()
+    est = mcshane_integrate(nothing)
+    assert est.converged
+    assert [row["oscillation"] for row in est.trace] == ["0"]
+    assert est.value == VectorValue.zero(phi.space)
 
 
 def test_indefinite_integral_additive():

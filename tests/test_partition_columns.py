@@ -13,7 +13,11 @@ Partitions must agree item for item (the same Dyadics in the same order),
 byte for byte as JSON, and on every predicate; a walk that fails must raise
 the same error about the same interval.  Gauges: constant, piecewise,
 proximity and adapted; all three tag strategies and both flavors; unit,
-non-unit, degenerate and out-of-range bases.  Item lists given to the
+non-unit, degenerate and out-of-range bases; no support, drawn regions and
+the nonzero cells of step integrands as supports.  The support cases catch a
+meets test with `<=` for `<` at either end, a node marked inside a part it
+only overlaps, and a part's right end read as closed (so a left tag there is
+kept).  Item lists given to the
 constructor (overlapping, degenerate, tags anywhere in [0,1]) are checked
 against the same item-based oracles.
 """
@@ -25,12 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded
-from gaugelab.exact import D0, D1, Dyadic, Interval, UNIT
+from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
 from gaugelab.gauges import (HENSTOCK, MCSHANE, SCHEMA, Gauge, TaggedInterval,
                              TaggedPartition, cousin_partition, is_partition, is_subordinate,
                              partition_from_json, partition_to_json)
 from gaugelab.integrands import adapted_gauge
-from reference import cousin, step_integrand
+from reference import cousin, nonzero_cells, step_integrand
 
 # -- the item-based predicates, as they were ------------------------------------
 
@@ -138,21 +142,47 @@ def outcome(build):
         return None, (type(exc).__name__, str(exc), getattr(exc, "interval", None))
 
 
+@st.composite
+def supports(draw):
+    """(region, parts): None, or a Region and the Fraction parts it was made
+    from.  Parts are drawn on grids from 2^0 to 2^-6, reaching past [0,1],
+    and may be empty, overlapping, touching or degenerate; or they are the
+    nonzero cells of a step integrand."""
+    kind = draw(st.sampled_from(["none", "parts", "step"]))
+    if kind == "none":
+        return None, None
+    if kind == "step":
+        phi = step_integrand(draw(st.sets(st.integers(1, 63), max_size=6)))
+        return phi.support(), nonzero_cells(phi)
+    exp = draw(st.integers(0, 6))
+    ends = st.integers(-(1 << exp), 3 << exp)
+    pairs = [tuple(sorted(draw(st.lists(ends, min_size=2, max_size=2))))
+             for _ in range(draw(st.integers(0, 4)))]
+    if pairs and draw(st.booleans()):
+        # one part starts where another ends
+        a, b = pairs[0]
+        pairs.append((b, b + draw(st.integers(0, 1 << exp))))
+    region = Region([Interval(Dyadic(a, exp), Dyadic(b, exp)) for a, b in pairs])
+    return region, [(Fraction(a, 1 << exp), Fraction(b, 1 << exp)) for a, b in pairs]
+
+
 # -- the tests ---------------------------------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(g=gauges(), other=gauges(), strategy=st.sampled_from(["mid", "left", "sampled"]),
        flavor=st.sampled_from([MCSHANE, HENSTOCK]), base=st.sampled_from(BASES),
        probe_base=st.sampled_from(BASES), seed=st.integers(0, 5),
-       max_depth=st.sampled_from([0, 3, 9, 40]))
+       max_depth=st.sampled_from([0, 3, 9, 40]), support=supports())
 def test_cousin_columns_match_item_walk(g, other, strategy, flavor, base, probe_base, seed,
-                                        max_depth):
+                                        max_depth, support):
+    region, parts = support
     p, err = outcome(lambda: cousin_partition(g, flavor=flavor, tag_strategy=strategy,
-                                              max_depth=max_depth, seed=seed, base=base))
+                                              max_depth=max_depth, seed=seed, base=base,
+                                              support=region))
     items, want_err = outcome(lambda: cousin(
         lambda iv, tag: g.fits(*oracle_tag_and_half_width(tag, iv)), flavor=flavor,
-        tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base))
+        tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base, support=parts))
     assert err == want_err
     if err is not None:
         return

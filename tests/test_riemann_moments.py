@@ -10,7 +10,10 @@ reference's sum in its canonical columns.
 Integrands: step values in `step_linf` and in every coordinate space kind,
 polynomial cells with ragged coefficient tuples and all-zero (restricted)
 cells.  Partitions: Cousin
-bisection under all three tag strategies and both flavors, completions of
+bisection under all three tag strategies and both flavors, with and without
+the integrand's support (on which its sum must be the full partition's, a
+check that catches a `support()` that drops a polynomial cell whose constant
+term is 0), completions of
 partial items by `extend_to_partition` (non-unit bases, degenerate items,
 tags on the integrand's breakpoints), free-tag items and the empty partition.
 """
@@ -20,6 +23,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugelab.errors import MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
                              cousin_partition, extend_to_partition)
@@ -60,7 +64,9 @@ def step_values(draw, space):
 def step_integrands(draw):
     space = draw(st.sampled_from(COORD_SPACES + [ValueSpace.step_linf(d) for d in (0, 2, 4)]))
     breaks = draw(breakpoints())
-    values = [draw(step_values(space)) for _ in breaks[1:]]
+    # some cells zero, so that a support drops them
+    values = [VectorValue.zero(space) if draw(st.integers(0, 3)) == 0
+              else draw(step_values(space)) for _ in breaks[1:]]
     return IntegrandFn.step(space, breaks, values, label="step")
 
 
@@ -70,13 +76,15 @@ def poly_integrands(draw):
     breaks = draw(breakpoints())
     cells = []
     for _ in breaks[1:]:
-        if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
             # an all-zero cell, as restrict_integrand makes them
             cells.append(tuple((Fraction(0),) for _ in range(space.dim)))
         else:
-            # coefficient tuples of different lengths per coordinate
-            cells.append(tuple(tuple(draw(st.lists(RATIONALS, min_size=1, max_size=4)))
-                               for _ in range(space.dim)))
+            # coefficient tuples of different lengths per coordinate, with
+            # every constant term zero in some cells
+            cells.append(tuple((Fraction(0),) * (kind == 1) + tuple(
+                draw(st.lists(RATIONALS, min_size=1, max_size=4))) for _ in range(space.dim)))
     return IntegrandFn.poly(space, breaks, cells, label="poly")
 
 
@@ -122,12 +130,14 @@ def tags_for(phi):
 
 @st.composite
 def partitions(draw, phi):
+    """(p, full): a partition, and the full Cousin partition when p is one
+    built on phi's support (None otherwise, or if the full one cannot be built)."""
     flavor = draw(st.sampled_from([MCSHANE, HENSTOCK]))
     strategy = draw(st.sampled_from(["mid", "left", "sampled"]))
     seed = draw(st.integers(0, 5))
     kind = draw(st.sampled_from(["cousin", "extended", "free", "empty"]))
     if kind == "empty":
-        return TaggedPartition([], flavor)
+        return TaggedPartition([], flavor), None
     if kind == "free":
         # free tags, overlapping and degenerate intervals: the sum does not care
         items = []
@@ -135,10 +145,18 @@ def partitions(draw, phi):
             a, b = sorted(draw(st.lists(st.integers(0, 32), min_size=2, max_size=2)))
             items.append(TaggedInterval(Interval(Dyadic(a, 5), Dyadic(b, 5)),
                                         draw(tags_for(phi))))
-        return TaggedPartition(items, flavor)
+        return TaggedPartition(items, flavor), None
     if kind == "cousin":
         g = gauges_for(phi, draw, adapted=True)
-        return cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=seed)
+        support = draw(st.sampled_from([None, phi.support()]))
+        p = cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=seed,
+                             support=support)
+        if support is None:
+            return p, None
+        try:
+            return p, cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=seed)
+        except MaxDepthExceeded:
+            return p, None
     # the proximity (adapted) gauge needs bisection to land on each breakpoint,
     # which a gap whose width is not a power of two may never do, so it is
     # drawn only for the unit base
@@ -151,7 +169,7 @@ def partitions(draw, phi):
         lo, hi = Dyadic(a, 4), Dyadic(b, 4)
         partial.append(TaggedInterval(Interval(lo, hi), draw(tags_for(phi))))
         partial.append(TaggedInterval(Interval(hi, hi), draw(tags_for(phi))))
-    return extend_to_partition(partial, g, flavor=flavor, tag_strategy=strategy, seed=seed)
+    return extend_to_partition(partial, g, flavor=flavor, tag_strategy=strategy, seed=seed), None
 
 
 # -- the tests ----------------------------------------------------------------------------
@@ -161,7 +179,13 @@ def partitions(draw, phi):
 @given(st.data())
 def test_riemann_sum_matches_per_item_sum(data):
     phi = data.draw(integrands())
-    p = data.draw(partitions(phi))
+    support = phi.support()
+    assert ([(Fraction(a, 1 << support.exp), Fraction(b, 1 << support.exp))
+             for a, b in zip(support.lo, support.hi)] == ref.region(ref.nonzero_cells(phi)))
+    p, full = data.draw(partitions(phi))
     got = riemann_sum(phi, p)
     assert got.space == phi.space
     assert (got.keys, got.nums, got.den) == ref.columns(phi.space, ref.riemann_sum(phi, p.items))
+    # the items of the full partition that miss the support add 0
+    if full is not None:
+        assert got == riemann_sum(phi, full)
