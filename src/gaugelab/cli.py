@@ -121,26 +121,24 @@ def geometric_blocks(count: int) -> list[Region]:
 
 def cmd_integrate(args):
     built = build_integrand(args)
-    phi = built["integrand"]
+    phi, exact = built["integrand"], built["exact_integral"]
     est = mcshane_integrate(
         phi, schedule=args.schedule, tol=args.tol, trials_per_level=args.trials,
         max_levels=args.max_levels, seed=args.seed, flavor=args.flavor,
     )
+    err = distance(est.value, exact)
+    within_tol = bool(err.hi <= args.tol + est.oscillation)
     result = {
         "integrand": phi,
         "status": est.status,
         "value": est.value,
         "oscillation": est.oscillation,
         "trace": est.trace,
+        "exact_integral": exact,
+        "error_vs_exact": err,
+        "within_tol": within_tol,
     }
-    exact = built.get("exact_integral")
-    if exact is not None:
-        err = distance(est.value, exact)
-        result["exact_integral"] = exact
-        result["error_vs_exact"] = err
-        result["within_tol"] = bool(err.hi <= args.tol + est.oscillation)
-    code = 0 if est.converged else 1
-    return code, result, est.trace
+    return (0 if est.converged and within_tol else 1), result, est.trace
 
 
 def cmd_pettis(args):
@@ -161,8 +159,7 @@ def cmd_series(args):
     result = dict(out, integrand=phi, blocks=blocks)
     result["tail_below_tol"] = out["pass"]
     ok = out["pass"]
-    exact = built.get("exact_integral")
-    if exact is not None and args.fn == "3g":
+    if args.fn == "3g":
         # blocks hit pairwise-disjoint coordinates, so the worst late-window
         # gap is the l2 tail starting at the window; for this slow decay the
         # formula match is the check, not tail_max <= tol (that would need
@@ -203,43 +200,30 @@ def cmd_abscont(args):
 
 def cmd_lln(args):
     built = build_integrand(args)
-    phi = built["integrand"]
+    phi, exact = built["integrand"], built["exact_integral"]
     rep = talagrand_integrate(phi, seed=args.seed, n=args.n, batches=args.batches)
-    result = {
+    sqrt_n = sqrt_enclosure(Fraction(args.n))
+    rows = []
+    for i, (mean, var) in enumerate(zip(rep.means, rep.variances)):
+        err = distance(mean, exact).hi
+        sigma = sqrt_enclosure(var).hi
+        limit = 3 * sigma / sqrt_n.lo
+        rows.append({"batch": i, "error": err, "sigma": sigma,
+                     "limit": limit, "within": bool(err <= limit)})
+    within = sum(row["within"] for row in rows)
+    pooled_err = distance(rep.pooled, exact).hi
+    ok = bool(10 * within >= 9 * args.batches and pooled_err <= Fraction(1, 100))
+    return (0 if ok else 1), {
         "integrand": phi,
-        "n": rep.n,
-        "batches": rep.batches,
-        "exact_counting_path": rep.exact,
+        "n": args.n,
+        "batches": args.batches,
         "pooled": rep.pooled,
         "spread": rep.spread,
-    }
-    rows = []
-    code = 0
-    exact = built.get("exact_integral")
-    if exact is not None:
-        sqrt_n = sqrt_enclosure(Fraction(rep.n))
-        within = 0
-        for i, (mean, var) in enumerate(zip(rep.means, rep.variances)):
-            err = distance(mean, exact).hi
-            sigma = sqrt_enclosure(var).hi
-            limit = 3 * sigma / sqrt_n.lo
-            ok = err <= limit
-            within += ok
-            rows.append({"batch": i, "error": err, "sigma": sigma,
-                         "limit": limit, "within": bool(ok)})
-        pooled_err = distance(rep.pooled, exact).hi
-        result.update({
-            "exact_integral": exact,
-            "batches_within_3_sigma": within,
-            "pooled_error": pooled_err,
-            "pass": bool(10 * within >= 9 * rep.batches
-                         and pooled_err <= Fraction(1, 100)),
-        })
-        code = 0 if result["pass"] else 1
-    else:
-        rows = [{"batch": i, "sigma": sqrt_enclosure(v).hi}
-                for i, v in enumerate(rep.variances)]
-    return code, result, rows
+        "exact_integral": exact,
+        "batches_within_3_sigma": within,
+        "pooled_error": pooled_err,
+        "pass": ok,
+    }, rows
 
 
 def cmd_bochner(args):
@@ -621,6 +605,8 @@ def resolve_args(args: argparse.Namespace) -> dict:
 
 def _failure_reason(command: str, result: dict) -> str:
     """One line saying why a check that ran to its end did not pass."""
+    if result.get("within_tol") is False and result["status"] == "converged":
+        return f"{command}: within_tol false"
     for key in ("status", "kind", "comparison"):
         if key in result:
             return f"{command}: {key} {result[key]}"

@@ -6,10 +6,10 @@ empirical means) always state the finite protocol that produced them: a
 convergence status is relative to the gauge schedule that was run, never a
 claim about all gauges.
 
-Riemann sums over a dyadic partition are regrouped by integrand cell: one
-integer pass over the partition's columns adds up per-cell lengths or power
-moments, so rationals enter once per cell, not once per item, and the result
-is the same exact value as the per-item sum.
+Riemann sums and empirical means are regrouped by integrand cell: one integer
+pass over a partition's columns, or over seeded uniforms k / 2^53 with k an
+int, adds up per-cell lengths, counts or power moments, so rationals enter
+once per cell, not once per item or sample, and the result is exact.
 
 Gauge sums bisect only where the integrand can be nonzero: Cousin bisection
 is handed the integrand's support and builds only the items that meet it.
@@ -41,7 +41,7 @@ from .integrands import (
     restrict_integrand,
 )
 from .rng import stream, uniform_blocks
-from .spaces import (L1, LINF, DualFunctional, ValueSpace, VectorValue, distance,
+from .spaces import (L1, L2, LINF, DualFunctional, ValueSpace, VectorValue, distance,
                      linear_combination, sqrt_enclosure)
 
 DEFAULT_TOL = Fraction(1, 1 << 10)
@@ -60,8 +60,8 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
     in ints over the values' columns (see `linear_combination`).  A
     polynomial integrand adds up the int moments S_k = sum w * a^k of each
     cell; coordinate j is then sum over cells and k of c_jk * S_k /
-    2^(e(k+1)).  Cells whose coefficients are all zero keep no moments, and
-    zero-length items add nothing.
+    2^(e(k+1)) (`_poly_sums`).  Cells whose coefficients are all zero keep no
+    moments, and zero-length items add nothing.
     """
     e = p.exp
     cell_at = phi.cell_at
@@ -82,16 +82,25 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
             for k in range(len(s)):
                 s[k] += w
                 w *= a
-    # put every S_k over the common denominator 2^(e * top)
-    top = max(orders, default=0)
-    coords = [Fraction(0)] * phi.space.dim
-    for cell, s in zip(phi.polys, moments):
-        scaled = [m << (e * (top - 1 - k)) for k, m in enumerate(s)]
+    nums, den = _poly_sums(phi.polys, moments, e)
+    return VectorValue(phi.space, tuple(Fraction(x, den << e) for x in nums))
+
+
+def _poly_sums(polys, moments, e: int) -> tuple[list[int], int]:
+    """(nums, den) with nums[j] / den the sum over cells c and powers k of
+    a_cjk S_ck / 2^(e k), for the coefficient lists polys[c][j] and the int
+    moments S_c of each cell.  In ints: the coefficients over the lcm of
+    their denominators, and each S_k over 2^(e (top - 1)), top the length of
+    the longest moment list."""
+    top = max([1, *map(len, moments)])
+    den = lcm(*(c.denominator for cell in polys for p in cell for c in p))
+    nums = [0] * len(polys[0])
+    for cell, s in zip(polys, moments):
+        scaled = [m << e * (top - 1 - k) for k, m in enumerate(s)]
         for j, coeffs in enumerate(cell):
-            for c, m in zip(coeffs, scaled):
-                coords[j] += c * m
-    den = 1 << (e * top)
-    return VectorValue(phi.space, tuple(x / den for x in coords))
+            nums[j] += sum(c.numerator * (den // c.denominator) * m
+                           for c, m in zip(coeffs, scaled))
+    return nums, den << e * (top - 1)
 
 
 # -- gauge-limit integration ---------------------------------------------------
@@ -491,90 +500,95 @@ def _refined_grid(phi: IntegrandFn, depth: int) -> tuple[int, list[int]]:
 @dataclass
 class TalagrandReport:
     means: list[VectorValue]
-    variances: list[Fraction]  # per-batch sample variance in the space norm
+    variances: list[Fraction]  # per batch, the sum of ||x - mean||^2 over n - 1
     pooled: VectorValue
     spread: Fraction  # max pairwise distance between batch means
-    n: int
-    batches: int
-    seed: int
-    exact: bool  # True when the counting path produced exact rational means
 
 
-def _float_breaks(phi: IntegrandFn) -> np.ndarray:
-    """The interior keys over 2^exp, each correctly rounded, as float(Dyadic) is."""
-    one = 1 << phi.exp
-    return np.array([k / one for k in phi.keys[1:-1]], dtype=np.float64)
+# the largest n of a batch: memory is flat in n and time linear; at the cap
+# one batch takes about 0.02 s (`identity`), 0.7 s (degree 2) or 0.9 s (`3f`)
+MAX_N = 1_000_000
 
 
-# the largest n of a float-path batch: at 10^6 one batch of the identity
-# integrand raises the peak RSS by about 47 MB, a 2-coordinate one by 61 MB
-MAX_FLOAT_N = 1_000_000
+def _sample_cuts(phi: IntegrandFn) -> np.ndarray:
+    """The interior keys as int cuts: a uniform k / 2^53 lies at or past the
+    break key / 2^exp iff k >= ceil(key 2^53 / 2^exp)."""
+    s = 53 - phi.exp
+    return np.array([k << s if s >= 0 else -(-k >> -s) for k in phi.keys[1:-1]], np.int64)
+
+
+def _power_sums(ks: np.ndarray, top: int) -> list[int]:
+    """[sum of k^j over the block ks for j = 0..top], exactly.  Up to top = 2
+    in int64: k splits into 27 high and 26 low bits, whose products are below
+    2^54, so runs of 256 add them up below 2^62, and Python ints add the
+    runs.  Past that the powers are Python ints."""
+    if top > 2:
+        big = ks.astype(object)
+        return [int((big ** j).sum()) for j in range(top + 1)]
+    hi, lo, runs = ks >> 26, ks & 0x3FFFFFF, np.arange(0, len(ks), 256)
+    hh, hl, ll = (sum(np.add.reduceat(a * b, runs).tolist())
+                  for a, b in ((hi, hi), (hi, lo), (lo, lo)))
+    return [len(ks), (int(hi.sum()) << 26) + int(lo.sum()), (hh << 52) + (hl << 27) + ll][:top + 1]
+
+
+def _squared_distance(u: VectorValue, v: VectorValue) -> Fraction:
+    """||u - v||^2 in the space's norm, exactly."""
+    if u.space.norm != L2:
+        return distance(u, v).hi ** 2
+    d = u - v
+    return Fraction(sum(x * x for x in d.nums), d.den * d.den)
 
 
 def talagrand_integrate(
     phi: IntegrandFn, seed: int = 0, n: int = 10_000, batches: int = 30
 ) -> TalagrandReport:
-    """Empirical means of phi over seeded uniform samples, batch by batch.
+    """Exact empirical means and variances of phi, batch by batch.
 
-    Piecewise-step integrands take the exact path: batch b counts samples per
-    piece (integer histogram, backend-invariant), block by block, so means
-    and dispersions are exact rationals and memory does not grow with n.
-    Polynomial integrands evaluate in float64; the rounding noise is
-    ~n*2^-52, far below any tolerance used here.  Their batch mean is one
-    numpy mean over all n values, which a blockwise sum would round
-    differently, so n is capped at MAX_FLOAT_N there.
+    Batch b reads its n uniforms from stream (seed, b + 1) in blocks, so
+    memory does not grow with n.  Each is k / 2^53 for an int k, so its cell
+    comes from the int cuts of `_sample_cuts`.  A step integrand counts
+    samples per cell; a polynomial one of degree D adds up the power sums of
+    k to 2D per cell, which give each coordinate's sum and sum of squares.
+    The variance of both classes is the sum of ||x - mean||^2 in the space's
+    norm over n - 1 (0 for n = 1); a polynomial's in l2, the norm of every
+    polynomial integrand the CLI builds (another norm raises).
     """
-    cuts = _float_breaks(phi)
-    if phi.klass == STEP:
-        means: list[VectorValue] = []
-        variances: list[Fraction] = []
-        pooled_counts = np.zeros(len(phi.values), dtype=np.int64)
-        for b in range(batches):
-            counts = np.zeros(len(phi.values), dtype=np.int64)
-            for u in uniform_blocks(seed, b + 1, n, 1):
-                counts += _kernels.piece_counts(u.ravel(), cuts)
-            pooled_counts += counts
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
+    poly, cuts, cells = phi.klass != STEP, _sample_cuts(phi), len(phi.keys) - 1
+    if poly and phi.space.norm != L2:
+        raise ValueError(f"a polynomial's variance is taken in l2, not {phi.space.norm}")
+    top = 2 * max(len(p) for cell in phi.polys for p in cell) - 2 if poly else 0
+    # per cell, the coordinate polynomials and then their squares (exact, as
+    # numpy convolves Fraction coefficients as Python objects)
+    polys = [[*cell, *(np.convolve(p, p).tolist() for p in cell)] for cell in phi.polys or ()]
+    means, variances = [], []
+    for b in range(batches):
+        counts = np.zeros(cells, dtype=np.int64)
+        sums = [[0] * (top + 1)] * cells
+        for u in uniform_blocks(seed, b + 1, n, 1):
+            ks = (u.ravel() * 2.0 ** 53).astype(np.int64)
+            got = _kernels.piece_counts(ks, cuts) if cells > 1 else np.array([len(ks)])
+            counts += got
+            if poly:  # each cell's samples, as one run of the sorted block
+                runs = [ks] if cells == 1 else np.split(np.sort(ks), np.cumsum(got)[:-1])
+                sums = [[x + y for x, y in zip(s, _power_sums(r, top))] if len(r) else s
+                        for s, r in zip(sums, runs)]
+        if poly:
+            nums, den = _poly_sums(polys, sums, 53)
+            t, q = nums[:phi.space.dim], nums[phi.space.dim:]
+            mean = VectorValue.coords(phi.space, [Fraction(x, n * den) for x in t])
+            scatter = Fraction(n * den * sum(q) - sum(x * x for x in t), n * den * den)
+        else:
             mean = linear_combination(phi.space, (
                 (Fraction(c, n), val) for c, val in zip(counts.tolist(), phi.values) if c))
-            means.append(mean)
-            # sum c * distance^2 in ints, over the square of the lcm of the
-            # distances' denominators
-            dists = [(c, distance(val, mean).hi)
-                     for c, val in zip(counts.tolist(), phi.values) if c]
-            den = lcm(*(d.denominator for _, d in dists))
-            var = Fraction(sum(c * (d.numerator * (den // d.denominator)) ** 2
-                               for c, d in dists), den * den)
-            variances.append(var / (n - 1) if n > 1 else Fraction(0))
-        total = n * batches
-        pooled = linear_combination(phi.space, (
-            (Fraction(int(c), total), val)
-            for c, val in zip(pooled_counts.tolist(), phi.values) if c))
-        exact = True
-    else:
-        if n > MAX_FLOAT_N:
-            raise ValueError(f"n must be at most {MAX_FLOAT_N} for a polynomial integrand, "
-                             f"whose float values are averaged in one array; got {n}")
-        means = []
-        variances = []
-        acc = None
-        cells = [[[float(c) for c in coeffs] for coeffs in cell] for cell in phi.polys]
-        for b in range(batches):
-            u = stream(seed, b + 1).random(n)
-            vals = _kernels.piecewise_poly(u, cuts, cells)
-            mean_vec = vals.mean(axis=0)
-            err = vals - mean_vec
-            sigma2 = float((err * err).sum(axis=1).mean()) * n / max(n - 1, 1)
-            means.append(
-                VectorValue.coords(phi.space, [Fraction(float(x)) for x in mean_vec])
-            )
-            variances.append(Fraction(sigma2))
-            acc = mean_vec if acc is None else acc + mean_vec
-        pooled = VectorValue.coords(
-            phi.space, [Fraction(float(x / batches)) for x in acc]
-        )
-        exact = False
-    return TalagrandReport(means, variances, pooled, _max_distance(means), n, batches, seed,
-                           exact)
+            scatter = sum((c * _squared_distance(val, mean)
+                           for c, val in zip(counts.tolist(), phi.values) if c), Fraction(0))
+        means.append(mean)
+        variances.append(scatter / (n - 1) if n > 1 else Fraction(0))
+    # every batch has n samples, so the pooled mean is the mean of the means
+    pooled = linear_combination(phi.space, ((Fraction(1, batches), m) for m in means))
+    return TalagrandReport(means, variances, pooled, _max_distance(means))
 
 
 # -- simple-function integration ---------------------------------------------------

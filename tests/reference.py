@@ -8,6 +8,7 @@ cell of its space's grid.  An integrand is read through its keys, and its
 cells are found by linear scan."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -107,6 +108,8 @@ def nonzero_cells(phi) -> list[tuple[Fraction, Fraction]]:
 
 
 def _q(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     return x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
 
 
@@ -283,6 +286,29 @@ def at(phi, t) -> tuple[Fraction, ...]:
         return cells(phi.values[i])
     return tuple(sum((c * t ** k for k, c in enumerate(coeffs)), Fraction(0))
                  for coeffs in phi.polys[i])
+
+
+def empirical(phi, samples) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(mean, variance) of phi over the samples, Fractions in [0, 1]: the
+    mean of phi(x), and the sum of ||phi(x) - mean||^2 over n - 1 (0 for one
+    sample), the square taken in the space's norm (in l2 the sum of the
+    squared coordinates).  A step integrand's equal terms are added up per
+    cell, each sample's cell found by the linear scan."""
+    n = len(samples)
+    if phi.values is not None:
+        bs = breaks(phi)
+        terms = [(m, cells(phi.values[i]))
+                 for i, m in Counter(cell(bs, t) for t in samples).items()]
+    else:
+        terms = [(1, at(phi, t)) for t in samples]
+    mean = tuple(x / n for x in combination(phi.space, terms))
+    if phi.space.norm == "l2":
+        scatter = sum((m * sum((x - y) ** 2 for x, y in zip(xs, mean)) for m, xs in terms),
+                      Fraction(0))
+    else:
+        scatter = sum((m * distance(phi.space, xs, mean)[1] ** 2 for m, xs in terms),
+                      Fraction(0))
+    return mean, scatter / (n - 1) if n > 1 else Fraction(0)
 
 
 def restrict(phi, parts) -> tuple[list[Fraction], list]:

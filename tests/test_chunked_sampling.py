@@ -1,30 +1,45 @@
 """Chunked sampling against the one-shot draws it replaced.
 
-`z_measure_mc` and the exact step path of `talagrand_integrate` read their
-uniforms block by block from one stream (`rng.uniform_blocks`) and add up
-integer counts.  The oracles are the versions that drew every sample in one
-array, copied in below; hit counts and whole reports must be equal.  Sample
-counts are drawn below one block, at exactly k blocks and at k blocks plus
-one, for every family kind and m + n from 2 to 6.
+`z_measure_mc` and `talagrand_integrate` read their uniforms block by block
+from one stream (`rng.uniform_blocks`).  `z_measure_mc` adds up integer hit
+counts; its oracle is the version that drew every sample in one array,
+copied in below, and hit counts must be equal.  `talagrand_integrate` adds
+up per-cell counts or int power sums; its oracle is `reference.empirical`
+over each batch's one draw, each sample read as a Fraction, and the means,
+variances, pooled mean and spread must be equal.  Sample counts are drawn
+below one block, at exactly k blocks and at k blocks plus one: for
+`z_measure_mc` at the real block size, for every family kind and m + n from
+2 to 6; for `talagrand_integrate` at block sizes of 1 to 64 uniforms, with
+examples at the real block size.  Its integrands are step and polynomial
+ones (degrees 0-3, one to three coordinates) broken at samples themselves
+and 2^-60 either side of one, so a cut compared the wrong way shows.
+
+Mutations `test_talagrand_matches_fraction_means` catches (each run once on
+a scratch copy): the power-sum shift or the split of k off by one bit; the
+cross products not doubled; earlier blocks' sums or counts dropped;
+`side="left"` at a cut; n for n - 1 in the variance; floor for ceil in the
+int cut; a block of several cells left unsorted; a square's top coefficient
+dropped; the Python-int power sums one short; runs of 256 widened to a whole
+block, so that int64 wraps (caught by an example at the real block size).
 """
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaugelab import _kernels
-from gaugelab.exact import UNIT_REGION, parse_region
+from gaugelab import _kernels, rng
+from gaugelab.exact import D0, D1, Dyadic, parse_region
 from gaugelab.gallery import example_3f, example_3g
-from gaugelab.integrands import STEP, poly_integrand
-from gaugelab.integrate import (_float_breaks, _max_distance, default_functionals,
-                                talagrand_integrate)
+from gaugelab.integrands import STEP, IntegrandFn, identity_integrand, poly_integrand
+from gaugelab.integrate import default_functionals, talagrand_integrate
 from gaugelab.rng import BLOCK_ELEMENTS, stream, uniform_blocks
-from gaugelab.spaces import distance, linear_combination
+from gaugelab.spaces import ValueSpace, VectorValue
 from gaugelab.stability import (FunctionFamily, ZQuery, _floats, _region_arrays,
                                 family_from_integrand, z_measure_mc)
+import reference as ref
 
 
 def oracle_draw_points(region, samples, cols, seed):
@@ -71,41 +86,13 @@ def oracle_hits(A, q, samples, seed):
     return oracle_count_hits(A, t_pts, u_pts, q.alpha, q.beta)
 
 
-def oracle_step_talagrand(phi, seed, n, batches):
-    """(means, variances, pooled, spread) of the exact path, one draw per batch."""
-    cuts = _float_breaks(phi)
-    means, variances = [], []
-    pooled_counts = np.zeros(len(phi.values), dtype=np.int64)
-    for b in range(batches):
-        u = stream(seed, b + 1).random(n)
-        counts = _kernels.piece_counts(u, cuts)
-        pooled_counts += counts
-        mean = linear_combination(phi.space, (
-            (Fraction(c, n), val) for c, val in zip(counts.tolist(), phi.values) if c))
-        means.append(mean)
-        dists = [(c, distance(val, mean).hi)
-                 for c, val in zip(counts.tolist(), phi.values) if c]
-        den = lcm(*(d.denominator for _, d in dists))
-        var = Fraction(sum(c * (d.numerator * (den // d.denominator)) ** 2
-                           for c, d in dists), den * den)
-        variances.append(var / (n - 1) if n > 1 else Fraction(0))
-    total = n * batches
-    pooled = linear_combination(phi.space, (
-        (Fraction(int(c), total), val)
-        for c, val in zip(pooled_counts.tolist(), phi.values) if c))
-    return means, variances, pooled, _max_distance(means)
-
-
-def block_rows(cols):
-    return max(1, BLOCK_ELEMENTS // cols)
-
-
 @st.composite
-def sample_counts(draw, cols, floor=1):
+def sample_counts(draw, cols, floor=1, block=BLOCK_ELEMENTS):
     """Below one block, exactly k blocks, or k blocks plus one row."""
-    step = block_rows(cols)
+    step = max(1, block // cols)
     k = draw(st.integers(1, 3))
-    return draw(st.sampled_from([draw(st.integers(floor, step - 1)), k * step, k * step + 1]))
+    below = [draw(st.integers(floor, step - 1))] if step > floor else []
+    return draw(st.sampled_from(below + [k * step, k * step + 1]))
 
 
 def trace(phi, count):
@@ -146,25 +133,93 @@ def test_chunked_z_measure_matches_one_draw(case):
     assert res["hits"] == oracle_hits(fam, q, samples, seed), (kind, q, samples)
 
 
+def talagrand_matches_reference(phi, seed, n, batches, block):
+    """talagrand_integrate, reading blocks of `block` uniforms, gives the
+    reference's empirical means and variances of each batch's one draw, and
+    its pooled mean and spread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "BLOCK_ELEMENTS", block)
+        rep = talagrand_integrate(phi, seed=seed, n=n, batches=batches)
+    draws = [[Fraction(u) for u in stream(seed, b + 1).random(n).tolist()]
+             for b in range(batches)]
+    for b, xs in enumerate(draws):
+        mean, variance = ref.empirical(phi, xs)
+        assert ref.cells(rep.means[b]) == mean, b
+        assert rep.variances[b] == variance, b
+    assert ref.cells(rep.pooled) == ref.empirical(phi, sum(draws, []))[0]
+    assert rep.spread == ref.spread(phi.space, [ref.cells(m) for m in rep.means])
+
+
 @st.composite
 def talagrand_cases(draw):
     phi = draw(st.sampled_from([example_3f(4)["integrand"], example_3g(6)["integrand"]]))
-    return phi, draw(sample_counts(1, floor=1)), draw(st.integers(1, 3)), \
-        draw(st.integers(0, 2**31))
+    block = draw(st.sampled_from([1, 5, 64]))
+    return phi, draw(st.integers(0, 2**31)), draw(sample_counts(1, block=block)), \
+        draw(st.integers(1, 3)), block
 
 
 @settings(max_examples=30, deadline=None)
 @given(talagrand_cases())
+@example((example_3g(6)["integrand"], 5, 2 * BLOCK_ELEMENTS + 1, 1, BLOCK_ELEMENTS))
 def test_chunked_step_talagrand_matches_one_draw(case):
-    phi, n, batches, seed = case
-    assert phi.klass == STEP
-    rep = talagrand_integrate(phi, seed=seed, n=n, batches=batches)
-    assert rep.exact
-    means, variances, pooled, spread = oracle_step_talagrand(phi, seed, n, batches)
-    assert rep.means == means
-    assert rep.variances == variances
-    assert rep.pooled == pooled
-    assert rep.spread == spread
+    assert case[0].klass == STEP
+    talagrand_matches_reference(*case)
+
+
+RATIONALS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+                             Fraction(-5, 7), Fraction(3, 2), Fraction(1, 1024)])
+STEP_SPACES = [ValueSpace.findim(1, "l2"), ValueSpace.findim(2, "l1"),
+               ValueSpace.findim(3, "linf"), ValueSpace.seq_l2(2), ValueSpace.step_linf(2)]
+POLY_SPACES = [ValueSpace.findim(1, "l2"), ValueSpace.findim(3, "l2"), ValueSpace.seq_l2(2)]
+
+
+@st.composite
+def sampled_integrands(draw, samples):
+    """A step or polynomial integrand (degrees 0-3) broken at up to four
+    points: samples themselves, points 2^-60 before or past a sample, and
+    dyadics of exponent 1-8."""
+    points = set()
+    for _ in range(draw(st.integers(0, 4))):
+        e = draw(st.integers(1, 8))
+        x = draw(st.one_of(
+            st.builds(lambda u, d: u + d, st.sampled_from(samples),
+                      st.sampled_from([0, Fraction(1, 1 << 60), -Fraction(1, 1 << 60)])),
+            st.builds(Fraction, st.integers(1, (1 << e) - 1), st.just(1 << e))))
+        if 0 < x < 1:
+            points.add(x)
+    breaks = [D0, *(Dyadic.from_fraction(x) for x in sorted(points)), D1]
+    cells = len(breaks) - 1
+    if draw(st.booleans()):
+        space = draw(st.sampled_from(STEP_SPACES))
+        if space.is_step:
+            levels = [VectorValue.step(space, [D0, Dyadic(1, 1), D1],
+                                       draw(st.lists(RATIONALS, min_size=2, max_size=2)))
+                      for _ in range(cells)]
+        else:
+            levels = [VectorValue.coords(space, draw(st.lists(
+                RATIONALS, min_size=space.dim, max_size=space.dim))) for _ in range(cells)]
+        return IntegrandFn.step(space, breaks, levels)
+    space = draw(st.sampled_from(POLY_SPACES))
+    return IntegrandFn.poly(space, breaks, [
+        [draw(st.lists(RATIONALS, min_size=1, max_size=4)) for _ in range(space.dim)]
+        for _ in range(cells)])
+
+
+@st.composite
+def empirical_cases(draw):
+    block = draw(st.sampled_from([1, 4, 16]))
+    seed, n = draw(st.integers(0, 2**31)), draw(sample_counts(1, block=block))
+    samples = [Fraction(u) for u in stream(seed, 1).random(n).tolist()]
+    return draw(sampled_integrands(samples)), seed, n, draw(st.integers(1, 3)), block
+
+
+@settings(max_examples=150, deadline=None)
+@given(empirical_cases())
+@example((identity_integrand(), 3, BLOCK_ELEMENTS, 1, BLOCK_ELEMENTS))
+@example((poly_integrand([[Fraction(1, 3), -1], [0, 0, 2]]), 8, BLOCK_ELEMENTS + 1, 1,
+          BLOCK_ELEMENTS))
+def test_talagrand_matches_fraction_means(case):
+    talagrand_matches_reference(*case)
 
 
 @settings(max_examples=30, deadline=None)

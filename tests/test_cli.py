@@ -462,3 +462,24 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     assert cli.main(["lln", "--fn", "identity"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: lln ran out of memory: Unable to allocate 7.45 GiB for an array"]
+
+
+def test_integrate_exits_1_when_its_error_passes_tol(monkeypatch, capsys, tmp_path):
+    # every Riemann sum doubled: the run still converges, but its error
+    # against the exact integral is far past tol
+    from gaugelab import cli, integrate
+    riemann_sum = integrate.riemann_sum
+    monkeypatch.setattr(integrate, "riemann_sum", lambda phi, p: riemann_sum(phi, p) * 2)
+    out = tmp_path / "doubled.json"
+    argv = ["integrate", "--fn", "3g", "--R", "16", "--tol", "2^-12", "--seed", "7"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["check failed: integrate: within_tol false"]
+    result = json.loads(out.read_text())["result"]
+    assert result["status"] == "converged" and result["within_tol"] is False
+
+
+def test_lln_on_a_constant_polynomial_passes(tmp_path):
+    # every sample of 1/3 is 1/3 exactly: no batch strays and the variance is 0
+    doc = run_json(tmp_path, "third", "lln", "--fn", "poly:1/3", "--batches", "5", "--n", "100")
+    assert doc["result"]["batches_within_3_sigma"] == 5
+    assert doc["result"]["pooled_error"] == "0"

@@ -23,11 +23,11 @@ from gaugelab.gallery import example_3f
 from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
                              _sampled_tag, cousin_partition, is_subordinate, partition_to_json)
 from gaugelab.integrands import adapted_gauge, poly_integrand, restrict_integrand
+from gauge_draws import gauge_specs, make_gauge
 from reference import cousin, sampled_tag
 
 WIDTHS = [Fraction(1, 5), Fraction(1, 12), Fraction(1, 4), Fraction(3, 16), Fraction(1, 3),
           Fraction(1), Fraction(1, 1024), Fraction(5, 2)]
-widths = st.sampled_from(WIDTHS)
 # exponents 0..6 with numerators reaching past both ends of [0,1]
 dyadics = st.builds(Dyadic, st.integers(-40, 100), st.integers(0, 6))
 
@@ -35,30 +35,10 @@ dyadics = st.builds(Dyadic, st.integers(-40, 100), st.integers(0, 6))
 # -- gauges and their widths in Fractions ----------------------------------------
 
 
-@st.composite
-def gauge_specs(draw):
-    kind = draw(st.sampled_from(["const", "piecewise", "proximity"]))
-    if kind == "const":
-        return kind, draw(widths)
-    if kind == "piecewise":
-        depth = draw(st.integers(0, 6))
-        n = 1 << depth
-        interior = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=6))) if n > 1 else []
-        breaks = [Dyadic(k, depth) for k in [0] + interior + [n]]
-        return kind, (breaks, draw(st.lists(widths, min_size=len(breaks) - 1,
-                                            max_size=len(breaks) - 1)))
-    # breakpoints k / 2^e with k reaching past both ends of [0,1]
-    keys = draw(st.lists(st.integers(-40, 100), max_size=6))
-    return kind, (draw(st.integers(0, 6)), keys, draw(widths), draw(widths))
-
-
-def make_gauge(spec) -> Gauge:
-    kind, params = spec
-    if kind == "const":
-        return Gauge.const(params)
-    if kind == "piecewise":
-        return Gauge.piecewise(*params)
-    return Gauge.proximity(*params)
+# piecewise depths 0-6 with up to six interior breaks; proximity exponents
+# 0-6 with up to six keys reaching past both ends of [0,1]
+specs = gauge_specs(WIDTHS, depths=(0, 6), breaks=6, keys=(-40, 100), key_count=6,
+                    exps=(0, 6))
 
 
 def delta_of(spec, tq: Fraction) -> Fraction:
@@ -107,7 +87,7 @@ def probes(draw, spec):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fit_test_matches_fraction_widths(data):
-    spec = data.draw(gauge_specs())
+    spec = data.draw(specs)
     g = make_gauge(spec)
     for _ in range(12):
         t, d, e = data.draw(probes(spec))
@@ -118,7 +98,7 @@ def test_fit_test_matches_fraction_widths(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_is_subordinate_matches_fraction_walls(data):
-    spec = data.draw(gauge_specs())
+    spec = data.draw(specs)
     g = make_gauge(spec)
     for _ in range(8):
         t, d, e = data.draw(probes(spec))
@@ -135,7 +115,7 @@ def test_is_subordinate_matches_fraction_walls(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(spec=gauge_specs(), k=st.integers(0, 12))
+@given(spec=specs, k=st.integers(0, 12))
 def test_level_set_matches_fraction_widths(spec, k):
     """level_set(k) holds a point iff delta there is at least 2^-k.  Every
     edge of the set lies on the 2^-E grid, E the finest exponent among the
@@ -175,7 +155,7 @@ BASES = [UNIT, Interval(Dyadic(1, 2), Dyadic(3, 2)), Interval(Dyadic(3, 3), D1),
 
 
 @settings(max_examples=250, deadline=None)
-@given(spec=gauge_specs(), strategy=st.sampled_from(["mid", "left", "sampled"]),
+@given(spec=specs, strategy=st.sampled_from(["mid", "left", "sampled"]),
        flavor=st.sampled_from([MCSHANE, HENSTOCK]), base=st.sampled_from(BASES),
        seed=st.integers(0, 5), max_depth=st.integers(0, 9))
 def test_cousin_partition_matches_fraction_bisection(spec, strategy, flavor, base, seed,

@@ -25,13 +25,11 @@ from hypothesis import strategies as st
 from gaugelab import gauges
 from gaugelab.exact import D0, D1, Dyadic, Interval, UNIT
 from gaugelab.gauges import Gauge, cousin_partition, partition_to_json
-from gaugelab.integrands import adapted_gauge
-from reference import step_integrand
+from gauge_draws import gauge_specs, make_gauge
 
 # powers of two meet node half-widths exactly; the rest do not
 WIDTHS = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 2), Fraction(1),
           Fraction(1, 5), Fraction(1, 12), Fraction(3, 16), Fraction(5, 2), Fraction(1, 1024)]
-widths = st.sampled_from(WIDTHS)
 TREE_DEPTH = 5
 TAG_BITS = 6
 
@@ -39,22 +37,8 @@ BASES = [UNIT, Interval(Dyadic(-1, 1), Dyadic(1, 1)), Interval(Dyadic(1, 2), Dya
          Interval(D1, Dyadic(3, 1)), Interval(Dyadic(-3, 2), Dyadic(1, 2))]
 
 
-@st.composite
-def walled_gauges(draw):
-    kind = draw(st.sampled_from(["const", "piecewise", "proximity", "adapted"]))
-    if kind == "const":
-        return Gauge.const(draw(widths))
-    if kind == "piecewise":
-        depth = draw(st.integers(1, 6))
-        inner = sorted(draw(st.sets(st.integers(1, (1 << depth) - 1), max_size=6)))
-        breaks = [Dyadic(k, depth) for k in [0] + inner + [1 << depth]]
-        return Gauge.piecewise(breaks, draw(st.lists(widths, min_size=len(breaks) - 1,
-                                                     max_size=len(breaks) - 1)))
-    if kind == "proximity":
-        keys = draw(st.lists(st.integers(-24, 40), max_size=5))
-        return Gauge.proximity(draw(st.integers(0, 5)), keys, draw(widths), draw(widths))
-    cuts = draw(st.sets(st.integers(1, 63), max_size=4))
-    return adapted_gauge(step_integrand(cuts), draw(st.integers(0, 4)))
+walled_gauges = gauge_specs(WIDTHS, depths=(1, 6), breaks=6, keys=(-24, 40), key_count=5,
+                            exps=(0, 5), levels=(0, 4)).map(make_gauge)
 
 
 def tree(base, depth):
@@ -78,7 +62,7 @@ def fitting_tag(g, lo, hi, e):
 
 
 @settings(max_examples=300, deadline=None)
-@given(g=walled_gauges(), base=st.sampled_from(BASES))
+@given(g=walled_gauges, base=st.sampled_from(BASES))
 def test_no_tag_fits_a_walled_node(g, base):
     for lo, hi, e in tree(base, TREE_DEPTH):
         if g.wall(lo, hi, e):

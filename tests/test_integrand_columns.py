@@ -4,13 +4,14 @@ they replaced.
 An `IntegrandFn` holds its breakpoints as int keys k_0 = 0 < ... < k_m =
 2^exp at the smallest exponent, and builds `breaks` (Dyadic objects) only
 when read.  Its builders write keys, and `lower_norm_integral`,
-`bochner_integrate` and `_float_breaks` read them.  The keys and the cell
+`bochner_integrate` and `_sample_cuts` read them.  The keys and the cell
 lookup are checked against `tests/reference.py` (the breaks as ints at their
 smallest exponent, a linear scan, and its restriction's breaks).  The other
 oracles below are the earlier Dyadic-break versions, copied in: the norm
 lower bound on an `Interval`, the Fraction-set grid merges of
-`lower_norm_integral` and `bochner_integrate`, `float(b)` per break, and
-`example_3g` built from its Dyadic breaks.
+`lower_norm_integral` and `bochner_integrate`, and `example_3g` built from
+its Dyadic breaks.  `_sample_cuts` is checked against ceil(b 2^53) per
+break b, breaks at exponent 60 (where `float(b)` rounds) included.
 
 Mutations these tests catch (each run once on a scratch copy):
 - the constructor keeps the exponent it is given instead of reducing it to
@@ -23,17 +24,17 @@ Mutations these tests catch (each run once on a scratch copy):
 """
 
 from fractions import Fraction
+from math import ceil
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugelab.errors import UnsupportedExactIntegration
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gallery import example_3g
 from gaugelab.integrands import STEP, IntegrandFn, exact_vector_integral, restrict_integrand
-from gaugelab.integrate import (BochnerCertificate, _float_breaks, bochner_integrate,
+from gaugelab.integrate import (BochnerCertificate, _sample_cuts, bochner_integrate,
                                 lower_norm_integral)
 from gaugelab.spaces import ValueSpace, VectorValue, linear_combination
 import reference as ref
@@ -162,15 +163,25 @@ def assert_columns(phi, breaks):
 def assert_readers(phi):
     for depth in range(7):
         assert lower_norm_integral(phi, depth) == oracle_lower_norm_integral(phi, depth)
-    assert _float_breaks(phi).tobytes() == np.array(
-        [float(b) for b in phi.breaks[1:-1]], dtype=np.float64).tobytes()
+    # a sample k / 2^53 lies at or past a break b iff k >= ceil(b 2^53)
+    assert _sample_cuts(phi).tolist() == [ceil(b.as_fraction() * (1 << 53))
+                                          for b in phi.breaks[1:-1]]
 
 
 # -- tests ----------------------------------------------------------------------
 
 
+# breaks at exponent 60, finer than any sample k / 2^53: float(b) rounds
+# (2^59 + 1) / 2^60 to 1/2, so a float cut would count the sample 1/2 past it
+FINE_BREAKS = [D0, Dyadic(3, 60), Dyadic(1, 53), Dyadic((1 << 59) + 1, 60),
+               Dyadic((1 << 60) - 1, 60), D1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(integrand_fns(), regions())
+@example((IntegrandFn.step(SPACE, FINE_BREAKS, [VectorValue.coords(SPACE, [i, 0])
+                                                for i in range(5)]), FINE_BREAKS),
+         Region([Interval(Dyadic(1, 2), Dyadic((1 << 60) - 3, 60))]))
 def test_columns_and_readers_match_the_dyadic_breaks(drawn, region):
     phi, breaks = drawn
     assert_columns(phi, breaks)

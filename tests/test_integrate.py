@@ -21,7 +21,9 @@ from gaugelab.integrate import (DEFAULT_TOL, BochnerCertificate,
                                 interval_series_check, lower_norm_integral,
                                 mcshane_integrate, pettis_check, riemann_sum,
                                 sample_regions, talagrand_integrate, vitali_limit)
+from gaugelab.rng import stream
 from gaugelab.spaces import DualFunctional, ValueSpace, VectorValue, distance
+import reference as ref
 
 HALF = Dyadic(1, 1)
 
@@ -244,7 +246,6 @@ def test_lower_norm_integral_rejects_depth_outside_grid_range(depth):
 def test_talagrand_exact_counting_path():
     phi = two_cell_step()
     rep = talagrand_integrate(phi, seed=11, n=4000, batches=10)
-    assert rep.exact
     assert len(rep.means) == 10
     exact = exact_vector_integral(phi)
     assert distance(rep.pooled, exact).hi < Fraction(1, 10)
@@ -253,12 +254,16 @@ def test_talagrand_exact_counting_path():
     assert rep2.spread == rep.spread
 
 
-def test_talagrand_float_path_on_poly():
+def test_talagrand_identity_pooled_mean_is_exact():
+    # the pooled mean is the mean of the samples themselves, each k / 2^53
     phi = identity_integrand()
-    rep = talagrand_integrate(phi, seed=7, n=10_000, batches=20)
-    assert not rep.exact
+    rep = talagrand_integrate(phi, seed=7, n=1000, batches=5)
+    samples = [Fraction(u) for b in range(5) for u in stream(7, b + 1).random(1000).tolist()]
+    assert rep.pooled.data == ref.empirical(phi, samples)[0]
     assert abs(rep.pooled.data[0] - Fraction(1, 2)) < Fraction(1, 50)
-    assert all(v >= 0 for v in rep.variances)
+    # a polynomial's variance is taken in l2 only
+    with pytest.raises(ValueError, match="l2"):
+        talagrand_integrate(poly_integrand([[0, 1]], norm="l1"), n=10, batches=1)
 
 
 def test_bochner_step_certificate_is_exact():

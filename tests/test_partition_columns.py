@@ -16,8 +16,9 @@ proximity and adapted; all three tag strategies and both flavors; unit,
 non-unit, degenerate and out-of-range bases; no support, drawn regions and
 the nonzero cells of step integrands as supports.  The support cases catch a
 meets test with `<=` for `<` at either end, a node marked inside a part it
-only overlaps, and a part's right end read as closed (so a left tag there is
-kept).  Item lists given to the
+only overlaps, a part's right end read as closed (so a left tag there is
+kept), and, through an explicit example, a node's right end read at its floor
+on the support's grid.  Item lists given to the
 constructor (overlapping, degenerate, tags anywhere in [0,1]) are checked
 against the same item-based oracles.
 """
@@ -25,7 +26,7 @@ against the same item-based oracles.
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded
@@ -33,7 +34,7 @@ from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
 from gaugelab.gauges import (HENSTOCK, MCSHANE, SCHEMA, Gauge, TaggedInterval,
                              TaggedPartition, cousin_partition, is_partition, is_subordinate,
                              partition_from_json, partition_to_json)
-from gaugelab.integrands import adapted_gauge
+from gauge_draws import gauge_specs, make_gauge
 from reference import cousin, nonzero_cells, step_integrand
 
 # -- the item-based predicates, as they were ------------------------------------
@@ -106,24 +107,8 @@ WIDTHS = [Fraction(1, 5), Fraction(1, 12), Fraction(3, 16), Fraction(1, 3), Frac
           Fraction(1, 1024), Fraction(5, 2)]
 
 
-@st.composite
-def gauges(draw):
-    kind = draw(st.sampled_from(["const", "piecewise", "proximity", "adapted"]))
-    if kind == "const":
-        return Gauge.const(draw(st.sampled_from(WIDTHS)))
-    if kind == "piecewise":
-        depth = draw(st.integers(1, 5))
-        inner = sorted(draw(st.sets(st.integers(1, (1 << depth) - 1), max_size=5)))
-        breaks = [Dyadic(k, depth) for k in [0] + inner + [1 << depth]]
-        values = draw(st.lists(st.sampled_from(WIDTHS), min_size=len(breaks) - 1,
-                               max_size=len(breaks) - 1))
-        return Gauge.piecewise(breaks, values)
-    if kind == "proximity":
-        keys = draw(st.lists(st.integers(-8, 40), max_size=4))
-        return Gauge.proximity(draw(st.integers(0, 5)), keys, draw(st.sampled_from(WIDTHS)),
-                               draw(st.sampled_from(WIDTHS)))
-    cuts = draw(st.sets(st.integers(1, 63), max_size=4))
-    return adapted_gauge(step_integrand(cuts), draw(st.integers(1, 4)))
+gauges = gauge_specs(WIDTHS, depths=(1, 5), breaks=5, keys=(-8, 40), key_count=4, exps=(0, 5),
+                     levels=(1, 4)).map(make_gauge)
 
 
 # unit, power-of-two and other widths, degenerate, reaching past [0,1], and huge
@@ -170,10 +155,15 @@ def supports(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(g=gauges(), other=gauges(), strategy=st.sampled_from(["mid", "left", "sampled"]),
+@given(g=gauges, other=gauges, strategy=st.sampled_from(["mid", "left", "sampled"]),
        flavor=st.sampled_from([MCSHANE, HENSTOCK]), base=st.sampled_from(BASES),
        probe_base=st.sampled_from(BASES), seed=st.integers(0, 5),
        max_depth=st.sampled_from([0, 3, 9, 40]), support=supports())
+# a base whose right end lies off the support's grid and past its part: read
+# at the floor, that end would put the base inside [0, 1/2]
+@example(g=Gauge.const(Fraction(1, 5)), other=Gauge.const(Fraction(1, 12)), strategy="mid",
+         flavor=MCSHANE, base=Interval(Dyadic(1, 2), Dyadic(3, 2)), probe_base=UNIT, seed=0,
+         max_depth=9, support=(Region([Interval(D0, Dyadic(1, 1))]), [(0, Fraction(1, 2))]))
 def test_cousin_columns_match_item_walk(g, other, strategy, flavor, base, probe_base, seed,
                                         max_depth, support):
     region, parts = support
@@ -224,7 +214,7 @@ def free_items(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(items=free_items(), g=gauges(), flavor=st.sampled_from([MCSHANE, HENSTOCK]),
+@given(items=free_items(), g=gauges, flavor=st.sampled_from([MCSHANE, HENSTOCK]),
        base=st.sampled_from(BASES))
 def test_constructor_columns_match_items(items, g, flavor, base):
     p = TaggedPartition(items, flavor)

@@ -56,6 +56,7 @@ def run_child(argv):
      "--gauge: exponent 9999999999 lies outside"),
     (["gallery", "3e", "--gauge", "const:2^-9999999999"],
      "--gauge: exponent -9999999999 lies outside"),
+    (["lln", "--fn", "3f", "--n", "1000001"], "n must be at most"),
 ])
 def test_past_a_cap_exits_2_at_once(argv, reason):
     out = run_child(argv)
@@ -68,5 +69,12 @@ def test_past_a_cap_exits_2_at_once(argv, reason):
 def test_pairsum_peak_rss_does_not_grow_with_samples():
     small = run_child(PAIRSUM + ["--samples", "100000"])
     large = run_child(PAIRSUM + ["--samples", "2000000"])
+    assert small["code"] == large["code"] == 0
+    assert large["peak_kb"] - small["peak_kb"] <= 2048, (small["peak_kb"], large["peak_kb"])
+
+
+def test_lln_peak_rss_does_not_grow_with_samples():
+    small = run_child(["lln", "--fn", "identity", "--batches", "2", "--n", "100000"])
+    large = run_child(["lln", "--fn", "identity", "--batches", "2", "--n", "1000000"])
     assert small["code"] == large["code"] == 0
     assert large["peak_kb"] - small["peak_kb"] <= 2048, (small["peak_kb"], large["peak_kb"])
