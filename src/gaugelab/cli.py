@@ -435,7 +435,7 @@ OPTIONS = {
     "mn_max": ("int", 1, "largest m and n of the scan"),
     "margin": ("fraction", None, "scan margin, a share of the threshold"),
     "sequence": ("choice", ("truncations", "spike"), "integrand sequence"),
-    "n_max": ("int", 1, "sequence terms"),
+    "n_max": ("int", 2, "sequence terms"),
     "kind": ("choice", ("3e", "3f", "3g"), "paper example"),
     "L": ("int", 1, "fat-set stages"),
     "r": ("int", 2, "fat-set resolution"),

@@ -26,7 +26,7 @@ from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
 from .integrands import STEP, IntegrandFn, exact_vector_integral, restrict_integrand
 from .integrate import riemann_sum
-from .spaces import ValueSpace, VectorValue, distance
+from .spaces import DualFunctional, ValueSpace, VectorValue, distance
 from .stability import FunctionFamily, Member
 
 
@@ -469,7 +469,8 @@ def oscillation_witness_3e(
     s2 = riemann_sum(phi, p2)
     gap_enc = distance(s1, s2)
     bound = Fraction(m - 1, k)
-    hits = sum(1 for v in map(phi.eval, tags_in) if v.nums[0] == v.den)
+    e0 = DualFunctional.coordinate(phi.space, 0)
+    hits = sum(1 for v in map(phi.eval, tags_in) if e0(v) == 1)
     return {
         "k": k,
         "m": m,
@@ -485,7 +486,7 @@ def oscillation_witness_3e(
         "partitions": (p1, p2),
         "integrand": phi,
         "family": fam2,
-        "coordinate_gap": abs(Fraction(s1.nums[0], s1.den) - Fraction(s2.nums[0], s2.den)),
+        "coordinate_gap": abs(e0(s1) - e0(s2)),
     }
 
 

@@ -41,8 +41,8 @@ from .integrands import (
     restrict_integrand,
 )
 from .rng import stream, uniform_blocks
-from .spaces import (L1, L2, LINF, DualFunctional, ValueSpace, VectorValue, distance,
-                     linear_combination, sqrt_enclosure)
+from .spaces import (L1, L2, LINF, DualFunctional, ValueSpace, VectorValue, _merge_steps,
+                     distance, linear_combination, sqrt_enclosure)
 
 DEFAULT_TOL = Fraction(1, 1 << 10)
 
@@ -56,8 +56,8 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
     The partition's columns give each item's length L = w / 2^e and tag
     a / 2^e as the ints w and a.  A step integrand adds up the w of each
     cell, then makes one linear combination over the cells in cell order,
-    each value weighted by W_c / 2^e; in a step space that combination runs
-    in ints over the values' columns (see `linear_combination`).  A
+    each value weighted by W_c / 2^e; that combination runs in ints over
+    the values' run columns (see `linear_combination`).  A
     polynomial integrand adds up the int moments S_k = sum w * a^k of each
     cell; coordinate j is then sum over cells and k of c_jk * S_k /
     2^(e(k+1)) (`_poly_sums`).  Cells whose coefficients are all zero keep no
@@ -124,19 +124,14 @@ _STRATEGIES = ("mid", "left", "sampled")
 def _max_distance(values: Sequence[VectorValue]) -> Fraction:
     """Largest pairwise distance (enclosure upper end) among the values.
 
-    Step values carry the sup norm, so the largest pairwise distance is the
-    sup over x of max_i v_i(x) - min_i v_i(x).  One pass over the sorted
-    union of the values' keys finds it: every level is put over the lcm D of
-    the values' denominators, each union key sets the levels of the values
-    with a cell starting there, and the largest range of the levels on a
-    cell of the union is over D.
-    Coordinate values are put over the same D, so that each is a row of int
-    numerators and each pair gets one int key that grows with its distance:
-    the sum of |a - b| (l1), their max (linf) or the sum of (a - b)^2 (l2).
-    The l1 and linf distances are the largest key over D, exactly.  The
-    largest linf key is the widest column's range, and in one dimension every
-    norm is |a - b| (the root of the l2 key is exact), so those take one pass
-    over the rows.
+    One `_merge_steps` pass over the union of the values' run keys puts
+    every level over the lcm D of their denominators.  In the sup norm
+    (every step space) the largest pairwise distance is the largest range of
+    the levels on a cell, over D; so it is in one dimension, where every
+    norm is |a - b| (the root of the l2 key is exact).  Otherwise each pair
+    gets one int key that grows with its distance, summed over the cells
+    weighted by their lengths: the sum of |a - b| (l1) or of (a - b)^2
+    (l2).  The l1 distance is the largest key over D, exactly.
 
     The l2 distance of a pair is `sqrt_enclosure(key / D^2).hi`, and that
     upper end does not grow with the key: at a perfect square it is the exact
@@ -151,30 +146,21 @@ def _max_distance(values: Sequence[VectorValue]) -> Fraction:
         return Fraction(0)
     space = values[0].space
     den = lcm(*(v.den for v in values))
-    if space.is_step:
-        # each value's level over den, at the left key of each of its cells
-        changes: dict[int, list] = {}
-        for i, v in enumerate(values):
-            m = den // v.den
-            for k, n in zip(v.keys, v.nums):
-                changes.setdefault(k, []).append((i, n * m))
-        # every value starts a cell at 0, so each level is set before it is read
-        levels = [0] * len(values)
-        widest = 0
-        for k in sorted(changes):
-            for i, n in changes[k]:
-                levels[i] = n
+    sup = space.norm == LINF or space.dim == 1
+    widest, keys = 0, [0] * (0 if sup else len(values) * (len(values) - 1) // 2)
+    for w, levels in _merge_steps(values, den):
+        if sup:
             widest = max(widest, max(levels) - min(levels))
+        else:
+            diffs = (a - b for i, a in enumerate(levels) for b in levels[i + 1:])
+            keys = [s + w * (abs(d) if space.norm == L1 else d * d) for s, d in zip(keys, diffs)]
+    if sup:
         return Fraction(widest, den)
-    rows = [[n * (den // v.den) for n in v.nums] for v in values]
-    if space.norm == LINF or space.dim == 1:
-        return Fraction(max(max(c) - min(c) for c in zip(*rows)), den)
-    diffs = ([a - b for a, b in zip(u, v)] for i, u in enumerate(rows) for v in rows[i + 1:])
     if space.norm == L1:
-        return Fraction(max(sum(map(abs, d)) for d in diffs), den)
+        return Fraction(max(keys), den)
     square = den * den
     best = Fraction(0)
-    for q in sorted({sum(x * x for x in d) for d in diffs}, reverse=True):
+    for q in sorted(set(keys), reverse=True):
         if Fraction(isqrt((q << 128) // square) + 1, 1 << 64) <= best:
             break
         best = max(best, sqrt_enclosure(Fraction(q, square)).hi)
@@ -535,8 +521,7 @@ def _squared_distance(u: VectorValue, v: VectorValue) -> Fraction:
     """||u - v||^2 in the space's norm, exactly."""
     if u.space.norm != L2:
         return distance(u, v).hi ** 2
-    d = u - v
-    return Fraction(sum(x * x for x in d.nums), d.den * d.den)
+    return (u - v).square_sum()
 
 
 def talagrand_integrate(
@@ -701,7 +686,10 @@ def vitali_limit(
     each region, f applied to one closed-form vector integral per (n, region).
     C:  only claimed when H1 and H2 hold — the gauge integral of the limit
     matches the closed-form vector integral of phi_{n_max} within 3*tol.
+    The window must hold at least two terms, so n_max >= 2.
     """
+    if n_max < 2:
+        raise ValueError(f"n_max {n_max} leaves no pair of terms to compare (need n_max >= 2)")
     sample = [Fraction(2 * i + 1, 128) for i in range(64)]
     phi_last = phi_seq(n_max)
     h1_worst = Fraction(0)

@@ -4,15 +4,16 @@ Norms that are themselves rational (l1, sup, max-of-levels) come back exact;
 the Euclidean norm comes back as a certified enclosure [lo, hi] produced by an
 outward-rounded integer square root, never as a float.
 
-Every value is int columns over one positive denominator d.  A coordinate
-value holds numerators n_0..n_{dim-1}, coordinate i being n_i / d.  A
-step-function value (the L-infinity-like space) also holds break keys on the
-space's grid 2^-g, k_0 = 0 < ... < k_m = 2^g, so cell [k_i, k_{i+1}) / 2^g
-has level n_i / d.  The grid depth is the resolution contract: every
-breakpoint must sit on that grid.  The columns are canonical (gcd(n, d) = 1,
-and no two adjacent step levels equal), so equal values have equal columns.
-Sums, norms, distances and pairings work on the columns in ints and build one
-Fraction per result; the Fraction form `data` is built only when read.
+Every value is a step function on the int grid [0, N) of its space: its
+dim coordinates, or the 2^g cells [k, k + 1) / 2^g of a step space (the
+L-infinity-like space; g is the resolution contract, every breakpoint sits
+on that grid).  It is held as int columns: run keys 0 = k_0 < ... < k_m = N
+and one numerator n_i per run over one positive denominator d, so the cells
+[k_i, k_{i+1}) have value n_i / d.  The columns are canonical (gcd(n, d) =
+1, and no two adjacent runs equal), so equal values have equal columns and
+c * e_n takes at most 3 runs.  Sums, norms, distances and pairings work on
+the columns in ints and build one Fraction per result; the Fraction form
+`data` is built only when read.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ class ValueSpace:
     def is_step(self) -> bool:
         return self.kind == "step_linf"
 
+    @property
+    def grid_size(self) -> int:
+        """N, the number of cells of the grid a value is a step function on."""
+        return 1 << self.grid_depth if self.is_step else self.dim
+
     def __eq__(self, other):
         return (
             isinstance(other, ValueSpace)
@@ -131,23 +137,23 @@ class ValueSpace:
         return {"kind": self.kind, "dim": self.dim, "norm": self.norm}
 
 
-def _merge_steps(a_breaks, a_levels, b_breaks, b_levels):
-    """Common refinement of two step functions; returns (lo, hi, la, lb) runs.
-    The breaks are int keys on one grid."""
-    out = []
-    ia = ib = 0
-    cur = a_breaks[0]
-    while cur < a_breaks[-1]:
-        hi_a = a_breaks[ia + 1]
-        hi_b = b_breaks[ib + 1]
-        hi = hi_a if hi_a <= hi_b else hi_b
-        out.append((cur, hi, a_levels[ia], b_levels[ib]))
-        if hi == hi_a:
-            ia += 1
-        if hi == hi_b:
-            ib += 1
-        cur = hi
-    return out
+def _merge_steps(values: Sequence[VectorValue], den: int):
+    """The common refinement of the values: for each cell [k, k') of the
+    union of their run keys, in order, (k' - k, levels), the values' levels
+    on it as numerators over den, a multiple of every value's denominator.
+    levels is one list, updated in place from cell to cell."""
+    changes: dict[int, list] = {}
+    for i, v in enumerate(values):
+        m = den // v.den
+        for k, n in zip(v.keys, v.nums):
+            changes.setdefault(k, []).append((i, n * m))
+    cuts = sorted(changes)
+    # every value starts a run at 0, so each level is set before it is read
+    levels = [0] * len(values)
+    for k, end in zip(cuts, [*cuts[1:], values[0].space.grid_size]):
+        for i, n in changes[k]:
+            levels[i] = n
+        yield end - k, levels
 
 
 def _over_one_den(values: Sequence) -> tuple[list, int]:
@@ -173,6 +179,21 @@ def _step_columns(space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence)
     if any(k >= j for k, j in zip(keys, keys[1:])):
         raise ValueError("breakpoints must increase")
     nums, den = _over_one_den(levels)
+    return (*_runs(keys, nums), den)
+
+
+def _coord_columns(space: ValueSpace, values: Sequence):
+    """Canonical columns (keys, nums, den) of the coordinate value with the
+    given rational coordinates; ValueError if there are not dim of them."""
+    nums, den = _over_one_den(values)
+    if len(nums) != space.dim:
+        raise ValueError(f"expected {space.dim} coordinates, got {len(nums)}")
+    return (*_runs(range(space.dim + 1), nums), den)
+
+
+def _runs(keys: Sequence[int], nums: Sequence[int]) -> tuple[tuple, tuple]:
+    """(keys, nums) of the runs [keys[i], keys[i + 1]) at nums[i], with
+    equal neighbours merged."""
     out_keys, out_nums = [0], []
     for k, n in zip(keys[1:], nums):
         if out_nums and n == out_nums[-1]:
@@ -180,16 +201,16 @@ def _step_columns(space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence)
         else:
             out_nums.append(n)
             out_keys.append(k)
-    return tuple(out_keys), tuple(out_nums), den
+    return tuple(out_keys), tuple(out_nums)
 
 
 class VectorValue:
     """Element of a ValueSpace with exact rational data.
 
-    Every value keeps the canonical int columns of the module docstring:
-    `nums` over the positive `den`, and for a step value its break `keys`
-    (None for a coordinate value).  `data` is the same value as Fractions: a
-    coordinate value's tuple of Fractions, or a step value's (Dyadic breaks,
+    Every value keeps the canonical int columns of the module docstring: run
+    `keys` on the space's grid, one numerator per run in `nums`, and the
+    positive `den`.  `data` is the same value as Fractions: a coordinate
+    value's tuple of all dim coordinates, or a step value's (Dyadic breaks,
     Fraction levels).  It is built from the columns on first read, or kept
     as given when the value is made from it.
     """
@@ -202,13 +223,11 @@ class VectorValue:
         if space.is_step:
             self.keys, self.nums, self.den = _step_columns(space, *data)
         else:
-            nums, self.den = _over_one_den(data)
-            self.keys, self.nums = None, tuple(nums)
+            self.keys, self.nums, self.den = _coord_columns(space, data)
 
     @classmethod
-    def _columns(cls, space: ValueSpace, keys, nums: tuple, den: int) -> "VectorValue":
-        """A value from columns that are already canonical; keys is None for
-        a coordinate value."""
+    def _columns(cls, space: ValueSpace, keys: tuple, nums: tuple, den: int) -> "VectorValue":
+        """A value from columns that are already canonical."""
         v = cls.__new__(cls)
         v.space, v._data, v.keys, v.nums, v.den = space, None, keys, nums, den
         return v
@@ -216,13 +235,14 @@ class VectorValue:
     @property
     def data(self):
         if self._data is None:
-            den = self.den
+            den, keys = self.den, self.keys
             levels = tuple(Fraction(n, den) for n in self.nums)
-            if self.keys is None:
-                self._data = levels
-            else:
+            if self.space.is_step:
                 g = self.space.grid_depth
-                self._data = (tuple(Dyadic(k, g) for k in self.keys), levels)
+                self._data = (tuple(Dyadic(k, g) for k in keys), levels)
+            else:
+                self._data = tuple(x for lo, hi, x in zip(keys, keys[1:], levels)
+                                   for _ in range(hi - lo))
         return self._data
 
     # -- constructors ------------------------------------------------------
@@ -231,10 +251,7 @@ class VectorValue:
     def coords(cls, space: ValueSpace, values: Sequence) -> "VectorValue":
         if space.is_step:
             raise ValueError("use VectorValue.step for step_linf values")
-        nums, den = _over_one_den(values)
-        if len(nums) != space.dim:
-            raise ValueError(f"expected {space.dim} coordinates, got {len(nums)}")
-        return cls._columns(space, None, tuple(nums), den)
+        return cls._columns(space, *_coord_columns(space, values))
 
     @classmethod
     def step(cls, space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence) -> "VectorValue":
@@ -244,17 +261,16 @@ class VectorValue:
 
     @classmethod
     def zero(cls, space: ValueSpace) -> "VectorValue":
-        if space.is_step:
-            return cls._columns(space, (0, 1 << space.grid_depth), (0,), 1)
-        return cls._columns(space, None, (0,) * space.dim, 1)
+        return cls._columns(space, (0, space.grid_size), (0,), 1)
 
     @classmethod
     def basis(cls, space: ValueSpace, n: int) -> "VectorValue":
         if space.is_step:
             raise ValueError("no canonical basis for step values; build explicitly")
-        nums = [0] * space.dim
-        nums[n] = 1
-        return cls._columns(space, None, tuple(nums), 1)
+        if not 0 <= n < space.dim:
+            raise ValueError(f"coordinate {n} out of range")
+        keys = tuple(sorted({0, n, n + 1, space.dim}))
+        return cls._columns(space, keys, tuple(int(k == n) for k in keys[:-1]), 1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -272,20 +288,27 @@ class VectorValue:
     # -- norms ---------------------------------------------------------------
 
     def norm(self) -> Enclosure:
-        """Σn² / d² under a root (l2), Σ|n| / d (l1), or max|n| / d (sup, and
-        every step space)."""
-        nums, den = self.nums, self.den
+        """Σ w n² / d² under a root (l2), Σ w |n| / d (l1), or max|n| / d
+        (sup, and every step space), over the runs, w a run's length."""
         if self.space.norm == L2:
-            return sqrt_enclosure(Fraction(sum(n * n for n in nums), den * den))
+            return sqrt_enclosure(self.square_sum())
+        nums, keys = self.nums, self.keys
         if self.space.norm == L1:
-            top = Fraction(sum(map(abs, nums)), den)
+            top = Fraction(sum(abs(n) * (hi - lo) for lo, hi, n in zip(keys, keys[1:], nums)),
+                           self.den)
         else:
-            top = Fraction(max(map(abs, nums)), den)
+            top = Fraction(max(map(abs, nums)), self.den)
         return Enclosure(top, top)
 
+    def square_sum(self) -> Fraction:
+        """The sum of the squares of the coordinates, the l2 norm squared."""
+        keys = self.keys
+        return Fraction(sum(n * n * (hi - lo) for lo, hi, n in zip(keys, keys[1:], self.nums)),
+                        self.den * self.den)
+
     def _level_at(self, key: int) -> Fraction:
-        """Level at the points [key, key + 1) / 2^g, 0 <= key < 2^g: the cell
-        whose key is the last one <= key."""
+        """Level on grid cell key, 0 <= key < N: the run whose key is the
+        last one <= key."""
         return Fraction(self.nums[bisect_right(self.keys, key, 1, len(self.nums)) - 1], self.den)
 
     def __eq__(self, other):
@@ -310,12 +333,11 @@ def linear_combination(space: ValueSpace, terms) -> VectorValue:
     rational.  The result is the left fold of `+` over the scaled terms, with
     the same canonical columns.  Every term adds ints into one dict over one
     common denominator D: a term whose denominator does not divide D raises D
-    to their lcm and rescales the entries so far.  A coordinate value adds
-    c * n at the index of each nonzero coordinate; a step value adds
-    c * (level change) at each of its break keys, so a term costs O(breaks
-    of v) however many cells the sum already has.  In a step space one
-    sorted prefix sum at the end emits a break only where the level changes.
-    Dividing out gcd(numerators, D) makes the columns canonical.
+    to their lcm and rescales the entries so far.  A value adds c * (level
+    change) at each of its run keys, so a term costs O(runs of v) however
+    many runs the sum already has.  One sorted prefix sum at the end emits a
+    run key only where the level changes.  Dividing out gcd(numerators, D)
+    makes the columns canonical.
     """
     acc: dict[int, int] = {}
     den = 1
@@ -330,43 +352,34 @@ def linear_combination(space: ValueSpace, terms) -> VectorValue:
             for k in acc:
                 acc[k] *= grow
         m = c.numerator * (den // q)
-        if v.keys is None:
-            for i, n in enumerate(v.nums):
-                if n:
-                    acc[i] = acc.get(i, 0) + m * n
-        else:
-            prev = 0
-            for k, n in zip(v.keys, v.nums):  # each cell's left end
-                acc[k] = acc.get(k, 0) + m * (n - prev)
-                prev = n
-    if space.is_step:
-        keys, nums = [0], []
-        level = 0
-        for k in sorted(acc):
-            jump = acc[k]
-            if jump:
-                if k:
-                    keys.append(k)
-                    nums.append(level)
-                level += jump
-        keys.append(1 << space.grid_depth)
-        nums.append(level)
-        keys = tuple(keys)
-    else:
-        keys, nums = None, [acc.get(i, 0) for i in range(space.dim)]
+        prev = 0
+        for k, n in zip(v.keys, v.nums):  # each run's left end
+            acc[k] = acc.get(k, 0) + m * (n - prev)
+            prev = n
+    keys, nums = [0], []
+    level = 0
+    for k in sorted(acc):
+        jump = acc[k]
+        if jump:
+            if k:
+                keys.append(k)
+                nums.append(level)
+            level += jump
+    keys.append(space.grid_size)
+    nums.append(level)
     r = gcd(den, *nums)
     if r != 1:
         den //= r
         nums = [n // r for n in nums]
-    return VectorValue._columns(space, keys, tuple(nums), den)
+    return VectorValue._columns(space, tuple(keys), tuple(nums), den)
 
 
 def distance(u: VectorValue, v: VectorValue) -> Enclosure:
-    """The norm of u - v.  Two step values give max |n_u d_v - n_v d_u| /
-    (d_u d_v) over the pairs of cells that overlap, in ints: each cell of
-    the value with fewer cells is compared with the smallest and largest
-    levels of the other over the cells it meets, found by bisection."""
-    if not u.space.is_step:
+    """The norm of u - v.  In the sup norm it is max |n_u d_v - n_v d_u| /
+    (d_u d_v) over the pairs of runs that overlap, in ints: each run of the
+    value with fewer runs is compared with the smallest and largest levels
+    of the other over the runs it meets, found by bisection."""
+    if u.space.norm != LINF:
         return (u - v).norm()
     if v.space != u.space:
         raise SpaceMismatch(f"{u.space} vs {v.space}")
@@ -388,22 +401,23 @@ class DualFunctional:
 
     kinds: coordinate(n) | combination(coeffs) | step_pairing(density).
     norm_bound is a certified upper bound on the dual norm (exact where the
-    dual norm is rational, an enclosure hi for the Euclidean one).
+    dual norm is rational, an enclosure hi for the Euclidean one).  A
+    combination or a pairing holds its density as a value of the space.
     """
 
-    __slots__ = ("space", "kind", "params", "norm_bound", "label")
+    __slots__ = ("space", "kind", "params", "norm_bound", "label", "density")
 
-    def __init__(self, space, kind, params, norm_bound, label):
+    def __init__(self, space, kind, params, norm_bound, label, density=None):
         self.space = space
         self.kind = kind
         self.params = params
         self.norm_bound = norm_bound
         self.label = label
+        self.density = density
 
     @classmethod
     def coordinate(cls, space: ValueSpace, n: int) -> "DualFunctional":
-        limit = (1 << space.grid_depth) if space.is_step else space.dim
-        if not 0 <= n < limit:
+        if not 0 <= n < space.grid_size:
             raise ValueError(f"coordinate {n} out of range")
         return cls(space, "coordinate", n, Fraction(1), f"e*{n}")
 
@@ -420,7 +434,7 @@ class DualFunctional:
             bound = max((abs(c) for c in cs), default=Fraction(0))
         else:  # dual of sup-normed coordinates is the absolute sum
             bound = sum((abs(c) for c in cs), Fraction(0))
-        return cls(space, "combination", cs, bound, "combo")
+        return cls(space, "combination", cs, bound, "combo", VectorValue.coords(space, cs))
 
     @classmethod
     def step_pairing(cls, space: ValueSpace, density: VectorValue) -> "DualFunctional":
@@ -429,23 +443,19 @@ class DualFunctional:
         keys, nums = density.keys, density.nums
         bound = Fraction(sum(abs(n) * (hi - lo) for lo, hi, n in zip(keys, keys[1:], nums)),
                          density.den << space.grid_depth)
-        return cls(space, "step_pairing", density, bound, "pairing")
+        return cls(space, "step_pairing", density, bound, "pairing", density)
 
     def __call__(self, v: VectorValue) -> Fraction:
         if v.space != self.space:
             raise SpaceMismatch(f"{v.space} vs {self.space}")
         if self.kind == "coordinate":
-            if self.space.is_step:
-                # the middle of grid cell n is (2n + 1) / 2^(g+1): key n
-                return v._level_at(self.params)
-            return Fraction(v.nums[self.params], v.den)
-        if self.kind == "combination":
-            return sum((c * n for c, n in zip(self.params, v.nums) if n), Fraction(0)) / v.den
-        # both step functions on the grid 2^-g: the integral of their product
-        d = self.params
-        total = sum(ld * lv * (hi - lo)
-                    for lo, hi, ld, lv in _merge_steps(d.keys, d.nums, v.keys, v.nums) if ld and lv)
-        return Fraction(total, (d.den * v.den) << self.space.grid_depth)
+            # in a step space, the middle of grid cell n is (2n + 1) / 2^(g+1)
+            return v._level_at(self.params)
+        # the sum over the grid of density times value, each cell 2^-g long
+        # (a coordinate space's g is 0)
+        den = lcm(self.density.den, v.den)
+        total = sum(w * a * b for w, (a, b) in _merge_steps((self.density, v), den))
+        return Fraction(total, den * den << self.space.grid_depth)
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "norm_bound": str(self.norm_bound)}

@@ -177,12 +177,10 @@ def step(g: int, breaks, levels) -> tuple[Fraction, ...]:
 
 
 def cells(v) -> tuple[Fraction, ...]:
-    """A VectorValue's coordinates, or its level on each grid cell."""
-    xs = [Fraction(n, v.den) for n in v.nums]
-    if v.keys is None:
-        return tuple(xs)
-    g = v.space.grid_depth
-    return step(g, [Fraction(k, 1 << g) for k in v.keys], xs)
+    """A VectorValue's coordinates, or its level on each grid cell: each run
+    [k_i, k_{i+1}) of its columns repeats its level once per cell."""
+    return tuple(Fraction(n, v.den) for lo, hi, n in zip(v.keys, v.keys[1:], v.nums)
+                 for _ in range(hi - lo))
 
 
 def _over_lcm(xs) -> tuple[list[int], int]:
@@ -193,13 +191,11 @@ def _over_lcm(xs) -> tuple[list[int], int]:
 
 
 def columns(space, xs) -> tuple:
-    """The canonical columns (keys, nums, den) of the value xs: xs over their
-    lcm den; a step value keeps a key at 0, at each grid cell whose level
-    differs from the one before, and at 2^g, and one numerator per key but
-    the last."""
+    """The canonical columns (keys, nums, den) of the value xs, one entry per
+    coordinate or grid cell: xs over their lcm den, a key at 0, at each cell
+    whose value differs from the one before, and at the number of cells, and
+    one numerator per key but the last."""
     nums, den = _over_lcm(xs)
-    if not space.is_step:
-        return None, tuple(nums), den
     keys = [0] + [j for j in range(1, len(nums)) if nums[j] != nums[j - 1]] + [len(nums)]
     return tuple(keys), tuple(nums[k] for k in keys[:-1]), den
 

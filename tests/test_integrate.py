@@ -327,6 +327,15 @@ def test_vitali_constant_sequence_passes():
     assert out["pass"], out["c"]
 
 
+@pytest.mark.parametrize("n_max", [-1, 0, 1])
+def test_vitali_refuses_a_window_of_one_term(n_max):
+    # one term has no pair to compare, so H2 would pass on nothing
+    phi = identity_integrand()
+    fs = [DualFunctional.coordinate(phi.space, 0)]
+    with pytest.raises(ValueError, match="no pair of terms"):
+        vitali_limit(lambda n: phi, phi, fs, [UNIT_REGION], n_max=n_max)
+
+
 def test_vitali_flags_escaping_spike():
     fs = [DualFunctional.coordinate(ValueSpace.findim(1, "l2"), 0)]
     regions = [UNIT_REGION, Region((Interval(Dyadic(1, 2), D1),))]

@@ -1,19 +1,21 @@
 """The largest pairwise distance among values, in ints, against the pair loop.
 
 `integrate._max_distance` is the spread of the McShane trial sums, the
-series tail and the batch means.  Coordinate values are compared through
-one common denominator and one int key per pair; the l2 upper end is found
+series tail and the batch means.  It takes one sweep over the union of the
+values' run keys.  In the sup norm it keeps the largest range of the levels
+over a cell; in l1 and l2 each pair gets one int key over one common
+denominator, weighted by the cells' lengths, and the l2 upper end is found
 by scanning the distinct keys largest first (see its docstring).  The oracle
 is `tests/reference.py`'s spread: the largest upper end of the distance over
-every pair, each worked out on the values' Fraction tuples.  Values: l1, l2
-and linf coordinate spaces of dimension 1-4 with mixed denominators, 0-8
-values, and step values.
+every pair, each worked out on the values' Fraction tuples, one entry per
+coordinate or grid cell.  Values: l1, l2 and linf coordinate spaces of
+dimension 1-4 with mixed denominators and often equal neighbouring
+coordinates, 0-8 values, and step values.
 
-Step values take one sweep over the union of their keys, the largest range
-of the levels over a cell.  The reference holds them as one level per grid
-cell.  It draws 0-50 step values with mixed denominators whose keys are
-shared, disjoint or nested, and checks `distance` itself, which bisects,
-against the reference's.
+The step cases draw 0-50 step values with mixed denominators whose keys are
+shared, disjoint or nested, and check `distance` itself, which bisects,
+against the reference's.  Mutations these tests catch (each run on a scratch
+copy): the run length dropped from the l1/l2 key.
 """
 
 import random
@@ -27,10 +29,7 @@ from gaugelab.exact import D0, D1, Dyadic
 from gaugelab.integrate import _max_distance
 from gaugelab.spaces import L1, L2, LINF, ValueSpace, VectorValue, distance
 import reference as ref
-
-
-def oracle_spread(values):
-    return ref.spread(values[0].space, [ref.cells(v) for v in values]) if values else 0
+from test_step_columns import assert_spread, repeating
 
 
 # denominators that mix primes, small and large powers of two
@@ -50,7 +49,7 @@ def coordinate_values(draw):
     space = ValueSpace.findim(draw(st.integers(1, 4)), draw(st.sampled_from([L1, L2, LINF])))
     values = draw(st.lists(st.lists(coordinates, min_size=space.dim, max_size=space.dim),
                            max_size=8))
-    return [VectorValue.coords(space, v) for v in values]
+    return [VectorValue.coords(space, repeating(draw, v)) for v in values]
 
 
 @st.composite
@@ -84,8 +83,11 @@ def test_worked_example():
 @example([VectorValue.coords(ValueSpace.findim(2, L1), v) for v in [(1, 0), (0, 1)]])
 @example([VectorValue.coords(ValueSpace.findim(1, L2), (Fraction(1, 2),)),
           VectorValue.coords(ValueSpace.findim(1, L2), (Fraction(1, 3),))])
+# runs of two cells each: l1 distance 4, l2 distance 2
+@example([VectorValue.coords(ValueSpace.findim(4, L1), v) for v in [(0, 0, 1, 1), (1, 1, 0, 0)]])
+@example([VectorValue.coords(ValueSpace.findim(4, L2), v) for v in [(0, 0, 1, 1), (1, 1, 0, 0)]])
 def test_max_distance_is_the_pairwise_loop(values):
-    assert _max_distance(values) == oracle_spread(values)
+    assert_spread(values)
 
 
 def test_spread_of_200_means_calls_no_distance(monkeypatch):
@@ -94,7 +96,6 @@ def test_spread_of_200_means_calls_no_distance(monkeypatch):
     space = ValueSpace.findim(2, L2)
     means = [VectorValue.coords(space, [Fraction(rng.random()) for _ in range(2)])
              for _ in range(200)]
-    want = oracle_spread(means)
     calls = {"distance": 0, "sqrt": 0}
 
     def counted(name, fn):
@@ -107,7 +108,7 @@ def test_spread_of_200_means_calls_no_distance(monkeypatch):
     monkeypatch.setattr(spaces, "distance", counted("distance", spaces.distance))
     monkeypatch.setattr(integrate, "sqrt_enclosure",
                         counted("sqrt", integrate.sqrt_enclosure))
-    assert _max_distance(means) == want
+    assert_spread(means)
     assert calls["distance"] == 0 and 1 <= calls["sqrt"] <= 2
 
 
@@ -150,7 +151,7 @@ def step(keys, levels):
 # the range is widest on a cell that starts at a break of one value only
 @example([step([4, 12], [1, 0, 1]), step([12], [1, 3])])
 def test_step_spread_is_the_pairwise_merge(values):
-    assert _max_distance(values) == oracle_spread(values)
+    assert_spread(values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,9 +172,8 @@ def test_step_spread_of_200_means_calls_no_distance(monkeypatch):
         breaks = [D0, *(Dyadic(k, 6) for k in keys), D1]
         means.append(VectorValue.step(space, breaks, [Fraction(rng.randrange(100), 100)
                                                       for _ in range(21)]))
-    want = oracle_spread(means)
     calls = []
     monkeypatch.setattr(integrate, "distance", lambda u, v: calls.append(1))
     monkeypatch.setattr(spaces, "distance", lambda u, v: calls.append(1))
-    assert _max_distance(means) == want
+    assert_spread(means)
     assert not calls

@@ -1,5 +1,7 @@
 """Size options of the sampling commands, and literals with a huge exponent:
-bounded memory, and exit 2 at once past a cap.
+bounded memory, and exit 2 at once past a cap.  Example 3g's values, one
+scaled unit vector c e_n of an R-dimensional space per block, take memory
+linear in R.
 
 Each case runs `gaugelab.cli.main` in a child process that caps its own
 address space with RLIMIT_AS, then prints the exit code, the time `main`
@@ -78,3 +80,14 @@ def test_lln_peak_rss_does_not_grow_with_samples():
     large = run_child(["lln", "--fn", "identity", "--batches", "2", "--n", "1000000"])
     assert small["code"] == large["code"] == 0
     assert large["peak_kb"] - small["peak_kb"] <= 2048, (small["peak_kb"], large["peak_kb"])
+
+
+def test_gallery_3g_peak_rss_grows_linearly():
+    # each c e_n is at most 3 runs, so the values hold O(R) ints, not R^2
+    from gaugelab.gallery import example_3g
+    for R in (1, 2, 3, 1000):
+        assert sum(len(v.nums) for v in example_3g(R)["integrand"].values) <= 3 * R + 1
+    small = run_child(["gallery", "3g", "--R", "1000"])
+    large = run_child(["gallery", "3g", "--R", "4000"])
+    assert small["code"] == large["code"] == 0
+    assert large["peak_kb"] - small["peak_kb"] <= 24 * 1024, (small["peak_kb"], large["peak_kb"])

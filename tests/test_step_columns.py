@@ -17,14 +17,20 @@ constructor, `linear_combination` and the operators, `norm`, `distance`, and
 the step-space functionals (coordinates and step pairings with their norm
 bounds).
 
-A coordinate value keeps the same columns without keys: one numerator per
-coordinate over the lcm of the coordinates' reduced denominators, checked
-against the coordinates the test drew.  Spaces: findim l1/l2/linf, seq_l2
-and seq_sup of dimension 1-4.  Mutations these tests catch (each run
-on a scratch copy): the final gcd reduction of `linear_combination` dropped;
-its rescale when the common denominator grows skipped; the l1 and linf norms
+A coordinate value keeps the same columns: it is the step function i -> x_i
+on the grid of its dim coordinates, so its keys bound runs of equal
+neighbouring coordinates, checked against the coordinates the test drew.
+Coordinates often repeat their neighbour, so runs longer than one cell are
+common, and the norms, the spread and the combination functional must
+weight each run by its length.  Spaces: findim l1/l2/linf, seq_l2 and
+seq_sup of dimension 1-4.  Mutations these tests catch (each run on a
+scratch copy): the final gcd reduction of `linear_combination` dropped; its
+rescale when the common denominator grows skipped; the l1 and linf norms
 swapped; den in place of den^2 in the l2 norm; a coordinate functional that
-does not divide by den; `coords` keeping a denominator twice the lcm.
+does not divide by den; `coords` keeping a denominator twice the lcm; the
+run length dropped from the l1 or the l2 norm; equal neighbouring runs left
+unmerged in `coords`; `basis` keeping an empty run at index 0 or dim - 1;
+`_level_at` with `bisect_left`; `data` expanding one run short.
 """
 
 from fractions import Fraction
@@ -55,11 +61,25 @@ def assert_columns(v, xs):
     keys, nums, den = ref.columns(v.space, xs)
     assert (v.keys, v.nums, v.den) == (keys, nums, den)
     assert type(den) is int and den > 0 and gcd(den, *nums) == 1
-    assert all(type(x) is int for x in (*(keys or ()), *nums))
+    assert all(type(x) is int for x in (*keys, *nums))
     levels = tuple(Fraction(n, den) for n in nums)
     g = v.space.grid_depth
-    assert repr(v.data) == repr(levels if keys is None
-                                else (tuple(Dyadic(k, g) for k in keys), levels))
+    assert repr(v.data) == repr((tuple(Dyadic(k, g) for k in keys), levels) if v.space.is_step
+                                else tuple(xs))
+
+
+def assert_spread(values):
+    """`_max_distance` of the values is the reference's spread of their cells."""
+    want = ref.spread(values[0].space, [ref.cells(v) for v in values]) if values else 0
+    assert _max_distance(values) == want
+
+
+def repeating(draw, xs):
+    """xs with about one entry in four set to its left neighbour's value."""
+    for i in range(1, len(xs)):
+        if draw(st.integers(0, 3)) == 0:
+            xs[i] = xs[i - 1]
+    return xs
 
 
 @st.composite
@@ -69,10 +89,8 @@ def drawn(draw, g):
     constructor, and its reference cells."""
     n = 1 << g
     keys = [0] + sorted(draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else []) + [n]
-    levels = draw(st.lists(LEVELS, min_size=len(keys) - 1, max_size=len(keys) - 1))
-    for i in range(1, len(levels)):
-        if draw(st.integers(0, 3)) == 0:
-            levels[i] = levels[i - 1]
+    levels = repeating(draw, draw(st.lists(LEVELS, min_size=len(keys) - 1,
+                                           max_size=len(keys) - 1)))
     breaks = [Dyadic(k, g) for k in keys]
     return breaks, levels, ref.step(g, breaks, levels)
 
@@ -128,7 +146,8 @@ COORD_SPACES = ([ValueSpace.findim(d, norm) for d in range(1, 5) for norm in (L1
 @st.composite
 def coord_cases(draw, count):
     space = draw(st.sampled_from(COORD_SPACES))
-    return space, [draw(st.lists(LEVELS, min_size=space.dim, max_size=space.dim))
+    return space, [repeating(draw, draw(st.lists(LEVELS, min_size=space.dim,
+                                                 max_size=space.dim)))
                    for _ in range(count)]
 
 
@@ -223,6 +242,15 @@ def test_coordinate_constructors_give_canonical_columns(case, n):
     assert_columns(VectorValue.basis(space, n % space.dim), unit)
 
 
+@pytest.mark.parametrize("n", [-1, 3, 4])
+def test_basis_refuses_an_index_out_of_range(n):
+    space = ValueSpace.findim(3)
+    with pytest.raises(ValueError, match=f"coordinate {n} out of range"):
+        VectorValue.basis(space, n)
+    with pytest.raises(ValueError, match=f"coordinate {n} out of range"):
+        DualFunctional.coordinate(space, n)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_coordinate_norm_functionals_and_spread_match_fraction_code(data):
@@ -239,4 +267,4 @@ def test_coordinate_norm_functionals_and_spread_match_fraction_code(data):
         f = DualFunctional.combination(space, [data.draw(COEFFS) for _ in range(space.dim)])
         x = f(v)
         assert type(x) is Fraction and x == ref.pair(f, coords)
-    assert _max_distance(values) == ref.spread(space, rows)
+    assert_spread(values)
