@@ -111,10 +111,6 @@ def build_integrand(args) -> dict:
     return {"integrand": phi, "exact_integral": exact_vector_integral(phi)}
 
 
-def geometric_blocks(count: int) -> list[Region]:
-    return [r for r in truncation_cover(count + 1)[:count]]
-
-
 # -- command handlers ----------------------------------------------------------
 # each returns (exit_code, result, csv_rows)
 
@@ -153,7 +149,7 @@ def cmd_pettis(args):
 def cmd_series(args):
     built = build_integrand(args)
     phi = built["integrand"]
-    blocks = geometric_blocks(args.blocks)
+    blocks = truncation_cover(args.blocks + 1)[:args.blocks]
     out = interval_series_check(phi, blocks, tol=args.tol,
                                 window_start=args.window_start, seed=args.seed)
     result = dict(out, integrand=phi, blocks=blocks)

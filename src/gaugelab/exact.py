@@ -9,7 +9,8 @@ allow; set operations, point lookups and translates work on the columns, and
 the parts as Interval objects are built only when a caller reads `parts`.
 Set operations on regions are computed exactly and work modulo null sets:
 touching endpoints merge, and the binary combinators never emit degenerate
-parts.  No floats enter any code path here.
+parts.  No floats enter any code path here.  The int rules that the other
+modules share live here too: `canonical_exp` and `over_one_den`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import MalformedInterval
@@ -346,13 +348,29 @@ class Region:
         return f"Region({', '.join(f'[{lo}, {hi}]' for lo, hi in format_region(self))})"
 
 
+def canonical_exp(n: int, e: int) -> int:
+    """The exponent of n / 2^e in canonical form."""
+    if not n:
+        return 0
+    z = (n & -n).bit_length() - 1
+    return e - z if z < e else 0
+
+
 def shared_zeros(exp: int, xs: Iterable[int]) -> int:
     """The trailing zero bits that every x shares, at most exp: the points
     x / 2^exp are ints at exponent exp - shared_zeros(exp, xs), the smallest."""
     bits = 0
     for x in xs:
         bits |= x
-    return min((bits & -bits).bit_length() - 1, exp) if bits else exp
+    return exp - canonical_exp(bits, exp)
+
+
+def over_one_den(values: Iterable) -> tuple[list[int], int]:
+    """(numerators, d): the rationals over the lcm d of their reduced
+    denominators, so gcd(numerators, d) = 1."""
+    values = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in values]
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 def merged_region(exp: int, pairs: Iterable[tuple[int, int]]) -> Region:

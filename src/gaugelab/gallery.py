@@ -36,11 +36,10 @@ from .stability import FunctionFamily, Member
 @dataclass
 class FatSet:
     """Increasing closed sets H_0 = empty set up to H_L inside [0,2], with
-    positive measure but never full measure in every dyadic cell at the
-    declared resolution."""
+    positive measure but never full measure in every dyadic cell of width
+    2^-r, the resolution r that `diagnostics` records."""
 
     stages: list  # Region, index 0..L
-    resolution: int
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -98,7 +97,7 @@ def build_fat_set(L: int, r: int = 3) -> FatSet:
         "measure": str(top.measure()),
         "parts": len(top.lo),
     }
-    return FatSet(stages=stages, resolution=r, diagnostics=diag)
+    return FatSet(stages=stages, diagnostics=diag)
 
 
 def check_fat_invariant(H: Region, r: int):

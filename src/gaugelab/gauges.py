@@ -27,12 +27,11 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import sha512
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
 from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT, UNIT_REGION,
-                    merged_region, region_subtract)
+                    canonical_exp, merged_region, over_one_den, region_subtract)
 
 SCHEMA = "gauge-lab/1"
 
@@ -48,12 +47,6 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _over_common_den(qs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, nums) with qs[i] == nums[i] / den, so a wall compares ints."""
-    den = lcm(*(q.denominator for q in qs))
-    return den, [q.numerator * (den // q.denominator) for q in qs]
-
-
 class Gauge:
     """Positive width function on [0,1], held as the int data of its kind.
 
@@ -63,7 +56,8 @@ class Gauge:
       proximity  min(cap, distance to a breakpoint set), with one positive
                  floor on the breakpoints; the classical witness gauge for step maps
 
-    Each kind builds three tests in ints from its data; `descriptor` names it.
+    Each kind builds three tests in ints from its data.  `kind` names it,
+    and `descriptor`, its data as strings, is built each time it is read.
     `fits(t, d, e)`: is d/2^e <= delta(t/2^e)?  The one subordination test: an
     interval whose points all lie within d/2^e of the tag t/2^e fits the
     gauge ball at that tag.
@@ -83,12 +77,18 @@ class Gauge:
     about the breakpoints (proximity; its floor sits on single points).
     """
 
-    def __init__(self, descriptor: dict, fits: Callable[[int, int, int], bool],
+    def __init__(self, kind: str, describe: Callable[[], dict],
+                 fits: Callable[[int, int, int], bool],
                  wall: Callable[[int, int, int], bool], level_set: Callable[[int], Region]):
-        self.descriptor = descriptor
+        self.kind = kind
+        self._describe = describe
         self.fits = fits
         self.wall = wall
         self.level_set = level_set
+
+    @property
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, **self._describe()}
 
     @classmethod
     def const(cls, value) -> "Gauge":
@@ -96,7 +96,7 @@ class Gauge:
         if v <= 0:
             raise GaugeNotPositive(f"constant gauge {v} <= 0")
         p, q = v.numerator, v.denominator
-        return cls({"kind": "const", "value": str(v)},
+        return cls("const", lambda: {"value": str(v)},
                    fits=lambda t, d, e: d * q <= p << e,
                    wall=lambda lo, hi, e: (hi - lo) * q > p << (e + 1),
                    level_set=lambda k: UNIT_REGION if p << k >= q else Region.empty())
@@ -116,7 +116,7 @@ class Gauge:
             raise GaugeNotPositive("piecewise gauge has a non-positive cell")
         cells = DyadicCuts(breaks[1:-1])
         keys, ce = cells.keys, cells.exp
-        den, nums = _over_common_den(vals)
+        nums, den = over_one_den(vals)
         edges = [0, *keys, 1 << ce]
 
         def fits(t, d, e):
@@ -135,12 +135,9 @@ class Gauge:
             return merged_region(ce, [(edges[i], edges[i + 1])
                                       for i, v in enumerate(nums) if v << k >= den])
 
-        desc = {
-            "kind": "piecewise",
-            "breaks": [str(b) for b in breaks],
-            "values": [str(v) for v in vals],
-        }
-        return cls(desc, fits=fits, wall=wall, level_set=level_set)
+        def describe():
+            return {"breaks": [str(b) for b in breaks], "values": [str(v) for v in vals]}
+        return cls("piecewise", describe, fits=fits, wall=wall, level_set=level_set)
 
     @classmethod
     def proximity(cls, exp: int, keys: Sequence[int], cap, floor) -> "Gauge":
@@ -149,8 +146,7 @@ class Gauge:
         capq, floorq = _as_fraction(cap), _as_fraction(floor)
         if capq <= 0 or floorq <= 0:
             raise GaugeNotPositive("proximity gauge needs positive cap and floor")
-        bps = [str(Dyadic(k, exp)) for k in keys]
-        keys, e0, n = sorted(keys), exp, len(keys)
+        given, keys, e0, n = tuple(keys), sorted(keys), exp, len(keys)
         cap_p, cap_q = capq.numerator, capq.denominator
         floor_p, floor_q = floorq.numerator, floorq.denominator
 
@@ -200,13 +196,11 @@ class Gauge:
             return merged_region(g, [(a, b) for a, b in zip((0, *balls.hi), (*balls.lo, top))
                                      if a < b])
 
-        desc = {
-            "kind": "proximity",
-            "breakpoints": bps,
-            "cap": str(capq),
-            "floor": str(floorq),
-        }
-        return cls(desc, fits=fits, wall=wall, level_set=level_set)
+        def describe():
+            # the breakpoints in the order given
+            return {"breakpoints": [str(Dyadic(k, e0)) for k in given],
+                    "cap": str(capq), "floor": str(floorq)}
+        return cls("proximity", describe, fits=fits, wall=wall, level_set=level_set)
 
 
 class TaggedInterval:
@@ -297,14 +291,6 @@ def is_subordinate(p: TaggedPartition, g: Gauge) -> bool:
     return all(fits(t, max(t - a, b - t), e) for a, b, t in zip(p.lo, p.hi, p.tag))
 
 
-def _canonical_exp(n: int, e: int) -> int:
-    """The exponent of n / 2^e in canonical form."""
-    if not n:
-        return 0
-    z = (n & -n).bit_length() - 1
-    return e - z if z < e else 0
-
-
 @lru_cache(maxsize=4096)
 def _sampled_tag(seed: int, lo: int, hi: int, e: int):
     """The sampled strategy's fit-test triple (t, d, te) for the node
@@ -322,7 +308,7 @@ def _sampled_tag(seed: int, lo: int, hi: int, e: int):
     memo: bounded, keyed by the seed and the node as written, so the key is
     built only on a miss; a node written at two exponents takes two entries,
     which hold one draw."""
-    el, eh = _canonical_exp(lo, e), _canonical_exp(hi, e)
+    el, eh = canonical_exp(lo, e), canonical_exp(hi, e)
     lo, hi = lo >> (e - el), hi >> (e - eh)
     key = f"{seed}|{lo}/2^{el}|{hi}/2^{eh}".encode()
     rng = _CRandom(int.from_bytes(key + sha512(key).digest(), "big"))
@@ -479,9 +465,10 @@ def extend_to_partition(
 # -- serialization ---------------------------------------------------------
 
 
-def partition_to_json(p: TaggedPartition) -> str:
+def partition_payload(p: TaggedPartition) -> dict:
+    """The partition as the JSON object that `partition_to_json` writes."""
     e = p.exp
-    payload = {
+    return {
         "schema": SCHEMA,
         "flavor": p.flavor,
         "items": [
@@ -489,7 +476,10 @@ def partition_to_json(p: TaggedPartition) -> str:
             for a, b, t in zip(p.lo, p.hi, p.tag)
         ],
     }
-    return json.dumps(payload, sort_keys=True)
+
+
+def partition_to_json(p: TaggedPartition) -> str:
+    return json.dumps(partition_payload(p), sort_keys=True)
 
 
 def partition_from_json(text: str) -> TaggedPartition:

@@ -23,16 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .errors import UnsupportedExactIntegration
-from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, format_region,
-                    merged_region)
-from .gauges import Gauge, MCSHANE, TaggedPartition, _canonical_exp, cousin_partition
+from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, canonical_exp,
+                    format_region, merged_region)
+from .gauges import Gauge, MCSHANE, TaggedPartition, cousin_partition
 from .integrands import (
     STEP,
     IntegrandFn,
@@ -41,8 +41,8 @@ from .integrands import (
     restrict_integrand,
 )
 from .rng import stream, uniform_blocks
-from .spaces import (L1, L2, LINF, DualFunctional, ValueSpace, VectorValue, _merge_steps,
-                     distance, linear_combination, sqrt_enclosure)
+from .spaces import (L2, DualFunctional, ValueSpace, VectorValue, distance, linear_combination,
+                     spread, squared_distance)
 
 DEFAULT_TOL = Fraction(1, 1 << 10)
 
@@ -83,7 +83,7 @@ def riemann_sum(phi: IntegrandFn, p: TaggedPartition) -> VectorValue:
                 s[k] += w
                 w *= a
     nums, den = _poly_sums(phi.polys, moments, e)
-    return VectorValue(phi.space, tuple(Fraction(x, den << e) for x in nums))
+    return VectorValue.coords(phi.space, [Fraction(x, den << e) for x in nums])
 
 
 def _poly_sums(polys, moments, e: int) -> tuple[list[int], int]:
@@ -120,51 +120,8 @@ class IntegralEstimate:
 
 _STRATEGIES = ("mid", "left", "sampled")
 
-
-def _max_distance(values: Sequence[VectorValue]) -> Fraction:
-    """Largest pairwise distance (enclosure upper end) among the values.
-
-    One `_merge_steps` pass over the union of the values' run keys puts
-    every level over the lcm D of their denominators.  In the sup norm
-    (every step space) the largest pairwise distance is the largest range of
-    the levels on a cell, over D; so it is in one dimension, where every
-    norm is |a - b| (the root of the l2 key is exact).  Otherwise each pair
-    gets one int key that grows with its distance, summed over the cells
-    weighted by their lengths: the sum of |a - b| (l1) or of (a - b)^2
-    (l2).  The l1 distance is the largest key over D, exactly.
-
-    The l2 distance of a pair is `sqrt_enclosure(key / D^2).hi`, and that
-    upper end does not grow with the key: at a perfect square it is the exact
-    root, while just below one it is the rounded-down root plus 2^-64, which
-    can be larger.  So the distinct keys are scanned largest first, keeping
-    the best upper end so far.  B(q) = (isqrt(floor(q 2^128)) + 1) / 2^64
-    grows with q and is never below the upper end at q (off perfect squares
-    the two are equal), so the scan stops at the first key whose B is at most
-    the best: no smaller key can beat it.
-    """
-    if len(values) < 2:
-        return Fraction(0)
-    space = values[0].space
-    den = lcm(*(v.den for v in values))
-    sup = space.norm == LINF or space.dim == 1
-    widest, keys = 0, [0] * (0 if sup else len(values) * (len(values) - 1) // 2)
-    for w, levels in _merge_steps(values, den):
-        if sup:
-            widest = max(widest, max(levels) - min(levels))
-        else:
-            diffs = (a - b for i, a in enumerate(levels) for b in levels[i + 1:])
-            keys = [s + w * (abs(d) if space.norm == L1 else d * d) for s, d in zip(keys, diffs)]
-    if sup:
-        return Fraction(widest, den)
-    if space.norm == L1:
-        return Fraction(max(keys), den)
-    square = den * den
-    best = Fraction(0)
-    for q in sorted(set(keys), reverse=True):
-        if Fraction(isqrt((q << 128) // square) + 1, 1 << 64) <= best:
-            break
-        best = max(best, sqrt_enclosure(Fraction(q, square)).hi)
-    return best
+# the bisection depth cap of every trial partition, counted on the support
+MAX_DEPTH = 60
 
 
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
@@ -192,7 +149,6 @@ def mcshane_integrate(
     max_levels: int = 12,
     seed: int = 0,
     flavor: str = MCSHANE,
-    max_depth: int = 60,
 ) -> IntegralEstimate:
     """Riemann sums over subordinate partitions along a gauge schedule.
 
@@ -205,7 +161,7 @@ def mcshane_integrate(
     the default.
 
     Every trial bisects only the integrand's support, worked out once, so
-    max_depth bounds the bisection there alone and a gauge that is tiny only
+    MAX_DEPTH bounds the bisection there alone and a gauge that is tiny only
     where phi vanishes does not raise.  An integrand with empty support
     builds no partition: every sum is its zero value.
     """
@@ -225,15 +181,13 @@ def mcshane_integrate(
                 g,
                 flavor=flavor,
                 tag_strategy=_STRATEGIES[i % len(_STRATEGIES)],
-                max_depth=max_depth,
+                max_depth=MAX_DEPTH,
                 seed=seed * 100003 + level * 97 + i,
                 support=support,
             )) for i in range(trials_per_level)]
-        osc = _max_distance(sums)
+        osc = spread(sums)
         last = sums[-1]
-        trace.append(
-            {"level": level, "gauge": g.descriptor["kind"], "oscillation": str(osc)}
-        )
+        trace.append({"level": level, "gauge": g.kind, "oscillation": str(osc)})
         if osc <= tol:
             return IntegralEstimate(last, osc, "converged", trace)
         osc_history.append(osc)
@@ -249,11 +203,9 @@ def indefinite_integral(
     region: Region,
     tol: Fraction = DEFAULT_TOL,
     seed: int = 0,
-    max_levels: int = 12,
 ) -> IntegralEstimate:
     """Gauge integral of phi restricted to the region (the set map E -> nu(E))."""
-    return mcshane_integrate(restrict_integrand(phi, region), tol=tol, seed=seed,
-                             max_levels=max_levels)
+    return mcshane_integrate(restrict_integrand(phi, region), tol=tol, seed=seed)
 
 
 # -- dual-route checks ---------------------------------------------------------
@@ -335,7 +287,7 @@ def interval_series_check(
         acc = acc + est.value
         partials.append(acc)
         block_norms.append(est.value.norm().hi)
-    tail_max = _max_distance(partials[lo:])
+    tail_max = spread(partials[lo:])
     return {
         "n_blocks": n,
         "window_start": lo,
@@ -371,7 +323,7 @@ def _trim_region_to_measure(region: Region, target: Fraction) -> Region:
             hi.append(b)
             rem -= (b - a) * den
         elif rem > 0:
-            k = E - _trim_depth(_canonical_exp(a, E))
+            k = E - _trim_depth(canonical_exp(a, E))
             end = (a * den + rem) // (den << k) << k
             if end > a:
                 lo.append(a)
@@ -517,13 +469,6 @@ def _power_sums(ks: np.ndarray, top: int) -> list[int]:
     return [len(ks), (int(hi.sum()) << 26) + int(lo.sum()), (hh << 52) + (hl << 27) + ll][:top + 1]
 
 
-def _squared_distance(u: VectorValue, v: VectorValue) -> Fraction:
-    """||u - v||^2 in the space's norm, exactly."""
-    if u.space.norm != L2:
-        return distance(u, v).hi ** 2
-    return (u - v).square_sum()
-
-
 def talagrand_integrate(
     phi: IntegrandFn, seed: int = 0, n: int = 10_000, batches: int = 30
 ) -> TalagrandReport:
@@ -567,13 +512,13 @@ def talagrand_integrate(
         else:
             mean = linear_combination(phi.space, (
                 (Fraction(c, n), val) for c, val in zip(counts.tolist(), phi.values) if c))
-            scatter = sum((c * _squared_distance(val, mean)
+            scatter = sum((c * squared_distance(val, mean)
                            for c, val in zip(counts.tolist(), phi.values) if c), Fraction(0))
         means.append(mean)
         variances.append(scatter / (n - 1) if n > 1 else Fraction(0))
     # every batch has n samples, so the pooled mean is the mean of the means
     pooled = linear_combination(phi.space, ((Fraction(1, batches), m) for m in means))
-    return TalagrandReport(means, variances, pooled, _max_distance(means))
+    return TalagrandReport(means, variances, pooled, spread(means))
 
 
 # -- simple-function integration ---------------------------------------------------

@@ -16,11 +16,9 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .exact import Dyadic, Interval, Region, format_region
-from .gauges import Gauge, TaggedPartition, partition_to_json
+from .gauges import SCHEMA, Gauge, TaggedPartition, partition_payload
 from .integrands import IntegrandFn
 from .spaces import Enclosure, ValueSpace, VectorValue
-
-SCHEMA = "gauge-lab/1"
 
 
 def fraction_str(q: Fraction) -> str:
@@ -66,7 +64,7 @@ def jsonable(obj):
     if isinstance(obj, Region):
         return format_region(obj)
     if isinstance(obj, TaggedPartition):
-        return json.loads(partition_to_json(obj))
+        return partition_payload(obj)
     if isinstance(obj, IntegrandFn):
         return {
             "label": obj.label,
@@ -75,7 +73,7 @@ def jsonable(obj):
             "n_cells": len(obj.values) if obj.values is not None else None,
         }
     if isinstance(obj, Gauge):
-        return dict(obj.descriptor)
+        return obj.descriptor
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)

@@ -13,7 +13,8 @@ and one numerator n_i per run over one positive denominator d, so the cells
 1, and no two adjacent runs equal), so equal values have equal columns and
 c * e_n takes at most 3 runs.  Sums, norms, distances and pairings work on
 the columns in ints and build one Fraction per result; the Fraction form
-`data` is built only when read.
+`data` is built only when read.  Every rule that depends on the norm lives
+here, `spread` and `squared_distance` among them, for the integrators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import SpaceMismatch
-from .exact import D0, D1, Dyadic
+from .exact import D0, D1, Dyadic, over_one_den
 
 L1, L2, LINF = "l1", "l2", "linf"
 
@@ -156,41 +157,6 @@ def _merge_steps(values: Sequence[VectorValue], den: int):
         yield end - k, levels
 
 
-def _over_one_den(values: Sequence) -> tuple[list, int]:
-    """(numerators, d): the rationals over the lcm d of their reduced
-    denominators, so gcd(numerators, d) = 1."""
-    values = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in values]
-    den = lcm(*(q.denominator for q in values))
-    return [q.numerator * (den // q.denominator) for q in values], den
-
-
-def _step_columns(space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence):
-    """Canonical columns (keys, nums, den) of the step function with Dyadic
-    breaks on the space's grid and rational levels; ValueError if it is not one."""
-    breaks, levels = list(breaks), list(levels)
-    if len(levels) != len(breaks) - 1:
-        raise ValueError("need one level per cell")
-    if breaks[0] != D0 or breaks[-1] != D1:
-        raise ValueError("step value must span [0,1]")
-    g = space.grid_depth
-    if any(b.exp > g for b in breaks):
-        raise ValueError(f"breakpoint finer than grid depth {g}")
-    keys = [b.num << (g - b.exp) for b in breaks]
-    if any(k >= j for k, j in zip(keys, keys[1:])):
-        raise ValueError("breakpoints must increase")
-    nums, den = _over_one_den(levels)
-    return (*_runs(keys, nums), den)
-
-
-def _coord_columns(space: ValueSpace, values: Sequence):
-    """Canonical columns (keys, nums, den) of the coordinate value with the
-    given rational coordinates; ValueError if there are not dim of them."""
-    nums, den = _over_one_den(values)
-    if len(nums) != space.dim:
-        raise ValueError(f"expected {space.dim} coordinates, got {len(nums)}")
-    return (*_runs(range(space.dim + 1), nums), den)
-
-
 def _runs(keys: Sequence[int], nums: Sequence[int]) -> tuple[tuple, tuple]:
     """(keys, nums) of the runs [keys[i], keys[i + 1]) at nums[i], with
     equal neighbours merged."""
@@ -211,19 +177,10 @@ class VectorValue:
     `keys` on the space's grid, one numerator per run in `nums`, and the
     positive `den`.  `data` is the same value as Fractions: a coordinate
     value's tuple of all dim coordinates, or a step value's (Dyadic breaks,
-    Fraction levels).  It is built from the columns on first read, or kept
-    as given when the value is made from it.
+    Fraction levels).  It is built from the columns on first read.
     """
 
     __slots__ = ("space", "_data", "keys", "nums", "den")
-
-    def __init__(self, space: ValueSpace, data):
-        self.space = space
-        self._data = data
-        if space.is_step:
-            self.keys, self.nums, self.den = _step_columns(space, *data)
-        else:
-            self.keys, self.nums, self.den = _coord_columns(space, data)
 
     @classmethod
     def _columns(cls, space: ValueSpace, keys: tuple, nums: tuple, den: int) -> "VectorValue":
@@ -249,15 +206,34 @@ class VectorValue:
 
     @classmethod
     def coords(cls, space: ValueSpace, values: Sequence) -> "VectorValue":
+        """The coordinate value with the given rational coordinates;
+        ValueError if there are not dim of them."""
         if space.is_step:
             raise ValueError("use VectorValue.step for step_linf values")
-        return cls._columns(space, *_coord_columns(space, values))
+        nums, den = over_one_den(values)
+        if len(nums) != space.dim:
+            raise ValueError(f"expected {space.dim} coordinates, got {len(nums)}")
+        return cls._columns(space, *_runs(range(space.dim + 1), nums), den)
 
     @classmethod
     def step(cls, space: ValueSpace, breaks: Sequence[Dyadic], levels: Sequence) -> "VectorValue":
+        """The step function with Dyadic breaks on the space's grid and
+        rational levels; ValueError if it is not one."""
         if not space.is_step:
             raise ValueError("step data needs a step_linf space")
-        return cls._columns(space, *_step_columns(space, breaks, levels))
+        breaks, levels = list(breaks), list(levels)
+        if len(levels) != len(breaks) - 1:
+            raise ValueError("need one level per cell")
+        if breaks[0] != D0 or breaks[-1] != D1:
+            raise ValueError("step value must span [0,1]")
+        g = space.grid_depth
+        if any(b.exp > g for b in breaks):
+            raise ValueError(f"breakpoint finer than grid depth {g}")
+        keys = [b.num << (g - b.exp) for b in breaks]
+        if any(k >= j for k, j in zip(keys, keys[1:])):
+            raise ValueError("breakpoints must increase")
+        nums, den = over_one_den(levels)
+        return cls._columns(space, *_runs(keys, nums), den)
 
     @classmethod
     def zero(cls, space: ValueSpace) -> "VectorValue":
@@ -396,6 +372,63 @@ def distance(u: VectorValue, v: VectorValue) -> Enclosure:
     return Enclosure(top, top)
 
 
+def squared_distance(u: VectorValue, v: VectorValue) -> Fraction:
+    """||u - v||^2 in the space's norm, exactly."""
+    if u.space.norm != L2:
+        return distance(u, v).hi ** 2
+    return (u - v).square_sum()
+
+
+def spread(values: Sequence[VectorValue]) -> Fraction:
+    """Largest pairwise distance (enclosure upper end) among values of one
+    space; SpaceMismatch if they are not.
+
+    One `_merge_steps` pass over the union of the values' run keys puts
+    every level over the lcm D of their denominators.  In the sup norm
+    (every step space) the largest pairwise distance is the largest range of
+    the levels on a cell, over D; so it is in one dimension, where every
+    norm is |a - b| (the root of the l2 key is exact).  Otherwise each pair
+    gets one int key that grows with its distance, summed over the cells
+    weighted by their lengths: the sum of |a - b| (l1) or of (a - b)^2
+    (l2).  The l1 distance is the largest key over D, exactly.
+
+    The l2 distance of a pair is `sqrt_enclosure(key / D^2).hi`, and that
+    upper end does not grow with the key: at a perfect square it is the exact
+    root, while just below one it is the rounded-down root plus 2^-64, which
+    can be larger.  So the distinct keys are scanned largest first, keeping
+    the best upper end so far.  B(q) = (isqrt(floor(q 2^128)) + 1) / 2^64
+    grows with q and is never below the upper end at q (off perfect squares
+    the two are equal), so the scan stops at the first key whose B is at most
+    the best: no smaller key can beat it.
+    """
+    if len(values) < 2:
+        return Fraction(0)
+    space = values[0].space
+    for v in values:
+        if v.space is not space and v.space != space:
+            raise SpaceMismatch(f"{space} vs {v.space}")
+    den = lcm(*(v.den for v in values))
+    sup = space.norm == LINF or space.dim == 1
+    widest, keys = 0, [0] * (0 if sup else len(values) * (len(values) - 1) // 2)
+    for w, levels in _merge_steps(values, den):
+        if sup:
+            widest = max(widest, max(levels) - min(levels))
+        else:
+            diffs = (a - b for i, a in enumerate(levels) for b in levels[i + 1:])
+            keys = [s + w * (abs(d) if space.norm == L1 else d * d) for s, d in zip(keys, diffs)]
+    if sup:
+        return Fraction(widest, den)
+    if space.norm == L1:
+        return Fraction(max(keys), den)
+    square = den * den
+    best = Fraction(0)
+    for q in sorted(set(keys), reverse=True):
+        if Fraction(isqrt((q << 128) // square) + 1, 1 << 64) <= best:
+            break
+        best = max(best, sqrt_enclosure(Fraction(q, square)).hi)
+    return best
+
+
 class DualFunctional:
     """Norm-one-capped linear functional on a ValueSpace.
 
@@ -456,16 +489,4 @@ class DualFunctional:
         den = lcm(self.density.den, v.den)
         total = sum(w * a * b for w, (a, b) in _merge_steps((self.density, v), den))
         return Fraction(total, den * den << self.space.grid_depth)
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind, "norm_bound": str(self.norm_bound)}
-        if self.kind == "coordinate":
-            out["index"] = self.params
-        elif self.kind == "combination":
-            out["coeffs"] = [str(c) for c in self.params]
-        else:
-            breaks, levels = self.params.data
-            out["density_breaks"] = [str(b) for b in breaks]
-            out["density_levels"] = [str(l) for l in levels]
-        return out
 

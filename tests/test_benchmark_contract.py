@@ -3,11 +3,18 @@ tree, and its checks agree with their oracles.
 
 perfbench/ wraps or reads names of the package: `integrands.scalar_integral`,
 `IntegrandFn.eval`, `Interval.length`, `spaces._merge_steps`,
-`_kernels.USING_NUMBA`, and the `Dyadic` breaks of family members.  Its
-tracer reads the first and last item of every partition that
-`cousin_partition` returns, so `mcshane_integrate` must build no partition
-for an integrand whose support is empty.  A change that drops one of these
-names or breaks that rule fails here, not first in a benchmark run.
+`spaces.distance`, `VectorValue.__add__` and `__mul__`,
+`integrate.indefinite_integral` (the pairing workload rebinds it),
+`DualFunctional.kind` and `.params`, `TaggedPartition.items`,
+`Region.parts`, `_kernels.USING_NUMBA`, and the `Dyadic` `breaks` and the
+`levels` of family members (`Member`).  Its tracer reads the first and last
+item of every partition that `cousin_partition` returns, so
+`mcshane_integrate` must build no partition for an integrand whose support
+is empty.  It also counts the runs of `_merge_steps` inside the
+`VectorValue.__add__` and `__mul__` spans by calling `len()` on what it
+returns, a generator, so `_merge_steps` must never run inside those two
+methods.  A change that drops one of these names or breaks either rule
+fails here, not first in a benchmark run.
 
 Each workload runs traced (`--trace 1`, which ignores `--seconds`) in a copy
 of perfbench/, BENCHMARK.json and src/ under tmp_path, so the run's output

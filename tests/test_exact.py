@@ -18,11 +18,13 @@ from gaugelab.exact import (
     Interval,
     Region,
     UNIT,
+    canonical_exp,
     format_region,
     parse_fraction,
     parse_region,
     region_combine,
     region_subtract,
+    shared_zeros,
 )
 from gaugelab.errors import MalformedInterval
 import reference as ref
@@ -93,6 +95,9 @@ def test_dyadic_shift_canonical_matches_loop(num, exp):
     d = Dyadic(num, exp)
     assert (d.num, d.exp) == loop_canonical(num, exp)
     assert type(d.num) is int and type(d.exp) is int
+    assert canonical_exp(num, exp) == loop_canonical(num, exp)[1]
+    if exp >= 0:
+        assert shared_zeros(exp, [num]) == exp - canonical_exp(num, exp)
 
 
 def test_parse_fraction_forms():

@@ -20,6 +20,7 @@ from gaugelab.gauges import (
     partition_from_json,
     partition_to_json,
 )
+from gaugelab.gallery import example_3f
 from gaugelab.integrands import IntegrandFn, adapted_gauge
 from gaugelab.spaces import ValueSpace, VectorValue
 
@@ -102,6 +103,23 @@ def test_distinct_floors_print_distinct_descriptors():
         # at the breakpoint 3/8, half-widths d / 2^20 fit up to the printed floor
         d = int(Fraction(g.descriptor["floor"]) * (1 << 20))
         assert g.fits(3 << 17, d, 20) and not g.fits(3 << 17, d + 1, 20)
+
+
+def test_descriptors_are_formatted_only_when_read(monkeypatch):
+    calls = []
+    fmt = Dyadic.__str__
+    monkeypatch.setattr(Dyadic, "__str__", lambda d: calls.append(d) or fmt(d))
+    g = adapted_gauge(example_3f(6)["integrand"], 4)
+    assert len(cousin_partition(g, tag_strategy="sampled", seed=1)) and not calls
+    assert g.kind == "proximity" and len(g.descriptor["breakpoints"]) == len(calls) == 65
+    # each kind's descriptor, once read; the breakpoints keep the order given
+    assert Gauge.const(Fraction(1, 3)).descriptor == {"kind": "const", "value": "1/3"}
+    g = Gauge.piecewise([D0, Dyadic(1, 2), D1], [Fraction(1, 4), 2])
+    assert (g.kind, g.descriptor) == ("piecewise", {
+        "kind": "piecewise", "breaks": ["0/2^0", "1/2^2", "1/2^0"], "values": ["1/4", "2"]})
+    g = Gauge.proximity(3, [6, 1, 4], Fraction(1, 4), Fraction(1, 32))
+    assert g.descriptor == {"kind": "proximity", "breakpoints": ["3/2^2", "1/2^3", "1/2^1"],
+                            "cap": "1/4", "floor": "1/32"}
 
 
 def test_cousin_constant_quarter_gauge():

@@ -7,6 +7,10 @@ is left out: its imports are the package's re-exports.  The check reads the
 source with `ast` and counts a name as used when it appears as a `Name` node
 anywhere in the module (annotations included), so `np.zeros` uses `np`.
 
+No module of the package imports another module's private name: a rule
+two modules need lives, public, in one of them.  `from . import _kernels`
+imports a module, and stays allowed.
+
 The reference states each concept from its definition, so of gaugelab it may
 import only the types and constants of the data it reads and returns, never
 the code its oracles are checked against.
@@ -40,6 +44,17 @@ def test_module_level_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # `from . import _x` has no module: it imports the module _x
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                private += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
 
 
 def test_reference_imports_only_data_types():

@@ -1,7 +1,7 @@
 """The largest pairwise distance among values, in ints, against the pair loop.
 
-`integrate._max_distance` is the spread of the McShane trial sums, the
-series tail and the batch means.  It takes one sweep over the union of the
+`spaces.spread` is the spread of the McShane trial sums, the series tail
+and the batch means, and it refuses values from two spaces.  It takes one sweep over the union of the
 values' run keys.  In the sup norm it keeps the largest range of the levels
 over a cell; in l1 and l2 each pair gets one int key over one common
 denominator, weighted by the cells' lengths, and the l2 upper end is found
@@ -21,13 +21,14 @@ copy): the run length dropped from the l1/l2 key.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugelab import integrate, spaces
+from gaugelab.errors import SpaceMismatch
 from gaugelab.exact import D0, D1, Dyadic
-from gaugelab.integrate import _max_distance
-from gaugelab.spaces import L1, L2, LINF, ValueSpace, VectorValue, distance
+from gaugelab.spaces import L1, L2, LINF, ValueSpace, VectorValue, distance, spread
 import reference as ref
 from test_step_columns import assert_spread, repeating
 
@@ -73,8 +74,17 @@ WORKED = [VectorValue.coords(ValueSpace.findim(2, L2), v) for v in
 
 
 def test_worked_example():
-    assert _max_distance(WORKED) == Fraction(3074457345618258603, 1 << 63)
-    assert _max_distance(WORKED) > Fraction(1, 3)
+    assert spread(WORKED) == Fraction(3074457345618258603, 1 << 63)
+    assert spread(WORKED) > Fraction(1, 3)
+
+
+def test_spread_refuses_values_from_different_spaces():
+    # read with the first value's norm, this pair spreads 2 in l1 and sqrt(2) in l2
+    u = VectorValue.coords(ValueSpace.findim(2, L1), [1, 0])
+    v = VectorValue.coords(ValueSpace.findim(2, L2), [0, 1])
+    for pair in ([u, v], [v, u], [u, u, v]):
+        with pytest.raises(SpaceMismatch):
+            spread(pair)
 
 
 @settings(max_examples=400, deadline=None)
@@ -106,8 +116,7 @@ def test_spread_of_200_means_calls_no_distance(monkeypatch):
 
     monkeypatch.setattr(integrate, "distance", counted("distance", integrate.distance))
     monkeypatch.setattr(spaces, "distance", counted("distance", spaces.distance))
-    monkeypatch.setattr(integrate, "sqrt_enclosure",
-                        counted("sqrt", integrate.sqrt_enclosure))
+    monkeypatch.setattr(spaces, "sqrt_enclosure", counted("sqrt", spaces.sqrt_enclosure))
     assert_spread(means)
     assert calls["distance"] == 0 and 1 <= calls["sqrt"] <= 2
 
