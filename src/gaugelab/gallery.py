@@ -524,6 +524,8 @@ def example_3f(depth: int = 12) -> dict:
 
 # -- weighted unit-vector blocks ----------------------------------------------
 
+MAX_3G_R = 9870  # the largest R whose report prints: its ints fit 4,300 digits
+
 
 def example_3g(R: int) -> dict:
     """phi = 2^n (n+1)^-1 e_n on [2^-(n+1), 2^-n), zero on [0, 2^-R).
@@ -532,8 +534,8 @@ def example_3g(R: int) -> dict:
     ||phi|| are harmonic partial sums H_N / 2, unbounded in N while the
     integral stays in the unit ball.
     """
-    if R < 1:
-        raise ValueError("need R >= 1")
+    if not 1 <= R <= MAX_3G_R:
+        raise ValueError(f"R must be in 1..{MAX_3G_R} (the largest --R that prints), got {R}")
     space = ValueSpace.seq_l2(R)
     values = [VectorValue.zero(space)]
     for n in range(R - 1, -1, -1):

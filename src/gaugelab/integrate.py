@@ -9,7 +9,9 @@ claim about all gauges.
 Riemann sums and empirical means are regrouped by integrand cell: one integer
 pass over a partition's columns, or over seeded uniforms k / 2^53 with k an
 int, adds up per-cell lengths, counts or power moments, so rationals enter
-once per cell, not once per item or sample, and the result is exact.
+once per cell, not once per item or sample, and the result is exact.  Only
+the empirical means read numpy's float uniforms and import numpy; sampled
+regions and functionals draw Python ints from `rng.IntStream`.
 
 Gauge sums bisect only where the integrand can be nonzero: Cousin bisection
 is handed the integrand's support and builds only the items that meet it.
@@ -24,11 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .errors import UnsupportedExactIntegration
 from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, canonical_exp,
                     format_region, merged_region)
@@ -40,9 +39,12 @@ from .integrands import (
     exact_vector_integral,
     restrict_integrand,
 )
-from .rng import stream, uniform_blocks
+from .rng import IntStream, uniform_blocks
 from .spaces import (L2, DualFunctional, ValueSpace, VectorValue, distance, linear_combination,
                      spread, squared_distance)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = Fraction(1, 1 << 10)
 
@@ -344,7 +346,7 @@ def sample_regions(
         # every draw would be trimmed to the empty region
         raise ValueError(f"regions need a positive measure bound of at least {floor}, "
                          f"got {max_measure}")
-    rng = stream(seed, 0)
+    rng = IntStream(seed, 0)
     out = []
     target = min(Fraction(1), max_measure)
     canonical = [
@@ -355,9 +357,9 @@ def sample_regions(
     out.extend(canonical[: min(count, 3)])
     while len(out) < count:
         pairs = []
-        for _ in range(int(rng.integers(1, 4))):
-            a = int(rng.integers(0, 1 << depth))
-            b = int(rng.integers(a + 1, (1 << depth) + 1))
+        for _ in range(rng.integers(1, 4)):
+            a = rng.integers(0, 1 << depth)
+            b = rng.integers(a + 1, (1 << depth) + 1)
             pairs.append((a, b))
         region = _trim_region_to_measure(merged_region(depth, pairs), target)
         if not region.is_empty():
@@ -451,6 +453,7 @@ MAX_N = 1_000_000
 def _sample_cuts(phi: IntegrandFn) -> np.ndarray:
     """The interior keys as int cuts: a uniform k / 2^53 lies at or past the
     break key / 2^exp iff k >= ceil(key 2^53 / 2^exp)."""
+    import numpy as np
     s = 53 - phi.exp
     return np.array([k << s if s >= 0 else -(-k >> -s) for k in phi.keys[1:-1]], np.int64)
 
@@ -460,6 +463,7 @@ def _power_sums(ks: np.ndarray, top: int) -> list[int]:
     in int64: k splits into 27 high and 26 low bits, whose products are below
     2^54, so runs of 256 add them up below 2^62, and Python ints add the
     runs.  Past that the powers are Python ints."""
+    import numpy as np
     if top > 2:
         big = ks.astype(object)
         return [int((big ** j).sum()) for j in range(top + 1)]
@@ -483,6 +487,8 @@ def talagrand_integrate(
     norm over n - 1 (0 for n = 1); a polynomial's in l2, the norm of every
     polynomial integrand the CLI builds (another norm raises).
     """
+    import numpy as np
+    from . import _kernels
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {n}")
     poly, cuts, cells = phi.klass != STEP, _sample_cuts(phi), len(phi.keys) - 1
@@ -691,7 +697,7 @@ def vitali_limit(
 
 def default_functionals(space: ValueSpace, count: int, seed: int = 0) -> list[DualFunctional]:
     """Coordinates first, then seeded normalized combinations (or pairings)."""
-    rng = stream(seed, 3)
+    rng = IntStream(seed, 3)
     out: list[DualFunctional] = []
     if space.is_step:
         g = space.grid_depth
@@ -701,9 +707,9 @@ def default_functionals(space: ValueSpace, count: int, seed: int = 0) -> list[Du
         while len(out) < count:
             # density = sign / width on a random window [a, b] / 2^g, 0 elsewhere:
             # L1 norm 1; the empty cells before a = 0 or after b = 2^g are dropped
-            a = int(rng.integers(0, n_cells))
-            b = int(rng.integers(a + 1, n_cells + 1))
-            sign = 1 if int(rng.integers(0, 2)) else -1
+            a = rng.integers(0, n_cells)
+            b = rng.integers(a + 1, n_cells + 1)
+            sign = 1 if rng.integers(0, 2) else -1
             ends, levels = (0, a, b, n_cells), (0, Fraction(sign << g, b - a), 0)
             cells = [(x, level) for x, y, level in zip(ends, ends[1:], levels) if x < y]
             density = VectorValue.step(space, [Dyadic(x, g) for x, _ in cells] + [D1],
@@ -713,7 +719,7 @@ def default_functionals(space: ValueSpace, count: int, seed: int = 0) -> list[Du
     for i in range(min(count, space.dim)):
         out.append(DualFunctional.coordinate(space, i))
     while len(out) < count:
-        raw = [Fraction(int(rng.integers(-8, 9)), 8) for _ in range(space.dim)]
+        raw = [Fraction(rng.integers(-8, 9), 8) for _ in range(space.dim)]
         probe = DualFunctional.combination(space, raw)
         if probe.norm_bound == 0:
             continue

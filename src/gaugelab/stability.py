@@ -18,15 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .exact import Region, format_region
 from .integrands import STEP, IntegrandFn, paired_polys
 from .rng import uniform_blocks
 from .spaces import DualFunctional, sqrt_enclosure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # 95% two-sided normal quantile, as the rational the reports use
 _Z95 = Fraction(196, 100)
@@ -151,18 +151,21 @@ class ZQuery:
 
 def _floats(xs: Sequence[int], exp: int) -> np.ndarray:
     """xs / 2^exp, each correctly rounded, as float(Dyadic(x, exp)) is."""
+    import numpy as np
     one = 1 << exp
     return np.array([x / one for x in xs], dtype=np.float64)
 
 
 def _region_arrays(region: Region):
     lengths = _floats([b - a for a, b in zip(region.lo, region.hi)], region.exp)
-    return np.cumsum(lengths), _floats(region.lo, region.exp)
+    return lengths.cumsum(), _floats(region.lo, region.exp)
 
 
 def _hit_counter(A: FunctionFamily, alpha: Fraction, beta: Fraction):
     """(t_pts, u_pts) -> the number of tuples in Z, with the family's float
     arrays built here once, however many blocks of samples it then counts."""
+    import numpy as np
+    from . import _kernels
     if A.klass == "pairsum":
         h = A.h
         h_lo, h_hi = _floats(h.lo, h.exp), _floats(h.hi, h.exp)
@@ -211,6 +214,8 @@ def z_measure_mc(A: FunctionFamily, q: ZQuery, samples: int = 100_000,
         raise ValueError("need at least 100 samples")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    import numpy as np
+    from . import _kernels
     cum, los = _region_arrays(q.region)
     count = _hit_counter(A, q.alpha, q.beta)
     hits = 0

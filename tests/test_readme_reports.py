@@ -12,8 +12,15 @@ changed report fails the test named after its command line.  A change that
 alters a report on purpose re-records the file:
 
     PYTHONPATH=src python tests/test_readme_reports.py
+
+and `--python PATH` runs every example, each in its own process, under that
+interpreter instead, prints per example whether its exit code and digest
+match the record, and exits 1 if one does not.  An example that imports
+numpy, run under an interpreter without it, reads `needs numpy`: that is no
+failure.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -92,11 +99,14 @@ EXIT_ONLY = {
 }
 
 
-def run_subprocesses(workdir: Path) -> dict:
+def run_subprocesses(workdir: Path, python: str = "") -> dict:
     """command line -> {"exit", "sha256"}, each command in its own process in
-    workdir, importing the gaugelab these tests import."""
-    script = shutil.which("gaugelab")
-    prefix = [script] if script else [sys.executable, "-m", "gaugelab.cli"]
+    workdir, importing the gaugelab these tests import: under `python` if
+    given, else through the `gaugelab` script on PATH or this interpreter.  A
+    command that stops because its interpreter has no numpy gets "needs
+    numpy" in place of the dict."""
+    script = None if python else shutil.which("gaugelab")
+    prefix = [script] if script else [python or sys.executable, "-m", "gaugelab.cli"]
     env = {key: value for key, value in os.environ.items() if key != "GIL_SEED"}
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -108,8 +118,25 @@ def run_subprocesses(workdir: Path) -> dict:
                               cwd=workdir, env=env, capture_output=True, text=True,
                               timeout=10 if EXIT_ONLY.get(line) == 2 else 60)
         digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
-        out[line] = {"exit": proc.returncode, "sha256": digest}
+        out[line] = ("needs numpy" if "No module named 'numpy'" in proc.stderr
+                     else {"exit": proc.returncode, "sha256": digest})
     return out
+
+
+def check_under(python: str) -> int:
+    """Run every example under `python`; print and count the changed ones."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ran = run_subprocesses(Path(tmp), python)
+    changed = 0
+    for line, got in ran.items():
+        if got == "needs numpy":
+            verdict = got
+        elif got["exit"] == EXIT_ONLY[line] if line in EXIT_ONLY else got == RECORDED.get(line):
+            verdict = "same"
+        else:
+            verdict, changed = "CHANGED", changed + 1
+        print(f"{verdict:<12} {line}")
+    return 1 if changed else 0
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +153,11 @@ def test_command_in_a_subprocess_matches_record(line, ran_apart):
 
 
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--python", help="check the examples under this interpreter; record nothing")
+    python = ap.parse_args().python
+    if python:
+        sys.exit(check_under(python))
     import numpy
 
     with tempfile.TemporaryDirectory() as tmp:

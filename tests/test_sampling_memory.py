@@ -59,6 +59,9 @@ def run_child(argv):
     (["gallery", "3e", "--gauge", "const:2^-9999999999"],
      "--gauge: exponent -9999999999 lies outside"),
     (["lln", "--fn", "3f", "--n", "1000001"], "n must be at most"),
+    # 3g's cap: the largest R whose report can print its exact values
+    (["gallery", "3g", "--R", "10000"], "R must be in 1..9870"),
+    (["integrate", "--fn", "3g", "--R", "1000000"], "R must be in 1..9870"),
 ])
 def test_past_a_cap_exits_2_at_once(argv, reason):
     out = run_child(argv)
