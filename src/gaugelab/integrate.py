@@ -23,7 +23,7 @@ the support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -41,7 +41,7 @@ from .integrands import (
 )
 from .rng import IntStream, uniform_blocks
 from .spaces import (L2, DualFunctional, ValueSpace, VectorValue, distance, linear_combination,
-                     spread, squared_distance)
+                     spread, squared_distances)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,22 +108,80 @@ def _poly_sums(polys, moments, e: int) -> tuple[list[int], int]:
 # -- gauge-limit integration ---------------------------------------------------
 
 
-@dataclass
 class IntegralEstimate:
-    value: VectorValue
-    oscillation: Fraction
-    status: str  # converged | oscillation-floor | max-level
-    trace: list = field(default_factory=list)
+    """The result of a gauge-limit run: its value, oscillation and status,
+    and a trace with one row per level.
+
+    The run's levels run their trials in order, and a level fails once the
+    trials so far spread more than tol, whatever the rest would give; it
+    skips them.  `value`, `oscillation`, `status` and `converged` read only
+    trials that ran.  A trace row is {"level", "gauge", "oscillation"}, the
+    oscillation over all of the level's trials, so the first read of
+    `trace` runs the skipped trials, with the seeds they would have had,
+    and keeps the rows.  An error of such a trial (MaxDepthExceeded) is
+    raised there, at the read.  A run that ends unconverged has run them
+    before it returns, so its trace is already complete.
+    """
+
+    __slots__ = ("value", "oscillation", "status", "_levels", "_trace")
+
+    def __init__(self, value: VectorValue, oscillation: Fraction, status: str, levels: list):
+        self.value = value
+        self.oscillation = oscillation
+        self.status = status  # converged | oscillation-floor | max-level
+        self._levels = levels
+        self._trace = None
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @property
+    def trace(self) -> list[dict]:
+        if self._trace is None:
+            self._trace = [{"level": lv.index, "gauge": lv.gauge.kind,
+                            "oscillation": str(lv.complete())} for lv in self._levels]
+            self._levels = ()  # the rows are kept; the sums are not needed again
+        return self._trace
 
 
 _STRATEGIES = ("mid", "left", "sampled")
 
 # the bisection depth cap of every trial partition, counted on the support
 MAX_DEPTH = 60
+
+
+class _Level:
+    """One level of a gauge-limit run: its index and gauge, the seed of its
+    trial 0 (trial i draws with seed + i), `trials` in all, the sums of the
+    trials run so far, in order, and `run(gauge, seed, i)`, which makes
+    trial i's sum.  The trials from len(sums) on are the ones it skipped."""
+
+    __slots__ = ("index", "gauge", "seed", "trials", "sums", "run")
+
+    def __init__(self, index: int, gauge: Gauge, seed: int, trials: int, run):
+        self.index, self.gauge, self.seed, self.trials, self.run = index, gauge, seed, trials, run
+        self.sums: list[VectorValue] = []
+
+    def _add(self) -> None:
+        i = len(self.sums)
+        self.sums.append(self.run(self.gauge, self.seed + i, i))
+
+    def decide(self, tol: Fraction) -> Fraction:
+        """Run trials in order until they spread more than tol or none is
+        left; the spread of those that ran."""
+        self._add()
+        osc = Fraction(0)
+        while osc <= tol and len(self.sums) < self.trials:
+            self._add()
+            osc = spread(self.sums)
+        return osc
+
+    def complete(self) -> Fraction:
+        """Run the skipped trials; the spread of all of them."""
+        while len(self.sums) < self.trials:
+            self._add()
+        return spread(self.sums)
 
 
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
@@ -154,13 +212,23 @@ def mcshane_integrate(
 ) -> IntegralEstimate:
     """Riemann sums over subordinate partitions along a gauge schedule.
 
-    Each level draws trials with varied tag strategies; the level oscillation
-    is the largest pairwise distance between trial sums.  `converged` means
-    the oscillation fell below tol for the schedule that was run — a
+    Level k under gauge g has trials i = 0, 1, ...: the Riemann sum over
+    the Cousin partition with tag strategy mid, left, sampled, mid, ... and
+    seed seed * 100003 + 97 k + i.  The level oscillation is the largest
+    pairwise distance between its trial sums.  `converged` means the
+    oscillation fell below tol for the schedule that was run — a
     schedule-relative statement, deterministic given the seed.  "auto" is the
     constant schedule delta_k = 2^-k; "adapted" follows the integrand's
     piecewise structure, is what the closed-form-aware callers use, and is
     the default.
+
+    A level runs its trials in order and fails as soon as the trials so far
+    spread more than tol, since more trials only widen the spread; the
+    first level whose trials all run within tol converges, with its last
+    sum.  The skipped trials run when the estimate's trace is read, or here
+    if the run ends without converging: its floor test, value and
+    oscillation read every trial of every level.  So no verdict depends on
+    a skipped trial, and the trace is that of every trial run.
 
     Every trial bisects only the integrand's support, worked out once, so
     MAX_DEPTH bounds the bisection there alone and a gauge that is tiny only
@@ -170,34 +238,35 @@ def mcshane_integrate(
     if trials_per_level < 2:
         raise ValueError("need at least two trials per level to measure oscillation")
     gauges = _schedule_gauges(phi, schedule, max_levels)
-    trace: list[dict] = []
-    osc_history: list[Fraction] = []
-    osc = Fraction(0)
-    last = zero = VectorValue.zero(phi.space)
+    zero = VectorValue.zero(phi.space)
     support = phi.support()
-    for level, g in enumerate(gauges):
+
+    def run(g: Gauge, trial_seed: int, i: int) -> VectorValue:
         if support.is_empty():
-            sums = [zero] * trials_per_level
-        else:
-            sums = [riemann_sum(phi, cousin_partition(
-                g,
-                flavor=flavor,
-                tag_strategy=_STRATEGIES[i % len(_STRATEGIES)],
-                max_depth=MAX_DEPTH,
-                seed=seed * 100003 + level * 97 + i,
-                support=support,
-            )) for i in range(trials_per_level)]
-        osc = spread(sums)
-        last = sums[-1]
-        trace.append({"level": level, "gauge": g.kind, "oscillation": str(osc)})
+            return zero
+        return riemann_sum(phi, cousin_partition(
+            g,
+            flavor=flavor,
+            tag_strategy=_STRATEGIES[i % len(_STRATEGIES)],
+            max_depth=MAX_DEPTH,
+            seed=trial_seed,
+            support=support,
+        ))
+
+    levels: list[_Level] = []
+    for k, g in enumerate(gauges):
+        level = _Level(k, g, seed * 100003 + k * 97, trials_per_level, run)
+        levels.append(level)
+        osc = level.decide(tol)
         if osc <= tol:
-            return IntegralEstimate(last, osc, "converged", trace)
-        osc_history.append(osc)
+            return IntegralEstimate(level.sums[-1], osc, "converged", levels)
+    osc_history = [level.complete() for level in levels]
     # floor: each of the last two levels kept at least 3/4 of the oscillation
     # before it; steady convergence at rate 1/2 is not a floor
     floored = len(osc_history) >= 3 and all(
         4 * b >= 3 * a for a, b in zip(osc_history[-3:], osc_history[-2:]))
-    return IntegralEstimate(last, osc, "oscillation-floor" if floored else "max-level", trace)
+    last, osc = (levels[-1].sums[-1], osc_history[-1]) if levels else (zero, Fraction(0))
+    return IntegralEstimate(last, osc, "oscillation-floor" if floored else "max-level", levels)
 
 
 def indefinite_integral(
@@ -516,10 +585,10 @@ def talagrand_integrate(
             mean = VectorValue.coords(phi.space, [Fraction(x, n * den) for x in t])
             scatter = Fraction(n * den * sum(q) - sum(x * x for x in t), n * den * den)
         else:
-            mean = linear_combination(phi.space, (
-                (Fraction(c, n), val) for c, val in zip(counts.tolist(), phi.values) if c))
-            scatter = sum((c * squared_distance(val, mean)
-                           for c, val in zip(counts.tolist(), phi.values) if c), Fraction(0))
+            hit = [(c, val) for c, val in zip(counts.tolist(), phi.values) if c]
+            mean = linear_combination(phi.space, ((Fraction(c, n), val) for c, val in hit))
+            gaps = squared_distances([val for _, val in hit], mean)
+            scatter = sum((c * d for (c, _), d in zip(hit, gaps)), Fraction(0))
         means.append(mean)
         variances.append(scatter / (n - 1) if n > 1 else Fraction(0))
     # every batch has n samples, so the pooled mean is the mean of the means

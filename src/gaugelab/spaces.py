@@ -14,7 +14,7 @@ and one numerator n_i per run over one positive denominator d, so the cells
 c * e_n takes at most 3 runs.  Sums, norms, distances and pairings work on
 the columns in ints and build one Fraction per result; the Fraction form
 `data` is built only when read.  Every rule that depends on the norm lives
-here, `spread` and `squared_distance` among them, for the integrators.
+here, `spread` and `squared_distances` among them, for the integrators.
 """
 
 from __future__ import annotations
@@ -351,32 +351,64 @@ def linear_combination(space: ValueSpace, terms) -> VectorValue:
 
 
 def distance(u: VectorValue, v: VectorValue) -> Enclosure:
-    """The norm of u - v.  In the sup norm it is max |n_u d_v - n_v d_u| /
-    (d_u d_v) over the pairs of runs that overlap, in ints: each run of the
-    value with fewer runs is compared with the smallest and largest levels
-    of the other over the runs it meets, found by bisection."""
+    """The norm of u - v.  In the sup norm it is `_sup_distance` from the
+    value with fewer runs to the other, whose levels over the runs one run
+    meets are sliced out for their min and max."""
     if u.space.norm != LINF:
         return (u - v).norm()
-    if v.space != u.space:
-        raise SpaceMismatch(f"{u.space} vs {v.space}")
     if len(u.nums) > len(v.nums):
         u, v = v, u
-    du, dv, keys, nums = u.den, v.den, v.keys, v.nums
-    worst = 0
-    for lo, hi, n in zip(u.keys, u.keys[1:], u.nums):
-        # v's cells [keys[c], keys[c + 1]) that meet [lo, hi)
-        run = nums[bisect_right(keys, lo) - 1:bisect_left(keys, hi)]
-        a = n * dv
-        worst = max(worst, a - min(run) * du, max(run) * du - a)
-    top = Fraction(worst, du * dv)
+    nums = v.nums
+    top = _sup_distance(u, v, lambda i, j: (min(nums[i:j]), max(nums[i:j])))
     return Enclosure(top, top)
 
 
-def squared_distance(u: VectorValue, v: VectorValue) -> Fraction:
-    """||u - v||^2 in the space's norm, exactly."""
-    if u.space.norm != L2:
-        return distance(u, v).hi ** 2
-    return (u - v).square_sum()
+def _sup_distance(u: VectorValue, v: VectorValue, extremes) -> Fraction:
+    """max |n_u d_v - n_v d_u| / (d_u d_v) over the pairs of runs of u and v
+    that overlap, in ints: each run of u is compared with the smallest and
+    largest levels of v over the runs it meets, found by bisection, which
+    extremes(i, j) gives for v's runs i..j-1.  The one statement of the sup
+    norm's distance."""
+    if v.space != u.space:
+        raise SpaceMismatch(f"{u.space} vs {v.space}")
+    du, dv, keys = u.den, v.den, v.keys
+    worst = 0
+    for lo, hi, n in zip(u.keys, u.keys[1:], u.nums):
+        # v's runs [keys[c], keys[c + 1]) that meet [lo, hi)
+        low, high = extremes(bisect_right(keys, lo) - 1, bisect_left(keys, hi))
+        a = n * dv
+        worst = max(worst, a - low * du, high * du - a)
+    return Fraction(worst, du * dv)
+
+
+def _range_extremes(nums: Sequence[int]):
+    """extremes(i, j) = (min, max) of nums[i:j] for i < j, in O(1): the
+    minima and maxima of every window of length 2^k are tabled once, and a
+    range is the union of the two windows of its largest 2^k that start at
+    i and end at j."""
+    lows, highs, w = [list(nums)], [list(nums)], 1
+    while 2 * w <= len(nums):
+        lows.append(list(map(min, lows[-1], lows[-1][w:])))
+        highs.append(list(map(max, highs[-1], highs[-1][w:])))
+        w *= 2
+
+    def extremes(i: int, j: int) -> tuple[int, int]:
+        k = (j - i).bit_length() - 1
+        low, high, j = lows[k], highs[k], j - (1 << k)
+        return min(low[i], low[j]), max(high[i], high[j])
+    return extremes
+
+
+def squared_distances(values: Sequence[VectorValue], v: VectorValue) -> list[Fraction]:
+    """||u - v||^2 for each u of values in the space's norm, exactly.  In the
+    sup norm v's range extremes are tabled once, so each run of a u costs
+    two bisections, however many runs v has."""
+    if v.space.norm == L2:
+        return [(u - v).square_sum() for u in values]
+    if v.space.norm == L1:
+        return [distance(u, v).hi ** 2 for u in values]
+    extremes = _range_extremes(v.nums)
+    return [_sup_distance(u, v, extremes) ** 2 for u in values]
 
 
 def spread(values: Sequence[VectorValue]) -> Fraction:

@@ -239,6 +239,14 @@ def distance(space, u, v) -> tuple[Fraction, Fraction]:
     return norm(space, [a - b for a, b in zip(u, v)])
 
 
+def squared_distance(space, u, v) -> Fraction:
+    """||u - v||^2, exactly: the sum of the squared coordinate gaps in l2,
+    else the square of the upper end of `distance`."""
+    if space.norm == "l2":
+        return sum(((x - y) ** 2 for x, y in zip(u, v)), Fraction(0))
+    return distance(space, u, v)[1] ** 2
+
+
 def spread(space, values) -> Fraction:
     """The largest upper end of a pairwise `distance`; 0 below two values.
     Each pair's difference is taken in ints over the values' common
@@ -298,12 +306,7 @@ def empirical(phi, samples) -> tuple[tuple[Fraction, ...], Fraction]:
     else:
         terms = [(1, at(phi, t)) for t in samples]
     mean = tuple(x / n for x in combination(phi.space, terms))
-    if phi.space.norm == "l2":
-        scatter = sum((m * sum((x - y) ** 2 for x, y in zip(xs, mean)) for m, xs in terms),
-                      Fraction(0))
-    else:
-        scatter = sum((m * distance(phi.space, xs, mean)[1] ** 2 for m, xs in terms),
-                      Fraction(0))
+    scatter = sum((m * squared_distance(phi.space, xs, mean) for m, xs in terms), Fraction(0))
     return mean, scatter / (n - 1) if n > 1 else Fraction(0)
 
 
@@ -348,3 +351,39 @@ def riemann_sum(phi, items) -> tuple[Fraction, ...]:
         lo, hi = _ends(it.interval)
         terms.append((hi - lo, at(phi, it.tag)))
     return combination(phi.space, terms)
+
+
+# -- the gauge limit, every trial of every level run ----------------------------------
+
+STRATEGIES = ("mid", "left", "sampled")
+
+
+def gauge_limit(phi, gauges, fits, tol, trials, seed, flavor=MCSHANE, max_depth=60):
+    """The gauge-limit run over the gauges in level order, eager: level k
+    under gauge g runs its trials i = 0, ..., trials - 1, each the
+    `riemann_sum` over the `cousin` partition of fits(g, iv, tag) on phi's
+    `nonzero_cells`, with tag strategy STRATEGIES[i % 3] and seed
+    seed * 100003 + 97 k + i.  The level's oscillation is the `spread` of
+    its sums.  The first level within tol ends the run, "converged", with
+    its last sum.  A run past its last level is "oscillation-floor" if at
+    least three levels ran and each of the last two kept at least 3/4 of
+    the oscillation before it, else "max-level", with the last level's last
+    sum and oscillation, or the zero value and 0 if no level ran.
+
+    Returns (value, oscillation, status, trace), the trace one row
+    {"level": k, "gauge": g.kind, "oscillation": the oscillation as "p/q"}
+    per level run."""
+    support = nonzero_cells(phi)
+    value, osc, oscs, trace = combination(phi.space, ()), Fraction(0), [], []
+    for k, g in enumerate(gauges):
+        sums = [riemann_sum(phi, cousin(lambda iv, tag: fits(g, iv, tag), flavor,
+                                        STRATEGIES[i % 3], max_depth,
+                                        seed * 100003 + 97 * k + i, support=support))
+                for i in range(trials)]
+        value, osc = sums[-1], spread(phi.space, sums)
+        trace.append({"level": k, "gauge": g.kind, "oscillation": str(osc)})
+        if osc <= tol:
+            return value, osc, "converged", trace
+        oscs.append(osc)
+    floored = len(oscs) >= 3 and all(4 * b >= 3 * a for a, b in zip(oscs[-3:], oscs[-2:]))
+    return value, osc, "oscillation-floor" if floored else "max-level", trace

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from gaugelab import integrate, spaces
 from gaugelab.errors import SpaceMismatch
 from gaugelab.exact import D0, D1, Dyadic
-from gaugelab.spaces import L1, L2, LINF, ValueSpace, VectorValue, distance, spread
+from gaugelab.spaces import (L1, L2, LINF, ValueSpace, VectorValue, distance, spread,
+                             squared_distances)
 import reference as ref
 from test_step_columns import assert_spread, repeating
 
@@ -170,6 +171,21 @@ def test_step_distance_is_the_merge(values):
         want = ref.distance(STEP_SPACE, ref.cells(u), ref.cells(v))
         assert (distance(u, v).lo, distance(u, v).hi) == want
         assert (distance(v, u).lo, distance(v, u).hi) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(coordinate_values(), step_values(), many_step_values()), st.data())
+# one long value against one-run and three-run values: every window length
+@example([step(range(1, 32), range(32)), step([], [7]), step([5, 9], [1, 40, 2])], None)
+def test_squared_distances_to_one_value_are_the_reference(values, data):
+    """Each value's squared distance to one of them, whose range extremes
+    `squared_distances` tables once in the sup norm."""
+    if not values:
+        return
+    v = values[0] if data is None else data.draw(st.sampled_from(values))
+    space = v.space
+    want = [ref.squared_distance(space, ref.cells(u), ref.cells(v)) for u in values]
+    assert squared_distances(values, v) == want
 
 
 def test_step_spread_of_200_means_calls_no_distance(monkeypatch):
