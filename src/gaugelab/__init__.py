@@ -29,8 +29,6 @@ from .exact import (
 )
 from .gauges import (
     Gauge,
-    HENSTOCK,
-    MCSHANE,
     TaggedPartition,
     cousin_partition,
     extend_to_partition,
@@ -83,7 +81,7 @@ __all__ = [
     "Dyadic", "Interval", "Region", "UNIT", "UNIT_REGION",
     "parse_fraction", "parse_region", "format_region",
     "region_union", "region_intersect", "region_subtract",
-    "Gauge", "TaggedPartition", "MCSHANE", "HENSTOCK",
+    "Gauge", "TaggedPartition",
     "cousin_partition", "extend_to_partition",
     "is_partition", "is_subordinate",
     "partition_to_json", "partition_from_json",

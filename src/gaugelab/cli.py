@@ -120,7 +120,7 @@ def cmd_integrate(args):
     phi, exact = built["integrand"], built["exact_integral"]
     est = mcshane_integrate(
         phi, schedule=args.schedule, tol=args.tol, trials_per_level=args.trials,
-        max_levels=args.max_levels, seed=args.seed, flavor=args.flavor,
+        max_levels=args.max_levels, seed=args.seed,
     )
     err = distance(est.value, exact)
     within_tol = bool(err.hi <= args.tol + est.oscillation)
@@ -409,7 +409,6 @@ OPTIONS = {
     "schedule": ("choice", ("auto", "adapted"), "gauge schedule (default: adapted)"),
     "trials": ("int", 2, "partitions per level"),
     "max_levels": ("int", 1, "schedule levels before giving up"),
-    "flavor": ("choice", ("mcshane", "henstock"), "partition flavor"),
     "functionals": ("int", 1, "sampled functionals"),
     "regions": ("int", 1, "sampled regions"),
     "blocks": ("int", 1, "geometric blocks"),
@@ -455,7 +454,7 @@ _COMMON = {"seed": None, "tol": DEFAULT_TOL, "out": None, "csv": None,
 COMMANDS = {name: (text, {**_COMMON, **options}) for name, (text, options) in {
     "integrate": ("gauge-schedule Riemann sums",
                   {"fn": None, "R": 16, "depth": 8, "schedule": None, "trials": 3,
-                   "max_levels": 12, "flavor": "mcshane"}),
+                   "max_levels": 12}),
     "pettis": ("dual-pairing consistency check",
                {"fn": None, "R": 16, "depth": 6, "functionals": 20, "regions": 20}),
     "series": ("interval-series partial sums and tails",

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .errors import ResolutionExceeded, SearchExhausted
 from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT_REGION,
                     merged_region, region_intersect, region_subtract)
-from .gauges import (Gauge, MCSHANE, TaggedInterval, TaggedPartition,
+from .gauges import (Gauge, TaggedInterval, TaggedPartition,
                      extend_to_partition, is_partition, is_subordinate)
 from .integrands import STEP, IntegrandFn, exact_vector_integral, restrict_integrand
 from .integrate import riemann_sum
@@ -454,11 +454,11 @@ def oscillation_witness_3e(
     phi = example_3e(fam2, len(members))
     t_items = [TaggedInterval(cell, t) for (cell, _), t in zip(cells, tags_out)]
     u_items = [TaggedInterval(cell, u) for (cell, _), u in zip(cells, tags_in)]
-    p1 = extend_to_partition(t_items, delta, flavor=MCSHANE, seed=seed + 7)
+    p1 = extend_to_partition(t_items, delta, seed=seed + 7)
     # the fillers, wherever their gaps lie among the cells
     tagged = {cell for cell, _ in cells}
     completion = [it for it in p1.items if it.interval not in tagged]
-    p2 = TaggedPartition(tuple(u_items + completion), MCSHANE)
+    p2 = TaggedPartition(tuple(u_items + completion))
     for p in (p1, p2):
         if not is_partition(p):
             raise AssertionError("witness produced a non-partition")

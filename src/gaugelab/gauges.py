@@ -3,9 +3,8 @@
 A gauge assigns every point of [0,1] a positive width; a tagged partition is a
 finite list of non-overlapping closed dyadic intervals covering [0,1], each
 carrying a tag.  The partition is subordinate to the gauge when every interval
-sits inside [tag - delta(tag), tag + delta(tag)].  Free-tag flavor allows tags
-anywhere in [0,1]; pinned-tag flavor ("henstock") requires the tag to lie in
-its own interval.
+sits inside [tag - delta(tag), tag + delta(tag)].  Tags may lie anywhere in
+[0,1] (McShane's integral).
 
 Subordination is decided by one fit test per gauge, `Gauge.fits`, in integer
 arithmetic: the tag and the interval's half-width about it are ints at a
@@ -34,9 +33,6 @@ from .exact import (D0, D1, Dyadic, DyadicCuts, Interval, Region, UNIT, UNIT_REG
                     canonical_exp, merged_region, over_one_den, region_subtract)
 
 SCHEMA = "gauge-lab/1"
-
-MCSHANE = "mcshane"
-HENSTOCK = "henstock"
 
 
 def _as_fraction(x) -> Fraction:
@@ -233,11 +229,9 @@ class TaggedPartition:
     and its `items` are built, through the checked constructors, when first read.
     """
 
-    __slots__ = ("flavor", "exp", "lo", "hi", "tag", "_items")
+    __slots__ = ("exp", "lo", "hi", "tag", "_items")
 
-    def __init__(self, items: Iterable[TaggedInterval], flavor: str = MCSHANE):
-        if flavor not in (MCSHANE, HENSTOCK):
-            raise ValueError(f"unknown flavor {flavor!r}")
+    def __init__(self, items: Iterable[TaggedInterval]):
         items = list(items)
         e = max((max(it.interval.lo.exp, it.interval.hi.exp, it.tag.exp) for it in items),
                 default=0)
@@ -245,16 +239,15 @@ class TaggedPartition:
                          it.interval.hi.num << (e - it.interval.hi.exp),
                          it.tag.num << (e - it.tag.exp), it) for it in items),
                        key=lambda k: (k[0], k[1]))
-        self.flavor, self.exp = flavor, e
+        self.exp = e
         self.lo, self.hi, self.tag, self._items = tuple(zip(*keyed)) or ((),) * 4
 
     @classmethod
-    def _columns(cls, exp: int, lo: tuple, hi: tuple, tag: tuple,
-                 flavor: str) -> "TaggedPartition":
+    def _columns(cls, exp: int, lo: tuple, hi: tuple, tag: tuple) -> "TaggedPartition":
         """Wrap columns already sorted by (lo, hi), with lo <= hi and every
         tag in [0,1]; the items are built when first read."""
         p = object.__new__(cls)
-        p.flavor, p.exp, p.lo, p.hi, p.tag, p._items = flavor, exp, lo, hi, tag, None
+        p.exp, p.lo, p.hi, p.tag, p._items = exp, lo, hi, tag, None
         return p
 
     @property
@@ -325,7 +318,6 @@ def _sampled_tag(seed: int, lo: int, hi: int, e: int):
 
 def cousin_partition(
     g: Gauge,
-    flavor: str = MCSHANE,
     tag_strategy: str = "mid",
     max_depth: int = 40,
     seed: int = 0,
@@ -368,8 +360,6 @@ def cousin_partition(
     """
     if tag_strategy not in ("mid", "left", "sampled"):
         raise ValueError(f"unknown tag strategy {tag_strategy!r}")
-    if flavor not in (MCSHANE, HENSTOCK):
-        raise ValueError(f"unknown flavor {flavor!r}")
     fits, wall = g.fits, g.wall
     sampled = tag_strategy == "sampled"
     if support is not None:
@@ -379,8 +369,7 @@ def cousin_partition(
         s_lo, s_hi = [a for a, _ in parts], [b for _, b in parts]
     # Depth-first, left child first, over (lo, hi, depth) with the endpoints as
     # ints at exponent e0 + depth, so kept items come out sorted.  Each kept
-    # item is (lo, hi, e, t, te): its endpoints at e and its tag at te.  Every
-    # strategy tags a point of its own interval, so both flavors bisect alike.
+    # item is (lo, hi, e, t, te): its endpoints at e and its tag at te.
     e0 = max(base.lo.exp, base.hi.exp)
     lo0, hi0 = base.lo.num << (e0 - base.lo.exp), base.hi.num << (e0 - base.hi.exp)
     # peel power-of-two pieces off the right end, smallest first, until the
@@ -431,16 +420,15 @@ def cousin_partition(
         stack.append((mid, hi << 1, depth + 1, inside))
         stack.append((lo << 1, mid, depth + 1, inside))
     if not kept:
-        return TaggedPartition._columns(0, (), (), (), flavor)
+        return TaggedPartition._columns(0, (), (), ())
     top = max(max(e, te) for _, _, e, _, te in kept)
     lo, hi, tag = zip(*[(a << top - e, b << top - e, t << top - te) for a, b, e, t, te in kept])
-    return TaggedPartition._columns(top, lo, hi, tag, flavor)
+    return TaggedPartition._columns(top, lo, hi, tag)
 
 
 def extend_to_partition(
     partial: Sequence[TaggedInterval],
     g: Gauge,
-    flavor: str = MCSHANE,
     tag_strategy: str = "mid",
     max_depth: int = 40,
     seed: int = 0,
@@ -448,29 +436,30 @@ def extend_to_partition(
     """Complete non-overlapping subordinate items to a full partition of [0,1]."""
     # the items' int columns: they overlap iff their union is shorter than
     # the sum of their lengths
-    cols = TaggedPartition(partial, flavor)
+    cols = TaggedPartition(partial)
     covered = merged_region(cols.exp, zip(cols.lo, cols.hi))
     if covered.measure() != Dyadic(sum(cols.hi) - sum(cols.lo), cols.exp):
         raise OverlappingItems("partial items overlap in positive measure")
     items = list(partial)
     for gap in region_subtract(Region((UNIT,)), covered).parts:
         filler = cousin_partition(
-            g, flavor=flavor, tag_strategy=tag_strategy,
+            g, tag_strategy=tag_strategy,
             max_depth=max_depth, seed=seed, base=gap,
         )
         items.extend(filler.items)
-    return TaggedPartition(items, flavor)
+    return TaggedPartition(items)
 
 
 # -- serialization ---------------------------------------------------------
 
 
 def partition_payload(p: TaggedPartition) -> dict:
-    """The partition as the JSON object that `partition_to_json` writes."""
+    """The partition as the JSON object that `partition_to_json` writes.
+    Its "flavor" key is a constant of schema gauge-lab/1, always "mcshane"."""
     e = p.exp
     return {
         "schema": SCHEMA,
-        "flavor": p.flavor,
+        "flavor": "mcshane",
         "items": [
             {"lo": str(Dyadic(a, e)), "hi": str(Dyadic(b, e)), "tag": str(Dyadic(t, e))}
             for a, b, t in zip(p.lo, p.hi, p.tag)
@@ -493,4 +482,4 @@ def partition_from_json(text: str) -> TaggedPartition:
         )
         for item in payload["items"]
     ]
-    return TaggedPartition(items, payload["flavor"])
+    return TaggedPartition(items)

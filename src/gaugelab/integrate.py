@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .errors import UnsupportedExactIntegration
 from .exact import (D0, D1, Dyadic, Interval, Region, UNIT_REGION, canonical_exp,
                     format_region, merged_region)
-from .gauges import Gauge, MCSHANE, TaggedPartition, cousin_partition
+from .gauges import Gauge, TaggedPartition, cousin_partition
 from .integrands import (
     STEP,
     IntegrandFn,
@@ -108,80 +108,32 @@ def _poly_sums(polys, moments, e: int) -> tuple[list[int], int]:
 # -- gauge-limit integration ---------------------------------------------------
 
 
+@dataclass
 class IntegralEstimate:
     """The result of a gauge-limit run: its value, oscillation and status,
-    and a trace with one row per level.
+    and a trace with one row {"level", "gauge", "oscillation"} per level run.
 
-    The run's levels run their trials in order, and a level fails once the
-    trials so far spread more than tol, whatever the rest would give; it
-    skips them.  `value`, `oscillation`, `status` and `converged` read only
-    trials that ran.  A trace row is {"level", "gauge", "oscillation"}, the
-    oscillation over all of the level's trials, so the first read of
-    `trace` runs the skipped trials, with the seeds they would have had,
-    and keeps the rows.  An error of such a trial (MaxDepthExceeded) is
-    raised there, at the read.  A run that ends unconverged has run them
-    before it returns, so its trace is already complete.
+    Each level runs its trials in order and stops once they spread more
+    than tol (see `mcshane_integrate`), so a row's oscillation is the spread
+    of the trials that level ran.  `value` and `oscillation` are the last
+    level's last sum and row oscillation, converged or not: an unconverged
+    run reports the trials its last level ran before it stopped.
     """
 
-    __slots__ = ("value", "oscillation", "status", "_levels", "_trace")
-
-    def __init__(self, value: VectorValue, oscillation: Fraction, status: str, levels: list):
-        self.value = value
-        self.oscillation = oscillation
-        self.status = status  # converged | oscillation-floor | max-level
-        self._levels = levels
-        self._trace = None
+    value: VectorValue
+    oscillation: Fraction
+    status: str  # converged | oscillation-floor | max-level
+    trace: list[dict]
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-    @property
-    def trace(self) -> list[dict]:
-        if self._trace is None:
-            self._trace = [{"level": lv.index, "gauge": lv.gauge.kind,
-                            "oscillation": str(lv.complete())} for lv in self._levels]
-            self._levels = ()  # the rows are kept; the sums are not needed again
-        return self._trace
 
 
 _STRATEGIES = ("mid", "left", "sampled")
 
 # the bisection depth cap of every trial partition, counted on the support
 MAX_DEPTH = 60
-
-
-class _Level:
-    """One level of a gauge-limit run: its index and gauge, the seed of its
-    trial 0 (trial i draws with seed + i), `trials` in all, the sums of the
-    trials run so far, in order, and `run(gauge, seed, i)`, which makes
-    trial i's sum.  The trials from len(sums) on are the ones it skipped."""
-
-    __slots__ = ("index", "gauge", "seed", "trials", "sums", "run")
-
-    def __init__(self, index: int, gauge: Gauge, seed: int, trials: int, run):
-        self.index, self.gauge, self.seed, self.trials, self.run = index, gauge, seed, trials, run
-        self.sums: list[VectorValue] = []
-
-    def _add(self) -> None:
-        i = len(self.sums)
-        self.sums.append(self.run(self.gauge, self.seed + i, i))
-
-    def decide(self, tol: Fraction) -> Fraction:
-        """Run trials in order until they spread more than tol or none is
-        left; the spread of those that ran."""
-        self._add()
-        osc = Fraction(0)
-        while osc <= tol and len(self.sums) < self.trials:
-            self._add()
-            osc = spread(self.sums)
-        return osc
-
-    def complete(self) -> Fraction:
-        """Run the skipped trials; the spread of all of them."""
-        while len(self.sums) < self.trials:
-            self._add()
-        return spread(self.sums)
 
 
 def _schedule_gauges(phi: IntegrandFn, schedule, max_levels: int):
@@ -208,7 +160,6 @@ def mcshane_integrate(
     trials_per_level: int = 3,
     max_levels: int = 12,
     seed: int = 0,
-    flavor: str = MCSHANE,
 ) -> IntegralEstimate:
     """Riemann sums over subordinate partitions along a gauge schedule.
 
@@ -222,13 +173,15 @@ def mcshane_integrate(
     piecewise structure, is what the closed-form-aware callers use, and is
     the default.
 
-    A level runs its trials in order and fails as soon as the trials so far
-    spread more than tol, since more trials only widen the spread; the
-    first level whose trials all run within tol converges, with its last
-    sum.  The skipped trials run when the estimate's trace is read, or here
-    if the run ends without converging: its floor test, value and
-    oscillation read every trial of every level.  So no verdict depends on
-    a skipped trial, and the trace is that of every trial run.
+    The stop rule: a level runs its trials in order and stops as soon as the
+    trials so far spread more than tol, since more trials only widen the
+    spread; its oscillation is the spread of those that ran.  The first
+    level whose trials all run within tol converges, with its last sum.  A
+    run past its last level is "oscillation-floor" if at least three levels
+    ran and each of the last two kept at least 3/4 of the oscillation before
+    it (steady convergence at rate 1/2 is not a floor), else "max-level";
+    it reports the last level's last sum and oscillation, or the zero value
+    and 0 if no level ran.  No trial runs after the run returns.
 
     Every trial bisects only the integrand's support, worked out once, so
     MAX_DEPTH bounds the bisection there alone and a gauge that is tiny only
@@ -241,32 +194,31 @@ def mcshane_integrate(
     zero = VectorValue.zero(phi.space)
     support = phi.support()
 
-    def run(g: Gauge, trial_seed: int, i: int) -> VectorValue:
+    def trial(g: Gauge, level_seed: int, i: int) -> VectorValue:
         if support.is_empty():
             return zero
         return riemann_sum(phi, cousin_partition(
             g,
-            flavor=flavor,
             tag_strategy=_STRATEGIES[i % len(_STRATEGIES)],
             max_depth=MAX_DEPTH,
-            seed=trial_seed,
+            seed=level_seed + i,
             support=support,
         ))
 
-    levels: list[_Level] = []
+    value, osc, oscs, trace = zero, Fraction(0), [], []
     for k, g in enumerate(gauges):
-        level = _Level(k, g, seed * 100003 + k * 97, trials_per_level, run)
-        levels.append(level)
-        osc = level.decide(tol)
+        level_seed = seed * 100003 + k * 97
+        sums, osc = [trial(g, level_seed, 0)], Fraction(0)
+        while osc <= tol and len(sums) < trials_per_level:
+            sums.append(trial(g, level_seed, len(sums)))
+            osc = spread(sums)
+        value = sums[-1]
+        trace.append({"level": k, "gauge": g.kind, "oscillation": str(osc)})
         if osc <= tol:
-            return IntegralEstimate(level.sums[-1], osc, "converged", levels)
-    osc_history = [level.complete() for level in levels]
-    # floor: each of the last two levels kept at least 3/4 of the oscillation
-    # before it; steady convergence at rate 1/2 is not a floor
-    floored = len(osc_history) >= 3 and all(
-        4 * b >= 3 * a for a, b in zip(osc_history[-3:], osc_history[-2:]))
-    last, osc = (levels[-1].sums[-1], osc_history[-1]) if levels else (zero, Fraction(0))
-    return IntegralEstimate(last, osc, "oscillation-floor" if floored else "max-level", levels)
+            return IntegralEstimate(value, osc, "converged", trace)
+        oscs.append(osc)
+    floored = len(oscs) >= 3 and all(4 * b >= 3 * a for a, b in zip(oscs[-3:], oscs[-2:]))
+    return IntegralEstimate(value, osc, "oscillation-floor" if floored else "max-level", trace)
 
 
 def indefinite_integral(

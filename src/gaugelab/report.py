@@ -18,7 +18,6 @@ from fractions import Fraction
 from .exact import Dyadic, Interval, Region, format_region
 from .gauges import SCHEMA, Gauge, TaggedPartition, partition_payload
 from .integrands import IntegrandFn
-from .integrate import IntegralEstimate
 from .spaces import Enclosure, ValueSpace, VectorValue
 
 
@@ -75,10 +74,6 @@ def jsonable(obj):
         }
     if isinstance(obj, Gauge):
         return obj.descriptor
-    if isinstance(obj, IntegralEstimate):
-        # reading the trace runs the trials the run skipped
-        return {key: jsonable(getattr(obj, key))
-                for key in ("value", "oscillation", "status", "trace")}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)

@@ -14,7 +14,7 @@ from math import isqrt, lcm
 
 from gaugelab.errors import MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, UNIT
-from gaugelab.gauges import HENSTOCK, MCSHANE, TaggedInterval
+from gaugelab.gauges import TaggedInterval
 from gaugelab.integrands import IntegrandFn
 from gaugelab.spaces import ValueSpace, VectorValue
 
@@ -54,13 +54,12 @@ def pieces(base: Interval) -> list[Interval]:
     return out
 
 
-def cousin(fits, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=UNIT,
-           support=None):
+def cousin(fits, tag_strategy="mid", max_depth=40, seed=0, base=UNIT, support=None):
     """The items, in order, of Cousin's lemma by bisection: each of the base's
     `pieces` is bisected with its own depth count, left child first.  A node's
     tag is its left end ("left"), its `sampled_tag` ("sampled", if it is not a
-    point) or its midpoint.  It is kept if the tag lies in [0,1] (for henstock,
-    in the node) and fits(node, tag); else it is bisected, or at max_depth
+    point) or its midpoint.  It is kept if the tag lies in [0,1] and
+    fits(node, tag); else it is bisected, or at max_depth
     named by MaxDepthExceeded.  With a support, a list of (a, b) Fraction
     parts, a node [lo, hi] is first dropped, with its subtree, unless some
     point of [lo, hi) lies in a part read as [a, b)."""
@@ -73,7 +72,7 @@ def cousin(fits, flavor=MCSHANE, tag_strategy="mid", max_depth=40, seed=0, base=
         else:
             t = lo if tag_strategy == "left" else (lo + hi) / 2
         tag = _dyadic(t)
-        if 0 <= t <= 1 and (flavor != HENSTOCK or lo <= t <= hi) and fits(iv, tag):
+        if 0 <= t <= 1 and fits(iv, tag):
             return [TaggedInterval(iv, tag)]
         if depth >= max_depth:
             raise MaxDepthExceeded(f"no fitting tag for [{iv.lo}, {iv.hi}] within depth "
@@ -353,22 +352,24 @@ def riemann_sum(phi, items) -> tuple[Fraction, ...]:
     return combination(phi.space, terms)
 
 
-# -- the gauge limit, every trial of every level run ----------------------------------
+# -- the gauge limit, each level's trials run until they spread past tol -------------
 
 STRATEGIES = ("mid", "left", "sampled")
 
 
-def gauge_limit(phi, gauges, fits, tol, trials, seed, flavor=MCSHANE, max_depth=60):
-    """The gauge-limit run over the gauges in level order, eager: level k
-    under gauge g runs its trials i = 0, ..., trials - 1, each the
+def gauge_limit(phi, gauges, fits, tol, trials, seed, max_depth=60):
+    """The gauge-limit run over the gauges in level order: level k under
+    gauge g runs its trials i = 0, ..., trials - 1 in turn, each the
     `riemann_sum` over the `cousin` partition of fits(g, iv, tag) on phi's
     `nonzero_cells`, with tag strategy STRATEGIES[i % 3] and seed
-    seed * 100003 + 97 k + i.  The level's oscillation is the `spread` of
-    its sums.  The first level within tol ends the run, "converged", with
-    its last sum.  A run past its last level is "oscillation-floor" if at
-    least three levels ran and each of the last two kept at least 3/4 of
-    the oscillation before it, else "max-level", with the last level's last
-    sum and oscillation, or the zero value and 0 if no level ran.
+    seed * 100003 + 97 k + i, and stops after the first trial at which the
+    `spread` of the sums so far exceeds tol.  The level's oscillation is the
+    spread of the sums it ran.  The first level within tol ends the run,
+    "converged", with its last sum.  A run past its last level is
+    "oscillation-floor" if at least three levels ran and each of the last
+    two kept at least 3/4 of the oscillation before it, else "max-level",
+    with the last level's last sum and oscillation, or the zero value and 0
+    if no level ran.
 
     Returns (value, oscillation, status, trace), the trace one row
     {"level": k, "gauge": g.kind, "oscillation": the oscillation as "p/q"}
@@ -376,10 +377,13 @@ def gauge_limit(phi, gauges, fits, tol, trials, seed, flavor=MCSHANE, max_depth=
     support = nonzero_cells(phi)
     value, osc, oscs, trace = combination(phi.space, ()), Fraction(0), [], []
     for k, g in enumerate(gauges):
-        sums = [riemann_sum(phi, cousin(lambda iv, tag: fits(g, iv, tag), flavor,
-                                        STRATEGIES[i % 3], max_depth,
-                                        seed * 100003 + 97 * k + i, support=support))
-                for i in range(trials)]
+        sums = []
+        for i in range(trials):
+            sums.append(riemann_sum(phi, cousin(lambda iv, tag: fits(g, iv, tag),
+                                                STRATEGIES[i % 3], max_depth,
+                                                seed * 100003 + 97 * k + i, support=support)))
+            if spread(phi.space, sums) > tol:
+                break
         value, osc = sums[-1], spread(phi.space, sums)
         trace.append({"level": k, "gauge": g.kind, "oscillation": str(osc)})
         if osc <= tol:

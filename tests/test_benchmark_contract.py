@@ -10,9 +10,8 @@ perfbench/ wraps or reads names of the package: `integrands.scalar_integral`,
 `levels` of family members (`Member`).  Its tracer reads the first and last
 item of every partition that `cousin_partition` returns, so
 `mcshane_integrate` must build no partition for an integrand whose support
-is empty.  Its level count reads `len(r.trace)` of each estimate, which
-runs the trials the estimate skipped, so every traced per-layer count
-(Cousin calls and items, Riemann terms) still includes them.  It also
+is empty.  Its level count reads `len(r.trace)` of each estimate, a
+plain list whose read runs nothing.  It also
 counts the runs of `_merge_steps` inside the
 `VectorValue.__add__` and `__mul__` spans by calling `len()` on what it
 returns, a generator, so `_merge_steps` must never run inside those two

@@ -45,8 +45,7 @@ COMMON = {"--seed": ints(0, 5), "--tol": st.sampled_from(["2^-4", "1/16", "2^-6"
 FLAGS = {
     "integrate": {"--fn": FN, "--R": ints(1, 8), "--depth": ints(1, 6),
                   "--schedule": st.sampled_from(["auto", "adapted"]), "--trials": ints(2, 3),
-                  "--max-levels": ints(1, 4),
-                  "--flavor": st.sampled_from(["mcshane", "henstock"])},
+                  "--max-levels": ints(1, 4)},
     "pettis": {"--fn": FN, "--R": ints(1, 8), "--depth": ints(1, 5),
                "--functionals": ints(1, 3), "--regions": ints(1, 2)},
     "series": {"--fn": FN, "--R": ints(1, 8), "--depth": ints(1, 5), "--blocks": ints(1, 5),

@@ -1,23 +1,24 @@
-"""A gauge level stops drawing once its verdict is decided, and its trace
-runs the trials it skipped.
+"""A gauge level stops drawing once its verdict is decided, and the trace
+records only the trials that ran.
 
 `mcshane_integrate` runs each level's trials in order and stops the level
-once the trials so far spread more than tol.  The trace, read later, runs
-the skipped trials; a run that ends unconverged runs them before it
-returns.  The oracle is `tests/reference.py`'s `gauge_limit`, the eager
-level loop in Fractions: every report of an estimate, `report.jsonable`
-with its trace, must be its bytes, over poly and step integrands (restricted
-to a region or not), the "auto", "adapted" and explicit-list schedules,
-several tols, 2 to 5 trials and converged and unconverged runs.  The other
-tests count the partitions and draws that `pettis_check` makes, and move a
-depth-cap error of a skipped trial to the read of the trace.
+once the trials so far spread more than tol; no trial runs after it
+returns.  The oracle is `tests/reference.py`'s `gauge_limit`, the level loop
+in Fractions: every report of an estimate, `report.jsonable` with its
+trace, must be its bytes, over poly and step integrands (restricted to a
+region or not), the "auto", "adapted" and explicit-list schedules, several
+tols (0 among them), 2 to 5 trials and converged and unconverged runs.  It
+catches a failed level that runs its remaining trials, `<` for `<=` in the
+stop test, the floor test over full spreads, and an unconverged value taken
+from a trial that did not run.  The other tests count the partitions and
+draws that `pettis_check` and `integrate` make, and run a skipped trial
+that would raise: it never runs.
 """
 
 import json
 from collections import Counter
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from gaugelab import cli, gauges, integrate
 from gaugelab.errors import MaxDepthExceeded
 from gaugelab.exact import D0, Dyadic, Region
 from gaugelab.gallery import example_3f
-from gaugelab.gauges import HENSTOCK, MCSHANE, Gauge, cousin_partition
+from gaugelab.gauges import Gauge, cousin_partition
 from gaugelab.integrands import adapted_gauge, poly_integrand, restrict_integrand
 from gaugelab.integrate import default_functionals, mcshane_integrate, pettis_check
 from gaugelab.report import jsonable
@@ -37,6 +38,8 @@ from test_partition_columns import oracle_tag_and_half_width
 HALF = Dyadic(1, 1)
 POLY2 = poly_integrand([[Fraction(1), Fraction(-2), Fraction(1)], [Fraction(0), Fraction(1)]],
                        label="poly2")
+POLY1 = poly_integrand([[Fraction(1), Fraction(1)]])
+QUARTER = Region.make((Dyadic(3, 2), Dyadic(13, 4)))
 TOLS = [Fraction(0), Fraction(1, 1 << 10), Fraction(1, 1 << 8), Fraction(1, 1 << 7),
         Fraction(1, 64), Fraction(1, 16)]
 WIDTHS = [Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 8), Fraction(1, 12),
@@ -67,8 +70,7 @@ def integrands(draw):
 
 @st.composite
 def runs(draw):
-    """(phi, schedule, the schedule's gauges, tol, trials, max_levels, seed,
-    flavor)."""
+    """(phi, schedule, the schedule's gauges, tol, trials, max_levels, seed)."""
     phi = draw(integrands())
     max_levels = draw(st.sampled_from([6, 4, 8, 1]))
     kind = draw(st.sampled_from(["auto", "adapted", "list"]))
@@ -83,7 +85,7 @@ def runs(draw):
     # 3 to 5 trials first: a level of 2 trials skips none
     trials = draw(st.sampled_from([3, 4, 5, 2]))
     return (phi, schedule, levels, draw(st.sampled_from(TOLS)), trials, max_levels,
-            draw(st.integers(0, 10**6)), draw(st.sampled_from([MCSHANE, HENSTOCK])))
+            draw(st.integers(0, 10**6)))
 
 
 def fits(g, iv, tag) -> bool:
@@ -109,40 +111,47 @@ def report(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True)
 
 
-def eager(phi, levels, tol, trials, seed, flavor) -> str:
-    value, osc, status, trace = ref.gauge_limit(phi, levels, fits, tol, trials, seed, flavor)
+def model(phi, levels, tol, trials, seed) -> str:
+    value, osc, status, trace = ref.gauge_limit(phi, levels, fits, tol, trials, seed)
     return report({"value": as_value(phi.space, value), "oscillation": osc, "status": status,
                    "trace": trace})
 
 
 # converged after 7 failed levels
 @example((POLY2, None, [adapted_gauge(POLY2, k) for k in range(2, 14)], Fraction(1, 1 << 10),
-          3, 12, 0, MCSHANE))
+          3, 12, 0))
 # unconverged: 3 levels, each failed
 @example((restrict_integrand(POLY2, Region.make((D0, HALF))), "adapted",
           [adapted_gauge(restrict_integrand(POLY2, Region.make((D0, HALF))), k)
-           for k in range(2, 5)], Fraction(1, 1 << 10), 3, 3, 5, MCSHANE))
+           for k in range(2, 5)], Fraction(1, 1 << 10), 3, 3, 5))
+# unconverged at tol 0: the floor test reads "oscillation-floor" over the
+# stopped spreads, "max-level" over the full ones
+@example((restrict_integrand(POLY1, QUARTER), "adapted",
+          [adapted_gauge(restrict_integrand(POLY1, QUARTER), k) for k in range(2, 6)],
+          Fraction(0), 3, 4, 128959))
 @settings(max_examples=300, deadline=None)
 @given(runs())
 def test_every_report_is_the_eager_level_loop(run):
-    phi, schedule, levels, tol, trials, max_levels, seed, flavor = run
+    phi, schedule, levels, tol, trials, max_levels, seed = run
     got = outcome(lambda: report(mcshane_integrate(
         phi, schedule=schedule, tol=tol, trials_per_level=trials, max_levels=max_levels,
-        seed=seed, flavor=flavor)))
-    assert got == outcome(lambda: eager(phi, levels, tol, trials, seed, flavor))
+        seed=seed)))
+    assert got == outcome(lambda: model(phi, levels, tol, trials, seed))
 
 
-def test_pettis_draws_only_at_the_converging_level(monkeypatch):
+def test_pettis_draws_only_at_the_converging_level(monkeypatch, tmp_path):
     """poly2 on a region of measure 1/2 fails 7 levels on its mid and left
     sums alone and converges at level 7: 7 * 2 + 3 = 17 partitions, not 24,
     and every sampled draw is level 7's.  Reading the trace of the same run
-    builds the 7 skipped sampled partitions."""
+    builds nothing.  The README's `integrate --fn poly:0,1;1/2 --schedule
+    adapted` also builds 17, one of them sampled."""
     region = Region.make((D0, HALF))
-    built, drawn = Counter(), Counter()
+    built, drawn, strategies = Counter(), Counter(), Counter()
     # with seed 0, trial i of level k draws with seed 97 k + i
 
     def counted_partition(g, **kw):
         built[kw["seed"] // 97] += 1
+        strategies[kw["tag_strategy"]] += 1
         return cousin_partition(g, **kw)
 
     def counted_draw(seed, *args):
@@ -162,21 +171,27 @@ def test_pettis_draws_only_at_the_converging_level(monkeypatch):
     built.clear()
     est = mcshane_integrate(restrict_integrand(POLY2, region), tol=tol, seed=0)
     assert est.converged and sum(built.values()) == 17
-    assert len(est.trace) == 8 and sum(built.values()) == 24
-    assert [built[k] for k in range(8)] == [3] * 8
-    assert {k for k, _ in drawn} == set(range(8))
+    assert len(est.trace) == 8 and sum(built.values()) == 17
+
+    strategies.clear()
+    code = cli.main(["integrate", "--fn", "poly:0,1;1/2", "--schedule", "adapted", "--seed", "0",
+                     "--deterministic", "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert strategies == {"mid": 8, "left": 8, "sampled": 1}
 
 
-def test_a_skipped_trial_raises_at_the_read_of_the_trace(monkeypatch, tmp_path, capsys):
+def test_a_skipped_trial_that_would_raise_never_runs(monkeypatch, tmp_path, capsys):
     """The README's `integrate --fn poly:0,1;1/2 --schedule adapted` fails
-    level 0 on its mid and left sums.  Its level-0 sampled trial raising
-    MaxDepthExceeded leaves the converged estimate as it was; the trace read
-    raises that error, so `integrate`, which reports the trace, fails as
-    when the trial ran in the level loop, and `pettis_check`, which reads no
-    trace, passes."""
+    level 0 on its mid and left sums, so its level-0 sampled trial never
+    runs: made to raise MaxDepthExceeded, it leaves the estimate and its
+    trace as they were, `integrate` exits 0 with the clean run's bytes, and
+    `pettis_check` passes."""
     phi = poly_integrand([[Fraction(0), Fraction(1)], [Fraction(1, 2)]])
+    argv = ["integrate", "--fn", "poly:0,1;1/2", "--schedule", "adapted", "--seed", "0",
+            "--deterministic", "--out"]
     clean = mcshane_integrate(phi, schedule="adapted", seed=0)
     assert clean.converged and len(clean.trace) > 1
+    assert cli.main(argv + [str(tmp_path / "clean.json")]) == 0
     err = MaxDepthExceeded("no fitting tag for [0, 1/2^60] within depth 60")
 
     def failing(g, **kw):
@@ -186,21 +201,12 @@ def test_a_skipped_trial_raises_at_the_read_of_the_trace(monkeypatch, tmp_path, 
         return cousin_partition(g, **kw)
 
     monkeypatch.setattr(integrate, "cousin_partition", failing)
-    est = mcshane_integrate(phi, schedule="adapted", seed=0)
-    assert (est.value, est.oscillation, est.status) == (clean.value, clean.oscillation,
-                                                       clean.status)
-    for _ in range(2):
-        with pytest.raises(MaxDepthExceeded) as raised:
-            est.trace
-        assert raised.value is err
-
+    assert mcshane_integrate(phi, schedule="adapted", seed=0) == clean
+    capsys.readouterr()
     out = tmp_path / "out.json"
-    code = cli.main(["integrate", "--fn", "poly:0,1;1/2", "--schedule", "adapted", "--seed", "0",
-                     "--deterministic", "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == f"check failed: {err}\n"
-    assert json.loads(out.read_text())["result"] == {
-        "pass": False, "error": "MaxDepthExceeded", "message": str(err)}
+    assert cli.main(argv + [str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == (tmp_path / "clean.json").read_bytes()
 
     fs = default_functionals(POLY2.space, 4)
     tol = Fraction(1, 1 << 10)

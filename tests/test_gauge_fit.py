@@ -20,7 +20,7 @@ from gaugelab import integrate
 from gaugelab.errors import MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
 from gaugelab.gallery import example_3f
-from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
+from gaugelab.gauges import (Gauge, TaggedInterval, TaggedPartition,
                              _sampled_tag, cousin_partition, is_subordinate, partition_to_json)
 from gaugelab.integrands import adapted_gauge, poly_integrand, restrict_integrand
 from gauge_draws import gauge_specs, make_gauge
@@ -156,15 +156,13 @@ BASES = [UNIT, Interval(Dyadic(1, 2), Dyadic(3, 2)), Interval(Dyadic(3, 3), D1),
 
 @settings(max_examples=250, deadline=None)
 @given(spec=specs, strategy=st.sampled_from(["mid", "left", "sampled"]),
-       flavor=st.sampled_from([MCSHANE, HENSTOCK]), base=st.sampled_from(BASES),
-       seed=st.integers(0, 5), max_depth=st.integers(0, 9))
-def test_cousin_partition_matches_fraction_bisection(spec, strategy, flavor, base, seed,
-                                                    max_depth):
+       base=st.sampled_from(BASES), seed=st.integers(0, 5), max_depth=st.integers(0, 9))
+def test_cousin_partition_matches_fraction_bisection(spec, strategy, base, seed, max_depth):
     g = make_gauge(spec)
-    kw = dict(flavor=flavor, tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base)
+    kw = dict(tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base)
     got = outcome(lambda: cousin_partition(g, **kw))
     want = outcome(lambda: TaggedPartition(
-        cousin(lambda iv, tag: oracle_fits(iv, tag, spec), **kw), flavor))
+        cousin(lambda iv, tag: oracle_fits(iv, tag, spec), **kw)))
     assert got[0] == want[0]
     if isinstance(got[1], TaggedPartition):
         p, ref = got[1], want[1]

@@ -9,8 +9,6 @@ from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded, OverlappingItems
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region
 from gaugelab.gauges import (
     Gauge,
-    HENSTOCK,
-    MCSHANE,
     TaggedInterval,
     TaggedPartition,
     cousin_partition,
@@ -29,9 +27,9 @@ def ti(lo, hi, tag):
     return TaggedInterval(Interval(Dyadic.parse(lo), Dyadic.parse(hi)), Dyadic.parse(tag))
 
 
-def tags_as_flavor_asks(p):
-    """A Henstock partition tags each item inside it; a McShane one may not."""
-    return p.flavor != HENSTOCK or all(a <= t <= b for a, b, t in zip(p.lo, p.hi, p.tag))
+def tags_inside(p):
+    """Every item's tag lies in the item, as each Cousin strategy's does."""
+    return all(a <= t <= b for a, b, t in zip(p.lo, p.hi, p.tag))
 
 
 def test_is_partition_cases():
@@ -50,15 +48,6 @@ def test_is_subordinate_exact_boundary():
     assert is_subordinate(p, Gauge.const(Fraction(1, 16)))
     shrunk = Gauge.const(Fraction(1, 17))
     assert not is_subordinate(p, shrunk)
-
-
-def test_mcshane_tag_may_leave_interval_henstock_not():
-    p_free = TaggedPartition([ti("0", "1/2^1", "3/2^2"), ti("1/2^1", "1", "3/2^2")])
-    assert tags_as_flavor_asks(p_free)
-    p_pinned = TaggedPartition(
-        [ti("0", "1/2^1", "3/2^2"), ti("1/2^1", "1", "3/2^2")], flavor=HENSTOCK
-    )
-    assert not tags_as_flavor_asks(p_pinned)
 
 
 def width_is(g: Gauge, t: Dyadic, w: Fraction, e: int = 30) -> bool:
@@ -137,14 +126,13 @@ def test_cousin_max_depth_exceeded():
     assert iv.hi.as_fraction() - iv.lo.as_fraction() >= Fraction(1, 4)
 
 
-def test_cousin_piecewise_and_henstock():
+def test_cousin_piecewise():
     g = Gauge.piecewise([D0, Dyadic(1, 1), D1], [Fraction(1, 2), Fraction(1, 100)])
-    for flavor in (MCSHANE, HENSTOCK):
-        for strategy in ("mid", "left", "sampled"):
-            p = cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=3)
-            assert is_partition(p)
-            assert is_subordinate(p, g)
-            assert tags_as_flavor_asks(p)
+    for strategy in ("mid", "left", "sampled"):
+        p = cousin_partition(g, tag_strategy=strategy, seed=3)
+        assert is_partition(p)
+        assert is_subordinate(p, g)
+        assert tags_inside(p)
 
 
 def test_cousin_fuzz_random_piecewise_gauges():
@@ -189,12 +177,11 @@ def test_extend_to_partition_gap_of_odd_width_under_proximity_gauge():
     phi = IntegrandFn.step(space, [D0, Dyadic(5, 6), D1],
                            [VectorValue.coords(space, [1]), VectorValue.coords(space, [2])])
     g = adapted_gauge(phi, 2)
-    for flavor in (MCSHANE, HENSTOCK):
-        full = extend_to_partition([ti("0", "1/2^4", "1/2^5")], g, flavor=flavor)
-        assert is_partition(full) and is_subordinate(full, g) and tags_as_flavor_asks(full)
-        # the gap splits into pieces of width 1/2, 1/4, 1/8 and 1/16
-        ends = {it.interval.hi for it in full}
-        assert {Dyadic(1, 3), Dyadic(9, 4), Dyadic(13, 4), Dyadic(15, 4)} <= ends
+    full = extend_to_partition([ti("0", "1/2^4", "1/2^5")], g)
+    assert is_partition(full) and is_subordinate(full, g) and tags_inside(full)
+    # the gap splits into pieces of width 1/2, 1/4, 1/8 and 1/16
+    ends = {it.interval.hi for it in full}
+    assert {Dyadic(1, 3), Dyadic(9, 4), Dyadic(13, 4), Dyadic(15, 4)} <= ends
     # a gap of power-of-two width bisects whole, as the unit interval does
     whole = cousin_partition(g, base=Interval(Dyadic(1, 1), D1))
     assert partition_to_json(whole) == partition_to_json(
@@ -208,3 +195,8 @@ def test_partition_json_roundtrip_bit_exact():
     back = partition_from_json(text)
     assert partition_to_json(back) == text
     assert back.items == p.items
+    # "flavor" is a constant of schema gauge-lab/1: an old "henstock" file
+    # loads, and writes back as "mcshane"
+    old = text.replace('"flavor": "mcshane"', '"flavor": "henstock"')
+    assert old != text
+    assert partition_to_json(partition_from_json(old)) == text

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT, region_subtract
-from gaugelab.gauges import MCSHANE, cousin_partition, is_subordinate
+from gaugelab.gauges import cousin_partition, is_subordinate
 from gaugelab.integrands import (IntegrandFn, adapted_gauge, exact_vector_integral, identity_integrand,
                                  poly_eval, poly_integral, poly_integrand,
                                  restrict_integrand, scalar_integral)
@@ -127,7 +127,7 @@ def test_scalar_integral_region_additivity(depth, start):
 def test_adapted_gauge_isolates_breakpoints():
     phi = two_cell_step()
     g = adapted_gauge(phi, level=5)
-    part = cousin_partition(g, seed=3, flavor=MCSHANE)
+    part = cousin_partition(g, seed=3)
     assert is_subordinate(part, g)
     # any cell whose tag is not a breakpoint stays inside one piece
     breaks = {b.as_fraction() for b in phi.breaks}

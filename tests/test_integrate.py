@@ -50,7 +50,7 @@ def zero_integrand() -> IntegrandFn:
 
 def test_riemann_sum_free_tags():
     phi = two_cell_step()
-    # both tags deliberately outside their intervals (free-tag flavor)
+    # both tags deliberately outside their intervals (McShane tags)
     p = TaggedPartition((
         TaggedInterval(Interval(D0, HALF), Dyadic(3, 2)),
         TaggedInterval(Interval(HALF, D1), Dyadic(1, 2)),
@@ -120,7 +120,8 @@ def test_depth_cap_counts_only_where_the_integrand_can_be_nonzero():
     assert exc.value.interval == Interval(D0, Dyadic(1, 60))
     est = mcshane_integrate(phi, schedule=[g], seed=3)
     assert len(est.trace) == 1
-    p = cousin_partition(g, tag_strategy="sampled", max_depth=60, seed=3 * 100003 + 2,
+    # the level stops at trial 1, left, once it spreads past tol
+    p = cousin_partition(g, tag_strategy="left", max_depth=60, seed=3 * 100003 + 1,
                          support=phi.support())
     assert is_partition(p, Interval(HALF, D1)) and is_subordinate(p, g)
     assert est.value == riemann_sum(phi, p)

@@ -12,7 +12,7 @@ they were when every kept item was a Dyadic, Interval and TaggedInterval.
 Partitions must agree item for item (the same Dyadics in the same order),
 byte for byte as JSON, and on every predicate; a walk that fails must raise
 the same error about the same interval.  Gauges: constant, piecewise,
-proximity and adapted; all three tag strategies and both flavors; unit,
+proximity and adapted; all three tag strategies; unit,
 non-unit, degenerate and out-of-range bases; no support, drawn regions and
 the nonzero cells of step integrands as supports.  The support cases catch a
 meets test with `<=` for `<` at either end, a node marked inside a part it
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from gaugelab.errors import GaugeNotPositive, MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region, UNIT
-from gaugelab.gauges import (HENSTOCK, MCSHANE, SCHEMA, Gauge, TaggedInterval,
+from gaugelab.gauges import (SCHEMA, Gauge, TaggedInterval,
                              TaggedPartition, cousin_partition, is_partition, is_subordinate,
                              partition_from_json, partition_to_json)
 from gauge_draws import gauge_specs, make_gauge
@@ -65,10 +65,10 @@ def oracle_is_subordinate(items, g):
     return all(g.fits(*oracle_tag_and_half_width(it.tag, it.interval)) for it in items)
 
 
-def oracle_json(items, flavor):
+def oracle_json(items):
     return json.dumps({
         "schema": SCHEMA,
-        "flavor": flavor,
+        "flavor": "mcshane",
         "items": [{"lo": str(it.interval.lo), "hi": str(it.interval.hi), "tag": str(it.tag)}
                   for it in items],
     }, sort_keys=True)
@@ -156,29 +156,28 @@ def supports(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(g=gauges, other=gauges, strategy=st.sampled_from(["mid", "left", "sampled"]),
-       flavor=st.sampled_from([MCSHANE, HENSTOCK]), base=st.sampled_from(BASES),
-       probe_base=st.sampled_from(BASES), seed=st.integers(0, 5),
+       base=st.sampled_from(BASES), probe_base=st.sampled_from(BASES), seed=st.integers(0, 5),
        max_depth=st.sampled_from([0, 3, 9, 40]), support=supports())
 # a base whose right end lies off the support's grid and past its part: read
 # at the floor, that end would put the base inside [0, 1/2]
 @example(g=Gauge.const(Fraction(1, 5)), other=Gauge.const(Fraction(1, 12)), strategy="mid",
-         flavor=MCSHANE, base=Interval(Dyadic(1, 2), Dyadic(3, 2)), probe_base=UNIT, seed=0,
+         base=Interval(Dyadic(1, 2), Dyadic(3, 2)), probe_base=UNIT, seed=0,
          max_depth=9, support=(Region([Interval(D0, Dyadic(1, 1))]), [(0, Fraction(1, 2))]))
-def test_cousin_columns_match_item_walk(g, other, strategy, flavor, base, probe_base, seed,
+def test_cousin_columns_match_item_walk(g, other, strategy, base, probe_base, seed,
                                         max_depth, support):
     region, parts = support
-    p, err = outcome(lambda: cousin_partition(g, flavor=flavor, tag_strategy=strategy,
+    p, err = outcome(lambda: cousin_partition(g, tag_strategy=strategy,
                                               max_depth=max_depth, seed=seed, base=base,
                                               support=region))
     items, want_err = outcome(lambda: cousin(
-        lambda iv, tag: g.fits(*oracle_tag_and_half_width(tag, iv)), flavor=flavor,
+        lambda iv, tag: g.fits(*oracle_tag_and_half_width(tag, iv)),
         tag_strategy=strategy, max_depth=max_depth, seed=seed, base=base, support=parts))
     assert err == want_err
     if err is not None:
         return
     assert len(p) == len(items)
     assert structural(p.items) == structural(items)
-    assert partition_to_json(p) == oracle_json(items, flavor)
+    assert partition_to_json(p) == oracle_json(items)
     assert is_subordinate(p, g) == oracle_is_subordinate(items, g)
     # another gauge need not hold, and another base need not be covered
     assert outcome(lambda: is_subordinate(p, other)) == outcome(
@@ -187,7 +186,7 @@ def test_cousin_columns_match_item_walk(g, other, strategy, flavor, base, probe_
         assert is_partition(p, b) == oracle_is_partition(items, b)
     # items made from the columns feed the constructor back to the same values,
     # at an exponent no larger than the walk's
-    again = TaggedPartition(p.items, flavor)
+    again = TaggedPartition(p.items)
     assert again.exp <= p.exp
     assert columns_at(again, p.exp) == (p.lo, p.hi, p.tag)
     assert structural(again.items) == structural(items)
@@ -214,10 +213,9 @@ def free_items(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(items=free_items(), g=gauges, flavor=st.sampled_from([MCSHANE, HENSTOCK]),
-       base=st.sampled_from(BASES))
-def test_constructor_columns_match_items(items, g, flavor, base):
-    p = TaggedPartition(items, flavor)
+@given(items=free_items(), g=gauges, base=st.sampled_from(BASES))
+def test_constructor_columns_match_items(items, g, base):
+    p = TaggedPartition(items)
     order = sorted(items, key=lambda it: (it.interval.lo.as_fraction(),
                                           it.interval.hi.as_fraction()))
     # the constructor keeps the given objects, sorted by (lo, hi), ties in input order
@@ -227,7 +225,7 @@ def test_constructor_columns_match_items(items, g, flavor, base):
     assert [(Fraction(a, den), Fraction(b, den), Fraction(t, den))
             for a, b, t in zip(p.lo, p.hi, p.tag)] == [
         (lo.as_fraction(), hi.as_fraction(), t.as_fraction()) for lo, hi, t in as_pairs(order)]
-    assert partition_to_json(p) == oracle_json(order, flavor)
+    assert partition_to_json(p) == oracle_json(order)
     assert outcome(lambda: is_subordinate(p, g)) == outcome(
         lambda: oracle_is_subordinate(order, g))
     for b in [base, UNIT] + misread_bases(p):

@@ -10,7 +10,7 @@ reference's sum in its canonical columns.
 Integrands: step values in `step_linf` and in every coordinate space kind,
 polynomial cells with ragged coefficient tuples and all-zero (restricted)
 cells.  Partitions: Cousin
-bisection under all three tag strategies and both flavors, with and without
+bisection under all three tag strategies, with and without
 the integrand's support (on which its sum must be the full partition's, a
 check that catches a `support()` that drops a polynomial cell whose constant
 term is 0), completions of
@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 
 from gaugelab.errors import MaxDepthExceeded
 from gaugelab.exact import D0, D1, Dyadic, Interval, Region
-from gaugelab.gauges import (HENSTOCK, MCSHANE, Gauge, TaggedInterval, TaggedPartition,
-                             cousin_partition, extend_to_partition)
+from gaugelab.gauges import (Gauge, TaggedInterval, TaggedPartition, cousin_partition,
+                             extend_to_partition)
 from gaugelab.integrands import IntegrandFn, adapted_gauge, restrict_integrand
 from gaugelab.integrate import riemann_sum
 from gaugelab.spaces import ValueSpace, VectorValue
@@ -132,12 +132,11 @@ def tags_for(phi):
 def partitions(draw, phi):
     """(p, full): a partition, and the full Cousin partition when p is one
     built on phi's support (None otherwise, or if the full one cannot be built)."""
-    flavor = draw(st.sampled_from([MCSHANE, HENSTOCK]))
     strategy = draw(st.sampled_from(["mid", "left", "sampled"]))
     seed = draw(st.integers(0, 5))
     kind = draw(st.sampled_from(["cousin", "extended", "free", "empty"]))
     if kind == "empty":
-        return TaggedPartition([], flavor), None
+        return TaggedPartition([]), None
     if kind == "free":
         # free tags, overlapping and degenerate intervals: the sum does not care
         items = []
@@ -145,16 +144,15 @@ def partitions(draw, phi):
             a, b = sorted(draw(st.lists(st.integers(0, 32), min_size=2, max_size=2)))
             items.append(TaggedInterval(Interval(Dyadic(a, 5), Dyadic(b, 5)),
                                         draw(tags_for(phi))))
-        return TaggedPartition(items, flavor), None
+        return TaggedPartition(items), None
     if kind == "cousin":
         g = gauges_for(phi, draw, adapted=True)
         support = draw(st.sampled_from([None, phi.support()]))
-        p = cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=seed,
-                             support=support)
+        p = cousin_partition(g, tag_strategy=strategy, seed=seed, support=support)
         if support is None:
             return p, None
         try:
-            return p, cousin_partition(g, flavor=flavor, tag_strategy=strategy, seed=seed)
+            return p, cousin_partition(g, tag_strategy=strategy, seed=seed)
         except MaxDepthExceeded:
             return p, None
     # the proximity (adapted) gauge needs bisection to land on each breakpoint,
@@ -169,7 +167,7 @@ def partitions(draw, phi):
         lo, hi = Dyadic(a, 4), Dyadic(b, 4)
         partial.append(TaggedInterval(Interval(lo, hi), draw(tags_for(phi))))
         partial.append(TaggedInterval(Interval(hi, hi), draw(tags_for(phi))))
-    return extend_to_partition(partial, g, flavor=flavor, tag_strategy=strategy, seed=seed), None
+    return extend_to_partition(partial, g, tag_strategy=strategy, seed=seed), None
 
 
 # -- the tests ----------------------------------------------------------------------------
